@@ -113,7 +113,8 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "checkpoint.txt", result.steps_done, net,
                     result.params, result.opt)
     (out / "status.txt").write_text(result.status + "\n")
-    summary = f"status: {result.status} after {result.steps_done} steps"
+    status = f"{result.status} ({result.reason})" if result.reason else result.status
+    summary = f"status: {status} after {result.steps_done} steps"
     if result.history:
         summary += (f" ({task.metric_name} on held-out data: "
                     f"{result.history[-1]['test_metric']:.6g})")
@@ -146,8 +147,9 @@ def cmd_kappa_ratio(args) -> int:
             for s in range(args.seeds):
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)
                 p = rng.uniform(-args.init_range, args.init_range, layout.m)
-                k1 = pathnorm.kappa1_layout(layout, p)
-                k2 = pathnorm.kappa2_layout(layout, p)
+                states = pathnorm.squared_states(layout, p)
+                k1 = pathnorm.kappa1_layout(layout, p, states)
+                k2 = pathnorm.kappa2_layout(layout, p, states)
                 n1 = float(np.linalg.norm(k1))
                 if n1 == 0.0:
                     raise ConfigError("kappa1 is identically zero; increase init_range")

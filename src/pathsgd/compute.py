@@ -232,12 +232,12 @@ def central_diff(f, p: np.ndarray, step) -> np.ndarray:
 class RnnTrace:
     """Batch forward record for the vectorized route.
 
-    h[0] is the input block (B, T, input_dim); h[i] and pre[i] for hidden
-    layer i are (B, T, H_i); y is (B, T, output_dim).
+    h[0] is the input block (B, T, input_dim); h[i] for hidden layer i is
+    (B, T, H_i); y is (B, T, output_dim).  Pre-activations are not kept:
+    every activation's derivative is a function of its output.
     """
 
     h: list
-    pre: list
     y: np.ndarray
 
 
@@ -262,48 +262,44 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     if X.ndim != 3 or X.shape[1] != spec.length or X.shape[2] != spec.input_dim:
         raise ComputeError(
             f"rnn_forward: expected X of shape (B, {spec.length}, {spec.input_dim}), got {X.shape}")
-    B, T = X.shape[0], spec.length
+    T = spec.length
 
     h: list = [X]
-    pre: list = [None]
     for i in range(1, spec.depth):
         Win = layout.view(p, f"in{i}")
         Wrec = layout.matrix(p, f"rec{i}")
         b = layout.matrix(p, f"b{i}")
-        Hi = Win.shape[0]
-        pre_i = np.empty((B, T, Hi))
-        h_i = np.empty((B, T, Hi))
-        base = h[i - 1] @ Win.T
+        # h_i starts as the input drive and is overwritten step by step.
+        h_i = h[i - 1] @ Win.T
         if b is not None:
-            base = base + b[:, 0]
+            h_i += b[:, 0]
         for t in range(T):
-            z = base[:, t]
+            z = h_i[:, t]
             if Wrec is not None and t > 0:
                 z = z + h_i[:, t - 1] @ Wrec.T
-            pre_i[:, t] = z
             h_i[:, t] = _act(z, activation)
         h.append(h_i)
-        pre.append(pre_i)
 
     Wout = layout.view(p, "out")
     y = h[-1] @ Wout.T
     bout = layout.matrix(p, "bout")
     if bout is not None:
         y = y + bout[:, 0]
-    return RnnTrace(h=h, pre=pre, y=y)
-
-
-def rnn_outputs(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
-                activation: str = "relu") -> np.ndarray:
-    return rnn_forward(layout, p, X, activation).y
+    return RnnTrace(h=h, y=y)
 
 
 def _act_deriv(tr: RnnTrace, i: int, activation: str) -> np.ndarray:
+    # relu(z) > 0 exactly when z > 0, so the output gives the ReLU mask.
     if activation == "relu":
-        return (tr.pre[i] > 0.0).astype(float)
+        return tr.h[i] > 0.0
     if activation == "tanh":
         return 1.0 - tr.h[i] ** 2
-    return np.ones_like(tr.pre[i])
+    return np.ones_like(tr.h[i])
+
+
+def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """sum over batch and time of a_bt b_bt^T, as one BLAS product."""
+    return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
 def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
@@ -322,8 +318,8 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     dp = np.zeros(layout.m)
 
     Wout = layout.view(p, "out")
-    sl, shape = layout.slices["out"]
-    dp[sl] = np.einsum("btk,btj->kj", dY, tr.h[spec.depth - 1]).reshape(-1)
+    sl, _ = layout.slices["out"]
+    dp[sl] = _outer_sum(dY, tr.h[spec.depth - 1]).reshape(-1)
     if "bout" in layout.slices:
         sl, _ = layout.slices["bout"]
         dp[sl] = dY.sum(axis=(0, 1))
@@ -333,17 +329,20 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         Win = layout.view(p, f"in{i}")
         Wrec = layout.matrix(p, f"rec{i}")
         deriv = _act_deriv(tr, i, activation)
-        dpre = np.empty_like(dh)
+        dpre = dh  # dh[:, t] is last read at step t, so dpre overwrites it
         for t in range(T - 1, -1, -1):
             dd = dh[:, t]
             if Wrec is not None and t < T - 1:
                 dd = dd + dpre[:, t + 1] @ Wrec
-            dpre[:, t] = dd * deriv[:, t]
+            np.multiply(dd, deriv[:, t], out=dpre[:, t])
         sl, _ = layout.slices[f"in{i}"]
-        dp[sl] = np.einsum("btj,btk->jk", dpre, tr.h[i - 1]).reshape(-1)
+        dp[sl] = _outer_sum(dpre, tr.h[i - 1]).reshape(-1)
         if Wrec is not None:
+            # The time-shifted blocks do not flatten without a copy; one
+            # batched product over the per-sequence (T-1, H) views does.
             sl, _ = layout.slices[f"rec{i}"]
-            dp[sl] = np.einsum("btj,btk->jk", dpre[:, 1:], tr.h[i][:, :-1]).reshape(-1)
+            rec = dpre[:, 1:].transpose(0, 2, 1) @ tr.h[i][:, :-1]
+            dp[sl] = rec.sum(axis=0).reshape(-1)
         if f"b{i}" in layout.slices:
             sl, _ = layout.slices[f"b{i}"]
             dp[sl] = dpre.sum(axis=(0, 1))

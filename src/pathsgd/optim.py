@@ -191,10 +191,16 @@ class TrainResult:
     opt: OptimizerState
     steps_done: int
     history: list[dict] = field(default_factory=list)
+    reason: str = ""                # why a diverged run stopped
 
 
-def _diverged(loss: float, p: np.ndarray) -> bool:
-    return (not np.isfinite(loss)) or loss > DIVERGE_LOSS or not np.all(np.isfinite(p))
+def _loss_divergence(loss: float) -> str:
+    """The reason a loss ends the run, or "" when it does not."""
+    if not np.isfinite(loss):
+        return "non-finite loss"
+    if loss > DIVERGE_LOSS:
+        return f"loss above {DIVERGE_LOSS:g}"
+    return ""
 
 
 def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
@@ -207,10 +213,16 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
     the step index is a multiple of eval_interval, then applies the update.
     A final row is recorded at the step budget.  Resuming from (p, opt,
     start_step) therefore reproduces the uninterrupted run exactly.
+
+    A diverged run stops with a named reason: a non-finite or huge loss, a
+    non-finite kappa (checked before the update) or non-finite parameters
+    (checked after it).  The returned params and steps_done are then those
+    of the last finite state, so the final checkpoint stays loadable.
     """
     config.check()
     p = np.asarray(p, dtype=float).copy()
     status = "budget_exhausted"
+    reason = ""
     history: list[dict] = []
     kappa_cache: np.ndarray | None = None
     t0 = time.perf_counter()
@@ -234,8 +246,8 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
     while step < config.steps:
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
         loss, g, metric = task.loss_and_grad(net, p, batch)
-        if _diverged(loss, p):
-            status = "diverged"
+        reason = _loss_divergence(loss)
+        if reason:
             break
         if step % config.eval_interval == 0:
             row = eval_row(step, loss, metric)
@@ -246,20 +258,26 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
         if config.target_loss is not None and loss <= config.target_loss:
             status = "converged"
             break
-        if opt.uses_kappa:
-            if step % config.kappa_every == 0 or kappa_cache is None:
-                kappa_cache = pathnorm.preconditioner(net, p, opt.kappa_mode)
-            p, opt = apply_update(net, p, g, opt, kappa=kappa_cache)
-        else:
-            p, opt = apply_update(net, p, g, opt)
+        if opt.uses_kappa and (step % config.kappa_every == 0 or kappa_cache is None):
+            kappa_cache = pathnorm.preconditioner(net, p, opt.kappa_mode)
+            if not np.all(np.isfinite(kappa_cache)):
+                reason = "non-finite kappa"
+                break
+        p_new, opt_new = apply_update(net, p, g, opt, kappa=kappa_cache)
+        if not np.all(np.isfinite(p_new)):
+            reason = "non-finite parameters"
+            break
+        p, opt = p_new, opt_new
         step += 1
 
     already_rowed = bool(history) and history[-1]["step"] == step
-    if status != "diverged" and not already_rowed:
+    if not reason and not already_rowed:
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
         loss, _, metric = task.loss_and_grad(net, p, batch)
-        if _diverged(loss, p):
-            status = "diverged"
-        else:
+        reason = _loss_divergence(loss)
+        if not reason:
             eval_row(step, loss, metric)
-    return TrainResult(status=status, params=p, opt=opt, steps_done=step, history=history)
+    if reason:
+        status = "diverged"
+    return TrainResult(status=status, params=p, opt=opt, steps_done=step,
+                       history=history, reason=reason)

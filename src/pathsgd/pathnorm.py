@@ -192,27 +192,29 @@ def kappa_fd(net: SharedWeightNet, p: np.ndarray, step: float = 1e-4) -> np.ndar
 
 # --- kappa1 ------------------------------------------------------------------
 
-def kappa1(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
+def kappa1(net: SharedWeightNet, p: np.ndarray, states=None) -> np.ndarray:
     """kappa1 via the squared net: gradient of its summed output at the
     all-ones input, taken with respect to the squared parameters.
 
     One extra forward/backward pass; dispatches to the vectorized layout
-    route for unrolled RNNs.
+    route for unrolled RNNs, where ``states`` may carry a precomputed
+    ``squared_states(net.rnn, p)``.
     """
     if net.rnn is not None:
-        return kappa1_layout(net.rnn, p)
+        return kappa1_layout(net.rnn, p, states)
     sq = SquaredNet.from_params(net, p)
     _, trace = sq.forward_ones()
     d_out = np.ones(len(net.output_ids))
     return compute.backprop(net, sq.params, trace, d_out, activation="identity")
 
 
-def _squared_states(layout: RnnLayout, p: np.ndarray):
+def squared_states(layout: RnnLayout, p: np.ndarray):
     """Forward and backward state of the squared net at the all-ones input.
 
     Returns (h, delta) where h[i] has shape (T, H_i) with h[0] the ones
     input block, and delta[i][t] = d(sum of outputs)/d h^i_t.  ReLU is inert
     here (all values nonnegative), so the backward uses unit derivatives.
+    kappa1 and kappa2 both read these, so one pass can serve both terms.
     """
     spec = layout.spec
     p = np.asarray(p, dtype=float)
@@ -255,10 +257,10 @@ def _squared_states(layout: RnnLayout, p: np.ndarray):
     return h, delta
 
 
-def kappa1_layout(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
+def kappa1_layout(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     """Vectorized kappa1 for unrolled RNNs; cost of one pass over the net."""
     spec = layout.spec
-    h, delta = _squared_states(layout, p)
+    h, delta = squared_states(layout, p) if states is None else states
     out = np.zeros(layout.m)
     for i in range(1, spec.depth):
         sl, _ = layout.slices[f"in{i}"]
@@ -323,7 +325,7 @@ def kappa2_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
     return ORDERED_PAIR_COEFF * out
 
 
-def kappa2_layout(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
+def kappa2_layout(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     """kappa2 for unrolled RNNs in closed matrix form.
 
     Only recurrent parameters can repeat along an input-output path (inputs,
@@ -333,11 +335,12 @@ def kappa2_layout(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     recurrent matrix; summing the time-ordered pairs gives, with
     h / delta the squared-net states,
 
-        kappa2[j, k] = C * A[j, k] * sum_g (A^g)[k, j] *
-                       sum_s delta_(s+g+1)[j] * h_(s-1)[k]
+        kappa2[j, k] = C * A[j, k] * sum_u delta_(u+2)[j] * Z_u[k, j],
+        Z_u = sum_(s<=u) diag(h_s) A^(u-s),
 
-    with g from 0 to T-3, s from 1 to T-2-g (0-based steps) and
-    C = CHRONO_PAIR_COEFF.  Cost per layer: O(T H^3 + T^2 H^2).
+    with u from 0 to T-3 (0-based steps) and C = CHRONO_PAIR_COEFF.  Z obeys
+    the running sum Z_u = Z_(u-1) A + diag(h_u), so no matrix power is
+    formed.  Cost per layer: O(T H^3).
     """
     spec = layout.spec
     p = np.asarray(p, dtype=float)
@@ -346,16 +349,16 @@ def kappa2_layout(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     if T < 3 or not layout.has_recurrent:
         return out
     pt = p * p
-    h, delta = _squared_states(layout, p)
+    h, delta = squared_states(layout, p) if states is None else states
     for i in range(1, spec.depth):
         A = layout.view(pt, f"rec{i}")
         acc = np.zeros_like(A)
-        Ag = np.eye(A.shape[0])  # A^g
-        for g in range(0, T - 2):
-            n = T - 2 - g  # number of valid s values
-            M = delta[i][g + 2:].T @ h[i][:n]
-            acc += Ag.T * M
-            Ag = Ag @ A
+        Z = np.zeros_like(A)
+        diag = np.arange(A.shape[0])
+        for u in range(T - 2):
+            Z = Z @ A
+            Z[diag, diag] += h[i][u]
+            acc += delta[i][u + 2][:, None] * Z.T
         sl, _ = layout.slices[f"rec{i}"]
         out[sl] = (CHRONO_PAIR_COEFF * A * acc).reshape(-1)
     return out
@@ -372,11 +375,12 @@ def is_one_to_one(net: SharedWeightNet) -> bool:
     return net.num_edges == net.num_params
 
 
-def kappa2(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
-    """kappa2 by the cheapest valid route: matrix form for RNN-layout nets,
-    identically zero for one-to-one maps, path enumeration otherwise."""
+def kappa2(net: SharedWeightNet, p: np.ndarray, states=None) -> np.ndarray:
+    """kappa2 by the cheapest valid route: matrix form for RNN-layout nets
+    (``states`` as in kappa1), identically zero for one-to-one maps, path
+    enumeration otherwise."""
     if net.rnn is not None:
-        return kappa2_layout(net.rnn, p)
+        return kappa2_layout(net.rnn, p, states)
     if is_one_to_one(net):
         return np.zeros(net.num_params)
     return kappa2_bruteforce(net, p)
@@ -386,20 +390,26 @@ def kappa_decomposition(net: SharedWeightNet, p: np.ndarray) -> KappaVector:
     return KappaVector(k1=kappa1(net, p), k2=kappa2(net, p))
 
 
+def _shared_states(net: SharedWeightNet, p: np.ndarray):
+    return None if net.rnn is None else squared_states(net.rnn, p)
+
+
 def preconditioner(net: SharedWeightNet, p: np.ndarray, mode: str = "k1") -> np.ndarray:
     """The kappa vector used by path-normalized updates."""
     if mode not in KAPPA_MODES:
         raise ValueError(f"unknown kappa mode {mode!r}")
     if mode == "k1":
         return kappa1(net, p)
-    return kappa1(net, p) + kappa2(net, p)
+    states = _shared_states(net, p)
+    return kappa1(net, p, states) + kappa2(net, p, states)
 
 
 def kappa_ratio(net: SharedWeightNet, p: np.ndarray) -> float:
     """||kappa2|| / ||kappa1||, the relative weight of the interaction term."""
-    k1 = kappa1(net, p)
+    states = _shared_states(net, p)
+    k1 = kappa1(net, p, states)
     n1 = float(np.linalg.norm(k1))
     if n1 == 0.0:
         raise ZeroDivisionError("kappa_ratio: kappa1 is identically zero")
-    k2 = kappa2(net, p)
+    k2 = kappa2(net, p, states)
     return float(np.linalg.norm(k2)) / n1

@@ -1,9 +1,8 @@
 """End-to-end acceptance checks, one test per numbered criterion.
 
 Each test prints a single PASS/FAIL line with its measured worst-case
-numbers at the stated tolerances, then asserts.  Criteria 8 and 9 train
-real models and dominate the suite runtime; everything else runs in
-seconds.
+numbers at the stated tolerances, then asserts.  Criterion 8 trains real
+models and dominates the suite runtime; everything else runs in seconds.
 """
 
 import time

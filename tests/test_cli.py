@@ -70,6 +70,22 @@ def test_train_divergence_exit_code(tmp_path, capsys):
         assert "nan" not in line and "inf" not in line
 
 
+def test_train_non_finite_kappa_exits_diverged(tmp_path, capsys, monkeypatch):
+    from pathsgd import config, pathnorm
+    monkeypatch.setattr(pathnorm, "preconditioner",
+                        lambda net, p, mode: np.full(net.num_params, np.inf))
+    out = tmp_path / "run"
+    code = run_cli("train", "--set", "task=addition", "--set", "seq_len=6",
+                   "--set", "hidden=3", "--set", "eval_size=16",
+                   "--set", "optimizer=path_sgd", "--set", "steps=5",
+                   "--set", f"out_dir={out}")
+    assert code == 3
+    assert (out / "status.txt").read_text() == "diverged\n"
+    assert len((out / "metrics.csv").read_text().splitlines()) == 2
+    assert config.load_checkpoint(out / "checkpoint.txt")[0] == 0
+    assert "status: diverged (non-finite kappa) after 0 steps" in capsys.readouterr().out
+
+
 def test_train_resume_is_exact(tmp_path):
     base = ["--set", "task=linreg", "--set", "optimizer=path_adam",
             "--set", "lr=0.05", "--set", "eval_interval=10",

@@ -137,6 +137,27 @@ def test_rnn_backward_matches_generic_grad(rng):
         assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
 
 
+def test_rnn_backward_matches_generic_grad_stacked_long(rng):
+    """One and two hidden layers at T = 5..8, past the lengths that
+    verify.random_spec draws; covers the in{i} gradient of upper layers."""
+    for length in range(5, 9):
+        for hidden in ((int(rng.integers(1, 4)),),
+                       (int(rng.integers(1, 4)), int(rng.integers(1, 4)))):
+            spec = RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
+                           length, bias=bool(rng.integers(0, 2)))
+            net = build_rnn(spec)
+            p = rng.uniform(-1.2, 1.2, net.num_params)
+            X = rng.standard_normal((3, length, spec.input_dim))
+            dY = rng.standard_normal((3, length, spec.output_dim))
+            tr = compute.rnn_forward(net.rnn, p, X)
+            g_vec = compute.rnn_backward(net.rnn, p, tr, dY)
+            g_ref = np.zeros(net.num_params)
+            for b in range(X.shape[0]):
+                _, trace = compute.forward(net, p, X[b])
+                g_ref += compute.backprop(net, p, trace, dY[b].reshape(-1))
+            assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
+
+
 def test_rnn_forward_shape_check(rng):
     spec = RnnSpec(2, (3,), 1, 4)
     layout = graph.RnnLayout.from_spec(spec)

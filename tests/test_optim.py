@@ -226,6 +226,35 @@ def test_train_loop_divergence_has_no_nan_rows():
         assert np.isfinite(row["train_loss"])
 
 
+def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
+    task = tasks.AdditionTask(length=4, eval_size=8)
+    net = build_rnn(RnnSpec(2, (3,), 1, 4))
+    p0 = optim.init_uniform(net, optim.rng_for(0, optim.STREAM_INIT), 0.3)
+    monkeypatch.setattr(pathnorm, "preconditioner",
+                        lambda net, p, mode: np.full(net.num_params, np.inf))
+    res = optim.train_loop(net, task, TrainConfig(steps=5, eval_interval=1),
+                           p0, OptimizerState(kind="path_sgd", eta=0.01))
+    assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite kappa", 0)
+    assert [r["step"] for r in res.history] == [0]
+    assert np.array_equal(res.params, p0)
+
+
+def test_train_loop_non_finite_params_end_run(monkeypatch):
+    task = tasks.LinRegTask()
+    net = task.make_net()
+    real = optim.apply_update
+
+    def blow_up(net, p, g, state, kappa=None):
+        p, state = real(net, p, g, state, kappa)
+        return (p * np.inf if state.t >= 3 else p), state
+
+    monkeypatch.setattr(optim, "apply_update", blow_up)
+    res = optim.train_loop(net, task, TrainConfig(steps=10, eval_interval=100),
+                           np.array([0.3]), OptimizerState(kind="adam", eta=0.01))
+    assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite parameters", 2)
+    assert np.all(np.isfinite(res.params)) and res.opt.t == 2
+
+
 def test_train_loop_kappa_every_amortizes(single_unit_t2, monkeypatch):
     calls = []
     real = pathnorm.preconditioner

@@ -124,6 +124,57 @@ def test_kappa2_rnn_equals_bruteforce(rng):
         pathnorm.kappa2_rnn(build_feedforward([2, 2]), np.ones(4))
 
 
+def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
+    """At T <= 4 the time-ordered pairs span at most two lags; from T = 5 on
+    the running sum in kappa2_layout carries three or more terms."""
+    for length in range(5, 9):
+        for depth in (1, 2):
+            hidden = tuple(int(rng.integers(1, 3)) for _ in range(depth))
+            net = build_rnn(RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
+                                    length, bias=bool(rng.integers(0, 2))))
+            p = verify.random_params(net, rng)
+            fast = pathnorm.kappa2_layout(net.rnn, p)
+            slow = pathnorm.kappa2_bruteforce(net, p)
+            assert rel_gap(fast, slow, floor=1.0) < 1e-10
+
+
+def test_kappa_matches_fd_at_long_unroll(rng):
+    """kappa1 + kappa2 against the finite-difference oracle at T ~ 40.  The
+    recurrent block is scaled so its squared matrix has spectral radius 1:
+    there kappa2 outweighs kappa1, so kappa1 alone must miss the oracle."""
+    for hidden in (2, 4, 6):
+        spec = RnnSpec(int(rng.integers(1, 3)), (hidden,), int(rng.integers(1, 3)),
+                       int(rng.integers(38, 43)), bias=bool(rng.integers(0, 2)))
+        net = build_rnn(spec)
+        p = rng.uniform(-1.0, 1.0, net.num_params)
+        sl, _ = net.rnn.slices["rec1"]
+        rho = np.max(np.abs(np.linalg.eigvals(p[sl].reshape(hidden, hidden) ** 2)))
+        p[sl] /= np.sqrt(rho)
+        k1 = pathnorm.kappa1(net, p)
+        fd = pathnorm.kappa_fd(net, p)
+        assert rel_gap(k1 + pathnorm.kappa2(net, p), fd, floor=1.0) < 1e-4
+        assert rel_gap(k1, fd, floor=1.0) > 0.5
+
+
+def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
+    net = build_rnn(RnnSpec(2, (3,), 1, 6, bias=True))
+    p = verify.random_params(net, rng)
+    expected = pathnorm.kappa1(net, p) + pathnorm.kappa2(net, p)
+    ratio = pathnorm.kappa_ratio(net, p)
+    calls = []
+    real = pathnorm.squared_states
+
+    def spy(layout, pp):
+        calls.append(1)
+        return real(layout, pp)
+
+    monkeypatch.setattr(pathnorm, "squared_states", spy)
+    assert np.array_equal(pathnorm.preconditioner(net, p, "k1_plus_k2"), expected)
+    assert len(calls) == 1
+    assert pathnorm.kappa_ratio(net, p) == ratio
+    assert len(calls) == 2
+
+
 def test_decomposition_matches_fd(rng):
     for _ in range(8):
         net = build_rnn(RnnSpec(1, (3,), 1, 4))
