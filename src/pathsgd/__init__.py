@@ -1,11 +1,12 @@
-"""Path-normalized training for networks with shared weights.
+"""Path-normalized training for ReLU RNNs and other shared-weight networks.
 
-The package represents a network as a DAG plus a map from edges to shared
-parameters, computes the path-regularizer and its per-parameter second-order
-coefficients (kappa), and uses them to precondition SGD and Adam so that
-training is invariant to node-wise rescalings of the weights.  Unrolled RNNs
-get a fast vectorized route; everything is cross-checked against brute-force
-path enumeration on small graphs.
+An unrolled RNN is modelled by its RnnLayout, a map from weight matrices to
+slices of one parameter vector.  The package computes the path-regularizer
+and its per-parameter second-order coefficients (kappa) from those matrices
+and uses them to precondition SGD and Adam so that training is invariant to
+node-wise rescalings of the weights.  The explicit DAG with an edge ->
+parameter map (SharedWeightNet) serves the oracles: everything is
+cross-checked against it and brute-force path enumeration on small nets.
 """
 
 from .compute import backprop, forward, grad, rnn_backward, rnn_forward
@@ -31,12 +32,12 @@ from .optim import (
     train_loop,
 )
 from .pathnorm import (
-    KappaVector,
     gamma_bruteforce,
     gamma_recursive,
     kappa1,
+    kappa1_graph,
     kappa2,
-    kappa_decomposition,
+    kappa2_bruteforce,
     kappa_fd,
     kappa_ratio,
     preconditioner,
@@ -46,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GraphError",
-    "KappaVector",
     "NodeScaling",
     "OptimizerState",
     "RnnLayout",
@@ -66,8 +66,9 @@ __all__ = [
     "grad",
     "is_feasible",
     "kappa1",
+    "kappa1_graph",
     "kappa2",
-    "kappa_decomposition",
+    "kappa2_bruteforce",
     "kappa_fd",
     "kappa_ratio",
     "path_adam_step",

@@ -13,6 +13,7 @@ failure, 3 training diverged.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import sys
 from pathlib import Path
 
@@ -28,8 +29,10 @@ from .config import (
     load_config,
     metrics_header,
     metrics_row,
+    metrics_rows_before,
     parse_block_ranges,
     save_checkpoint,
+    write_lines,
     write_metrics,
 )
 from .graph import GraphError, RnnLayout, RnnSpec, build_rnn
@@ -38,6 +41,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_DIVERGED = 3
+
+# glibc mallopt parameters and the values cmd_train sets.
+M_TRIM_THRESHOLD = -1
+M_MMAP_THRESHOLD = -3
+MMAP_THRESHOLD_BYTES = 32 << 20
+TRIM_THRESHOLD_BYTES = 64 << 20
+# Resuming keeps the checkpoint's optimizer; these config keys must agree.
+RESUME_KEYS = (("optimizer", "kind"), ("lr", "eta"),
+               ("kappa_mode", "kappa_mode"), ("epsilon", "eps"))
 
 
 def make_task(cfg: RunConfig):
@@ -48,46 +60,62 @@ def make_task(cfg: RunConfig):
         return tasks.SeqClassTask(size=cfg.image_size, num_classes=cfg.num_classes,
                                   n=cfg.data_size, test_frac=cfg.test_frac,
                                   data_seed=cfg.data_seed)
-    if cfg.task == "charlm":
-        path = cfg.corpus or tasks.bundled_corpus_path()
-        corpus = tasks.load_char_corpus(path)
-        return tasks.CharLmTask(corpus, unroll=cfg.seq_len)
-    return tasks.LinRegTask(slope=cfg.slope)
+    path = cfg.corpus or tasks.bundled_corpus_path()
+    return tasks.CharLmTask(tasks.load_char_corpus(path), unroll=cfg.seq_len)
 
 
-def make_net(cfg: RunConfig, task):
-    if cfg.task == "linreg":
-        return task.make_net()
-    spec = RnnSpec(task.input_dim, cfg.hidden, task.output_dim,
-                   task.length, bias=cfg.bias)
-    return build_rnn(spec)
+def make_net(cfg: RunConfig, task) -> RnnLayout:
+    return RnnLayout.from_spec(RnnSpec(task.input_dim, cfg.hidden, task.output_dim,
+                                       task.length, bias=cfg.bias))
 
 
-def init_params(cfg: RunConfig, net) -> np.ndarray:
+def init_params(cfg: RunConfig, layout: RnnLayout) -> np.ndarray:
     rng = optim.rng_for(cfg.seed, optim.STREAM_INIT)
     if cfg.init == "identity":
-        return optim.init_identity(net, rng, cfg.init_range)
+        return optim.init_identity(layout, rng, cfg.init_range)
     per_block = parse_block_ranges(cfg.init_ranges) if cfg.init_ranges else None
-    return optim.init_uniform(net, rng, cfg.init_range, per_block=per_block)
+    return optim.init_uniform(layout, rng, cfg.init_range, per_block=per_block)
+
+
+def tune_malloc() -> None:
+    """Keep freed numpy buffers of up to 32 MiB on glibc's heap instead of
+    returning them to the system after every step, which costs a page fault
+    per touched page when they are allocated again.  A no-op where the C
+    library has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
+    mallopt(M_TRIM_THRESHOLD, TRIM_THRESHOLD_BYTES)
 
 
 def cmd_train(args) -> int:
+    tune_malloc()
     overrides = dict(kv.split("=", 1) for kv in args.set)
     cfg = load_config(args.config, overrides)
     task = make_task(cfg)
-    net = make_net(cfg, task)
+    layout = make_net(cfg, task)
+    out = Path(cfg.out_dir)
 
+    earlier: list[str] = []
     if args.resume:
-        start_step, p, opt = load_checkpoint(args.resume, net)
+        start_step, p, opt = load_checkpoint(args.resume, layout)
+        for key, field in RESUME_KEYS:
+            if getattr(cfg, key) != getattr(opt, field):
+                raise ConfigError(
+                    f"{key} = {getattr(cfg, key)} cannot take effect on resume: "
+                    f"the checkpoint continues with {getattr(opt, field)}")
+        earlier = metrics_rows_before(out / "metrics.csv", start_step,
+                                      cfg.record_kappa_ratio)
     else:
         start_step = 0
-        p = init_params(cfg, net)
+        p = init_params(cfg, layout)
         opt = optim.OptimizerState(kind=cfg.optimizer, eta=cfg.lr,
                                    kappa_mode=cfg.kappa_mode, eps=cfg.epsilon)
 
-    out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.txt").write_text(config_text(cfg))
+    write_lines(out / "config.txt", config_text(cfg).splitlines())
 
     tc = optim.TrainConfig(steps=cfg.steps, batch_size=cfg.batch_size,
                            eval_interval=cfg.eval_interval, seed=cfg.seed,
@@ -105,14 +133,15 @@ def cmd_train(args) -> int:
         if (cfg.checkpoint_interval and row["step"]
                 and row["step"] % cfg.checkpoint_interval == 0):
             save_checkpoint(out / f"checkpoint_{row['step']}.txt",
-                            row["step"], net, pp, oo)
+                            row["step"], layout, pp, oo)
 
-    result = optim.train_loop(net, task, tc, p, opt,
+    result = optim.train_loop(layout, task, tc, p, opt,
                               start_step=start_step, on_eval=on_eval)
-    write_metrics(out / "metrics.csv", result.history, cfg.record_kappa_ratio)
-    save_checkpoint(out / "checkpoint.txt", result.steps_done, net,
+    write_metrics(out / "metrics.csv", result.history, cfg.record_kappa_ratio,
+                  earlier)
+    save_checkpoint(out / "checkpoint.txt", result.steps_done, layout,
                     result.params, result.opt)
-    (out / "status.txt").write_text(result.status + "\n")
+    write_lines(out / "status.txt", [result.status])
     status = f"{result.status} ({result.reason})" if result.reason else result.status
     summary = f"status: {status} after {result.steps_done} steps"
     if result.history:
@@ -148,8 +177,8 @@ def cmd_kappa_ratio(args) -> int:
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)
                 p = rng.uniform(-args.init_range, args.init_range, layout.m)
                 states = pathnorm.squared_states(layout, p)
-                k1 = pathnorm.kappa1_layout(layout, p, states)
-                k2 = pathnorm.kappa2_layout(layout, p, states)
+                k1 = pathnorm.kappa1(layout, p, states)
+                k2 = pathnorm.kappa2(layout, p, states)
                 n1 = float(np.linalg.norm(k1))
                 if n1 == 0.0:
                     raise ConfigError("kappa1 is identically zero; increase init_range")

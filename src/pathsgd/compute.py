@@ -4,8 +4,7 @@ Two routes cover every network:
 
 * a generic interpreter over the explicit DAG (any SharedWeightNet), used by
   the oracles and small verification nets;
-* a vectorized route over the RnnLayout matrices (nets built by build_rnn),
-  used by the training loop where per-edge interpretation would be too slow.
+* a vectorized route over the RnnLayout matrices, used by training.
 
 Both routes are exact reverse-mode differentiation and are tied together by
 equivalence tests.  All arithmetic is 64-bit; gradients over a batch are the

@@ -4,7 +4,8 @@ Configs are flat ``key = value`` text.  Precedence, lowest to highest:
 built-in defaults, config file, the PATHSGD_OUT_DIR environment variable
 (for out_dir only), then command-line overrides.  Checkpoints are plain text
 with 17-significant-digit floats, which round-trip doubles exactly, so a
-resumed run continues bit-for-bit.
+resumed run continues bit-for-bit.  Every output file is written through
+write_lines, which replaces the old file only once the new one is whole.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .graph import GraphError, SharedWeightNet
+from .graph import RnnLayout
 from .optim import OPTIMIZERS, OptimizerState
 from .pathnorm import KAPPA_MODES
 
-TASKS = ("addition", "seqclass", "charlm", "linreg")
+TASKS = ("addition", "seqclass", "charlm")
 INIT_SCHEMES = ("uniform", "identity")
 OUT_DIR_ENV = "PATHSGD_OUT_DIR"
 CHECKPOINT_MAGIC = "pathsgd checkpoint v1"
@@ -44,7 +45,6 @@ class RunConfig:
     test_frac: float = 0.25
     eval_size: int = 512
     data_seed: int = 1
-    slope: float = 1.7
     # optimizer
     optimizer: str = "path_sgd"
     lr: float = 1e-3
@@ -93,8 +93,6 @@ class RunConfig:
                 raise ConfigError("checkpoint_interval must be a multiple of eval_interval")
             if self.kappa_every != 1 and self.checkpoint_interval % self.kappa_every != 0:
                 raise ConfigError("checkpoint_interval must be a multiple of kappa_every")
-        if self.task == "linreg" and self.init == "identity":
-            raise ConfigError("identity init needs a recurrent network")
         if self.init_ranges:
             ranges = parse_block_ranges(self.init_ranges)
             if self.init != "uniform":
@@ -212,41 +210,57 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def describe_net(net: SharedWeightNet) -> str:
-    if net.rnn is not None:
-        s = net.rnn.spec
-        hid = ",".join(str(h) for h in s.hidden_dims)
-        return (f"rnn in={s.input_dim} hidden={hid} out={s.output_dim} "
-                f"T={s.length} bias={int(s.bias)}")
-    return f"graph nodes={net.num_nodes} edges={net.num_edges} m={net.num_params}"
+def describe_net(layout: RnnLayout) -> str:
+    s = layout.spec
+    hid = ",".join(str(h) for h in s.hidden_dims)
+    return (f"rnn in={s.input_dim} hidden={hid} out={s.output_dim} "
+            f"T={s.length} bias={int(s.bias)}")
 
 
-def save_checkpoint(path, step: int, net: SharedWeightNet, p: np.ndarray,
+def write_lines(path, lines) -> None:
+    """Write each line and a newline to a temp file beside path, then move
+    it over path.  An exception or a crash of the process mid-way leaves
+    the previous file whole.  Lines may be a generator: a checkpoint is
+    never held in memory as one string."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.writelines(line + "\n" for line in lines)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def save_checkpoint(path, step: int, layout: RnnLayout, p: np.ndarray,
                     opt: OptimizerState) -> None:
-    lines = [CHECKPOINT_MAGIC,
-             f"net {describe_net(net)}",
-             f"step {step}",
-             f"kind {opt.kind}",
-             f"eta {_fmt(opt.eta)}",
-             f"kappa_mode {opt.kappa_mode}",
-             f"eps {_fmt(opt.eps)}",
-             f"beta1 {_fmt(opt.beta1)}",
-             f"beta2 {_fmt(opt.beta2)}",
-             f"eps_adam {_fmt(opt.eps_adam)}",
-             f"t {opt.t}",
-             f"m {len(p)}"]
-    lines.extend(_fmt(x) for x in p)
-    if opt.m1 is not None:
-        lines.append("moments")
-        lines.extend(_fmt(x) for x in opt.m1)
-        lines.extend(_fmt(x) for x in opt.m2)
-    lines.append("end")
-    Path(path).write_text("\n".join(lines) + "\n")
+    def lines():
+        yield CHECKPOINT_MAGIC
+        yield f"net {describe_net(layout)}"
+        yield f"step {step}"
+        yield f"kind {opt.kind}"
+        yield f"eta {_fmt(opt.eta)}"
+        yield f"kappa_mode {opt.kappa_mode}"
+        yield f"eps {_fmt(opt.eps)}"
+        yield f"beta1 {_fmt(opt.beta1)}"
+        yield f"beta2 {_fmt(opt.beta2)}"
+        yield f"eps_adam {_fmt(opt.eps_adam)}"
+        yield f"t {opt.t}"
+        yield f"m {len(p)}"
+        yield from map(_fmt, p)
+        if opt.m1 is not None:
+            yield "moments"
+            yield from map(_fmt, opt.m1)
+            yield from map(_fmt, opt.m2)
+        yield "end"
+
+    write_lines(path, lines())
 
 
-def load_checkpoint(path, net: SharedWeightNet | None = None):
-    """Returns (step, p, OptimizerState).  If a net is given, its description
-    must match the one stored at save time."""
+def load_checkpoint(path, layout: RnnLayout | None = None):
+    """Returns (step, p, OptimizerState).  If a layout is given, its
+    description must match the one stored at save time."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
@@ -258,10 +272,10 @@ def load_checkpoint(path, net: SharedWeightNet | None = None):
         i += 1
         if key == "m":
             break
-    if net is not None and head.get("net") != describe_net(net):
+    if layout is not None and head.get("net") != describe_net(layout):
         raise ConfigError(
             f"{path}: checkpoint is for net [{head.get('net')}], "
-            f"current net is [{describe_net(net)}]")
+            f"current net is [{describe_net(layout)}]")
     try:
         m = int(head["m"])
         step = int(head["step"])
@@ -312,7 +326,21 @@ def metrics_row(row: dict, record_kappa_ratio: bool) -> str:
     return ",".join(cols)
 
 
-def write_metrics(path, history: list[dict], record_kappa_ratio: bool) -> None:
-    lines = [metrics_header(record_kappa_ratio)]
-    lines.extend(metrics_row(r, record_kappa_ratio) for r in history)
-    Path(path).write_text("\n".join(lines) + "\n")
+def write_metrics(path, history: list[dict], record_kappa_ratio: bool,
+                  earlier: list[str] = ()) -> None:
+    """The header, the ``earlier`` rows as given, then one row per record."""
+    write_lines(path, [metrics_header(record_kappa_ratio), *earlier,
+                       *(metrics_row(r, record_kappa_ratio) for r in history)])
+
+
+def metrics_rows_before(path, step: int, record_kappa_ratio: bool) -> list[str]:
+    """The rows of an existing metrics file at steps below ``step``, so a run
+    resumed into its own out_dir keeps them; none if the file is missing or
+    has other columns."""
+    path = Path(path)
+    if not path.is_file():
+        return []
+    lines = path.read_text().splitlines()
+    if not lines or lines[0] != metrics_header(record_kappa_ratio):
+        return []
+    return [line for line in lines[1:] if int(line.split(",", 1)[0]) < step]

@@ -4,8 +4,9 @@ parameter-index map.
 A network is a directed acyclic graph whose edge weights are drawn from a flat
 parameter vector p through an edge -> parameter-index map.  Recurrent networks
 are built by unrolling through time: the T copies of each weight matrix entry
-all map to the same parameter index.  Graphs are immutable after construction;
-only the parameter vector changes during training.
+all map to the same parameter index.  Graphs are immutable after construction.
+Training runs on RnnLayout alone; the unrolled DAG serves the oracles, which
+compare the layout route with per-edge computation on small nets.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ class SharedWeightNet:
     nodes are stored in a valid topological order; edges are (src, dst) pairs
     of node indices; param_of_edge[e] gives the 0-based parameter index of
     edge e.  Nets built by build_rnn additionally carry their RnnLayout in
-    .rnn, which the vectorized compute paths key on.
+    .rnn, so oracles can run the layout route on the same parameters.
     """
 
     def __init__(self, nodes: list[NodeRec], edges: list[tuple[int, int]],

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import compute, pathnorm
-from .graph import GraphError, SharedWeightNet
+from .graph import GraphError, RnnLayout
 
 DEFAULT_EPS = 1e-8
 DIVERGE_LOSS = 1e6
@@ -28,42 +28,35 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), *map(int, key)]))
 
 
-def init_uniform(net: SharedWeightNet, rng: np.random.Generator,
+def init_uniform(layout: RnnLayout, rng: np.random.Generator,
                  half_width: float,
                  per_block: dict[str, float] | None = None) -> np.ndarray:
     """All parameters i.i.d. uniform on [-half_width, half_width].
 
     per_block overrides the half width for named weight blocks of the
-    recurrent layout, e.g. {"rec1": 0.3, "out": 0.05}; blocks not named keep
-    the global width.  Draws one value per parameter in packing order, so an
+    layout, e.g. {"rec1": 0.3, "out": 0.05}; blocks not named keep the
+    global width.  Draws one value per parameter in packing order, so an
     empty or all-equal override reproduces the plain call bit for bit.
     """
     if not per_block:
-        return rng.uniform(-half_width, half_width, size=net.num_params)
-    if net.rnn is None:
-        raise GraphError("per-block init needs a recurrent layout")
-    unknown = sorted(set(per_block) - set(net.rnn.slices))
+        return rng.uniform(-half_width, half_width, size=layout.m)
+    unknown = sorted(set(per_block) - set(layout.slices))
     if unknown:
         raise GraphError(f"per-block init: unknown blocks {unknown}")
-    p = np.empty(net.num_params)
-    for name, (sl, _) in net.rnn.slices.items():
+    p = np.empty(layout.m)
+    for name, (sl, _) in layout.slices.items():
         r = float(per_block.get(name, half_width))
         p[sl] = rng.uniform(-r, r, sl.stop - sl.start)
     return p
 
 
-def init_identity(net: SharedWeightNet, rng: np.random.Generator,
+def init_identity(layout: RnnLayout, rng: np.random.Generator,
                   half_width: float = 0.01) -> np.ndarray:
     """Identity recurrent matrices, everything else uniform on
-    [-half_width, half_width].  Requires square recurrent blocks."""
-    if net.rnn is None:
-        raise GraphError("init_identity needs a recurrent layout")
-    layout = net.rnn
-    p = rng.uniform(-half_width, half_width, size=net.num_params)
+    [-half_width, half_width]."""
+    p = rng.uniform(-half_width, half_width, size=layout.m)
     for name, (sl, shape) in layout.slices.items():
         if name.startswith("rec"):
-            if shape[0] != shape[1]:
-                raise GraphError("init_identity: recurrent block is not square")
             p[sl] = np.eye(shape[0]).reshape(-1)
     return p
 
@@ -108,7 +101,7 @@ def sgd_step(p: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
     return p - eta * g
 
 
-def path_sgd_step(net: SharedWeightNet, p: np.ndarray, g: np.ndarray, eta: float,
+def path_sgd_step(layout: RnnLayout, p: np.ndarray, g: np.ndarray, eta: float,
                   kappa_mode: str = "k1", eps: float = DEFAULT_EPS,
                   kappa: np.ndarray | None = None) -> np.ndarray:
     """p - eta * g / max(kappa, eps), with kappa evaluated at the current p.
@@ -117,7 +110,7 @@ def path_sgd_step(net: SharedWeightNet, p: np.ndarray, g: np.ndarray, eta: float
     by default it is computed fresh here so it can never be stale.
     """
     if kappa is None:
-        kappa = pathnorm.preconditioner(net, p, kappa_mode)
+        kappa = pathnorm.preconditioner(layout, p, kappa_mode)
     return p - eta * g / np.maximum(kappa, eps)
 
 
@@ -141,17 +134,17 @@ def adam_step(p: np.ndarray, g: np.ndarray,
     return p - state.eta * direction, state
 
 
-def path_adam_step(net: SharedWeightNet, p: np.ndarray, g: np.ndarray,
+def path_adam_step(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
                    state: OptimizerState,
                    kappa: np.ndarray | None = None) -> tuple[np.ndarray, OptimizerState]:
     """Adam run on the preconditioned gradient g / max(kappa, eps)."""
     if kappa is None:
-        kappa = pathnorm.preconditioner(net, p, state.kappa_mode)
+        kappa = pathnorm.preconditioner(layout, p, state.kappa_mode)
     direction, state = _adam_direction(state, g / np.maximum(kappa, state.eps))
     return p - state.eta * direction, state
 
 
-def apply_update(net: SharedWeightNet, p: np.ndarray, g: np.ndarray,
+def apply_update(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
                  state: OptimizerState,
                  kappa: np.ndarray | None = None) -> tuple[np.ndarray, OptimizerState]:
     """Dispatch one update of the configured kind."""
@@ -160,9 +153,9 @@ def apply_update(net: SharedWeightNet, p: np.ndarray, g: np.ndarray,
     if state.kind == "adam":
         return adam_step(p, g, state)
     if state.kind == "path_sgd":
-        return path_sgd_step(net, p, g, state.eta, state.kappa_mode,
+        return path_sgd_step(layout, p, g, state.eta, state.kappa_mode,
                              state.eps, kappa=kappa), state
-    return path_adam_step(net, p, g, state, kappa=kappa)
+    return path_adam_step(layout, p, g, state, kappa=kappa)
 
 
 @dataclass
@@ -203,7 +196,7 @@ def _loss_divergence(loss: float) -> str:
     return ""
 
 
-def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
+def train_loop(layout: RnnLayout, task, config: TrainConfig, p: np.ndarray,
                opt: OptimizerState, start_step: int = 0,
                on_eval=None) -> TrainResult:
     """Minibatch training with periodic evaluation.
@@ -232,10 +225,10 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
             "step": step,
             "train_loss": loss,
             "train_metric": metric,
-            "test_metric": task.evaluate(net, p),
+            "test_metric": task.evaluate(layout, p),
         }
         if config.record_kappa_ratio:
-            row["kappa_ratio"] = pathnorm.kappa_ratio(net, p)
+            row["kappa_ratio"] = pathnorm.kappa_ratio(layout, p)
         row["wall_ms"] = (time.perf_counter() - t0) * 1000.0 if config.timing else 0.0
         history.append(row)
         if on_eval is not None:
@@ -245,7 +238,7 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
     step = start_step
     while step < config.steps:
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
-        loss, g, metric = task.loss_and_grad(net, p, batch)
+        loss, g, metric = task.loss_and_grad(layout, p, batch)
         reason = _loss_divergence(loss)
         if reason:
             break
@@ -259,11 +252,11 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
             status = "converged"
             break
         if opt.uses_kappa and (step % config.kappa_every == 0 or kappa_cache is None):
-            kappa_cache = pathnorm.preconditioner(net, p, opt.kappa_mode)
+            kappa_cache = pathnorm.preconditioner(layout, p, opt.kappa_mode)
             if not np.all(np.isfinite(kappa_cache)):
                 reason = "non-finite kappa"
                 break
-        p_new, opt_new = apply_update(net, p, g, opt, kappa=kappa_cache)
+        p_new, opt_new = apply_update(layout, p, g, opt, kappa=kappa_cache)
         if not np.all(np.isfinite(p_new)):
             reason = "non-finite parameters"
             break
@@ -273,7 +266,7 @@ def train_loop(net: SharedWeightNet, task, config: TrainConfig, p: np.ndarray,
     already_rowed = bool(history) and history[-1]["step"] == step
     if not reason and not already_rowed:
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
-        loss, _, metric = task.loss_and_grad(net, p, batch)
+        loss, _, metric = task.loss_and_grad(layout, p, batch)
         reason = _loss_divergence(loss)
         if not reason:
             eval_row(step, loss, metric)

@@ -17,12 +17,12 @@ The authoritative ground truth here is the finite-difference kappa_fd built
 on the gamma recursion; every closed form below is validated against it.
 kappa1 is computed with one forward/backward pass of the same architecture
 with squared parameters evaluated at the all-ones input, whose summed output
-equals gamma^2 node-for-node.
+equals gamma^2 node-for-node.  kappa1, kappa2 and the preconditioner take
+the RnnLayout; the explicit DAG is read only by the oracles (gamma,
+kappa_fd, the enumerators and kappa1_graph).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,49 +49,6 @@ KAPPA_MODES = ("k1", "k1_plus_k2")
 
 class EnumerationError(RuntimeError):
     """Path enumeration would exceed PATH_GUARD."""
-
-
-@dataclass(frozen=True)
-class SquaredNet:
-    """The same architecture with every parameter squared.
-
-    With nonnegative parameters and the all-ones input every node value is
-    nonnegative, so the ReLU acts as the identity and each node value equals
-    the node's gamma^2.  The forward keeps the ReLU in place; backward passes
-    use the identity derivative because on the nonnegative orthant the
-    function is the gamma^2 polynomial.
-    """
-
-    net: SharedWeightNet
-    params: np.ndarray  # squared parameter vector
-
-    @classmethod
-    def from_params(cls, net: SharedWeightNet, p: np.ndarray) -> "SquaredNet":
-        p = np.asarray(p, dtype=float)
-        return cls(net=net, params=p * p)
-
-    def forward_ones(self):
-        x = np.ones(len(self.net.input_ids))
-        return compute.forward(self.net, self.params, x, activation="relu")
-
-    def output_sum(self) -> float:
-        outputs, _ = self.forward_ones()
-        total = 0.0
-        for v in outputs:
-            total += float(v)
-        return total
-
-
-@dataclass(frozen=True)
-class KappaVector:
-    """The kappa1 / kappa2 decomposition for one parameter point."""
-
-    k1: np.ndarray
-    k2: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.k1 + self.k2
 
 
 def gamma_recursive(net: SharedWeightNet, p: np.ndarray) -> float:
@@ -192,20 +149,17 @@ def kappa_fd(net: SharedWeightNet, p: np.ndarray, step: float = 1e-4) -> np.ndar
 
 # --- kappa1 ------------------------------------------------------------------
 
-def kappa1(net: SharedWeightNet, p: np.ndarray, states=None) -> np.ndarray:
-    """kappa1 via the squared net: gradient of its summed output at the
-    all-ones input, taken with respect to the squared parameters.
-
-    One extra forward/backward pass; dispatches to the vectorized layout
-    route for unrolled RNNs, where ``states`` may carry a precomputed
-    ``squared_states(net.rnn, p)``.
-    """
-    if net.rnn is not None:
-        return kappa1_layout(net.rnn, p, states)
-    sq = SquaredNet.from_params(net, p)
-    _, trace = sq.forward_ones()
+def kappa1_graph(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
+    """kappa1 of any DAG via the squared net: the gradient of its summed
+    output at the all-ones input, taken with respect to the squared
+    parameters.  With nonnegative weights and inputs every node value is
+    nonnegative, so the ReLU forward is the gamma^2 polynomial and the
+    backward may use unit derivatives.  The oracle for kappa1."""
+    p = np.asarray(p, dtype=float)
+    sq = p * p
+    _, trace = compute.forward(net, sq, np.ones(len(net.input_ids)))
     d_out = np.ones(len(net.output_ids))
-    return compute.backprop(net, sq.params, trace, d_out, activation="identity")
+    return compute.backprop(net, sq, trace, d_out, activation="identity")
 
 
 def squared_states(layout: RnnLayout, p: np.ndarray):
@@ -257,8 +211,9 @@ def squared_states(layout: RnnLayout, p: np.ndarray):
     return h, delta
 
 
-def kappa1_layout(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
-    """Vectorized kappa1 for unrolled RNNs; cost of one pass over the net."""
+def kappa1(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
+    """kappa1 for unrolled RNNs, the cost of one pass over the net.
+    ``states`` may carry a precomputed ``squared_states(layout, p)``."""
     spec = layout.spec
     h, delta = squared_states(layout, p) if states is None else states
     out = np.zeros(layout.m)
@@ -325,8 +280,9 @@ def kappa2_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
     return ORDERED_PAIR_COEFF * out
 
 
-def kappa2_layout(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
-    """kappa2 for unrolled RNNs in closed matrix form.
+def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
+    """kappa2 for unrolled RNNs in closed matrix form (``states`` as in
+    kappa1).
 
     Only recurrent parameters can repeat along an input-output path (inputs,
     biases and outputs touch a path at most once), so all other entries are
@@ -364,52 +320,31 @@ def kappa2_layout(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     return out
 
 
-def kappa2_rnn(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
-    if net.rnn is None:
-        raise ValueError("kappa2_rnn requires a net built by build_rnn")
-    return kappa2_layout(net.rnn, p)
+def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.ndarray:
+    """The kappa vector used by path-normalized updates.
 
-
-def is_one_to_one(net: SharedWeightNet) -> bool:
-    """True when every parameter is carried by exactly one edge."""
-    return net.num_edges == net.num_params
-
-
-def kappa2(net: SharedWeightNet, p: np.ndarray, states=None) -> np.ndarray:
-    """kappa2 by the cheapest valid route: matrix form for RNN-layout nets
-    (``states`` as in kappa1), identically zero for one-to-one maps, path
-    enumeration otherwise."""
-    if net.rnn is not None:
-        return kappa2_layout(net.rnn, p, states)
-    if is_one_to_one(net):
-        return np.zeros(net.num_params)
-    return kappa2_bruteforce(net, p)
-
-
-def kappa_decomposition(net: SharedWeightNet, p: np.ndarray) -> KappaVector:
-    return KappaVector(k1=kappa1(net, p), k2=kappa2(net, p))
-
-
-def _shared_states(net: SharedWeightNet, p: np.ndarray):
-    return None if net.rnn is None else squared_states(net.rnn, p)
-
-
-def preconditioner(net: SharedWeightNet, p: np.ndarray, mode: str = "k1") -> np.ndarray:
-    """The kappa vector used by path-normalized updates."""
+    Overflow in the squared net shows up as a non-finite kappa, which the
+    caller checks; numpy is kept from warning about it, and kappa2 is
+    skipped once kappa1 has already overflowed.
+    """
     if mode not in KAPPA_MODES:
         raise ValueError(f"unknown kappa mode {mode!r}")
-    if mode == "k1":
-        return kappa1(net, p)
-    states = _shared_states(net, p)
-    return kappa1(net, p, states) + kappa2(net, p, states)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mode == "k1":
+            return kappa1(layout, p)
+        states = squared_states(layout, p)
+        k1 = kappa1(layout, p, states)
+        if not np.all(np.isfinite(k1)):
+            return k1
+        return k1 + kappa2(layout, p, states)
 
 
-def kappa_ratio(net: SharedWeightNet, p: np.ndarray) -> float:
+def kappa_ratio(layout: RnnLayout, p: np.ndarray) -> float:
     """||kappa2|| / ||kappa1||, the relative weight of the interaction term."""
-    states = _shared_states(net, p)
-    k1 = kappa1(net, p, states)
+    states = squared_states(layout, p)
+    k1 = kappa1(layout, p, states)
     n1 = float(np.linalg.norm(k1))
     if n1 == 0.0:
         raise ZeroDivisionError("kappa_ratio: kappa1 is identically zero")
-    k2 = kappa2(net, p, states)
+    k2 = kappa2(layout, p, states)
     return float(np.linalg.norm(k2)) / n1

@@ -2,8 +2,8 @@
 
 Each task object knows how to draw a training batch from a supplied RNG, how
 to compute the batch loss / gradient / training metric at given parameters,
-and how to score a fixed held-out set.  Recurrent tasks use the vectorized
-layout route; the tiny regression task exercises the generic graph route.
+and how to score a fixed held-out set.  The model is an RnnLayout, run
+through the vectorized forward and backward of ``compute``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compute
-from .graph import GraphError, SharedWeightNet, build_feedforward
+from .graph import GraphError, RnnLayout
 
 EVAL_CHUNK = 256
 
@@ -77,12 +77,6 @@ def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
     return float(-logp_t.sum()), dlogits
 
 
-def _require_layout(net: SharedWeightNet):
-    if net.rnn is None:
-        raise GraphError("this task needs a recurrent-layout network")
-    return net.rnn
-
-
 # ---------------------------------------------------------------------------
 # addition problem
 
@@ -132,8 +126,7 @@ class AdditionTask:
     def train_batch(self, rng: np.random.Generator, size: int) -> AdditionSet:
         return gen_addition(self.length, size, rng)
 
-    def loss_and_grad(self, net, p, batch: AdditionSet):
-        layout = _require_layout(net)
+    def loss_and_grad(self, layout: RnnLayout, p, batch: AdditionSet):
         X = batch.inputs()
         tr = compute.rnn_forward(layout, p, X)
         err = tr.y[:, -1, 0] - batch.targets
@@ -143,8 +136,7 @@ class AdditionTask:
         g = compute.rnn_backward(layout, p, tr, dY)
         return loss, g, loss
 
-    def evaluate(self, net, p) -> float:
-        layout = _require_layout(net)
+    def evaluate(self, layout: RnnLayout, p) -> float:
         preds = []
         X = self.eval_set.inputs()
         for lo in range(0, len(self.eval_set), EVAL_CHUNK):
@@ -239,8 +231,7 @@ class SeqClassTask:
         idx = rng.integers(0, len(self.train_set), size=size)
         return SeqClassSet(self.train_set.pixels[idx], self.train_set.labels[idx])
 
-    def loss_and_grad(self, net, p, batch: SeqClassSet):
-        layout = _require_layout(net)
+    def loss_and_grad(self, layout: RnnLayout, p, batch: SeqClassSet):
         tr = compute.rnn_forward(layout, p, batch.inputs())
         logits = tr.y[:, -1, :]
         total, dlogits = softmax_xent_grad(logits, batch.labels)
@@ -250,8 +241,7 @@ class SeqClassTask:
         g = compute.rnn_backward(layout, p, tr, dY)
         return loss, g, metric_error_rate(logits, batch.labels)
 
-    def evaluate(self, net, p) -> float:
-        layout = _require_layout(net)
+    def evaluate(self, layout: RnnLayout, p) -> float:
         logits = []
         X = self.test_set.inputs()
         for lo in range(0, len(self.test_set), EVAL_CHUNK):
@@ -379,8 +369,7 @@ class CharLmTask:
         starts = rng.integers(0, len(self.corpus.train) - self.unroll, size=size)
         return self._window_batch(self.corpus.train, starts)
 
-    def loss_and_grad(self, net, p, batch):
-        layout = _require_layout(net)
+    def loss_and_grad(self, layout: RnnLayout, p, batch):
         X, targets = batch
         B, T, A = X.shape
         tr = compute.rnn_forward(layout, p, X)
@@ -390,8 +379,7 @@ class CharLmTask:
         g = compute.rnn_backward(layout, p, tr, dY)
         return loss, g, loss / math.log(2.0)
 
-    def evaluate(self, net, p) -> float:
-        layout = _require_layout(net)
+    def evaluate(self, layout: RnnLayout, p) -> float:
         total, count = 0.0, 0
         for lo in range(0, len(self.eval_starts), EVAL_CHUNK):
             X, targets = self._window_batch(self.corpus.test,
@@ -403,36 +391,3 @@ class CharLmTask:
             count += B * T
         return total / count / math.log(2.0)
 
-
-# ---------------------------------------------------------------------------
-# scalar linear regression on the generic graph route
-
-class LinRegTask:
-    """Fit y = slope * x with a single-weight feedforward net.  Exercises the
-    per-edge compute route end to end; converges in a handful of SGD steps."""
-
-    name = "linreg"
-    input_dim = 1
-    output_dim = 1
-    metric_name = "mse"
-
-    def __init__(self, slope: float = 1.7, eval_size: int = 64, eval_seed: int = 1):
-        self.slope = slope
-        rng = np.random.default_rng(eval_seed)
-        self.eval_x = rng.uniform(-1.0, 1.0, size=eval_size)
-
-    def make_net(self) -> SharedWeightNet:
-        return build_feedforward([1, 1])
-
-    def train_batch(self, rng: np.random.Generator, size: int):
-        x = rng.uniform(-1.0, 1.0, size=size)
-        return [(np.array([xi]), np.array([self.slope * xi])) for xi in x]
-
-    def loss_and_grad(self, net, p, batch):
-        loss = compute.batch_loss(net, p, batch, kind="mse")
-        g = compute.grad(net, p, batch, kind="mse")
-        return loss, g, loss
-
-    def evaluate(self, net, p) -> float:
-        preds = [compute.forward(net, p, np.array([xi]))[0][0] for xi in self.eval_x]
-        return metric_mse(np.asarray(preds), self.slope * self.eval_x)

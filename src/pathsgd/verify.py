@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compute, invariance, optim, pathnorm
-from .graph import RnnSpec, SharedWeightNet, build_feedforward, build_rnn
+from .graph import RnnLayout, RnnSpec, SharedWeightNet, build_feedforward, build_rnn
 
 
 @dataclass
@@ -52,9 +52,17 @@ def random_net(rng: np.random.Generator, **kw) -> SharedWeightNet:
     return build_rnn(random_spec(rng, **kw))
 
 
-def random_params(net: SharedWeightNet, rng: np.random.Generator,
-                  lo: float = -1.5, hi: float = 1.5) -> np.ndarray:
-    return rng.uniform(lo, hi, net.num_params)
+def random_params(net: SharedWeightNet, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(-1.5, 1.5, net.num_params)
+
+
+def kappa_terms(net: SharedWeightNet, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(kappa1, kappa2) of a net from ``random_net``: the layout closed
+    forms for an unrolled RNN, the squared-net backprop and pair
+    enumeration for any other DAG."""
+    if net.rnn is not None:
+        return pathnorm.kappa1(net.rnn, p), pathnorm.kappa2(net.rnn, p)
+    return pathnorm.kappa1_graph(net, p), pathnorm.kappa2_bruteforce(net, p)
 
 
 def _kink_free(net: SharedWeightNet, p: np.ndarray, batch, margin: float) -> bool:
@@ -105,7 +113,8 @@ def check_kappa_decomposition(rng, n, threshold=1e-4, kappa_scale=1.0) -> Proper
     for _ in range(n):
         net = random_net(rng)
         p = random_params(net, rng)
-        total = kappa_scale * pathnorm.kappa1(net, p) + pathnorm.kappa2(net, p)
+        k1, k2 = kappa_terms(net, p)
+        total = kappa_scale * k1 + k2
         fd = pathnorm.kappa_fd(net, p)
         worst = max(worst, _rel(total, fd, 1.0))
     return PropertyResult("kappa-decomposition", worst <= threshold, worst, threshold, n)
@@ -117,7 +126,7 @@ def check_kappa2_closed_form(rng, n, threshold=1e-10) -> PropertyResult:
     for _ in range(n):
         net = build_rnn(random_spec(rng))
         p = random_params(net, rng)
-        k2_fast = pathnorm.kappa2_rnn(net, p)
+        k2_fast = pathnorm.kappa2(net.rnn, p)
         k2_slow = pathnorm.kappa2_bruteforce(net, p)
         worst = max(worst, _rel(k2_fast, k2_slow, 1.0))
     return PropertyResult("kappa2-closed-form", worst <= threshold, worst, threshold, n)
@@ -131,7 +140,7 @@ def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
         dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
         net = build_feedforward(dims)
         p = random_params(net, rng)
-        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2(net, p)))))
+        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
     return PropertyResult("feedforward-kappa2-zero", worst == 0.0, worst, 0.0, n,
                           detail="(exact)")
 
@@ -157,19 +166,20 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
     return PropertyResult("rescaling-invariance", worst <= threshold, worst, threshold, n)
 
 
-def _trajectory_gap(net, spec, p, q, stepper, steps, rng):
+def _trajectory_gap(layout, p, q, stepper, steps, rng):
     """Max output gap between trainings started from equivalent parameters."""
+    spec = layout.spec
     X = rng.standard_normal((4, spec.length, spec.input_dim))
     pa, qa = p.copy(), q.copy()
     for _ in range(steps):
-        tra = compute.rnn_forward(net.rnn, pa, X)
-        trb = compute.rnn_forward(net.rnn, qa, X)
-        ga = compute.rnn_backward(net.rnn, pa, tra, tra.y)
-        gb = compute.rnn_backward(net.rnn, qa, trb, trb.y)
+        tra = compute.rnn_forward(layout, pa, X)
+        trb = compute.rnn_forward(layout, qa, X)
+        ga = compute.rnn_backward(layout, pa, tra, tra.y)
+        gb = compute.rnn_backward(layout, qa, trb, trb.y)
         pa = stepper(pa, ga)
         qa = stepper(qa, gb)
-    ya = compute.rnn_forward(net.rnn, pa, X).y
-    yb = compute.rnn_forward(net.rnn, qa, X).y
+    ya = compute.rnn_forward(layout, pa, X).y
+    yb = compute.rnn_forward(layout, qa, X).y
     scale = max(1.0, float(np.max(np.abs(ya))))
     return float(np.max(np.abs(ya - yb))) / scale
 
@@ -180,15 +190,15 @@ def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3,
     worst = 0.0
     for _ in range(n):
         spec = random_spec(rng)
-        net = build_rnn(spec)
-        p = random_params(net, rng, -0.9, 0.9)
+        layout = RnnLayout.from_spec(spec)
+        p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = invariance.apply_rescaling(spec, p, alpha)
         for mode in pathnorm.KAPPA_MODES:
             def stepper(pp, gg, mode=mode):
-                kap = kappa_scale * pathnorm.preconditioner(net, pp, mode)
-                return optim.path_sgd_step(net, pp, gg, 0.05, kappa=kap)
-            worst = max(worst, _trajectory_gap(net, spec, p, q, stepper, steps, rng))
+                kap = kappa_scale * pathnorm.preconditioner(layout, pp, mode)
+                return optim.path_sgd_step(layout, pp, gg, 0.05, kappa=kap)
+            worst = max(worst, _trajectory_gap(layout, p, q, stepper, steps, rng))
     return PropertyResult("path-sgd-invariance", worst <= threshold, worst, threshold, n)
 
 
@@ -197,11 +207,11 @@ def check_sgd_not_invariant(rng, n, threshold=1e-3, steps=3) -> PropertyResult:
     worst = 0.0
     for _ in range(n):
         spec = random_spec(rng, max_len=4)
-        net = build_rnn(spec)
-        p = random_params(net, rng, -0.9, 0.9)
+        layout = RnnLayout.from_spec(spec)
+        p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(spec, rng, 1.5)
         q = invariance.apply_rescaling(spec, p, alpha)
-        gap = _trajectory_gap(net, spec, p, q,
+        gap = _trajectory_gap(layout, p, q,
                               lambda pp, gg: optim.sgd_step(pp, gg, 0.05), steps, rng)
         worst = max(worst, gap)
     return PropertyResult("sgd-not-invariant", worst > threshold, worst, threshold, n,

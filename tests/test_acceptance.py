@@ -53,12 +53,12 @@ def test_criterion_02_kappa_decomposition(capsys):
     for _ in range(24):
         net = build_rnn(verify.random_spec(rng, max_hidden=3, max_len=4))
         p = rng.uniform(-0.5, 0.5, net.num_params)
-        total = pathnorm.kappa1(net, p) + pathnorm.kappa2_bruteforce(net, p)
+        total = pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2_bruteforce(net, p)
         worst_fd = max(worst_fd, _rel(total, pathnorm.kappa_fd(net, p), 1.0))
-        worst_closed = max(worst_closed, _rel(pathnorm.kappa2_rnn(net, p),
+        worst_closed = max(worst_closed, _rel(pathnorm.kappa2(net.rnn, p),
                                               pathnorm.kappa2_bruteforce(net, p), 1.0))
-    unit2 = build_rnn(RnnSpec(1, (1,), 1, 2, bias=False))
-    unit3 = build_rnn(RnnSpec(1, (1,), 1, 3, bias=False))
+    unit2 = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 2, bias=False))
+    unit3 = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 3, bias=False))
     ones = np.ones(3)
     k_t2 = pathnorm.kappa1(unit2, ones) + pathnorm.kappa2(unit2, ones)
     k1_t3 = pathnorm.kappa1(unit3, ones)
@@ -76,14 +76,12 @@ def test_criterion_02_kappa_decomposition(capsys):
 def test_criterion_03_feedforward_kappa2_zero(capsys):
     rng = np.random.default_rng(303)
     worst = 0.0
-    for i in range(20):
+    for _ in range(20):
         depth = int(rng.integers(2, 4))
         dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
         net = build_feedforward(dims)
         p = verify.random_params(net, rng)
-        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2(net, p)))))
-        if i < 10:
-            worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
+        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
     ok = worst == 0.0
     _report(capsys, 3, "kappa2 vanishes without weight sharing", ok,
             f"max |kappa2| = {worst:.1e} over 20 feedforward nets (exact zero required)")
@@ -101,13 +99,13 @@ def test_criterion_05_update_invariance(capsys):
     worst, n = 0.0, 0
     while n < 50:
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = rng.uniform(-0.9, 0.9, net.num_params)
+        layout = graph.RnnLayout.from_spec(spec)
+        p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = invariance.apply_rescaling(spec, p, alpha)
         # skip instances where the epsilon floor would bind and break exactness
         floor_free = all(
-            float(np.min(pathnorm.preconditioner(net, pp, mode))) > 10 * optim.DEFAULT_EPS
+            float(np.min(pathnorm.preconditioner(layout, pp, mode))) > 10 * optim.DEFAULT_EPS
             for pp in (p, q) for mode in pathnorm.KAPPA_MODES)
         if not floor_free:
             continue
@@ -115,33 +113,33 @@ def test_criterion_05_update_invariance(capsys):
         for mode in pathnorm.KAPPA_MODES:
             pa, qa = p.copy(), q.copy()
             for _ in range(3):
-                tra = compute.rnn_forward(net.rnn, pa, X)
-                trb = compute.rnn_forward(net.rnn, qa, X)
-                ga = compute.rnn_backward(net.rnn, pa, tra, tra.y)
-                gb = compute.rnn_backward(net.rnn, qa, trb, trb.y)
-                pa = optim.path_sgd_step(net, pa, ga, 0.05, kappa_mode=mode)
-                qa = optim.path_sgd_step(net, qa, gb, 0.05, kappa_mode=mode)
-            ya = compute.rnn_forward(net.rnn, pa, X).y
-            yb = compute.rnn_forward(net.rnn, qa, X).y
+                tra = compute.rnn_forward(layout, pa, X)
+                trb = compute.rnn_forward(layout, qa, X)
+                ga = compute.rnn_backward(layout, pa, tra, tra.y)
+                gb = compute.rnn_backward(layout, qa, trb, trb.y)
+                pa = optim.path_sgd_step(layout, pa, ga, 0.05, kappa_mode=mode)
+                qa = optim.path_sgd_step(layout, qa, gb, 0.05, kappa_mode=mode)
+            ya = compute.rnn_forward(layout, pa, X).y
+            yb = compute.rnn_forward(layout, qa, X).y
             scale = max(1.0, float(np.max(np.abs(ya))))
             worst = max(worst, float(np.max(np.abs(ya - yb))) / scale)
         n += 1
 
     # pinned negative control: plain SGD must drift apart under the same rescaling
     spec = RnnSpec(1, (1,), 1, 2, bias=False)
-    net = build_rnn(spec)
+    layout = graph.RnnLayout.from_spec(spec)
     p = np.array([1.0, 0.8, 1.2])
     alpha = invariance.random_rescaling(spec, np.random.default_rng(55), 1.5)
     q = invariance.apply_rescaling(spec, p, alpha)
     X = np.random.default_rng(56).standard_normal((4, spec.length, spec.input_dim))
     pa, qa = p.copy(), q.copy()
     for _ in range(3):
-        tra = compute.rnn_forward(net.rnn, pa, X)
-        trb = compute.rnn_forward(net.rnn, qa, X)
-        pa = optim.sgd_step(pa, compute.rnn_backward(net.rnn, pa, tra, tra.y), 0.05)
-        qa = optim.sgd_step(qa, compute.rnn_backward(net.rnn, qa, trb, trb.y), 0.05)
-    ya = compute.rnn_forward(net.rnn, pa, X).y
-    yb = compute.rnn_forward(net.rnn, qa, X).y
+        tra = compute.rnn_forward(layout, pa, X)
+        trb = compute.rnn_forward(layout, qa, X)
+        pa = optim.sgd_step(pa, compute.rnn_backward(layout, pa, tra, tra.y), 0.05)
+        qa = optim.sgd_step(qa, compute.rnn_backward(layout, qa, trb, trb.y), 0.05)
+    ya = compute.rnn_forward(layout, pa, X).y
+    yb = compute.rnn_forward(layout, qa, X).y
     control = float(np.max(np.abs(ya - yb))) / max(1.0, float(np.max(np.abs(ya))))
 
     ok = worst < 1e-8 and control > 1e-3
@@ -168,8 +166,8 @@ def test_criterion_07_kappa_ratio_trend(capsys):
         for s in range(seeds):
             rng = optim.rng_for(0, optim.STREAM_INIT, s)
             p = rng.uniform(-0.1, 0.1, layout.m)
-            k1 = pathnorm.kappa1_layout(layout, p)
-            k2 = pathnorm.kappa2_layout(layout, p)
+            k1 = pathnorm.kappa1(layout, p)
+            k2 = pathnorm.kappa2(layout, p)
             vals.append(np.linalg.norm(k2) / np.linalg.norm(k1))
         return float(np.mean(vals))
 
@@ -189,22 +187,21 @@ def test_criterion_07_kappa_ratio_trend(capsys):
 def test_criterion_08_addition_training(capsys):
     t0 = time.time()
     task = tasks.AdditionTask(length=40, eval_size=1024, eval_seed=1)
-    spec = RnnSpec(2, (32,), 1, 40, bias=False)
+    layout = graph.RnnLayout.from_spec(RnnSpec(2, (32,), 1, 40, bias=False))
 
     def best_test_mse(kind, eta, seed):
-        net = build_rnn(spec)
-        p = optim.init_uniform(net, optim.rng_for(seed, optim.STREAM_INIT), 0.30)
+        p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.30)
         best = np.inf
         for step in range(20001):
             batch = task.train_batch(optim.rng_for(seed, optim.STREAM_DATA, step), 32)
-            loss, g, _ = task.loss_and_grad(net, p, batch)
+            loss, g, _ = task.loss_and_grad(layout, p, batch)
             if not np.isfinite(loss) or loss > optim.DIVERGE_LOSS:
                 return np.inf   # a diverged run cannot be the best run
             if step % 250 == 0 or (step >= 10000 and step % 25 == 0):
-                best = min(best, task.evaluate(net, p))
+                best = min(best, task.evaluate(layout, p))
                 if best < 0.0095:
                     return best
-            p = (optim.path_sgd_step(net, p, g, eta) if kind == "path_sgd"
+            p = (optim.path_sgd_step(layout, p, g, eta) if kind == "path_sgd"
                  else optim.sgd_step(p, g, eta))
         return best
 

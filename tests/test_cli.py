@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from pathsgd import cli
+from pathsgd import cli, config, graph, pathnorm
+
+# A tiny addition model, small enough for every CLI training test.
+TINY = ["--set", "task=addition", "--set", "seq_len=4", "--set", "hidden=2",
+        "--set", "eval_size=16"]
 
 
 def run_cli(*argv):
@@ -41,15 +47,16 @@ def test_gen_data_seqclass(tmp_path):
     assert len(out.read_text().splitlines()) == 20
 
 
-def test_train_linreg_writes_outputs(tmp_path, capsys):
+def test_train_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
-    code = run_cli("train", "--set", "task=linreg", "--set", "steps=60",
+    code = run_cli("train", *TINY, "--set", "steps=60",
                    "--set", "eval_interval=20", "--set", "optimizer=path_sgd",
                    "--set", "lr=0.2", "--set", "init_range=0.5",
                    "--set", f"out_dir={out}")
     assert code == 0
     for name in ("config.txt", "metrics.csv", "checkpoint.txt", "status.txt"):
         assert (out / name).exists(), name
+    assert not list(out.glob("*.tmp"))
     printed = capsys.readouterr().out
     lines = printed.splitlines()
     assert lines[0].startswith("step,train_loss")
@@ -59,21 +66,41 @@ def test_train_linreg_writes_outputs(tmp_path, capsys):
     assert (out / "status.txt").read_text().strip() in ("budget_exhausted", "converged")
 
 
+@pytest.mark.parametrize("task", [
+    ["--set", "task=addition", "--set", "seq_len=5"],
+    ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=64"],
+    ["--set", "task=charlm", "--set", "seq_len=5"],
+])
+def test_train_builds_no_dag(tmp_path, monkeypatch, task):
+    def refuse(spec):
+        raise AssertionError("training must not unroll the DAG")
+
+    monkeypatch.setattr(graph, "build_rnn", refuse)
+    monkeypatch.setattr(cli, "build_rnn", refuse)
+    out = tmp_path / "run"
+    assert run_cli("train", *task, "--set", "hidden=3", "--set", "steps=4",
+                   "--set", "eval_interval=2", "--set", "eval_size=16",
+                   "--set", "kappa_mode=k1_plus_k2", "--set", f"out_dir={out}") == 0
+    assert (out / "status.txt").read_text() == "budget_exhausted\n"
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
-    code = run_cli("train", "--set", "task=linreg", "--set", "steps=200",
-                   "--set", "optimizer=sgd", "--set", "lr=10.0",
-                   "--set", "init_range=1.0", "--set", f"out_dir={out}")
+    code = run_cli("train", *TINY, "--set", "hidden=4", "--set", "steps=200",
+                   "--set", "eval_interval=10", "--set", "optimizer=sgd",
+                   "--set", "lr=10.0", "--set", "init_range=1.0",
+                   "--set", f"out_dir={out}")
     assert code == 3
     assert (out / "status.txt").read_text().strip() == "diverged"
-    for line in (out / "metrics.csv").read_text().splitlines()[1:]:
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    assert rows
+    for line in rows:
         assert "nan" not in line and "inf" not in line
 
 
 def test_train_non_finite_kappa_exits_diverged(tmp_path, capsys, monkeypatch):
-    from pathsgd import config, pathnorm
     monkeypatch.setattr(pathnorm, "preconditioner",
-                        lambda net, p, mode: np.full(net.num_params, np.inf))
+                        lambda layout, p, mode: np.full(layout.m, np.inf))
     out = tmp_path / "run"
     code = run_cli("train", "--set", "task=addition", "--set", "seq_len=6",
                    "--set", "hidden=3", "--set", "eval_size=16",
@@ -86,10 +113,34 @@ def test_train_non_finite_kappa_exits_diverged(tmp_path, capsys, monkeypatch):
     assert "status: diverged (non-finite kappa) after 0 steps" in capsys.readouterr().out
 
 
+def test_train_kappa_overflow_skips_kappa2_quietly(tmp_path, capsys, monkeypatch):
+    """Large recurrent weights at T = 400 overflow the squared net while the
+    tiny readout keeps the loss finite: the run ends on the non-finite
+    kappa1, kappa2 never runs, and numpy prints no warning."""
+    calls = []
+    real = pathnorm.kappa2
+    monkeypatch.setattr(pathnorm, "kappa2",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli("train", "--set", "task=addition", "--set", "seq_len=400",
+                       "--set", "hidden=8", "--set", "kappa_mode=k1_plus_k2",
+                       "--set", "init_range=2", "--set", "init_ranges=out:1e-120",
+                       "--set", "eval_size=16", "--set", "batch_size=4",
+                       "--set", "steps=5", "--set", f"out_dir={out}")
+    assert code == 3
+    assert calls == []
+    assert "status: diverged (non-finite kappa) after 0 steps" in capsys.readouterr().out
+
+
+RESUME_BASE = [*TINY, "--set", "optimizer=path_adam", "--set", "lr=0.05",
+               "--set", "eval_interval=10", "--set", "checkpoint_interval=20",
+               "--set", "init_range=0.5"]
+
+
 def test_train_resume_is_exact(tmp_path):
-    base = ["--set", "task=linreg", "--set", "optimizer=path_adam",
-            "--set", "lr=0.05", "--set", "eval_interval=10",
-            "--set", "checkpoint_interval=20", "--set", "init_range=0.5"]
+    base = RESUME_BASE
     full = tmp_path / "full"
     half = tmp_path / "half"
     assert run_cli("train", *base, "--set", "steps=40",
@@ -107,9 +158,35 @@ def test_train_resume_is_exact(tmp_path):
     assert res_rows[1:] == full_rows[3:]
 
 
+def test_train_resume_in_place_keeps_earlier_rows(tmp_path):
+    full = tmp_path / "full"
+    run = tmp_path / "run"
+    assert run_cli("train", *RESUME_BASE, "--set", "steps=40",
+                   "--set", f"out_dir={full}") == 0
+    assert run_cli("train", *RESUME_BASE, "--set", "steps=20",
+                   "--set", f"out_dir={run}") == 0
+    assert run_cli("train", "--config", str(run / "config.txt"), "--set", "steps=40",
+                   "--resume", str(run / "checkpoint.txt")) == 0
+    for name in ("metrics.csv", "checkpoint.txt", "checkpoint_20.txt", "checkpoint_40.txt"):
+        assert (run / name).read_bytes() == (full / name).read_bytes(), name
+
+
+def test_train_resume_rejects_override(tmp_path, capsys):
+    half = tmp_path / "half"
+    assert run_cli("train", *RESUME_BASE, "--set", "steps=20",
+                   "--set", f"out_dir={half}") == 0
+    capsys.readouterr()
+    config_before = (half / "config.txt").read_bytes()
+    code = run_cli("train", "--config", str(half / "config.txt"), "--set", "lr=5",
+                   "--set", "steps=40", "--resume", str(half / "checkpoint.txt"))
+    assert code == 1
+    assert "lr = 5.0 cannot take effect on resume" in capsys.readouterr().err
+    assert (half / "config.txt").read_bytes() == config_before
+
+
 def test_train_periodic_checkpoints(tmp_path):
     out = tmp_path / "run"
-    assert run_cli("train", "--set", "task=linreg", "--set", "steps=40",
+    assert run_cli("train", *TINY, "--set", "steps=40",
                    "--set", "eval_interval=10", "--set", "checkpoint_interval=20",
                    "--set", "lr=0.05", "--set", f"out_dir={out}") == 0
     assert (out / "checkpoint_20.txt").exists()
@@ -139,7 +216,7 @@ def test_train_bad_override(tmp_path, capsys):
 
 def test_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PATHSGD_OUT_DIR", str(tmp_path / "envrun"))
-    assert run_cli("train", "--set", "task=linreg", "--set", "steps=5",
+    assert run_cli("train", *TINY, "--set", "steps=5",
                    "--set", "eval_interval=5", "--set", "lr=0.1") == 0
     assert (tmp_path / "envrun" / "metrics.csv").exists()
 

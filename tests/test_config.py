@@ -14,8 +14,12 @@ from pathsgd.config import (
     save_checkpoint,
     write_metrics,
 )
-from pathsgd.graph import RnnSpec, build_rnn
+from pathsgd.graph import RnnLayout, RnnSpec
 from pathsgd.optim import OptimizerState
+
+
+def layout_for(*spec):
+    return RnnLayout.from_spec(RnnSpec(*spec))
 
 
 def test_defaults_validate():
@@ -41,10 +45,10 @@ def test_parse_kv_text():
 
 def test_load_config_file(tmp_path):
     f = tmp_path / "run.cfg"
-    f.write_text("task = linreg\nlr = 0.5\nhidden = 8 4\n"
+    f.write_text("task = seqclass\nlr = 0.5\nhidden = 8 4\n"
                  "target_loss = none\nbias = true\ntiming = off\n")
     cfg = load_config(f)
-    assert cfg.task == "linreg"
+    assert cfg.task == "seqclass"
     assert cfg.lr == 0.5
     assert cfg.hidden == (8, 4)
     assert cfg.target_loss is None
@@ -87,7 +91,7 @@ def test_validate_rejections():
         {"kappa_every": "0"},
         {"checkpoint_interval": "-1"},
         {"checkpoint_interval": "150", "eval_interval": "100"},
-        {"task": "linreg", "init": "identity"},
+        {"task": "linreg"},
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
@@ -126,14 +130,14 @@ def test_config_text_roundtrip(tmp_path):
 
 
 def test_checkpoint_roundtrip_exact(tmp_path, rng):
-    net = build_rnn(RnnSpec(2, (3,), 1, 4))
-    p = rng.uniform(-1, 1, net.num_params) * np.logspace(-12, 3, net.num_params)
+    layout = layout_for(2, (3,), 1, 4)
+    p = rng.uniform(-1, 1, layout.m) * np.logspace(-12, 3, layout.m)
     opt = OptimizerState(kind="path_adam", eta=0.01, t=17,
-                         m1=rng.uniform(-1, 1, net.num_params),
-                         m2=rng.uniform(0, 1, net.num_params))
+                         m1=rng.uniform(-1, 1, layout.m),
+                         m2=rng.uniform(0, 1, layout.m))
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, 1200, net, p, opt)
-    step, q, opt2 = load_checkpoint(path, net)
+    save_checkpoint(path, 1200, layout, p, opt)
+    step, q, opt2 = load_checkpoint(path, layout)
     assert step == 1200
     assert np.array_equal(q, p)
     assert opt2.kind == "path_adam" and opt2.t == 17
@@ -142,9 +146,9 @@ def test_checkpoint_roundtrip_exact(tmp_path, rng):
 
 
 def test_checkpoint_without_moments(tmp_path):
-    net = build_rnn(RnnSpec(1, (2,), 1, 2))
-    p = np.linspace(-1, 1, net.num_params)
-    save_checkpoint(tmp_path / "ck.txt", 5, net, p, OptimizerState(kind="path_sgd"))
+    layout = layout_for(1, (2,), 1, 2)
+    p = np.linspace(-1, 1, layout.m)
+    save_checkpoint(tmp_path / "ck.txt", 5, layout, p, OptimizerState(kind="path_sgd"))
     step, q, opt = load_checkpoint(tmp_path / "ck.txt")
     assert step == 5 and opt.kind == "path_sgd"
     assert opt.m1 is None and opt.m2 is None
@@ -152,10 +156,10 @@ def test_checkpoint_without_moments(tmp_path):
 
 
 def test_checkpoint_error_cases(tmp_path):
-    net = build_rnn(RnnSpec(1, (2,), 1, 2))
-    other = build_rnn(RnnSpec(1, (3,), 1, 2))
+    layout = layout_for(1, (2,), 1, 2)
+    other = layout_for(1, (3,), 1, 2)
     path = tmp_path / "ck.txt"
-    save_checkpoint(path, 5, net, np.zeros(net.num_params), OptimizerState())
+    save_checkpoint(path, 5, layout, np.zeros(layout.m), OptimizerState())
 
     with pytest.raises(ConfigError):
         load_checkpoint(path, other)
@@ -170,6 +174,52 @@ def test_checkpoint_error_cases(tmp_path):
     trunc.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ConfigError):
         load_checkpoint(trunc)
+
+
+def test_checkpoint_header_names_the_rnn(tmp_path):
+    """The header line that resume checks; checkpoints of earlier versions
+    carry the same one."""
+    layout = layout_for(2, (4, 3), 1, 6, True)
+    save_checkpoint(tmp_path / "ck.txt", 0, layout, np.zeros(layout.m), OptimizerState())
+    lines = (tmp_path / "ck.txt").read_text().splitlines()
+    assert lines[1] == "net rnn in=2 hidden=4,3 out=1 T=6 bias=1"
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
+    layout = layout_for(2, (3,), 1, 4)
+    path = tmp_path / "checkpoint.txt"
+    p = np.linspace(-1, 1, layout.m)
+    save_checkpoint(path, 7, layout, p, OptimizerState(kind="path_sgd"))
+    before = path.read_bytes()
+
+    calls = []
+    real_fmt = cfgmod._fmt
+
+    def fail_midway(x):
+        calls.append(1)
+        if len(calls) > 10:
+            raise OSError("disk full")
+        return real_fmt(x)
+
+    monkeypatch.setattr(cfgmod, "_fmt", fail_midway)
+    with pytest.raises(OSError):
+        save_checkpoint(path, 8, layout, -p, OptimizerState(kind="path_sgd"))
+    assert len(calls) > 10
+    assert path.read_bytes() == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.txt"]
+    step, q, _ = load_checkpoint(path, layout)
+    assert step == 7 and np.array_equal(q, p)
+
+
+def test_metrics_rows_before(tmp_path):
+    rows = [{"step": s, "train_loss": 0.5, "train_metric": 0.5,
+             "test_metric": 0.25, "wall_ms": 0.0} for s in (0, 10, 20)]
+    path = tmp_path / "metrics.csv"
+    assert cfgmod.metrics_rows_before(path, 10, False) == []
+    write_metrics(path, rows, False)
+    kept = cfgmod.metrics_rows_before(path, 20, False)
+    assert kept == [metrics_row(r, False) for r in rows[:2]]
+    assert cfgmod.metrics_rows_before(path, 20, True) == []
 
 
 def test_metrics_format(tmp_path):

@@ -2,8 +2,18 @@ import numpy as np
 import pytest
 
 from pathsgd import optim, pathnorm, tasks
-from pathsgd.graph import GraphError, RnnSpec, build_feedforward, build_rnn
+from pathsgd.graph import GraphError, RnnLayout, RnnSpec
 from pathsgd.optim import OptimizerState, TrainConfig
+
+# Addition at T = 2 through one hidden unit: p = (w_value, w_mask, w_rec,
+# w_out).  The target x_1 + x_2 is exactly representable, so path-SGD drives
+# the loss to zero within a few hundred steps.
+TINY = RnnLayout.from_spec(RnnSpec(2, (1,), 1, 2))
+TINY_P0 = np.array([0.5, 0.0, 0.5, 0.5])
+
+
+def tiny_task():
+    return tasks.AdditionTask(length=2, eval_size=64)
 
 
 def test_rng_for_is_stateless():
@@ -14,17 +24,18 @@ def test_rng_for_is_stateless():
     assert not np.array_equal(a, c)
 
 
+LAYOUT = RnnLayout.from_spec(RnnSpec(2, (4,), 1, 3))
+
+
 def test_init_uniform_range(rng):
-    net = build_rnn(RnnSpec(2, (4,), 1, 3))
-    p = optim.init_uniform(net, rng, 0.25)
-    assert p.shape == (net.num_params,)
+    p = optim.init_uniform(LAYOUT, rng, 0.25)
+    assert p.shape == (LAYOUT.m,)
     assert np.all(np.abs(p) <= 0.25)
 
 
 def test_init_uniform_per_block(rng):
-    net = build_rnn(RnnSpec(2, (4,), 1, 3))
-    p = optim.init_uniform(net, rng, 0.05, per_block={"rec1": 0.4})
-    sl, _ = net.rnn.slices["rec1"]
+    p = optim.init_uniform(LAYOUT, rng, 0.05, per_block={"rec1": 0.4})
+    sl, _ = LAYOUT.slices["rec1"]
     rec = p[sl]
     rest = np.delete(p, np.arange(sl.start, sl.stop))
     assert np.all(np.abs(rec) <= 0.4) and np.any(np.abs(rec) > 0.05)
@@ -32,29 +43,25 @@ def test_init_uniform_per_block(rng):
 
 
 def test_init_uniform_per_block_stream_matches_plain():
-    net = build_rnn(RnnSpec(2, (4,), 1, 3))
-    a = optim.init_uniform(net, optim.rng_for(0, 0), 0.1)
-    b = optim.init_uniform(net, optim.rng_for(0, 0), 0.1, per_block={"rec1": 0.1})
+    a = optim.init_uniform(LAYOUT, optim.rng_for(0, 0), 0.1)
+    b = optim.init_uniform(LAYOUT, optim.rng_for(0, 0), 0.1, per_block={"rec1": 0.1})
     assert np.array_equal(a, b)
 
 
 def test_init_uniform_per_block_errors(rng):
-    net = build_rnn(RnnSpec(2, (4,), 1, 3))
     with pytest.raises(GraphError):
-        optim.init_uniform(net, rng, 0.1, per_block={"rec9": 0.2})
+        optim.init_uniform(LAYOUT, rng, 0.1, per_block={"rec9": 0.2})
+    # at T = 1 the layout has no recurrent block to override
     with pytest.raises(GraphError):
-        optim.init_uniform(build_feedforward([2, 2]), rng, 0.1,
+        optim.init_uniform(RnnLayout.from_spec(RnnSpec(2, (4,), 1, 1)), rng, 0.1,
                            per_block={"rec1": 0.2})
 
 
 def test_init_identity(rng):
-    net = build_rnn(RnnSpec(2, (4,), 1, 3))
-    p = optim.init_identity(net, rng, 0.01)
-    sl, shape = net.rnn.slices["rec1"]
+    p = optim.init_identity(LAYOUT, rng, 0.01)
+    sl, shape = LAYOUT.slices["rec1"]
     assert np.array_equal(p[sl].reshape(shape), np.eye(4))
     assert np.all(np.abs(np.delete(p, np.arange(sl.start, sl.stop))) <= 0.01)
-    with pytest.raises(GraphError):
-        optim.init_identity(build_feedforward([2, 2]), rng)
 
 
 def test_sgd_step():
@@ -67,7 +74,7 @@ def test_sgd_step():
 def test_path_sgd_step_hand_value(single_unit_t2):
     p = np.full(3, 0.9)
     g = np.array([0.3, 0.1, 0.3])
-    out = optim.path_sgd_step(single_unit_t2, p, g, 1.0,
+    out = optim.path_sgd_step(single_unit_t2.rnn, p, g, 1.0,
                               kappa=np.array([3.0, 1.0, 3.0]))
     assert np.allclose(out, [0.8, 0.8, 0.8], rtol=1e-15)
 
@@ -75,14 +82,14 @@ def test_path_sgd_step_hand_value(single_unit_t2):
 def test_path_sgd_with_unit_kappa_is_sgd(single_unit_t2, rng):
     p = rng.uniform(-1, 1, 3)
     g = rng.uniform(-1, 1, 3)
-    a = optim.path_sgd_step(single_unit_t2, p, g, 0.05, kappa=np.ones(3))
+    a = optim.path_sgd_step(single_unit_t2.rnn, p, g, 0.05, kappa=np.ones(3))
     assert np.array_equal(a, optim.sgd_step(p, g, 0.05))
 
 
 def test_path_sgd_floors_kappa(single_unit_t2):
     p = np.zeros(3)
     g = np.array([1.0, 0.0, 0.0])
-    out = optim.path_sgd_step(single_unit_t2, p, g, 1e-8)
+    out = optim.path_sgd_step(single_unit_t2.rnn, p, g, 1e-8)
     # kappa is 0 at p=0, so the floor eps=1e-8 caps the effective step at eta/eps
     assert np.allclose(out, [-1.0, 0.0, 0.0], rtol=1e-12)
 
@@ -91,15 +98,15 @@ def test_path_sgd_computes_kappa_at_current_point(single_unit_t2, monkeypatch):
     seen = []
     real = pathnorm.preconditioner
 
-    def spy(net, p, mode):
+    def spy(layout, p, mode):
         seen.append(p.copy())
-        return real(net, p, mode)
+        return real(layout, p, mode)
 
     monkeypatch.setattr(pathnorm, "preconditioner", spy)
     p0 = np.ones(3)
     g = np.full(3, 0.1)
-    p1 = optim.path_sgd_step(single_unit_t2, p0, g, 0.5)
-    optim.path_sgd_step(single_unit_t2, p1, g, 0.5)
+    p1 = optim.path_sgd_step(single_unit_t2.rnn, p0, g, 0.5)
+    optim.path_sgd_step(single_unit_t2.rnn, p1, g, 0.5)
     assert np.array_equal(seen[0], p0)
     assert np.array_equal(seen[1], p1)
 
@@ -140,7 +147,7 @@ def test_path_adam_with_unit_kappa_is_adam(single_unit_t2, rng):
     for _ in range(5):
         g = rng.uniform(-1, 1, 3)
         qa, sa = optim.adam_step(qa, g, sa)
-        qp, sp = optim.path_adam_step(single_unit_t2, qp, g, sp, kappa=np.ones(3))
+        qp, sp = optim.path_adam_step(single_unit_t2.rnn, qp, g, sp, kappa=np.ones(3))
     assert np.array_equal(qa, qp)
     assert np.array_equal(sa.m1, sp.m1)
     assert np.array_equal(sa.m2, sp.m2)
@@ -163,7 +170,7 @@ def test_apply_update_dispatch(single_unit_t2, rng):
     g = rng.uniform(-0.1, 0.1, 3)
     for kind in optim.OPTIMIZERS:
         state = OptimizerState(kind=kind, eta=0.01)
-        out, state2 = optim.apply_update(single_unit_t2, p, g, state)
+        out, state2 = optim.apply_update(single_unit_t2.rnn, p, g, state)
         assert out.shape == p.shape
         assert np.all(np.isfinite(out))
 
@@ -180,9 +187,7 @@ def test_train_config_validation():
 
 
 def test_train_loop_zero_steps_records_initial_row():
-    task = tasks.LinRegTask()
-    net = task.make_net()
-    res = optim.train_loop(net, task, TrainConfig(steps=0), np.array([0.3]),
+    res = optim.train_loop(TINY, tiny_task(), TrainConfig(steps=0), TINY_P0,
                            OptimizerState(kind="sgd", eta=0.1))
     assert res.status == "budget_exhausted"
     assert res.steps_done == 0
@@ -190,12 +195,10 @@ def test_train_loop_zero_steps_records_initial_row():
     assert res.history[0]["step"] == 0
 
 
-def test_train_loop_linreg_path_sgd_converges():
-    task = tasks.LinRegTask()
-    net = task.make_net()
+def test_train_loop_path_sgd_converges():
     cfg = TrainConfig(steps=1000, batch_size=8, eval_interval=50,
                       target_loss=1e-8)
-    res = optim.train_loop(net, task, cfg, np.array([0.1]),
+    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
                            OptimizerState(kind="path_sgd", eta=0.2))
     assert res.status == "converged"
     assert res.steps_done < 1000
@@ -203,10 +206,8 @@ def test_train_loop_linreg_path_sgd_converges():
 
 
 def test_train_loop_history_agrees_with_metric_stream():
-    task = tasks.LinRegTask()
-    net = task.make_net()
     cfg = TrainConfig(steps=20, eval_interval=5, batch_size=4)
-    res = optim.train_loop(net, task, cfg, np.array([0.5]),
+    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
                            OptimizerState(kind="sgd", eta=0.05))
     assert [r["step"] for r in res.history] == [0, 5, 10, 15, 20]
     for row in res.history:
@@ -216,23 +217,22 @@ def test_train_loop_history_agrees_with_metric_stream():
 
 
 def test_train_loop_divergence_has_no_nan_rows():
-    task = tasks.LinRegTask(slope=1.7)
-    net = task.make_net()
     cfg = TrainConfig(steps=200, eval_interval=10, batch_size=4)
-    res = optim.train_loop(net, task, cfg, np.array([1e3]),
-                           OptimizerState(kind="sgd", eta=10.0))
+    res = optim.train_loop(TINY, tiny_task(), cfg, np.full(4, 0.3),
+                           OptimizerState(kind="sgd", eta=30.0))
     assert res.status == "diverged"
+    assert res.history
     for row in res.history:
         assert np.isfinite(row["train_loss"])
 
 
 def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
     task = tasks.AdditionTask(length=4, eval_size=8)
-    net = build_rnn(RnnSpec(2, (3,), 1, 4))
-    p0 = optim.init_uniform(net, optim.rng_for(0, optim.STREAM_INIT), 0.3)
+    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 4))
+    p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
     monkeypatch.setattr(pathnorm, "preconditioner",
-                        lambda net, p, mode: np.full(net.num_params, np.inf))
-    res = optim.train_loop(net, task, TrainConfig(steps=5, eval_interval=1),
+                        lambda layout, p, mode: np.full(layout.m, np.inf))
+    res = optim.train_loop(layout, task, TrainConfig(steps=5, eval_interval=1),
                            p0, OptimizerState(kind="path_sgd", eta=0.01))
     assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite kappa", 0)
     assert [r["step"] for r in res.history] == [0]
@@ -240,70 +240,61 @@ def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
 
 
 def test_train_loop_non_finite_params_end_run(monkeypatch):
-    task = tasks.LinRegTask()
-    net = task.make_net()
     real = optim.apply_update
 
-    def blow_up(net, p, g, state, kappa=None):
-        p, state = real(net, p, g, state, kappa)
+    def blow_up(layout, p, g, state, kappa=None):
+        p, state = real(layout, p, g, state, kappa)
         return (p * np.inf if state.t >= 3 else p), state
 
     monkeypatch.setattr(optim, "apply_update", blow_up)
-    res = optim.train_loop(net, task, TrainConfig(steps=10, eval_interval=100),
-                           np.array([0.3]), OptimizerState(kind="adam", eta=0.01))
+    res = optim.train_loop(TINY, tiny_task(), TrainConfig(steps=10, eval_interval=100),
+                           TINY_P0, OptimizerState(kind="adam", eta=0.01))
     assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite parameters", 2)
     assert np.all(np.isfinite(res.params)) and res.opt.t == 2
 
 
-def test_train_loop_kappa_every_amortizes(single_unit_t2, monkeypatch):
+def test_train_loop_kappa_every_amortizes(monkeypatch):
     calls = []
     real = pathnorm.preconditioner
 
-    def spy(net, p, mode):
+    def spy(layout, p, mode):
         calls.append(p.copy())
-        return real(net, p, mode)
+        return real(layout, p, mode)
 
-    task = tasks.LinRegTask()
-    net = task.make_net()
+    task = tiny_task()
     monkeypatch.setattr(pathnorm, "preconditioner", spy)
     cfg = TrainConfig(steps=6, eval_interval=100, kappa_every=3, batch_size=2)
-    optim.train_loop(net, task, cfg, np.array([0.5]),
+    optim.train_loop(TINY, task, cfg, TINY_P0,
                      OptimizerState(kind="path_sgd", eta=0.01))
     assert len(calls) == 2
 
     calls.clear()
     cfg = TrainConfig(steps=6, eval_interval=100, kappa_every=1, batch_size=2)
-    optim.train_loop(net, task, cfg, np.array([0.5]),
+    optim.train_loop(TINY, task, cfg, TINY_P0,
                      OptimizerState(kind="path_sgd", eta=0.01))
     assert len(calls) == 6
 
 
 def test_train_loop_resume_matches_uninterrupted():
-    task = tasks.LinRegTask()
-    net = task.make_net()
-    p0 = np.array([0.3])
+    task = tiny_task()
+    full = optim.train_loop(TINY, task, TrainConfig(steps=40, eval_interval=10),
+                            TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
 
-    full = optim.train_loop(net, task, TrainConfig(steps=40, eval_interval=10),
-                            p0, OptimizerState(kind="path_sgd", eta=0.05))
-
-    half = optim.train_loop(net, task, TrainConfig(steps=20, eval_interval=10),
-                            p0, OptimizerState(kind="path_sgd", eta=0.05))
-    resumed = optim.train_loop(net, task, TrainConfig(steps=40, eval_interval=10),
+    half = optim.train_loop(TINY, task, TrainConfig(steps=20, eval_interval=10),
+                            TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
+    resumed = optim.train_loop(TINY, task, TrainConfig(steps=40, eval_interval=10),
                                half.params, half.opt, start_step=20)
     assert np.array_equal(resumed.params, full.params)
     assert resumed.history == full.history[2:]
 
 
 def test_train_loop_resume_adam_state():
-    task = tasks.LinRegTask()
-    net = task.make_net()
-    p0 = np.array([0.3])
-
-    full = optim.train_loop(net, task, TrainConfig(steps=30, eval_interval=15),
-                            p0, OptimizerState(kind="adam", eta=0.05))
-    half = optim.train_loop(net, task, TrainConfig(steps=15, eval_interval=15),
-                            p0, OptimizerState(kind="adam", eta=0.05))
-    resumed = optim.train_loop(net, task, TrainConfig(steps=30, eval_interval=15),
+    task = tiny_task()
+    full = optim.train_loop(TINY, task, TrainConfig(steps=30, eval_interval=15),
+                            TINY_P0, OptimizerState(kind="adam", eta=0.05))
+    half = optim.train_loop(TINY, task, TrainConfig(steps=15, eval_interval=15),
+                            TINY_P0, OptimizerState(kind="adam", eta=0.05))
+    resumed = optim.train_loop(TINY, task, TrainConfig(steps=30, eval_interval=15),
                                half.params, half.opt, start_step=15)
     assert np.array_equal(resumed.params, full.params)
     assert np.array_equal(resumed.opt.m1, full.opt.m1)

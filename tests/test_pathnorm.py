@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from pathsgd import compute, graph, invariance, pathnorm, verify
-from pathsgd.graph import RnnSpec, build_feedforward, build_rnn
+from pathsgd import compute, invariance, pathnorm, verify
+from pathsgd.graph import RnnLayout, RnnSpec, build_feedforward, build_rnn
 
 
 def rel_gap(a, b, floor=1e-12):
@@ -46,10 +48,12 @@ def test_squared_net_reproduces_gamma_bit_exactly(rng):
     for _ in range(10):
         net = verify.random_net(rng)
         p = verify.random_params(net, rng)
-        sq = pathnorm.SquaredNet.from_params(net, p)
-        _, tr = sq.forward_ones()
+        outputs, tr = compute.forward(net, p * p, np.ones(len(net.input_ids)))
         assert np.all(tr.values >= 0.0)
-        assert sq.output_sum() == pathnorm.gamma_recursive(net, p)
+        total = 0.0
+        for v in outputs:
+            total += float(v)
+        assert total == pathnorm.gamma_recursive(net, p)
 
 
 # --- kappa oracles and closed forms ------------------------------------------
@@ -71,26 +75,28 @@ def test_kappa_fd_single_edge_independent_of_w():
 
 def test_kappa1_hand_values(single_unit_t2, single_unit_t3):
     p = np.ones(3)
-    assert np.allclose(pathnorm.kappa1(single_unit_t2, p), [3.0, 1.0, 3.0],
+    assert np.allclose(pathnorm.kappa1(single_unit_t2.rnn, p), [3.0, 1.0, 3.0],
                        rtol=1e-12)
-    k1 = pathnorm.kappa1(single_unit_t3, p)
+    k1 = pathnorm.kappa1(single_unit_t3.rnn, p)
     assert np.allclose(k1, [6.0, 4.0, 6.0], rtol=1e-12)
+    assert np.array_equal(pathnorm.kappa1_graph(single_unit_t3, p), k1)
 
 
 def test_kappa1_equals_per_edge_enumeration(rng):
     for _ in range(12):
         net = verify.random_net(rng)
         p = verify.random_params(net, rng)
-        fast = pathnorm.kappa1(net, p)
         slow = pathnorm.kappa1_bruteforce(net, p)
-        assert rel_gap(fast, slow, floor=1e-9) < 1e-10
+        assert rel_gap(pathnorm.kappa1_graph(net, p), slow, floor=1e-9) < 1e-10
+        if net.rnn is not None:
+            assert rel_gap(pathnorm.kappa1(net.rnn, p), slow, floor=1e-9) < 1e-10
 
 
 def test_kappa1_feedforward_equals_fd(rng):
     for dims in ([1, 1], [2, 3, 1], [3, 2, 2]):
         net = build_feedforward(dims)
         p = rng.uniform(-1.0, 1.0, net.num_params)
-        assert rel_gap(pathnorm.kappa1(net, p),
+        assert rel_gap(pathnorm.kappa1_graph(net, p),
                        pathnorm.kappa_fd(net, p), floor=1.0) < 1e-6
 
 
@@ -98,10 +104,10 @@ def test_kappa2_hand_values(single_unit_t2, single_unit_t3):
     p = np.ones(3)
     assert np.array_equal(pathnorm.kappa2_bruteforce(single_unit_t2, p),
                           np.zeros(3))
-    assert np.array_equal(pathnorm.kappa2_rnn(single_unit_t2, p), np.zeros(3))
+    assert np.array_equal(pathnorm.kappa2(single_unit_t2.rnn, p), np.zeros(3))
     assert np.allclose(pathnorm.kappa2_bruteforce(single_unit_t3, p),
                        [0.0, 4.0, 0.0], rtol=1e-12)
-    assert np.allclose(pathnorm.kappa2_rnn(single_unit_t3, p),
+    assert np.allclose(pathnorm.kappa2(single_unit_t3.rnn, p),
                        [0.0, 4.0, 0.0], rtol=1e-12)
 
 
@@ -109,7 +115,8 @@ def test_kappa2_feedforward_exactly_zero(rng):
     for dims in ([1, 1], [2, 3, 1], [4, 4, 4, 4]):
         net = build_feedforward(dims)
         p = rng.uniform(-1.0, 1.0, net.num_params)
-        assert np.array_equal(pathnorm.kappa2(net, p), np.zeros(net.num_params))
+        assert np.array_equal(pathnorm.kappa2_bruteforce(net, p),
+                              np.zeros(net.num_params))
 
 
 def test_kappa2_rnn_equals_bruteforce(rng):
@@ -117,23 +124,21 @@ def test_kappa2_rnn_equals_bruteforce(rng):
         spec = verify.random_spec(rng)
         net = build_rnn(spec)
         p = verify.random_params(net, rng)
-        fast = pathnorm.kappa2_rnn(net, p)
+        fast = pathnorm.kappa2(net.rnn, p)
         slow = pathnorm.kappa2_bruteforce(net, p)
         assert rel_gap(fast, slow, floor=1.0) < 1e-10
-    with pytest.raises(ValueError):
-        pathnorm.kappa2_rnn(build_feedforward([2, 2]), np.ones(4))
 
 
 def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
     """At T <= 4 the time-ordered pairs span at most two lags; from T = 5 on
-    the running sum in kappa2_layout carries three or more terms."""
+    the running sum in kappa2 carries three or more terms."""
     for length in range(5, 9):
         for depth in (1, 2):
             hidden = tuple(int(rng.integers(1, 3)) for _ in range(depth))
             net = build_rnn(RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
                                     length, bias=bool(rng.integers(0, 2))))
             p = verify.random_params(net, rng)
-            fast = pathnorm.kappa2_layout(net.rnn, p)
+            fast = pathnorm.kappa2(net.rnn, p)
             slow = pathnorm.kappa2_bruteforce(net, p)
             assert rel_gap(fast, slow, floor=1.0) < 1e-10
 
@@ -150,17 +155,17 @@ def test_kappa_matches_fd_at_long_unroll(rng):
         sl, _ = net.rnn.slices["rec1"]
         rho = np.max(np.abs(np.linalg.eigvals(p[sl].reshape(hidden, hidden) ** 2)))
         p[sl] /= np.sqrt(rho)
-        k1 = pathnorm.kappa1(net, p)
+        k1 = pathnorm.kappa1(net.rnn, p)
         fd = pathnorm.kappa_fd(net, p)
-        assert rel_gap(k1 + pathnorm.kappa2(net, p), fd, floor=1.0) < 1e-4
+        assert rel_gap(k1 + pathnorm.kappa2(net.rnn, p), fd, floor=1.0) < 1e-4
         assert rel_gap(k1, fd, floor=1.0) > 0.5
 
 
 def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
-    net = build_rnn(RnnSpec(2, (3,), 1, 6, bias=True))
-    p = verify.random_params(net, rng)
-    expected = pathnorm.kappa1(net, p) + pathnorm.kappa2(net, p)
-    ratio = pathnorm.kappa_ratio(net, p)
+    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 6, bias=True))
+    p = rng.uniform(-1.5, 1.5, layout.m)
+    expected = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
+    ratio = pathnorm.kappa_ratio(layout, p)
     calls = []
     real = pathnorm.squared_states
 
@@ -169,27 +174,41 @@ def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
         return real(layout, pp)
 
     monkeypatch.setattr(pathnorm, "squared_states", spy)
-    assert np.array_equal(pathnorm.preconditioner(net, p, "k1_plus_k2"), expected)
+    assert np.array_equal(pathnorm.preconditioner(layout, p, "k1_plus_k2"), expected)
     assert len(calls) == 1
-    assert pathnorm.kappa_ratio(net, p) == ratio
+    assert pathnorm.kappa_ratio(layout, p) == ratio
     assert len(calls) == 2
+
+
+def test_preconditioner_overflow_skips_kappa2(monkeypatch):
+    """Once the squared net overflows, kappa1 is already non-finite: the
+    preconditioner returns it as is, without kappa2 and without a numpy
+    warning."""
+    layout = RnnLayout.from_spec(RnnSpec(2, (8,), 1, 400))
+    p = np.random.default_rng(0).uniform(-2.0, 2.0, layout.m)
+    monkeypatch.setattr(pathnorm, "kappa2", lambda *a, **kw: pytest.fail("kappa2 ran"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kappa = pathnorm.preconditioner(layout, p, "k1_plus_k2")
+        assert not np.all(np.isfinite(kappa))
+        assert not np.all(np.isfinite(pathnorm.preconditioner(layout, p, "k1")))
 
 
 def test_decomposition_matches_fd(rng):
     for _ in range(8):
         net = build_rnn(RnnSpec(1, (3,), 1, 4))
         p = rng.uniform(-0.5, 0.5, net.num_params)
-        kv = pathnorm.kappa_decomposition(net, p)
-        assert rel_gap(kv.total, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-4
+        total = pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
+        assert rel_gap(total, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-4
 
 
 def test_kappa_nonnegative(rng):
     for _ in range(10):
         net = verify.random_net(rng)
         p = verify.random_params(net, rng)
-        kv = pathnorm.kappa_decomposition(net, p)
-        assert np.all(kv.k1 >= 0.0)
-        assert np.all(kv.k2 >= 0.0)
+        k1, k2 = verify.kappa_terms(net, p)
+        assert np.all(k1 >= 0.0)
+        assert np.all(k2 >= 0.0)
 
 
 def test_kappa_rescaling_covariance(rng):
@@ -205,26 +224,28 @@ def test_kappa_rescaling_covariance(rng):
         per_param = np.empty(net.num_params)
         for i in range(net.num_params):
             per_param[i] = mult[net._param_edges[i][0]]
-        a = pathnorm.kappa_decomposition(net, p)
-        b = pathnorm.kappa_decomposition(net, q)
-        for before, after in ((a.k1, b.k1), (a.k2, b.k2), (a.total, b.total)):
+        a1, a2 = verify.kappa_terms(net, p)
+        b1, b2 = verify.kappa_terms(net, q)
+        for before, after in ((a1, b1), (a2, b2), (a1 + a2, b1 + b2)):
             assert rel_gap(after * per_param ** 2, before, floor=1e-9) < 1e-9
 
 
 def test_preconditioner_modes(single_unit_t3):
+    layout = single_unit_t3.rnn
     p = np.ones(3)
-    assert np.allclose(pathnorm.preconditioner(single_unit_t3, p, "k1"),
+    assert np.allclose(pathnorm.preconditioner(layout, p, "k1"),
                        [6.0, 4.0, 6.0])
-    assert np.allclose(pathnorm.preconditioner(single_unit_t3, p, "k1_plus_k2"),
+    assert np.allclose(pathnorm.preconditioner(layout, p, "k1_plus_k2"),
                        [6.0, 8.0, 6.0])
     with pytest.raises(ValueError):
-        pathnorm.preconditioner(single_unit_t3, p, "k3")
+        pathnorm.preconditioner(layout, p, "k3")
 
 
 def test_kappa_ratio(single_unit_t3, rng):
-    net = build_feedforward([2, 2, 1])
-    assert pathnorm.kappa_ratio(net, rng.uniform(-1, 1, net.num_params)) == 0.0
-    r = pathnorm.kappa_ratio(single_unit_t3, np.ones(3))
+    # at T = 1 no parameter repeats along a path, so kappa2 vanishes
+    layout = RnnLayout.from_spec(RnnSpec(2, (2,), 1, 1))
+    assert pathnorm.kappa_ratio(layout, rng.uniform(-1, 1, layout.m)) == 0.0
+    r = pathnorm.kappa_ratio(single_unit_t3.rnn, np.ones(3))
     assert np.isclose(r, 4.0 / np.sqrt(36.0 + 16.0 + 36.0), rtol=1e-12)
     with pytest.raises(ZeroDivisionError):
-        pathnorm.kappa_ratio(single_unit_t3, np.zeros(3))
+        pathnorm.kappa_ratio(single_unit_t3.rnn, np.zeros(3))

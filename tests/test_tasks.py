@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, optim, tasks
-from pathsgd.graph import GraphError, RnnSpec, build_rnn
+from pathsgd.graph import GraphError, RnnLayout, RnnSpec
 
 
 # --- metrics -----------------------------------------------------------------
@@ -68,11 +68,11 @@ def test_addition_roundtrip(tmp_path):
 
 def test_addition_grad_matches_fd(rng):
     task = tasks.AdditionTask(length=5, eval_size=8)
-    net = build_rnn(RnnSpec(2, (3,), 1, 5))
-    p = rng.uniform(-0.5, 0.5, net.num_params)
+    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
+    p = rng.uniform(-0.5, 0.5, layout.m)
     batch = task.train_batch(rng, 4)
-    _, g, _ = task.loss_and_grad(net, p, batch)
-    fd = compute.central_diff(lambda q: task.loss_and_grad(net, q, batch)[0], p, 1e-6)
+    _, g, _ = task.loss_and_grad(layout, p, batch)
+    fd = compute.central_diff(lambda q: task.loss_and_grad(layout, q, batch)[0], p, 1e-6)
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -111,18 +111,18 @@ def test_seq_class_roundtrip(tmp_path):
 
 def test_seq_class_grad_matches_fd(rng):
     task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
-    net = build_rnn(RnnSpec(1, (3,), 3, task.length))
-    p = rng.uniform(-0.4, 0.4, net.num_params)
+    layout = RnnLayout.from_spec(RnnSpec(1, (3,), 3, task.length))
+    p = rng.uniform(-0.4, 0.4, layout.m)
     batch = task.train_batch(rng, 4)
-    _, g, _ = task.loss_and_grad(net, p, batch)
-    fd = compute.central_diff(lambda q: task.loss_and_grad(net, q, batch)[0], p, 1e-6)
+    _, g, _ = task.loss_and_grad(layout, p, batch)
+    fd = compute.central_diff(lambda q: task.loss_and_grad(layout, q, batch)[0], p, 1e-6)
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
 def test_seq_class_uniform_logit_metric(rng):
     task = tasks.SeqClassTask(size=3, num_classes=4, n=128, data_seed=3)
-    net = build_rnn(RnnSpec(1, (2,), 4, task.length))
-    err = task.evaluate(net, np.zeros(net.num_params))
+    layout = RnnLayout.from_spec(RnnSpec(1, (2,), 4, task.length))
+    err = task.evaluate(layout, np.zeros(layout.m))
     share0 = float(np.mean(task.test_set.labels == 0))
     assert err == pytest.approx(1.0 - share0)
 
@@ -171,19 +171,19 @@ def test_charlm_windows_shift_by_one(rng):
 def test_charlm_uniform_predictor_bpc():
     corpus = tasks.load_char_corpus(text=tasks.make_synthetic_corpus(4000))
     task = tasks.CharLmTask(corpus, unroll=10, eval_windows=8)
-    net = build_rnn(RnnSpec(task.input_dim, (4,), task.output_dim, 10))
-    bpc = task.evaluate(net, np.zeros(net.num_params))
+    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (4,), task.output_dim, 10))
+    bpc = task.evaluate(layout, np.zeros(layout.m))
     assert bpc == pytest.approx(math.log2(corpus.num_symbols), abs=1e-12)
 
 
 def test_charlm_grad_matches_fd(rng):
     corpus = tasks.load_char_corpus(text="the quick brown fox " * 30)
     task = tasks.CharLmTask(corpus, unroll=4)
-    net = build_rnn(RnnSpec(task.input_dim, (3,), task.output_dim, 4))
-    p = rng.uniform(-0.4, 0.4, net.num_params)
+    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3,), task.output_dim, 4))
+    p = rng.uniform(-0.4, 0.4, layout.m)
     batch = task.train_batch(rng, 3)
-    _, g, _ = task.loss_and_grad(net, p, batch)
-    fd = compute.central_diff(lambda q: task.loss_and_grad(net, q, batch)[0], p, 1e-6)
+    _, g, _ = task.loss_and_grad(layout, p, batch)
+    fd = compute.central_diff(lambda q: task.loss_and_grad(layout, q, batch)[0], p, 1e-6)
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
@@ -194,15 +194,3 @@ def test_charlm_validation():
     with pytest.raises(GraphError):
         tasks.CharLmTask(corpus, unroll=50)
 
-
-# --- linear regression --------------------------------------------------------
-
-def test_linreg_task():
-    task = tasks.LinRegTask(slope=1.7)
-    net = task.make_net()
-    assert task.evaluate(net, np.array([1.7])) == 0.0
-    batch = task.train_batch(np.random.default_rng(0), 8)
-    for x, y in batch:
-        assert y[0] == pytest.approx(1.7 * x[0])
-    loss, g, _ = task.loss_and_grad(net, np.array([0.0]), batch)
-    assert loss > 0 and g.shape == (1,)
