@@ -4,7 +4,6 @@ Subcommands:
   train        fit a task with sgd / adam / path_sgd / path_adam
   verify       run the randomized correctness properties
   kappa-ratio  tabulate ||kappa2|| / ||kappa1|| across sizes and lengths
-  gen-data     write task datasets or a synthetic corpus to disk
 
 Exit codes: 0 success, 1 usage or configuration error, 2 verification
 failure, 3 training diverged.
@@ -176,14 +175,12 @@ def cmd_kappa_ratio(args) -> int:
             for s in range(args.seeds):
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)
                 p = rng.uniform(-args.init_range, args.init_range, layout.m)
-                states = pathnorm.squared_states(layout, p)
-                k1 = pathnorm.kappa1(layout, p, states)
-                k2 = pathnorm.kappa2(layout, p, states)
-                n1 = float(np.linalg.norm(k1))
-                if n1 == 0.0:
-                    raise ConfigError("kappa1 is identically zero; increase init_range")
-                ratios.append(float(np.linalg.norm(k2)) / n1)
+                try:
+                    ratios.append(pathnorm.kappa_ratio(layout, p))
+                except ZeroDivisionError:
+                    raise ConfigError("kappa1 is identically zero; increase init_range") from None
                 if args.crosscheck:
+                    k2 = pathnorm.kappa2(layout, p)
                     net = build_rnn(spec)
                     k2b = pathnorm.kappa2_bruteforce(net, p)
                     gap = float(np.max(np.abs(k2 - k2b)))
@@ -200,23 +197,6 @@ def cmd_kappa_ratio(args) -> int:
         lines = ["hidden,length,mean_ratio,sd_ratio"]
         lines.extend(f"{h},{t},{mean:.6g},{sd:.6g}" for h, t, mean, sd in rows)
         Path(args.csv).write_text("\n".join(lines) + "\n")
-    return EXIT_OK
-
-
-def cmd_gen_data(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
-    if args.task == "addition":
-        ds = tasks.gen_addition(args.seq_len, args.n, rng)
-        tasks.save_addition(ds, out)
-    elif args.task == "seqclass":
-        ds = tasks.synthetic_glyphs(args.n, args.image_size, args.num_classes, rng)
-        tasks.save_seq_class(ds, out)
-    else:
-        out.write_text(tasks.make_synthetic_corpus(args.chars, seed=args.seed))
-    print(f"wrote {out}")
     return EXIT_OK
 
 
@@ -252,19 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     kp.add_argument("--crosscheck", action="store_true",
                     help="compare against brute-force enumeration (small sizes only)")
     kp.set_defaults(fn=cmd_kappa_ratio)
-
-    gp = sub.add_parser("gen-data", help="write datasets to disk")
-    gp.add_argument("--task", choices=("addition", "seqclass", "corpus"),
-                    required=True)
-    gp.add_argument("--out", required=True)
-    gp.add_argument("--seed", type=int, default=0)
-    gp.add_argument("-n", type=int, default=1024, help="number of examples")
-    gp.add_argument("--seq-len", type=int, default=40)
-    gp.add_argument("--image-size", type=int, default=8)
-    gp.add_argument("--num-classes", type=int, default=4)
-    gp.add_argument("--chars", type=int, default=100_000,
-                    help="corpus size in characters")
-    gp.set_defaults(fn=cmd_gen_data)
     return ap
 
 

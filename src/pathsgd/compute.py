@@ -302,11 +302,14 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
-                 activation: str = "relu") -> np.ndarray:
+                 activation: str = "relu", return_dpre: bool = False):
     """Reverse pass of rnn_forward: dL/dp from dL/dY.
 
     dY must carry any batch normalization (e.g. 1/B for a batch mean); the
     result is the exact gradient of sum(dY * Y) linearized at the trace.
+    With return_dpre the result is (dL/dp, dpre), where dpre[i] is
+    dL/d(pre-activation) of hidden layer i, shaped like tr.h[i] (dpre[0] is
+    None).
     """
     spec = layout.spec
     p = np.asarray(p, dtype=float)
@@ -324,6 +327,7 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         dp[sl] = dY.sum(axis=(0, 1))
 
     dh = dY @ Wout  # dL/dh for the top hidden layer
+    dpres: list = [None] * spec.depth
     for i in range(spec.depth - 1, 0, -1):
         Win = layout.view(p, f"in{i}")
         Wrec = layout.matrix(p, f"rec{i}")
@@ -345,6 +349,7 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         if f"b{i}" in layout.slices:
             sl, _ = layout.slices[f"b{i}"]
             dp[sl] = dpre.sum(axis=(0, 1))
+        dpres[i] = dpre
         if i > 1:
             dh = dpre @ Win
-    return dp
+    return (dp, dpres) if return_dpre else dp

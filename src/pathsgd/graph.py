@@ -352,51 +352,3 @@ def validate(net: SharedWeightNet) -> str | None:
             return f"param index coverage: parameter {i} used by no edge"
     return None
 
-
-# --- debug text format -------------------------------------------------------
-#
-# One record per line:
-#   net v1 <num_nodes> <num_edges> <num_params>
-#   node <idx> <kind> <layer> <unit> <time>
-#   edge <src> <dst> <param_idx>
-
-def dump_text(net: SharedWeightNet) -> str:
-    lines = [f"net v1 {net.num_nodes} {net.num_edges} {net.num_params}"]
-    for nd in net.nodes:
-        lines.append(f"node {nd.idx} {nd.kind} {nd.layer} {nd.unit} {nd.time}")
-    for (u, v), pi in zip(net.edges, net.param_of_edge):
-        lines.append(f"edge {u} {v} {pi}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_text(text: str) -> SharedWeightNet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[:2] != ["net", "v1"]:
-        raise GraphError(f"bad header: {lines[0]!r}")
-    num_nodes, num_edges, num_params = map(int, head[2:5])
-    nodes, edges, pidx = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "node":
-            idx, kind, layer, unit, time = parts[1:6]
-            nodes.append(NodeRec(int(idx), kind, int(layer), int(unit), int(time)))
-        elif parts[0] == "edge":
-            u, v, pi = map(int, parts[1:4])
-            edges.append((u, v))
-            pidx.append(pi)
-        else:
-            raise GraphError(f"bad record: {ln!r}")
-    if len(nodes) != num_nodes or len(edges) != num_edges:
-        raise GraphError("record counts disagree with header")
-    return SharedWeightNet(nodes, edges, pidx, num_params)
-
-
-def save_text(net: SharedWeightNet, path) -> None:
-    with open(path, "w") as f:
-        f.write(dump_text(net))
-
-
-def load_text(path) -> SharedWeightNet:
-    with open(path) as f:
-        return parse_text(f.read())

@@ -15,11 +15,13 @@ kappa = kappa1 + kappa2:
 
 The authoritative ground truth here is the finite-difference kappa_fd built
 on the gamma recursion; every closed form below is validated against it.
-kappa1 is computed with one forward/backward pass of the same architecture
-with squared parameters evaluated at the all-ones input, whose summed output
-equals gamma^2 node-for-node.  kappa1, kappa2 and the preconditioner take
-the RnnLayout; the explicit DAG is read only by the oracles (gamma,
-kappa_fd, the enumerators and kappa1_graph).
+kappa1, kappa2 and the preconditioner take the RnnLayout and read one pass
+of the squared net: compute.rnn_forward / rnn_backward, the routines
+training uses, run on the squared parameters at the all-ones input with
+identity activation.  Its summed output equals gamma^2 node-for-node; its
+parameter gradient is kappa1, and its per-step hidden values h and
+backward deltas are what kappa2 reads.  The explicit DAG is read only by
+the oracles (gamma, kappa_fd, the enumerators and kappa1_graph).
 """
 
 from __future__ import annotations
@@ -162,76 +164,35 @@ def kappa1_graph(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
     return compute.backprop(net, sq, trace, d_out, activation="identity")
 
 
-def squared_states(layout: RnnLayout, p: np.ndarray):
-    """Forward and backward state of the squared net at the all-ones input.
+def _squared_pass(layout: RnnLayout, p: np.ndarray):
+    """kappa1 and the squared-net states from one compute.rnn_forward /
+    rnn_backward of the squared net: parameters p^2, the all-ones input,
+    identity activation and a unit seed at every output.
 
-    Returns (h, delta) where h[i] has shape (T, H_i) with h[0] the ones
-    input block, and delta[i][t] = d(sum of outputs)/d h^i_t.  ReLU is inert
-    here (all values nonnegative), so the backward uses unit derivatives.
-    kappa1 and kappa2 both read these, so one pass can serve both terms.
+    Every value of the squared net is nonnegative, so ReLU would be inert
+    and its summed output is gamma^2; the gradient of that sum with respect
+    to the squared parameters is kappa1.  Returns (kappa1, (h, delta)),
+    where h is the forward trace's h (h[i] of shape (1, T, H_i)) and
+    delta[i] = d(sum of outputs)/d h^i is the backward's dpre, which equals
+    dh under the identity activation.  rnn_forward rejects a non-finite
+    parameter vector, so an overflowed p^2 gives an all-inf kappa1 and no
+    states instead.
     """
     spec = layout.spec
-    p = np.asarray(p, dtype=float)
-    pt = p * p
-    T, d = spec.length, spec.depth
-
-    h: list = [np.ones((T, spec.input_dim))]
-    for i in range(1, d):
-        Win = layout.view(pt, f"in{i}")
-        Wrec = layout.matrix(pt, f"rec{i}")
-        b = layout.matrix(pt, f"b{i}")
-        Hi = Win.shape[0]
-        h_i = np.empty((T, Hi))
-        for t in range(T):
-            z = Win @ h[i - 1][t]
-            if Wrec is not None and t > 0:
-                z = z + Wrec @ h_i[t - 1]
-            if b is not None:
-                z = z + b[:, 0]
-            h_i[t] = z
-        h.append(h_i)
-
-    Wout = layout.view(pt, "out")
-    ones_out = np.ones(spec.output_dim)
-    delta: list = [None] * d
-    for i in range(d - 1, 0, -1):
-        Wrec = layout.matrix(pt, f"rec{i}")
-        Hi = h[i].shape[1]
-        d_i = np.empty((T, Hi))
-        for t in range(T - 1, -1, -1):
-            if i == d - 1:
-                dd = Wout.T @ ones_out
-            else:
-                Win_up = layout.view(pt, f"in{i + 1}")
-                dd = Win_up.T @ delta[i + 1][t]
-            if Wrec is not None and t < T - 1:
-                dd = dd + Wrec.T @ d_i[t + 1]
-            d_i[t] = dd
-        delta[i] = d_i
-    return h, delta
+    pt = np.square(np.asarray(p, dtype=float))
+    if not np.all(np.isfinite(pt)):
+        return np.full(layout.m, np.inf), None
+    tr = compute.rnn_forward(layout, pt, np.ones((1, spec.length, spec.input_dim)),
+                             "identity")
+    k1, delta = compute.rnn_backward(layout, pt, tr, np.ones_like(tr.y), "identity",
+                                     return_dpre=True)
+    return k1, (tr.h, delta)
 
 
-def kappa1(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
-    """kappa1 for unrolled RNNs, the cost of one pass over the net.
-    ``states`` may carry a precomputed ``squared_states(layout, p)``."""
-    spec = layout.spec
-    h, delta = squared_states(layout, p) if states is None else states
-    out = np.zeros(layout.m)
-    for i in range(1, spec.depth):
-        sl, _ = layout.slices[f"in{i}"]
-        out[sl] = (delta[i].T @ h[i - 1]).reshape(-1)
-        if f"rec{i}" in layout.slices:
-            sl, _ = layout.slices[f"rec{i}"]
-            out[sl] = (delta[i][1:].T @ h[i][:-1]).reshape(-1)
-        if f"b{i}" in layout.slices:
-            sl, _ = layout.slices[f"b{i}"]
-            out[sl] = delta[i].sum(axis=0)
-    sl, _ = layout.slices["out"]
-    out[sl] = np.tile(h[spec.depth - 1].sum(axis=0), (spec.output_dim, 1)).reshape(-1)
-    if "bout" in layout.slices:
-        sl, _ = layout.slices["bout"]
-        out[sl] = float(spec.length)
-    return out
+def kappa1(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
+    """kappa1 for unrolled RNNs: one forward/backward of the squared net
+    (see _squared_pass)."""
+    return _squared_pass(layout, p)[0]
 
 
 def kappa1_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
@@ -281,40 +242,45 @@ def kappa2_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
 
 
 def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
-    """kappa2 for unrolled RNNs in closed matrix form (``states`` as in
-    kappa1).
+    """kappa2 for unrolled RNNs in closed matrix form.
 
     Only recurrent parameters can repeat along an input-output path (inputs,
     biases and outputs touch a path at most once), so all other entries are
     zero.  For recurrent entry [j, k] of layer i, two applications at steps
     s < s' connect through (A^(s'-1-s))[k, j] where A is the squared
-    recurrent matrix; summing the time-ordered pairs gives, with
-    h / delta the squared-net states,
+    recurrent matrix; summing the time-ordered pairs gives, with h_s the
+    squared net's layer-i values and delta_s = d(sum of outputs)/d h_s,
 
         kappa2[j, k] = C * A[j, k] * sum_u delta_(u+2)[j] * Z_u[k, j],
         Z_u = sum_(s<=u) diag(h_s) A^(u-s),
 
     with u from 0 to T-3 (0-based steps) and C = CHRONO_PAIR_COEFF.  Z obeys
     the running sum Z_u = Z_(u-1) A + diag(h_u), so no matrix power is
-    formed.  Cost per layer: O(T H^3).
+    formed.  Cost per layer: O(T H^3).  h and delta come from the squared
+    pass that also gives kappa1; ``states`` may carry that pass's (h, delta),
+    otherwise the pass runs here.
     """
     spec = layout.spec
-    p = np.asarray(p, dtype=float)
     T = spec.length
     out = np.zeros(layout.m)
     if T < 3 or not layout.has_recurrent:
         return out
-    pt = p * p
-    h, delta = squared_states(layout, p) if states is None else states
+    if states is None:
+        k1, states = _squared_pass(layout, p)
+        if states is None:  # p^2 overflowed
+            return k1
+    h, delta = states
+    pt = np.square(np.asarray(p, dtype=float))
     for i in range(1, spec.depth):
         A = layout.view(pt, f"rec{i}")
+        h_i, d_i = h[i][0], delta[i][0]
         acc = np.zeros_like(A)
         Z = np.zeros_like(A)
         diag = np.arange(A.shape[0])
         for u in range(T - 2):
             Z = Z @ A
-            Z[diag, diag] += h[i][u]
-            acc += delta[i][u + 2][:, None] * Z.T
+            Z[diag, diag] += h_i[u]
+            acc += d_i[u + 2][:, None] * Z.T
         sl, _ = layout.slices[f"rec{i}"]
         out[sl] = (CHRONO_PAIR_COEFF * A * acc).reshape(-1)
     return out
@@ -332,8 +298,7 @@ def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.nda
     with np.errstate(over="ignore", invalid="ignore"):
         if mode == "k1":
             return kappa1(layout, p)
-        states = squared_states(layout, p)
-        k1 = kappa1(layout, p, states)
+        k1, states = _squared_pass(layout, p)
         if not np.all(np.isfinite(k1)):
             return k1
         return k1 + kappa2(layout, p, states)
@@ -341,10 +306,8 @@ def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.nda
 
 def kappa_ratio(layout: RnnLayout, p: np.ndarray) -> float:
     """||kappa2|| / ||kappa1||, the relative weight of the interaction term."""
-    states = squared_states(layout, p)
-    k1 = kappa1(layout, p, states)
+    k1, states = _squared_pass(layout, p)
     n1 = float(np.linalg.norm(k1))
     if n1 == 0.0:
         raise ZeroDivisionError("kappa_ratio: kappa1 is identically zero")
-    k2 = kappa2(layout, p, states)
-    return float(np.linalg.norm(k2)) / n1
+    return float(np.linalg.norm(kappa2(layout, p, states))) / n1

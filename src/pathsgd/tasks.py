@@ -8,7 +8,6 @@ through the vectorized forward and backward of ``compute``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -145,31 +144,6 @@ class AdditionTask:
         return metric_mse(np.concatenate(preds), self.eval_set.targets)
 
 
-def save_addition(ds: AdditionSet, path) -> None:
-    with open(path, "w") as fh:
-        for i in range(len(ds)):
-            fh.write(json.dumps({
-                "values": ds.values[i].tolist(),
-                "mask": ds.masks[i].astype(int).tolist(),
-                "target": ds.targets[i],
-            }) + "\n")
-
-
-def load_addition(path) -> AdditionSet:
-    values, masks, targets = [], [], []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            values.append(rec["values"])
-            masks.append(rec["mask"])
-            targets.append(rec["target"])
-    return AdditionSet(np.asarray(values, dtype=float),
-                       np.asarray(masks, dtype=float),
-                       np.asarray(targets, dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # sequential classification of tiny glyph images
 
@@ -248,27 +222,6 @@ class SeqClassTask:
             tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK])
             logits.append(tr.y[:, -1, :])
         return metric_error_rate(np.concatenate(logits), self.test_set.labels)
-
-
-def save_seq_class(ds: SeqClassSet, path) -> None:
-    with open(path, "w") as fh:
-        for i in range(len(ds)):
-            fh.write(json.dumps({
-                "pixels": ds.pixels[i].tolist(),
-                "label": int(ds.labels[i]),
-            }) + "\n")
-
-
-def load_seq_class(path) -> SeqClassSet:
-    pixels, labels = [], []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            pixels.append(rec["pixels"])
-            labels.append(rec["label"])
-    return SeqClassSet(np.asarray(pixels, dtype=float), np.asarray(labels, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pathsgd import cli, compute, graph, invariance, optim, pathnorm, tasks, verify
-from pathsgd.graph import RnnSpec, build_feedforward, build_rnn
+from pathsgd.graph import RnnSpec, build_rnn
 
 
 def _report(capsys, num, title, ok, detail):
@@ -74,17 +74,10 @@ def test_criterion_02_kappa_decomposition(capsys):
 
 
 def test_criterion_03_feedforward_kappa2_zero(capsys):
-    rng = np.random.default_rng(303)
-    worst = 0.0
-    for _ in range(20):
-        depth = int(rng.integers(2, 4))
-        dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
-        net = build_feedforward(dims)
-        p = verify.random_params(net, rng)
-        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
-    ok = worst == 0.0
-    _report(capsys, 3, "kappa2 vanishes without weight sharing", ok,
-            f"max |kappa2| = {worst:.1e} over 20 feedforward nets (exact zero required)")
+    res = verify.check_feedforward_kappa2_zero(np.random.default_rng(303), 20)
+    _report(capsys, 3, "kappa2 vanishes without weight sharing", res.worst == 0.0,
+            f"max |kappa2| = {res.worst:.1e} over {res.n} feedforward nets "
+            "(exact zero required)")
 
 
 def test_criterion_04_rescaling_invariance(capsys):

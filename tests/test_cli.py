@@ -14,39 +14,6 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
-def test_gen_data_addition_deterministic(tmp_path):
-    a, b, c = (tmp_path / n for n in ("a.jsonl", "b.jsonl", "c.jsonl"))
-    assert run_cli("gen-data", "--task", "addition", "--out", str(a),
-                   "--seed", "3", "-n", "32", "--seq-len", "10") == 0
-    assert run_cli("gen-data", "--task", "addition", "--out", str(b),
-                   "--seed", "3", "-n", "32", "--seq-len", "10") == 0
-    assert run_cli("gen-data", "--task", "addition", "--out", str(c),
-                   "--seed", "4", "-n", "32", "--seq-len", "10") == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert a.read_bytes() != c.read_bytes()
-
-
-def test_gen_data_bad_length(tmp_path, capsys):
-    code = run_cli("gen-data", "--task", "addition",
-                   "--out", str(tmp_path / "x.jsonl"), "--seq-len", "1")
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_gen_data_corpus(tmp_path):
-    out = tmp_path / "corpus.txt"
-    assert run_cli("gen-data", "--task", "corpus", "--out", str(out),
-                   "--chars", "5000", "--seed", "7") == 0
-    assert len(out.read_text()) == 5000
-
-
-def test_gen_data_seqclass(tmp_path):
-    out = tmp_path / "glyphs.jsonl"
-    assert run_cli("gen-data", "--task", "seqclass", "--out", str(out),
-                   "-n", "20", "--image-size", "3", "--num-classes", "2") == 0
-    assert len(out.read_text().splitlines()) == 20
-
-
 def test_train_writes_outputs(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli("train", *TINY, "--set", "steps=60",
@@ -251,3 +218,9 @@ def test_kappa_ratio_crosscheck(tmp_path, capsys):
 def test_kappa_ratio_bad_sizes(capsys):
     assert run_cli("kappa-ratio", "--hidden", "0", "--lengths", "3") == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_kappa_ratio_zero_init(capsys):
+    assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3",
+                   "--init-range", "0") == 1
+    assert "kappa1 is identically zero" in capsys.readouterr().err

@@ -148,18 +148,6 @@ def test_layout_pack_view_roundtrip(rng):
     assert layout.matrix(p, "nope") is None
 
 
-def test_text_roundtrip(tmp_path, single_unit_t3):
-    path = tmp_path / "net.txt"
-    graph.save_text(single_unit_t3, path)
-    loaded = graph.load_text(path)
-    assert loaded.edges == single_unit_t3.edges
-    assert loaded.param_of_edge == single_unit_t3.param_of_edge
-    assert loaded.nodes == single_unit_t3.nodes
-    assert graph.validate(loaded) is None
-    with pytest.raises(graph.GraphError):
-        graph.parse_text("bogus header\n")
-
-
 def test_node_coordinates_tie_time_steps():
     net = build_rnn(RnnSpec(1, (2,), 1, 3))
     for t in (1, 2, 3):

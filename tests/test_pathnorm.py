@@ -162,22 +162,21 @@ def test_kappa_matches_fd_at_long_unroll(rng):
 
 
 def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
+    """preconditioner(k1_plus_k2) and kappa_ratio each run one forward and
+    one backward of the squared net, shared by kappa1 and kappa2."""
     layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 6, bias=True))
     p = rng.uniform(-1.5, 1.5, layout.m)
     expected = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
     ratio = pathnorm.kappa_ratio(layout, p)
     calls = []
-    real = pathnorm.squared_states
-
-    def spy(layout, pp):
-        calls.append(1)
-        return real(layout, pp)
-
-    monkeypatch.setattr(pathnorm, "squared_states", spy)
+    for name in ("rnn_forward", "rnn_backward"):
+        real = getattr(compute, name)
+        monkeypatch.setattr(compute, name, lambda *a, real=real, name=name, **kw:
+                            calls.append(name) or real(*a, **kw))
     assert np.array_equal(pathnorm.preconditioner(layout, p, "k1_plus_k2"), expected)
-    assert len(calls) == 1
+    assert calls == ["rnn_forward", "rnn_backward"]
     assert pathnorm.kappa_ratio(layout, p) == ratio
-    assert len(calls) == 2
+    assert calls == ["rnn_forward", "rnn_backward"] * 2
 
 
 def test_preconditioner_overflow_skips_kappa2(monkeypatch):
@@ -192,6 +191,20 @@ def test_preconditioner_overflow_skips_kappa2(monkeypatch):
         kappa = pathnorm.preconditioner(layout, p, "k1_plus_k2")
         assert not np.all(np.isfinite(kappa))
         assert not np.all(np.isfinite(pathnorm.preconditioner(layout, p, "k1")))
+
+
+def test_preconditioner_squared_overflow_is_non_finite():
+    """A finite p whose square overflows gives a non-finite kappa in both
+    modes, without an exception or a numpy warning, and a NaN kappa ratio."""
+    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5, bias=True))
+    p = np.full(layout.m, 0.5)
+    p[0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mode in pathnorm.KAPPA_MODES:
+            assert not np.all(np.isfinite(pathnorm.preconditioner(layout, p, mode)))
+    with np.errstate(over="ignore"):
+        assert np.isnan(pathnorm.kappa_ratio(layout, p))
 
 
 def test_decomposition_matches_fd(rng):

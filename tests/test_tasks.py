@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -56,16 +55,6 @@ def test_gen_addition_seeded():
     assert np.array_equal(a.targets, b.targets)
 
 
-def test_addition_roundtrip(tmp_path):
-    ds = tasks.gen_addition(6, 10, np.random.default_rng(2))
-    path = tmp_path / "add.jsonl"
-    tasks.save_addition(ds, path)
-    back = tasks.load_addition(path)
-    assert np.array_equal(back.values, ds.values)
-    assert np.array_equal(back.masks, ds.masks)
-    assert np.array_equal(back.targets, ds.targets)
-
-
 def test_addition_grad_matches_fd(rng):
     task = tasks.AdditionTask(length=5, eval_size=8)
     layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
@@ -98,15 +87,6 @@ def test_split_stratified(rng):
     assert set(np.unique(train.labels)) == set(np.unique(ds.labels))
     assert set(np.unique(test.labels)) == set(np.unique(ds.labels))
     assert abs(len(test) / 200 - 0.25) < 0.05
-
-
-def test_seq_class_roundtrip(tmp_path):
-    ds = tasks.synthetic_glyphs(12, 3, 2, np.random.default_rng(0))
-    path = tmp_path / "glyphs.jsonl"
-    tasks.save_seq_class(ds, path)
-    back = tasks.load_seq_class(path)
-    assert np.array_equal(back.pixels, ds.pixels)
-    assert np.array_equal(back.labels, ds.labels)
 
 
 def test_seq_class_grad_matches_fd(rng):
