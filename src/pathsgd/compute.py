@@ -4,7 +4,13 @@ Two routes cover every network:
 
 * a generic interpreter over the explicit DAG (any SharedWeightNet), used by
   the oracles and small verification nets;
-* a vectorized route over the RnnLayout matrices, used by training.
+* a vectorized route over the RnnLayout matrices, used by training,
+  evaluation and the squared-net pass of pathnorm.  rnn_forward runs one
+  loop over time steps (layers inner) and stores hidden states time-major,
+  (T, B, H_i), so each step reads and writes one contiguous (B, H_i) block;
+  rnn_backward reads that trace.  Evaluation, which needs only the outputs,
+  runs the forward trace-free (keep_trace=False) on two rolling (B, H_i)
+  buffers per layer.
 
 Both routes are exact reverse-mode differentiation and are tied together by
 equivalence tests.  All arithmetic is 64-bit; gradients over a batch are the
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, RnnLayout, SharedWeightNet
+from .graph import RnnLayout, SharedWeightNet
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -231,29 +237,36 @@ def central_diff(f, p: np.ndarray, step) -> np.ndarray:
 class RnnTrace:
     """Batch forward record for the vectorized route.
 
-    h[0] is the input block (B, T, input_dim); h[i] for hidden layer i is
-    (B, T, H_i); y is (B, T, output_dim).  Pre-activations are not kept:
-    every activation's derivative is a function of its output.
+    Hidden states are stored time-major, so one step of one layer is a
+    contiguous (B, H_i) block: h[0] is the input block (T, B, input_dim) and
+    h[i] for hidden layer i is (T, B, H_i).  y keeps the caller-facing
+    (B, T, output_dim) shape (it may be a transposed view).  Pre-activations
+    are not kept: every activation's derivative is a function of its output.
+    A trace-free forward (keep_trace=False) leaves h as None.
     """
 
-    h: list
+    h: list | None
     y: np.ndarray
 
 
-def _act(z: np.ndarray, activation: str) -> np.ndarray:
+def _activate(z: np.ndarray, activation: str) -> None:
+    """Apply the activation to z in place."""
     if activation == "relu":
-        return np.maximum(z, 0.0)
-    if activation == "tanh":
-        return np.tanh(z)
-    return z
+        np.maximum(z, 0.0, out=z)
+    elif activation == "tanh":
+        np.tanh(z, out=z)
 
 
 def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
-                activation: str = "relu") -> RnnTrace:
+                activation: str = "relu", keep_trace: bool = True) -> RnnTrace:
     """Batched forward pass over the unrolled layout.
 
     X has shape (B, T, input_dim); hidden state before the first step is 0.
-    Matches the generic interpreter on the corresponding build_rnn graph.
+    One loop runs the steps, and each step runs the layers bottom-up.  With
+    keep_trace the hidden states are written to the trace for rnn_backward;
+    without it each layer keeps only two rolling (B, H_i) buffers, so no
+    (T, B, H_i) array is formed.  Matches the generic interpreter on the
+    corresponding build_rnn graph; y is bit-identical in both modes.
     """
     spec = layout.spec
     p = _check_params(p, layout.m)
@@ -261,43 +274,54 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     if X.ndim != 3 or X.shape[1] != spec.length or X.shape[2] != spec.input_dim:
         raise ComputeError(
             f"rnn_forward: expected X of shape (B, {spec.length}, {spec.input_dim}), got {X.shape}")
-    T = spec.length
+    B, T = X.shape[0], spec.length
+    layers = range(1, spec.depth)
 
-    h: list = [X]
-    for i in range(1, spec.depth):
-        Win = layout.view(p, f"in{i}")
+    Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
+    weights = [None]  # per hidden layer: (W_in^T, W_rec^T or None, bias or None)
+    for i in layers:
         Wrec = layout.matrix(p, f"rec{i}")
         b = layout.matrix(p, f"b{i}")
-        # h_i starts as the input drive and is overwritten step by step.
-        h_i = h[i - 1] @ Win.T
-        if b is not None:
-            h_i += b[:, 0]
-        for t in range(T):
-            z = h_i[:, t]
-            if Wrec is not None and t > 0:
-                z = z + h_i[:, t - 1] @ Wrec.T
-            h_i[:, t] = _act(z, activation)
-        h.append(h_i)
-
-    Wout = layout.view(p, "out")
-    y = h[-1] @ Wout.T
+        weights.append((layout.view(p, f"in{i}").T, None if Wrec is None else Wrec.T,
+                        None if b is None else b[:, 0]))
+    WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
-    if bout is not None:
-        y = y + bout[:, 0]
-    return RnnTrace(h=h, y=y)
+    # With the trace, state t of layer i is h[i][t]; without it, the
+    # rolling buffer h[i][t % 2].
+    h = [Xt] + [np.empty((T if keep_trace else 2, B, n)) for n in spec.hidden_dims]
+    tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
+    y = np.empty((T, B, spec.output_dim))
+    for t in range(T):
+        s = t if keep_trace else t % 2
+        below = Xt[t]
+        for i in layers:
+            WinT, WrecT, b = weights[i]
+            cur = h[i][s]
+            np.matmul(below, WinT, out=cur)
+            if b is not None:
+                cur += b
+            if WrecT is not None and t > 0:
+                cur += np.matmul(h[i][s - 1], WrecT, out=tmp[i])
+            _activate(cur, activation)
+            below = cur
+        np.matmul(below, WoutT, out=y[t])
+        if bout is not None:
+            y[t] += bout[:, 0]
+    return RnnTrace(h=h if keep_trace else None, y=y.transpose(1, 0, 2))
 
 
-def _act_deriv(tr: RnnTrace, i: int, activation: str) -> np.ndarray:
+def _act_deriv(tr: RnnTrace, i: int, activation: str):
+    """The activation's derivative at layer i, or None for identity."""
     # relu(z) > 0 exactly when z > 0, so the output gives the ReLU mask.
     if activation == "relu":
         return tr.h[i] > 0.0
     if activation == "tanh":
         return 1.0 - tr.h[i] ** 2
-    return np.ones_like(tr.h[i])
+    return None
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum over batch and time of a_bt b_bt^T, as one BLAS product."""
+    """sum over time and batch of a_tb b_tb^T, as one BLAS product."""
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
@@ -305,17 +329,19 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
                  activation: str = "relu", return_dpre: bool = False):
     """Reverse pass of rnn_forward: dL/dp from dL/dY.
 
-    dY must carry any batch normalization (e.g. 1/B for a batch mean); the
-    result is the exact gradient of sum(dY * Y) linearized at the trace.
-    With return_dpre the result is (dL/dp, dpre), where dpre[i] is
-    dL/d(pre-activation) of hidden layer i, shaped like tr.h[i] (dpre[0] is
-    None).
+    tr must come from rnn_forward with the trace kept.  dY, shaped like
+    tr.y, must carry any batch normalization (e.g. 1/B for a batch mean);
+    the result is the exact gradient of sum(dY * Y) linearized at the
+    trace.  With return_dpre the result is (dL/dp, dpre), where dpre[i] is
+    dL/d(pre-activation) of hidden layer i, time-major like tr.h[i]
+    (dpre[0] is None).
     """
     spec = layout.spec
     p = np.asarray(p, dtype=float)
     dY = np.asarray(dY, dtype=float)
     if dY.shape != tr.y.shape:
         raise ComputeError(f"rnn_backward: dY shape {dY.shape} != outputs shape {tr.y.shape}")
+    dY = np.ascontiguousarray(dY.transpose(1, 0, 2))
     T = spec.length
     dp = np.zeros(layout.m)
 
@@ -332,20 +358,18 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         Win = layout.view(p, f"in{i}")
         Wrec = layout.matrix(p, f"rec{i}")
         deriv = _act_deriv(tr, i, activation)
-        dpre = dh  # dh[:, t] is last read at step t, so dpre overwrites it
+        dpre = dh  # dh[t] is last read at step t, so dpre overwrites it
+        tmp = np.empty_like(dpre[0])
         for t in range(T - 1, -1, -1):
-            dd = dh[:, t]
             if Wrec is not None and t < T - 1:
-                dd = dd + dpre[:, t + 1] @ Wrec
-            np.multiply(dd, deriv[:, t], out=dpre[:, t])
+                dpre[t] += np.matmul(dpre[t + 1], Wrec, out=tmp)
+            if deriv is not None:
+                dpre[t] *= deriv[t]
         sl, _ = layout.slices[f"in{i}"]
         dp[sl] = _outer_sum(dpre, tr.h[i - 1]).reshape(-1)
         if Wrec is not None:
-            # The time-shifted blocks do not flatten without a copy; one
-            # batched product over the per-sequence (T-1, H) views does.
             sl, _ = layout.slices[f"rec{i}"]
-            rec = dpre[:, 1:].transpose(0, 2, 1) @ tr.h[i][:, :-1]
-            dp[sl] = rec.sum(axis=0).reshape(-1)
+            dp[sl] = _outer_sum(dpre[1:], tr.h[i][:-1]).reshape(-1)
         if f"b{i}" in layout.slices:
             sl, _ = layout.slices[f"b{i}"]
             dp[sl] = dpre.sum(axis=(0, 1))

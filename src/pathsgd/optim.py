@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import compute, pathnorm
+from . import pathnorm
 from .graph import GraphError, RnnLayout
 
 DEFAULT_EPS = 1e-8

@@ -172,11 +172,11 @@ def _squared_pass(layout: RnnLayout, p: np.ndarray):
     Every value of the squared net is nonnegative, so ReLU would be inert
     and its summed output is gamma^2; the gradient of that sum with respect
     to the squared parameters is kappa1.  Returns (kappa1, (h, delta)),
-    where h is the forward trace's h (h[i] of shape (1, T, H_i)) and
-    delta[i] = d(sum of outputs)/d h^i is the backward's dpre, which equals
-    dh under the identity activation.  rnn_forward rejects a non-finite
-    parameter vector, so an overflowed p^2 gives an all-inf kappa1 and no
-    states instead.
+    where h is the forward trace's time-major h (h[i] of shape (T, 1, H_i))
+    and delta[i] = d(sum of outputs)/d h^i, of the same shape, is the
+    backward's dpre, which equals dh under the identity activation.
+    rnn_forward rejects a non-finite parameter vector, so an overflowed p^2
+    gives an all-inf kappa1 and no states instead.
     """
     spec = layout.spec
     pt = np.square(np.asarray(p, dtype=float))
@@ -257,8 +257,9 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     with u from 0 to T-3 (0-based steps) and C = CHRONO_PAIR_COEFF.  Z obeys
     the running sum Z_u = Z_(u-1) A + diag(h_u), so no matrix power is
     formed.  Cost per layer: O(T H^3).  h and delta come from the squared
-    pass that also gives kappa1; ``states`` may carry that pass's (h, delta),
-    otherwise the pass runs here.
+    pass that also gives kappa1 (each (T, 1, H_i), read as (T, H_i));
+    ``states`` may carry that pass's (h, delta), otherwise the pass runs
+    here.
     """
     spec = layout.spec
     T = spec.length
@@ -273,7 +274,7 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     pt = np.square(np.asarray(p, dtype=float))
     for i in range(1, spec.depth):
         A = layout.view(pt, f"rec{i}")
-        h_i, d_i = h[i][0], delta[i][0]
+        h_i, d_i = h[i][:, 0], delta[i][:, 0]
         acc = np.zeros_like(A)
         Z = np.zeros_like(A)
         diag = np.arange(A.shape[0])
@@ -305,9 +306,16 @@ def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.nda
 
 
 def kappa_ratio(layout: RnnLayout, p: np.ndarray) -> float:
-    """||kappa2|| / ||kappa1||, the relative weight of the interaction term."""
-    k1, states = _squared_pass(layout, p)
-    n1 = float(np.linalg.norm(k1))
-    if n1 == 0.0:
-        raise ZeroDivisionError("kappa_ratio: kappa1 is identically zero")
-    return float(np.linalg.norm(kappa2(layout, p, states))) / n1
+    """||kappa2|| / ||kappa1||, the relative weight of the interaction term.
+
+    Like preconditioner, it keeps numpy from warning about overflow in the
+    squared net: an overflowed kappa1 gives NaN without running kappa2.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1, states = _squared_pass(layout, p)
+        if not np.all(np.isfinite(k1)):
+            return float("nan")
+        n1 = float(np.linalg.norm(k1))
+        if n1 == 0.0:
+            raise ZeroDivisionError("kappa_ratio: kappa1 is identically zero")
+        return float(np.linalg.norm(kappa2(layout, p, states))) / n1

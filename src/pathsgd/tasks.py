@@ -139,7 +139,7 @@ class AdditionTask:
         preds = []
         X = self.eval_set.inputs()
         for lo in range(0, len(self.eval_set), EVAL_CHUNK):
-            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK])
+            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False)
             preds.append(tr.y[:, -1, 0])
         return metric_mse(np.concatenate(preds), self.eval_set.targets)
 
@@ -219,7 +219,7 @@ class SeqClassTask:
         logits = []
         X = self.test_set.inputs()
         for lo in range(0, len(self.test_set), EVAL_CHUNK):
-            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK])
+            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False)
             logits.append(tr.y[:, -1, :])
         return metric_error_rate(np.concatenate(logits), self.test_set.labels)
 
@@ -338,7 +338,7 @@ class CharLmTask:
             X, targets = self._window_batch(self.corpus.test,
                                             self.eval_starts[lo:lo + EVAL_CHUNK])
             B, T, A = X.shape
-            tr = compute.rnn_forward(layout, p, X)
+            tr = compute.rnn_forward(layout, p, X, keep_trace=False)
             loss_sum, _ = softmax_xent_grad(tr.y.reshape(B * T, A), targets.reshape(-1))
             total += loss_sum
             count += B * T

@@ -120,6 +120,26 @@ def test_rnn_route_matches_generic(rng):
             assert np.allclose(tr.y[b].reshape(-1), y, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+@pytest.mark.parametrize("hidden", [(3,), (3, 2)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("length", [1, 2, 7])
+def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length, rng):
+    """keep_trace=False gives the traced y bit for bit, and the traced y
+    matches the generic interpreter."""
+    spec = RnnSpec(2, hidden, 2, length, bias=bias)
+    net = build_rnn(spec)
+    p = rng.uniform(-1.2, 1.2, net.num_params)
+    X = rng.standard_normal((4, length, spec.input_dim))
+    tr = compute.rnn_forward(net.rnn, p, X, activation)
+    lean = compute.rnn_forward(net.rnn, p, X, activation, keep_trace=False)
+    assert lean.h is None and lean.y.shape == tr.y.shape == (4, length, 2)
+    np.testing.assert_array_equal(lean.y, tr.y)
+    for b in range(X.shape[0]):
+        y, _ = compute.forward(net, p, X[b], activation)
+        assert np.allclose(tr.y[b].reshape(-1), y, rtol=1e-12, atol=1e-14)
+
+
 def test_rnn_backward_matches_generic_grad(rng):
     """The two reverse-mode routes agree on the same scalar objective."""
     for _ in range(5):

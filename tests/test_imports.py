@@ -1,0 +1,36 @@
+"""Every name a module imports at module level is read somewhere in it."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# __init__.py imports names only to re-export them.
+SOURCES = sorted(p for p in (ROOT / "src" / "pathsgd").glob("*.py") if p.name != "__init__.py")
+SOURCES += sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+            and isinstance(n.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
+
+
+def test_unused_import_check_flags_dead_names():
+    src = "import os\nimport numpy as np\nfrom a.b import c, d\nprint(np, d)\n"
+    assert unused_imports(src) == ["os (line 1)", "c (line 3)"]
+
+
+def test_no_unused_imports():
+    assert SOURCES
+    found = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text())
+             for p in SOURCES}
+    assert {k: v for k, v in found.items() if v} == {}

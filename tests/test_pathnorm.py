@@ -193,17 +193,18 @@ def test_preconditioner_overflow_skips_kappa2(monkeypatch):
         assert not np.all(np.isfinite(pathnorm.preconditioner(layout, p, "k1")))
 
 
-def test_preconditioner_squared_overflow_is_non_finite():
+def test_preconditioner_squared_overflow_is_non_finite(monkeypatch):
     """A finite p whose square overflows gives a non-finite kappa in both
-    modes, without an exception or a numpy warning, and a NaN kappa ratio."""
+    modes and a NaN kappa ratio, without an exception, a numpy warning or a
+    kappa2 pass."""
     layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5, bias=True))
     p = np.full(layout.m, 0.5)
     p[0] = 1e200
+    monkeypatch.setattr(pathnorm, "kappa2", lambda *a, **kw: pytest.fail("kappa2 ran"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for mode in pathnorm.KAPPA_MODES:
             assert not np.all(np.isfinite(pathnorm.preconditioner(layout, p, mode)))
-    with np.errstate(over="ignore"):
         assert np.isnan(pathnorm.kappa_ratio(layout, p))
 
 

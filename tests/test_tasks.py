@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from pathsgd import compute, optim, tasks
+from pathsgd import compute, tasks
 from pathsgd.graph import GraphError, RnnLayout, RnnSpec
 
 
@@ -69,6 +70,22 @@ def test_addition_eval_fixed_set():
     a = tasks.AdditionTask(length=6, eval_size=32, eval_seed=9)
     b = tasks.AdditionTask(length=6, eval_size=32, eval_seed=9)
     assert np.array_equal(a.eval_set.targets, b.eval_set.targets)
+
+
+def test_addition_eval_holds_no_trace():
+    """Evaluation runs the forward trace-free: its peak allocation stays
+    below one chunk's (EVAL_CHUNK, T, H) hidden-state trace."""
+    T, H = 200, 64
+    task = tasks.AdditionTask(T, eval_size=512)
+    layout = RnnLayout.from_spec(RnnSpec(2, (H,), 1, T))
+    p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
+    tracemalloc.start()
+    try:
+        task.evaluate(layout, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < tasks.EVAL_CHUNK * T * H * 8
 
 
 # --- sequential classification ----------------------------------------------
