@@ -6,11 +6,14 @@ Two routes cover every network:
   the oracles and small verification nets;
 * a vectorized route over the RnnLayout matrices, used by training,
   evaluation and the squared-net pass of pathnorm.  rnn_forward runs one
-  loop over time steps (layers inner) and stores hidden states time-major,
-  (T, B, H_i), so each step reads and writes one contiguous (B, H_i) block;
-  rnn_backward reads that trace.  Evaluation, which needs only the outputs,
-  runs the forward trace-free (keep_trace=False) on two rolling (B, H_i)
-  buffers per layer.
+  loop over blocks of time steps (layers inner): each layer's input drive
+  and the block's outputs are one matmul per block, and only the
+  recurrence runs step by step.  Hidden states are time-major, (T, B, H_i),
+  so each step reads and writes one contiguous (B, H_i) block.  Training
+  keeps the whole sequence as one block, which is the trace rnn_backward
+  reads; evaluation, which needs only the outputs, runs the forward
+  trace-free (keep_trace=False) in blocks of BLOCK steps and holds one
+  (BLOCK, B, H_i) buffer and one carried (B, H_i) state per layer.
 
 Both routes are exact reverse-mode differentiation and are tied together by
 equivalence tests.  All arithmetic is 64-bit; gradients over a batch are the
@@ -26,6 +29,11 @@ import numpy as np
 from .graph import RnnLayout, SharedWeightNet
 
 ACTIVATIONS = ("relu", "tanh", "identity")
+
+# Steps per block of a trace-free rnn_forward.  Larger blocks mean fewer,
+# larger input and output projections but bigger per-layer buffers; at 32
+# the evaluation buffers already show in the peak memory of small runs.
+BLOCK = 8
 
 
 class ComputeError(ValueError):
@@ -242,7 +250,9 @@ class RnnTrace:
     h[i] for hidden layer i is (T, B, H_i).  y keeps the caller-facing
     (B, T, output_dim) shape (it may be a transposed view).  Pre-activations
     are not kept: every activation's derivative is a function of its output.
-    A trace-free forward (keep_trace=False) leaves h as None.
+    A trace-free forward (keep_trace=False) leaves h as None: it keeps only
+    the current block of BLOCK steps per layer, so it has no trace to hand
+    back.
     """
 
     h: list | None
@@ -262,11 +272,15 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     """Batched forward pass over the unrolled layout.
 
     X has shape (B, T, input_dim); hidden state before the first step is 0.
-    One loop runs the steps, and each step runs the layers bottom-up.  With
-    keep_trace the hidden states are written to the trace for rnn_backward;
-    without it each layer keeps only two rolling (B, H_i) buffers, so no
-    (T, B, H_i) array is formed.  Matches the generic interpreter on the
-    corresponding build_rnn graph; y is bit-identical in both modes.
+    Time runs in blocks of K steps, and each block runs the layers
+    bottom-up: one matmul writes a layer's input drive (plus bias) for the
+    whole block, the recurrence then runs step by step, and after the top
+    layer one matmul writes the block's outputs.  With keep_trace K = T and
+    the block buffer is the trace that rnn_backward reads; without it
+    K = BLOCK, and each layer holds one (BLOCK, B, H_i) buffer and the
+    (B, H_i) state carried into the block, so no (T, B, H_i) array is
+    formed.  Matches the generic interpreter on the corresponding build_rnn
+    graph; y is bit-identical in both modes.
     """
     spec = layout.spec
     p = _check_params(p, layout.m)
@@ -275,6 +289,7 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
         raise ComputeError(
             f"rnn_forward: expected X of shape (B, {spec.length}, {spec.input_dim}), got {X.shape}")
     B, T = X.shape[0], spec.length
+    K = T if keep_trace else min(T, BLOCK)
     layers = range(1, spec.depth)
 
     Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
@@ -286,28 +301,32 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
                         None if b is None else b[:, 0]))
     WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
-    # With the trace, state t of layer i is h[i][t]; without it, the
-    # rolling buffer h[i][t % 2].
-    h = [Xt] + [np.empty((T if keep_trace else 2, B, n)) for n in spec.hidden_dims]
+    # buf[i][0] is the state carried into the block, buf[i][1 + s] the
+    # state after step s of the block.
+    buf = [None] + [np.empty((K + 1, B, n)) for n in spec.hidden_dims]
     tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
     y = np.empty((T, B, spec.output_dim))
-    for t in range(T):
-        s = t if keep_trace else t % 2
-        below = Xt[t]
+    for t0 in range(0, T, K):
+        k = min(K, T - t0)
+        below = Xt[t0:t0 + k]
         for i in layers:
             WinT, WrecT, b = weights[i]
-            cur = h[i][s]
-            np.matmul(below, WinT, out=cur)
+            blk = buf[i][1:k + 1]
+            np.matmul(below.reshape(k * B, -1), WinT, out=blk.reshape(k * B, -1))
             if b is not None:
-                cur += b
-            if WrecT is not None and t > 0:
-                cur += np.matmul(h[i][s - 1], WrecT, out=tmp[i])
-            _activate(cur, activation)
-            below = cur
-        np.matmul(below, WoutT, out=y[t])
+                blk += b
+            for s in range(k):
+                if WrecT is not None and t0 + s > 0:
+                    blk[s] += np.matmul(buf[i][s], WrecT, out=tmp[i])
+                _activate(blk[s], activation)
+            buf[i][0] = blk[-1]
+            below = blk
+        yb = y[t0:t0 + k]
+        np.matmul(below.reshape(k * B, -1), WoutT, out=yb.reshape(k * B, -1))
         if bout is not None:
-            y[t] += bout[:, 0]
-    return RnnTrace(h=h if keep_trace else None, y=y.transpose(1, 0, 2))
+            yb += bout[:, 0]
+    h = ([Xt] + [a[1:] for a in buf[1:]]) if keep_trace else None
+    return RnnTrace(h=h, y=y.transpose(1, 0, 2))
 
 
 def _act_deriv(tr: RnnTrace, i: int, activation: str):

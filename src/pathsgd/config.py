@@ -210,6 +210,12 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _fmt_array(a: np.ndarray):
+    """_fmt over every entry, formatted from the plain floats of tolist():
+    the same text, without a numpy scalar per entry."""
+    return map("{:.17g}".format, np.asarray(a, dtype=float).tolist())
+
+
 def describe_net(layout: RnnLayout) -> str:
     s = layout.spec
     hid = ",".join(str(h) for h in s.hidden_dims)
@@ -248,11 +254,11 @@ def save_checkpoint(path, step: int, layout: RnnLayout, p: np.ndarray,
         yield f"eps_adam {_fmt(opt.eps_adam)}"
         yield f"t {opt.t}"
         yield f"m {len(p)}"
-        yield from map(_fmt, p)
+        yield from _fmt_array(p)
         if opt.m1 is not None:
             yield "moments"
-            yield from map(_fmt, opt.m1)
-            yield from map(_fmt, opt.m2)
+            yield from _fmt_array(opt.m1)
+            yield from _fmt_array(opt.m2)
         yield "end"
 
     write_lines(path, lines())

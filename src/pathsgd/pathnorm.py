@@ -20,11 +20,18 @@ of the squared net: compute.rnn_forward / rnn_backward, the routines
 training uses, run on the squared parameters at the all-ones input with
 identity activation.  Its summed output equals gamma^2 node-for-node; its
 parameter gradient is kappa1, and its per-step hidden values h and
-backward deltas are what kappa2 reads.  The explicit DAG is read only by
-the oracles (gamma, kappa_fd, the enumerators and kappa1_graph).
+backward deltas are what kappa2 reads.  kappa2 sums the pairs of
+applications of a recurrent matrix in blocks of L = floor(sqrt(2 H))
+steps: pairs inside a block are L long matmuls over all blocks at once,
+and pairs across blocks pass through one H x H state carried from block to
+block, so a layer costs O(T H^2.5) time and O(T H^2 / L) memory.  The
+explicit DAG is read only by the oracles (gamma, kappa_fd, the enumerators
+and kappa1_graph).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -251,20 +258,26 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     recurrent matrix; summing the time-ordered pairs gives, with h_s the
     squared net's layer-i values and delta_s = d(sum of outputs)/d h_s,
 
-        kappa2[j, k] = C * A[j, k] * sum_u delta_(u+2)[j] * Z_u[k, j],
-        Z_u = sum_(s<=u) diag(h_s) A^(u-s),
+        kappa2[j, k] = C * A[j, k] * accT[k, j],
+        accT = sum_(s<=u) diag(h_s) A^(u-s) diag(delta_(u+2)),
 
-    with u from 0 to T-3 (0-based steps) and C = CHRONO_PAIR_COEFF.  Z obeys
-    the running sum Z_u = Z_(u-1) A + diag(h_u), so no matrix power is
-    formed.  Cost per layer: O(T H^3).  h and delta come from the squared
-    pass that also gives kappa1 (each (T, 1, H_i), read as (T, H_i));
-    ``states`` may carry that pass's (h, delta), otherwise the pass runs
-    here.
+    with s, u from 0 to n-1, n = T-2 (0-based steps), and
+    C = CHRONO_PAIR_COEFF.  accT is computed exactly in blocks of
+    L = min(n, floor(sqrt(2 H))) steps, with the powers P_r = A^r for
+    r <= L: pairs inside a block are L products P_d * (h^T delta) over
+    step pairs d apart, flattened across blocks; pairs across blocks go
+    through the state Z carried from block to block, Z <- Z P_L + V_b, and
+    add Z M_b, where V_b collects block b's sources and M_b its sinks (one
+    batched product each over all blocks).  Cost per layer
+    O(T H^3 / L + T L H^2) = O(T H^2.5); V and M take O(T H^2 / L) memory.
+    h and delta come from the squared pass that also gives kappa1 (each
+    (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
+    (h, delta), otherwise the pass runs here.
     """
     spec = layout.spec
-    T = spec.length
+    n = spec.length - 2
     out = np.zeros(layout.m)
-    if T < 3 or not layout.has_recurrent:
+    if n < 1 or not layout.has_recurrent:
         return out
     if states is None:
         k1, states = _squared_pass(layout, p)
@@ -274,16 +287,35 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     pt = np.square(np.asarray(p, dtype=float))
     for i in range(1, spec.depth):
         A = layout.view(pt, f"rec{i}")
-        h_i, d_i = h[i][:, 0], delta[i][:, 0]
-        acc = np.zeros_like(A)
-        Z = np.zeros_like(A)
-        diag = np.arange(A.shape[0])
-        for u in range(T - 2):
-            Z = Z @ A
-            Z[diag, diag] += h_i[u]
-            acc += d_i[u + 2][:, None] * Z.T
+        H = A.shape[0]
+        L = min(n, math.isqrt(2 * H))
+        nb = -(-n // L)
+        # Steps zero-padded to whole blocks: hb[b, q] = h_(bL+q),
+        # db[b, r] = delta_(bL+r+2).
+        hb = np.zeros((nb * L, H))
+        db = np.zeros((nb * L, H))
+        hb[:n] = h[i][:n, 0]
+        db[:n] = delta[i][2:, 0]
+        hb = hb.reshape(nb, L, H)
+        db = db.reshape(nb, L, H)
+        P = np.empty((L + 1, H, H))
+        P[0] = np.eye(H)
+        for r in range(L):
+            np.matmul(P[r], A, out=P[r + 1])
+        accT = np.zeros((H, H))
+        for d in range(L):
+            accT += P[d] * (hb[:, :L - d].reshape(-1, H).T @ db[:, d:].reshape(-1, H))
+        # V[k, b, j] = sum_q hb[b, q, k] P_(L-1-q)[k, j]
+        V = np.matmul(hb.transpose(2, 0, 1), P[L - 1::-1].transpose(1, 0, 2))
+        # M[j, b, m] = sum_r P_(r+1)[m, j] db[b, r, j]
+        M = np.matmul(db.transpose(2, 0, 1), P[1:].transpose(2, 0, 1))
+        Z = V[:, 0]
+        for b in range(1, nb):
+            accT += Z @ M[:, b].T
+            if b < nb - 1:
+                Z = Z @ P[L] + V[:, b]
         sl, _ = layout.slices[f"rec{i}"]
-        out[sl] = (CHRONO_PAIR_COEFF * A * acc).reshape(-1)
+        out[sl] = (CHRONO_PAIR_COEFF * A * accT.T).reshape(-1)
     return out
 
 

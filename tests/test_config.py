@@ -145,6 +145,25 @@ def test_checkpoint_roundtrip_exact(tmp_path, rng):
     assert np.array_equal(opt2.m2, opt.m2)
 
 
+def test_checkpoint_number_text(tmp_path):
+    """Parameters and moments are written as %.17g text, pinned byte for
+    byte on values whose shortest repr differs, on -0 and on subnormals."""
+    layout = layout_for(1, (1,), 1, 2)  # m = 4
+    awkward = [0.1, 1 / 3, 1e-300, -0.0, 5e-324]
+    text = ["0.10000000000000001", "0.33333333333333331", "1e-300", "-0",
+            "4.9406564584124654e-324"]
+    p = np.array(awkward[:4])
+    opt = OptimizerState(kind="path_adam", m1=np.array(awkward[1:]),
+                         m2=np.array(awkward[:2] + awkward[3:]))
+    save_checkpoint(tmp_path / "ck.txt", 3, layout, p, opt)
+    lines = (tmp_path / "ck.txt").read_text().splitlines()
+    at = lines.index("m 4") + 1
+    assert lines[at:] == (text[:4] + ["moments"] + text[1:] + text[:2] + text[3:]
+                          + ["end"])
+    _, q, opt2 = load_checkpoint(tmp_path / "ck.txt", layout)
+    assert q.tobytes() == p.tobytes() and opt2.m1.tobytes() == opt.m1.tobytes()
+
+
 def test_checkpoint_without_moments(tmp_path):
     layout = layout_for(1, (2,), 1, 2)
     p = np.linspace(-1, 1, layout.m)
@@ -193,15 +212,16 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     before = path.read_bytes()
 
     calls = []
-    real_fmt = cfgmod._fmt
+    real_fmt_array = cfgmod._fmt_array
 
-    def fail_midway(x):
-        calls.append(1)
-        if len(calls) > 10:
-            raise OSError("disk full")
-        return real_fmt(x)
+    def fail_midway(a):
+        for text in real_fmt_array(a):
+            calls.append(1)
+            if len(calls) > 10:
+                raise OSError("disk full")
+            yield text
 
-    monkeypatch.setattr(cfgmod, "_fmt", fail_midway)
+    monkeypatch.setattr(cfgmod, "_fmt_array", fail_midway)
     with pytest.raises(OSError):
         save_checkpoint(path, 8, layout, -p, OptimizerState(kind="path_sgd"))
     assert len(calls) > 10

@@ -146,8 +146,11 @@ def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
 def test_kappa_matches_fd_at_long_unroll(rng):
     """kappa1 + kappa2 against the finite-difference oracle at T ~ 40.  The
     recurrent block is scaled so its squared matrix has spectral radius 1:
-    there kappa2 outweighs kappa1, so kappa1 alone must miss the oracle."""
-    for hidden in (2, 4, 6):
+    there kappa2 outweighs kappa1, so kappa1 alone must miss the oracle.
+    kappa2 runs in blocks of floor(sqrt(2H)) steps, 2 at H = 2 and 4 at
+    H = 8, so these lengths cover several blocks and partial last ones; at
+    H = 8, T = 5 the two pair steps are fewer than one block."""
+    for hidden in (2, 4, 6, 8):
         spec = RnnSpec(int(rng.integers(1, 3)), (hidden,), int(rng.integers(1, 3)),
                        int(rng.integers(38, 43)), bias=bool(rng.integers(0, 2)))
         net = build_rnn(spec)
@@ -159,6 +162,10 @@ def test_kappa_matches_fd_at_long_unroll(rng):
         fd = pathnorm.kappa_fd(net, p)
         assert rel_gap(k1 + pathnorm.kappa2(net.rnn, p), fd, floor=1.0) < 1e-4
         assert rel_gap(k1, fd, floor=1.0) > 0.5
+    net = build_rnn(RnnSpec(1, (8,), 1, 5, bias=True))
+    p = rng.uniform(-1.0, 1.0, net.num_params)
+    kappa = pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
+    assert rel_gap(kappa, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-4
 
 
 def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
