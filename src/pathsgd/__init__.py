@@ -23,7 +23,6 @@ from .graph import (
 from .invariance import NodeScaling, apply_rescaling, is_feasible, random_rescaling
 from .optim import (
     OptimizerState,
-    TrainConfig,
     TrainResult,
     adam_step,
     path_adam_step,
@@ -52,7 +51,6 @@ __all__ = [
     "RnnLayout",
     "RnnSpec",
     "SharedWeightNet",
-    "TrainConfig",
     "TrainResult",
     "adam_step",
     "apply_rescaling",

@@ -116,14 +116,6 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "config.txt", config_text(cfg).splitlines())
 
-    tc = optim.TrainConfig(steps=cfg.steps, batch_size=cfg.batch_size,
-                           eval_interval=cfg.eval_interval, seed=cfg.seed,
-                           kappa_every=cfg.kappa_every,
-                           target_loss=cfg.target_loss,
-                           target_test_metric=cfg.target_test_metric,
-                           record_kappa_ratio=cfg.record_kappa_ratio,
-                           timing=cfg.timing)
-
     print(metrics_header(cfg.record_kappa_ratio))
 
     def on_eval(row, pp, oo):
@@ -134,7 +126,7 @@ def cmd_train(args) -> int:
             save_checkpoint(out / f"checkpoint_{row['step']}.txt",
                             row["step"], layout, pp, oo)
 
-    result = optim.train_loop(layout, task, tc, p, opt,
+    result = optim.train_loop(layout, task, cfg, p, opt,
                               start_step=start_step, on_eval=on_eval)
     write_metrics(out / "metrics.csv", result.history, cfg.record_kappa_ratio,
                   earlier)

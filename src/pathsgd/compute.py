@@ -172,51 +172,39 @@ def loss_grad(outputs: np.ndarray, target, kind: str = "mse") -> np.ndarray:
     raise ComputeError(f"unknown loss kind {kind!r}")
 
 
-def _readout_ids(net: SharedWeightNet, readout) -> np.ndarray:
-    if readout is None:
-        return np.arange(len(net.output_ids))
-    return np.asarray(readout, dtype=int)
-
-
 def batch_loss(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
-               activation: str = "relu", readout=None) -> float:
-    """Mean loss over (x, target) pairs; readout selects which output
-    coordinates feed the loss (default: all)."""
-    sel = _readout_ids(net, readout)
+               activation: str = "relu") -> float:
+    """Mean loss over (x, target) pairs."""
     total = 0.0
     for x, target in batch:
         outputs, _ = forward(net, p, x, activation)
-        total += loss(outputs[sel], target, kind)
+        total += loss(outputs, target, kind)
     return total / len(batch)
 
 
 def grad(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
-         activation: str = "relu", readout=None) -> np.ndarray:
+         activation: str = "relu") -> np.ndarray:
     """Mean gradient of the loss over a batch of (x, target) pairs."""
     if not batch:
         raise ComputeError("grad: empty batch")
-    sel = _readout_ids(net, readout)
     dp = np.zeros(net.num_params)
     for x, target in batch:
         outputs, trace = forward(net, p, x, activation)
-        d_sel = loss_grad(outputs[sel], target, kind)
-        d_out = np.zeros(len(net.output_ids))
-        d_out[sel] = d_sel
-        dp += backprop(net, p, trace, d_out, activation)
+        dp += backprop(net, p, trace, loss_grad(outputs, target, kind), activation)
     return dp / len(batch)
 
 
 def finite_diff_grad(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
-                     step: float = 1e-5, activation: str = "relu", readout=None) -> np.ndarray:
+                     step: float = 1e-5, activation: str = "relu") -> np.ndarray:
     """Central-difference gradient of the batch loss; the gradient oracle."""
     p = _check_params(p, net.num_params)
     g = np.zeros(net.num_params)
     for i in range(net.num_params):
         pp = p.copy()
         pp[i] = p[i] + step
-        fp = batch_loss(net, pp, batch, kind, activation, readout)
+        fp = batch_loss(net, pp, batch, kind, activation)
         pp[i] = p[i] - step
-        fm = batch_loss(net, pp, batch, kind, activation, readout)
+        fm = batch_loss(net, pp, batch, kind, activation)
         g[i] = (fp - fm) / (2.0 * step)
     return g
 

@@ -49,7 +49,6 @@ class RunConfig:
     optimizer: str = "path_sgd"
     lr: float = 1e-3
     kappa_mode: str = "k1"
-    kappa_every: int = 1
     epsilon: float = 1e-8
     init: str = "uniform"
     init_range: float = 0.1
@@ -84,15 +83,10 @@ class RunConfig:
             raise ConfigError("steps must be >= 0")
         if self.lr <= 0 or self.epsilon <= 0 or self.init_range <= 0:
             raise ConfigError("lr, epsilon and init_range must be positive")
-        if self.kappa_every < 1:
-            raise ConfigError("kappa_every must be >= 1")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be >= 0")
-        if self.checkpoint_interval:
-            if self.checkpoint_interval % self.eval_interval != 0:
-                raise ConfigError("checkpoint_interval must be a multiple of eval_interval")
-            if self.kappa_every != 1 and self.checkpoint_interval % self.kappa_every != 0:
-                raise ConfigError("checkpoint_interval must be a multiple of kappa_every")
+        if self.checkpoint_interval and self.checkpoint_interval % self.eval_interval != 0:
+            raise ConfigError("checkpoint_interval must be a multiple of eval_interval")
         if self.init_ranges:
             ranges = parse_block_ranges(self.init_ranges)
             if self.init != "uniform":

@@ -189,10 +189,6 @@ class SharedWeightNet:
         """Node index from (layer, unit, time) coordinates."""
         return self._coord[(layer, unit, time)]
 
-    def weights(self, p: np.ndarray) -> np.ndarray:
-        """Per-edge weight vector w_e = p[param_of_edge[e]]."""
-        return np.asarray(p)[np.asarray(self.param_of_edge)]
-
 
 def build_rnn(spec: RnnSpec) -> SharedWeightNet:
     """Unroll an RNN spec into a shared-weight DAG.

@@ -5,11 +5,15 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import pathnorm
 from .graph import GraphError, RnnLayout
+
+if TYPE_CHECKING:
+    from .config import RunConfig
 
 DEFAULT_EPS = 1e-8
 DIVERGE_LOSS = 1e6
@@ -104,11 +108,8 @@ def sgd_step(p: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
 def path_sgd_step(layout: RnnLayout, p: np.ndarray, g: np.ndarray, eta: float,
                   kappa_mode: str = "k1", eps: float = DEFAULT_EPS,
                   kappa: np.ndarray | None = None) -> np.ndarray:
-    """p - eta * g / max(kappa, eps), with kappa evaluated at the current p.
-
-    Pass a precomputed ``kappa`` only to amortize recomputation across steps;
-    by default it is computed fresh here so it can never be stale.
-    """
+    """p - eta * g / max(kappa, eps), with kappa evaluated at the current p
+    unless the caller passes it."""
     if kappa is None:
         kappa = pathnorm.preconditioner(layout, p, kappa_mode)
     return p - eta * g / np.maximum(kappa, eps)
@@ -159,25 +160,6 @@ def apply_update(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
 
 
 @dataclass
-class TrainConfig:
-    steps: int = 1000
-    batch_size: int = 32
-    eval_interval: int = 100
-    seed: int = 0
-    kappa_every: int = 1            # recompute kappa every k steps
-    target_loss: float | None = None
-    target_test_metric: float | None = None
-    record_kappa_ratio: bool = False
-    timing: bool = False            # wall_ms per eval row; off keeps output deterministic
-
-    def check(self):
-        if self.steps < 0 or self.batch_size < 1:
-            raise GraphError("steps must be >= 0 and batch_size >= 1")
-        if self.eval_interval < 1 or self.kappa_every < 1:
-            raise GraphError("eval_interval and kappa_every must be >= 1")
-
-
-@dataclass
 class TrainResult:
     status: str                     # converged | budget_exhausted | diverged
     params: np.ndarray
@@ -196,7 +178,7 @@ def _loss_divergence(loss: float) -> str:
     return ""
 
 
-def train_loop(layout: RnnLayout, task, config: TrainConfig, p: np.ndarray,
+def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
                opt: OptimizerState, start_step: int = 0,
                on_eval=None) -> TrainResult:
     """Minibatch training with periodic evaluation.
@@ -204,20 +186,26 @@ def train_loop(layout: RnnLayout, task, config: TrainConfig, p: np.ndarray,
     Each step draws its batch from an RNG keyed by (seed, step), evaluates the
     loss and gradient at the pre-update parameters, records a history row when
     the step index is a multiple of eval_interval, then applies the update.
-    A final row is recorded at the step budget.  Resuming from (p, opt,
-    start_step) therefore reproduces the uninterrupted run exactly.
+    Path kinds divide by kappa taken at those same parameters.  A final row
+    is recorded at the step budget.  Nothing but (p, opt) carries from one
+    step to the next, so resuming from (p, opt, start_step) at any step
+    reproduces the uninterrupted run exactly.
+
+    config is the run's RunConfig, validated again here.  The loop reads
+    steps, batch_size, eval_interval, seed, target_loss, target_test_metric,
+    record_kappa_ratio and timing from it; the optimizer settings come from
+    opt.
 
     A diverged run stops with a named reason: a non-finite or huge loss, a
     non-finite kappa (checked before the update) or non-finite parameters
     (checked after it).  The returned params and steps_done are then those
     of the last finite state, so the final checkpoint stays loadable.
     """
-    config.check()
+    config.validate()
     p = np.asarray(p, dtype=float).copy()
     status = "budget_exhausted"
     reason = ""
     history: list[dict] = []
-    kappa_cache: np.ndarray | None = None
     t0 = time.perf_counter()
 
     def eval_row(step: int, loss: float, metric: float) -> dict:
@@ -251,12 +239,13 @@ def train_loop(layout: RnnLayout, task, config: TrainConfig, p: np.ndarray,
         if config.target_loss is not None and loss <= config.target_loss:
             status = "converged"
             break
-        if opt.uses_kappa and (step % config.kappa_every == 0 or kappa_cache is None):
-            kappa_cache = pathnorm.preconditioner(layout, p, opt.kappa_mode)
-            if not np.all(np.isfinite(kappa_cache)):
+        kappa = None
+        if opt.uses_kappa:
+            kappa = pathnorm.preconditioner(layout, p, opt.kappa_mode)
+            if not np.all(np.isfinite(kappa)):
                 reason = "non-finite kappa"
                 break
-        p_new, opt_new = apply_update(layout, p, g, opt, kappa=kappa_cache)
+        p_new, opt_new = apply_update(layout, p, g, opt, kappa=kappa)
         if not np.all(np.isfinite(p_new)):
             reason = "non-finite parameters"
             break

@@ -28,22 +28,12 @@ def _rel(a, b, floor):
 
 
 def test_criterion_01_gamma_oracle(capsys):
-    rng = np.random.default_rng(101)
     t0 = time.time()
-    worst, n = 0.0, 0
-    while n < 60:
-        net = verify.random_net(rng)
-        if pathnorm.count_paths(net) > 10**6:
-            continue
-        p = verify.random_params(net, rng)
-        fast = pathnorm.gamma_recursive(net, p)
-        slow = pathnorm.gamma_bruteforce(net, p)
-        worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-12))
-        n += 1
+    res = verify.check_gamma_oracle(np.random.default_rng(101), 60)
     dt = time.time() - t0
-    ok = worst <= 1e-10 and dt < 10.0
+    ok = res.passed and dt < 10.0
     _report(capsys, 1, "gamma recursive vs brute-force enumeration", ok,
-            f"worst rel gap {worst:.3e} (tol 1e-10) on {n} nets in {dt:.1f}s (budget 10s)")
+            f"worst rel gap {res.worst:.3e} (tol 1e-10) on {res.n} nets in {dt:.1f}s (budget 10s)")
 
 
 def test_criterion_02_kappa_decomposition(capsys):

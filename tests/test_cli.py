@@ -181,6 +181,13 @@ def test_train_bad_override(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_rejects_kappa_every(tmp_path, capsys):
+    old = tmp_path / "config.txt"
+    old.write_text("task = addition\nkappa_every = 1\n")
+    assert run_cli("train", "--config", str(old), "--set", f"out_dir={tmp_path}") == 1
+    assert "unknown config key 'kappa_every'" in capsys.readouterr().err
+
+
 def test_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PATHSGD_OUT_DIR", str(tmp_path / "envrun"))
     assert run_cli("train", *TINY, "--set", "steps=5",

@@ -112,15 +112,6 @@ def test_parse_block_ranges():
                            "task": "addition"})
 
 
-def test_checkpoint_interval_must_align_with_kappa_every():
-    with pytest.raises(ConfigError):
-        load_config(None, {"checkpoint_interval": "100", "eval_interval": "50",
-                           "kappa_every": "3"})
-    cfg = load_config(None, {"checkpoint_interval": "100", "eval_interval": "50",
-                             "kappa_every": "4"})
-    assert cfg.checkpoint_interval == 100
-
-
 def test_config_text_roundtrip(tmp_path):
     cfg = load_config(None, {"task": "charlm", "hidden": "16,8", "bias": "true",
                              "target_test_metric": "1.5"})

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from pathsgd import optim, pathnorm, tasks
+from pathsgd.config import ConfigError, RunConfig, load_checkpoint, save_checkpoint
 from pathsgd.graph import GraphError, RnnLayout, RnnSpec
-from pathsgd.optim import OptimizerState, TrainConfig
+from pathsgd.optim import OptimizerState
 
 # Addition at T = 2 through one hidden unit: p = (w_value, w_mask, w_rec,
 # w_out).  The target x_1 + x_2 is exactly representable, so path-SGD drives
@@ -175,19 +176,15 @@ def test_apply_update_dispatch(single_unit_t2, rng):
         assert np.all(np.isfinite(out))
 
 
-def test_train_config_validation():
-    with pytest.raises(GraphError):
-        TrainConfig(steps=-1).check()
-    with pytest.raises(GraphError):
-        TrainConfig(batch_size=0).check()
-    with pytest.raises(GraphError):
-        TrainConfig(eval_interval=0).check()
-    with pytest.raises(GraphError):
-        TrainConfig(kappa_every=0).check()
+def test_train_loop_validates_config():
+    for bad in ({"steps": -1}, {"batch_size": 0}, {"eval_interval": 0}):
+        with pytest.raises(ConfigError):
+            optim.train_loop(TINY, tiny_task(), RunConfig(**bad), TINY_P0,
+                             OptimizerState(kind="sgd", eta=0.1))
 
 
 def test_train_loop_zero_steps_records_initial_row():
-    res = optim.train_loop(TINY, tiny_task(), TrainConfig(steps=0), TINY_P0,
+    res = optim.train_loop(TINY, tiny_task(), RunConfig(steps=0), TINY_P0,
                            OptimizerState(kind="sgd", eta=0.1))
     assert res.status == "budget_exhausted"
     assert res.steps_done == 0
@@ -196,8 +193,8 @@ def test_train_loop_zero_steps_records_initial_row():
 
 
 def test_train_loop_path_sgd_converges():
-    cfg = TrainConfig(steps=1000, batch_size=8, eval_interval=50,
-                      target_loss=1e-8)
+    cfg = RunConfig(steps=1000, batch_size=8, eval_interval=50,
+                    target_loss=1e-8)
     res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
                            OptimizerState(kind="path_sgd", eta=0.2))
     assert res.status == "converged"
@@ -206,7 +203,7 @@ def test_train_loop_path_sgd_converges():
 
 
 def test_train_loop_history_agrees_with_metric_stream():
-    cfg = TrainConfig(steps=20, eval_interval=5, batch_size=4)
+    cfg = RunConfig(steps=20, eval_interval=5, batch_size=4)
     res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
                            OptimizerState(kind="sgd", eta=0.05))
     assert [r["step"] for r in res.history] == [0, 5, 10, 15, 20]
@@ -217,7 +214,7 @@ def test_train_loop_history_agrees_with_metric_stream():
 
 
 def test_train_loop_divergence_has_no_nan_rows():
-    cfg = TrainConfig(steps=200, eval_interval=10, batch_size=4)
+    cfg = RunConfig(steps=200, eval_interval=10, batch_size=4)
     res = optim.train_loop(TINY, tiny_task(), cfg, np.full(4, 0.3),
                            OptimizerState(kind="sgd", eta=30.0))
     assert res.status == "diverged"
@@ -232,7 +229,7 @@ def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
     monkeypatch.setattr(pathnorm, "preconditioner",
                         lambda layout, p, mode: np.full(layout.m, np.inf))
-    res = optim.train_loop(layout, task, TrainConfig(steps=5, eval_interval=1),
+    res = optim.train_loop(layout, task, RunConfig(steps=5, eval_interval=1),
                            p0, OptimizerState(kind="path_sgd", eta=0.01))
     assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite kappa", 0)
     assert [r["step"] for r in res.history] == [0]
@@ -247,13 +244,13 @@ def test_train_loop_non_finite_params_end_run(monkeypatch):
         return (p * np.inf if state.t >= 3 else p), state
 
     monkeypatch.setattr(optim, "apply_update", blow_up)
-    res = optim.train_loop(TINY, tiny_task(), TrainConfig(steps=10, eval_interval=100),
+    res = optim.train_loop(TINY, tiny_task(), RunConfig(steps=10, eval_interval=100),
                            TINY_P0, OptimizerState(kind="adam", eta=0.01))
     assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite parameters", 2)
     assert np.all(np.isfinite(res.params)) and res.opt.t == 2
 
 
-def test_train_loop_kappa_every_amortizes(monkeypatch):
+def test_train_loop_kappa_at_every_step(monkeypatch):
     calls = []
     real = pathnorm.preconditioner
 
@@ -263,26 +260,29 @@ def test_train_loop_kappa_every_amortizes(monkeypatch):
 
     task = tiny_task()
     monkeypatch.setattr(pathnorm, "preconditioner", spy)
-    cfg = TrainConfig(steps=6, eval_interval=100, kappa_every=3, batch_size=2)
-    optim.train_loop(TINY, task, cfg, TINY_P0,
-                     OptimizerState(kind="path_sgd", eta=0.01))
-    assert len(calls) == 2
-
-    calls.clear()
-    cfg = TrainConfig(steps=6, eval_interval=100, kappa_every=1, batch_size=2)
-    optim.train_loop(TINY, task, cfg, TINY_P0,
-                     OptimizerState(kind="path_sgd", eta=0.01))
+    cfg = RunConfig(steps=6, eval_interval=100, batch_size=2)
+    p = TINY_P0
+    res = optim.train_loop(TINY, task, cfg, p, OptimizerState(kind="path_sgd", eta=0.01))
     assert len(calls) == 6
+    # each call sees the pre-update parameters of its step
+    for step, seen in enumerate(calls):
+        batch = task.train_batch(optim.rng_for(cfg.seed, optim.STREAM_DATA, step),
+                                 cfg.batch_size)
+        assert np.array_equal(seen, p)
+        _, g, _ = task.loss_and_grad(TINY, p, batch)
+        # pass kappa so the replay does not call the spy
+        p = optim.path_sgd_step(TINY, p, g, 0.01, kappa=real(TINY, p, "k1"))
+    assert np.array_equal(res.params, p)
 
 
 def test_train_loop_resume_matches_uninterrupted():
     task = tiny_task()
-    full = optim.train_loop(TINY, task, TrainConfig(steps=40, eval_interval=10),
+    full = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=10),
                             TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
 
-    half = optim.train_loop(TINY, task, TrainConfig(steps=20, eval_interval=10),
+    half = optim.train_loop(TINY, task, RunConfig(steps=20, eval_interval=10),
                             TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
-    resumed = optim.train_loop(TINY, task, TrainConfig(steps=40, eval_interval=10),
+    resumed = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=10),
                                half.params, half.opt, start_step=20)
     assert np.array_equal(resumed.params, full.params)
     assert resumed.history == full.history[2:]
@@ -290,13 +290,46 @@ def test_train_loop_resume_matches_uninterrupted():
 
 def test_train_loop_resume_adam_state():
     task = tiny_task()
-    full = optim.train_loop(TINY, task, TrainConfig(steps=30, eval_interval=15),
+    full = optim.train_loop(TINY, task, RunConfig(steps=30, eval_interval=15),
                             TINY_P0, OptimizerState(kind="adam", eta=0.05))
-    half = optim.train_loop(TINY, task, TrainConfig(steps=15, eval_interval=15),
+    half = optim.train_loop(TINY, task, RunConfig(steps=15, eval_interval=15),
                             TINY_P0, OptimizerState(kind="adam", eta=0.05))
-    resumed = optim.train_loop(TINY, task, TrainConfig(steps=30, eval_interval=15),
+    resumed = optim.train_loop(TINY, task, RunConfig(steps=30, eval_interval=15),
                                half.params, half.opt, start_step=15)
     assert np.array_equal(resumed.params, full.params)
     assert np.array_equal(resumed.opt.m1, full.opt.m1)
     assert np.array_equal(resumed.opt.m2, full.opt.m2)
     assert resumed.opt.t == full.opt.t
+
+
+# T = 4 so kappa2 is not zero; eval rows at 0, 3, 6, 9 and the budget.
+RESUME_LAYOUT = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 4))
+
+
+@pytest.mark.parametrize("kappa_mode", pathnorm.KAPPA_MODES)
+@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+def test_train_loop_resume_at_every_step(tmp_path, kind, kappa_mode):
+    task = tasks.AdditionTask(length=4, eval_size=8)
+    p0 = optim.init_uniform(RESUME_LAYOUT, optim.rng_for(0, optim.STREAM_INIT), 0.3)
+    opt0 = OptimizerState(kind=kind, eta=0.01, kappa_mode=kappa_mode)
+    cfg = RunConfig(steps=10, eval_interval=3, batch_size=4)
+    full = optim.train_loop(RESUME_LAYOUT, task, cfg, p0, opt0)
+    assert full.status == "budget_exhausted"
+    save_checkpoint(tmp_path / "full.txt", 10, RESUME_LAYOUT, full.params, full.opt)
+    for s in range(1, 10):
+        half_cfg = RunConfig(steps=s, eval_interval=3, batch_size=4)
+        half = optim.train_loop(RESUME_LAYOUT, task, half_cfg, p0, opt0)
+        save_checkpoint(tmp_path / "half.txt", s, RESUME_LAYOUT, half.params, half.opt)
+        start, p, opt = load_checkpoint(tmp_path / "half.txt", RESUME_LAYOUT)
+        resumed = optim.train_loop(RESUME_LAYOUT, task, cfg, p, opt, start_step=start)
+        assert np.array_equal(resumed.params, full.params)
+        assert resumed.opt.t == full.opt.t
+        for got, want in ((resumed.opt.m1, full.opt.m1), (resumed.opt.m2, full.opt.m2)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+        # the rows a resume into the same out_dir keeps, then the resumed ones
+        kept = [r for r in half.history if r["step"] < s]
+        assert kept + resumed.history == full.history
+        save_checkpoint(tmp_path / "resumed.txt", 10, RESUME_LAYOUT,
+                        resumed.params, resumed.opt)
+        assert ((tmp_path / "resumed.txt").read_bytes()
+                == (tmp_path / "full.txt").read_bytes())
