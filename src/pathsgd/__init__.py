@@ -1,4 +1,4 @@
-"""Path-normalized training for ReLU RNNs and other shared-weight networks.
+"""Path-normalized training for ReLU RNNs (an MLP is the RNN at T = 1).
 
 An unrolled RNN is modelled by its RnnLayout, a map from weight matrices to
 slices of one parameter vector.  The package computes the path-regularizer
@@ -15,7 +15,6 @@ from .graph import (
     RnnLayout,
     RnnSpec,
     SharedWeightNet,
-    build_feedforward,
     build_rnn,
     edges_for_param,
     validate,
@@ -55,7 +54,6 @@ __all__ = [
     "adam_step",
     "apply_rescaling",
     "backprop",
-    "build_feedforward",
     "build_rnn",
     "edges_for_param",
     "forward",

@@ -155,8 +155,8 @@ def cmd_verify(args) -> int:
 def cmd_kappa_ratio(args) -> int:
     hiddens = [int(tok) for tok in args.hidden.split(",")]
     lengths = [int(tok) for tok in args.lengths.split(",")]
-    if any(h < 1 for h in hiddens) or any(t < 1 for t in lengths):
-        raise ConfigError("hidden sizes and lengths must be positive")
+    if any(h < 1 for h in hiddens) or any(t < 1 for t in lengths) or args.seeds < 1:
+        raise ConfigError("hidden sizes, lengths and seeds must be positive")
     rows = []
     print("hidden,length,mean_ratio,sd_ratio")
     for h in hiddens:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .graph import RnnLayout, SharedWeightNet
 
-ACTIVATIONS = ("relu", "tanh", "identity")
+ACTIVATIONS = ("relu", "identity")
 
 # Steps per block of a trace-free rnn_forward.  Larger blocks mean fewer,
 # larger input and output projections but bigger per-layer buffers; at 32
@@ -38,6 +38,11 @@ BLOCK = 8
 
 class ComputeError(ValueError):
     pass
+
+
+def _check_activation(activation: str) -> None:
+    if activation not in ACTIVATIONS:
+        raise ComputeError(f"unknown activation {activation!r}")
 
 
 def _check_params(p: np.ndarray, m: int) -> np.ndarray:
@@ -75,8 +80,7 @@ def forward(net: SharedWeightNet, p: np.ndarray, x: np.ndarray,
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape[0] != len(net.input_ids):
         raise ComputeError(f"input: expected {len(net.input_ids)} coordinates, got {x.shape[0]}")
-    if activation not in ACTIVATIONS:
-        raise ComputeError(f"unknown activation {activation!r}")
+    _check_activation(activation)
 
     values = np.zeros(net.num_nodes)
     pre = np.zeros(net.num_nodes)
@@ -94,10 +98,8 @@ def forward(net: SharedWeightNet, p: np.ndarray, x: np.ndarray,
         pre[node.idx] = z
         if node.kind == "output" or activation == "identity":
             values[node.idx] = z
-        elif activation == "relu":
+        else:
             values[node.idx] = z if z > 0.0 else 0.0
-        else:  # tanh
-            values[node.idx] = np.tanh(z)
 
     trace = ActivationTrace(values=values, pre=pre, active=pre > 0.0)
     outputs = values[np.asarray(net.output_ids)]
@@ -113,6 +115,7 @@ def backprop(net: SharedWeightNet, p: np.ndarray, trace: ActivationTrace,
     derivative at internal nodes regardless of the trace mask (used for the
     squared-weight network, where the function is a polynomial).
     """
+    _check_activation(activation)
     p = np.asarray(p, dtype=float)
     d_outputs = np.asarray(d_outputs, dtype=float).reshape(-1)
     dval = np.zeros(net.num_nodes)
@@ -125,10 +128,8 @@ def backprop(net: SharedWeightNet, p: np.ndarray, trace: ActivationTrace,
             continue
         if node.kind == "output" or activation == "identity":
             dpre = dval[node.idx]
-        elif activation == "relu":
+        else:
             dpre = dval[node.idx] if trace.active[node.idx] else 0.0
-        else:  # tanh
-            dpre = dval[node.idx] * (1.0 - trace.values[node.idx] ** 2)
         if dpre == 0.0:
             continue
         for u, pi in net.incoming[node.idx]:
@@ -139,50 +140,33 @@ def backprop(net: SharedWeightNet, p: np.ndarray, trace: ActivationTrace,
 
 # --- losses ------------------------------------------------------------------
 
-def loss(outputs: np.ndarray, target, kind: str = "mse") -> float:
-    """Scalar loss over the designated output vector."""
+def loss(outputs: np.ndarray, target) -> float:
+    """Mean squared error over the designated output vector."""
     z = np.asarray(outputs, dtype=float).reshape(-1)
-    if kind == "mse":
-        t = np.asarray(target, dtype=float).reshape(-1)
-        if t.shape != z.shape:
-            raise ComputeError(f"mse: target shape {t.shape} != outputs shape {z.shape}")
-        return float(np.mean((z - t) ** 2))
-    if kind == "softmax_xent":
-        c = int(target)
-        if not 0 <= c < z.shape[0]:
-            raise ComputeError(f"softmax_xent: class {c} out of range [0, {z.shape[0]})")
-        zmax = np.max(z)
-        return float(zmax + np.log(np.sum(np.exp(z - zmax))) - z[c])
-    raise ComputeError(f"unknown loss kind {kind!r}")
+    t = np.asarray(target, dtype=float).reshape(-1)
+    if t.shape != z.shape:
+        raise ComputeError(f"mse: target shape {t.shape} != outputs shape {z.shape}")
+    return float(np.mean((z - t) ** 2))
 
 
-def loss_grad(outputs: np.ndarray, target, kind: str = "mse") -> np.ndarray:
-    """d(loss)/d(outputs) for the kinds in loss()."""
+def loss_grad(outputs: np.ndarray, target) -> np.ndarray:
+    """d(loss)/d(outputs)."""
     z = np.asarray(outputs, dtype=float).reshape(-1)
-    if kind == "mse":
-        t = np.asarray(target, dtype=float).reshape(-1)
-        return 2.0 * (z - t) / z.shape[0]
-    if kind == "softmax_xent":
-        c = int(target)
-        zs = z - np.max(z)
-        sm = np.exp(zs)
-        sm /= sm.sum()
-        sm[c] -= 1.0
-        return sm
-    raise ComputeError(f"unknown loss kind {kind!r}")
+    t = np.asarray(target, dtype=float).reshape(-1)
+    return 2.0 * (z - t) / z.shape[0]
 
 
-def batch_loss(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
+def batch_loss(net: SharedWeightNet, p: np.ndarray, batch,
                activation: str = "relu") -> float:
     """Mean loss over (x, target) pairs."""
     total = 0.0
     for x, target in batch:
         outputs, _ = forward(net, p, x, activation)
-        total += loss(outputs, target, kind)
+        total += loss(outputs, target)
     return total / len(batch)
 
 
-def grad(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
+def grad(net: SharedWeightNet, p: np.ndarray, batch,
          activation: str = "relu") -> np.ndarray:
     """Mean gradient of the loss over a batch of (x, target) pairs."""
     if not batch:
@@ -190,23 +174,15 @@ def grad(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
     dp = np.zeros(net.num_params)
     for x, target in batch:
         outputs, trace = forward(net, p, x, activation)
-        dp += backprop(net, p, trace, loss_grad(outputs, target, kind), activation)
+        dp += backprop(net, p, trace, loss_grad(outputs, target), activation)
     return dp / len(batch)
 
 
-def finite_diff_grad(net: SharedWeightNet, p: np.ndarray, batch, kind: str = "mse",
+def finite_diff_grad(net: SharedWeightNet, p: np.ndarray, batch,
                      step: float = 1e-5, activation: str = "relu") -> np.ndarray:
     """Central-difference gradient of the batch loss; the gradient oracle."""
     p = _check_params(p, net.num_params)
-    g = np.zeros(net.num_params)
-    for i in range(net.num_params):
-        pp = p.copy()
-        pp[i] = p[i] + step
-        fp = batch_loss(net, pp, batch, kind, activation)
-        pp[i] = p[i] - step
-        fm = batch_loss(net, pp, batch, kind, activation)
-        g[i] = (fp - fm) / (2.0 * step)
-    return g
+    return central_diff(lambda q: batch_loss(net, q, batch, activation), p, step)
 
 
 def central_diff(f, p: np.ndarray, step) -> np.ndarray:
@@ -237,7 +213,7 @@ class RnnTrace:
     contiguous (B, H_i) block: h[0] is the input block (T, B, input_dim) and
     h[i] for hidden layer i is (T, B, H_i).  y keeps the caller-facing
     (B, T, output_dim) shape (it may be a transposed view).  Pre-activations
-    are not kept: every activation's derivative is a function of its output.
+    are not kept: the ReLU mask is a function of the output.
     A trace-free forward (keep_trace=False) leaves h as None: it keeps only
     the current block of BLOCK steps per layer, so it has no trace to hand
     back.
@@ -245,14 +221,6 @@ class RnnTrace:
 
     h: list | None
     y: np.ndarray
-
-
-def _activate(z: np.ndarray, activation: str) -> None:
-    """Apply the activation to z in place."""
-    if activation == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif activation == "tanh":
-        np.tanh(z, out=z)
 
 
 def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
@@ -276,6 +244,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     if X.ndim != 3 or X.shape[1] != spec.length or X.shape[2] != spec.input_dim:
         raise ComputeError(
             f"rnn_forward: expected X of shape (B, {spec.length}, {spec.input_dim}), got {X.shape}")
+    _check_activation(activation)
+    relu = activation == "relu"
     B, T = X.shape[0], spec.length
     K = T if keep_trace else min(T, BLOCK)
     layers = range(1, spec.depth)
@@ -306,7 +276,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
             for s in range(k):
                 if WrecT is not None and t0 + s > 0:
                     blk[s] += np.matmul(buf[i][s], WrecT, out=tmp[i])
-                _activate(blk[s], activation)
+                if relu:
+                    np.maximum(blk[s], 0.0, out=blk[s])
             buf[i][0] = blk[-1]
             below = blk
         yb = y[t0:t0 + k]
@@ -315,16 +286,6 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
             yb += bout[:, 0]
     h = ([Xt] + [a[1:] for a in buf[1:]]) if keep_trace else None
     return RnnTrace(h=h, y=y.transpose(1, 0, 2))
-
-
-def _act_deriv(tr: RnnTrace, i: int, activation: str):
-    """The activation's derivative at layer i, or None for identity."""
-    # relu(z) > 0 exactly when z > 0, so the output gives the ReLU mask.
-    if activation == "relu":
-        return tr.h[i] > 0.0
-    if activation == "tanh":
-        return 1.0 - tr.h[i] ** 2
-    return None
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -343,6 +304,7 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     dL/d(pre-activation) of hidden layer i, time-major like tr.h[i]
     (dpre[0] is None).
     """
+    _check_activation(activation)
     spec = layout.spec
     p = np.asarray(p, dtype=float)
     dY = np.asarray(dY, dtype=float)
@@ -364,14 +326,16 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     for i in range(spec.depth - 1, 0, -1):
         Win = layout.view(p, f"in{i}")
         Wrec = layout.matrix(p, f"rec{i}")
-        deriv = _act_deriv(tr, i, activation)
+        # relu(z) > 0 exactly when z > 0, so the output gives the ReLU mask;
+        # the identity activation has no mask.
+        mask = tr.h[i] > 0.0 if activation == "relu" else None
         dpre = dh  # dh[t] is last read at step t, so dpre overwrites it
         tmp = np.empty_like(dpre[0])
         for t in range(T - 1, -1, -1):
             if Wrec is not None and t < T - 1:
                 dpre[t] += np.matmul(dpre[t + 1], Wrec, out=tmp)
-            if deriv is not None:
-                dpre[t] *= deriv[t]
+            if mask is not None:
+                dpre[t] *= mask[t]
         sl, _ = layout.slices[f"in{i}"]
         dp[sl] = _outer_sum(dpre, tr.h[i - 1]).reshape(-1)
         if Wrec is not None:

@@ -79,6 +79,10 @@ class RunConfig:
             raise ConfigError("hidden must list positive layer widths")
         if self.seq_len < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ConfigError("seq_len, batch_size and eval_interval must be >= 1")
+        if min(self.eval_size, self.data_size, self.image_size, self.num_classes) < 1:
+            raise ConfigError("eval_size, data_size, image_size and num_classes must be >= 1")
+        if not 0 < self.test_frac < 1:
+            raise ConfigError("test_frac must lie strictly between 0 and 1")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
         if self.lr <= 0 or self.epsilon <= 0 or self.init_range <= 0:

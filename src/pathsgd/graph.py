@@ -1,18 +1,18 @@
-"""Feedforward networks with shared weights, represented as DAGs with a
-parameter-index map.
+"""Stacked ReLU RNNs: the flat-parameter layout and the unrolled DAG.
 
-A network is a directed acyclic graph whose edge weights are drawn from a flat
-parameter vector p through an edge -> parameter-index map.  Recurrent networks
-are built by unrolling through time: the T copies of each weight matrix entry
-all map to the same parameter index.  Graphs are immutable after construction.
-Training runs on RnnLayout alone; the unrolled DAG serves the oracles, which
-compare the layout route with per-edge computation on small nets.
+An RNN is unrolled through time into a directed acyclic graph whose edge
+weights are drawn from a flat parameter vector p through an edge ->
+parameter-index map: the T copies of each weight matrix entry all map to
+the same parameter index.  A feedforward MLP is the case T = 1, where every
+parameter is used by exactly one edge.  Graphs are immutable after
+construction.  Training runs on RnnLayout alone; the unrolled DAG serves the
+oracles, which compare the layout route with per-edge computation on small
+nets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -30,7 +30,8 @@ class NodeRec:
     """One graph node with (layer, unit, time) coordinates.
 
     Coordinates let the rescaling machinery tie scalings of the same hidden
-    unit across all unrolled time steps.  Feedforward nodes carry time=0.
+    unit across all unrolled time steps.  Input, hidden and output nodes
+    carry times 1..T; the bias node carries time 0.
     """
 
     idx: int
@@ -252,38 +253,6 @@ def build_rnn(spec: RnnSpec) -> SharedWeightNet:
                 add_edge(coord[(BIAS_LAYER, 0, 0)], v, layout.param_index("bout", j, 0))
 
     return SharedWeightNet(nodes, edges, pidx, layout.m, rnn=layout)
-
-
-def build_feedforward(layer_dims: Iterable[int]) -> SharedWeightNet:
-    """Fully connected feedforward net with a one-to-one parameter map.
-
-    No weight sharing: every parameter index is used by exactly one edge.
-    Serves as the kappa2 == 0 control case.
-    """
-    dims = [int(n) for n in layer_dims]
-    if len(dims) < 2:
-        raise GraphError("build_feedforward: need at least 2 layers")
-    if any(n < 1 for n in dims):
-        raise GraphError("build_feedforward: all layer sizes must be >= 1")
-    L = len(dims) - 1
-
-    nodes: list[NodeRec] = []
-    for layer, n in enumerate(dims):
-        kind = "input" if layer == 0 else ("output" if layer == L else "internal")
-        for j in range(n):
-            nodes.append(NodeRec(len(nodes), kind, layer, j, 0))
-    coord = {(n.layer, n.unit): n.idx for n in nodes}
-
-    edges: list[tuple[int, int]] = []
-    pidx: list[int] = []
-    m = 0
-    for layer in range(1, L + 1):
-        for j in range(dims[layer]):
-            for k in range(dims[layer - 1]):
-                edges.append((coord[(layer - 1, k)], coord[(layer, j)]))
-                pidx.append(m)
-                m += 1
-    return SharedWeightNet(nodes, edges, pidx, m)
 
 
 def edges_for_param(net: SharedWeightNet, i: int) -> set[tuple[int, int]]:

@@ -42,8 +42,7 @@ def init_uniform(layout: RnnLayout, rng: np.random.Generator,
     global width.  Draws one value per parameter in packing order, so an
     empty or all-equal override reproduces the plain call bit for bit.
     """
-    if not per_block:
-        return rng.uniform(-half_width, half_width, size=layout.m)
+    per_block = per_block or {}
     unknown = sorted(set(per_block) - set(layout.slices))
     if unknown:
         raise GraphError(f"per-block init: unknown blocks {unknown}")

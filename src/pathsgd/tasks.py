@@ -200,6 +200,9 @@ class SeqClassTask:
         self.length = size * size
         full = synthetic_glyphs(n, size, num_classes, rng)
         self.train_set, self.test_set = split_stratified(full, test_frac, rng)
+        if not len(self.train_set) or not len(self.test_set):
+            raise GraphError(f"seqclass: {n} examples with test_frac = {test_frac} "
+                             "leave a split empty")
 
     def train_batch(self, rng: np.random.Generator, size: int) -> SeqClassSet:
         idx = rng.integers(0, len(self.train_set), size=size)

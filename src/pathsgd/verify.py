@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compute, invariance, optim, pathnorm
-from .graph import RnnLayout, RnnSpec, SharedWeightNet, build_feedforward, build_rnn
+from .graph import RnnLayout, RnnSpec, SharedWeightNet, build_rnn
 
 
 @dataclass
@@ -43,26 +43,22 @@ def random_spec(rng: np.random.Generator, max_hidden: int = 3,
         bias=bool(rng.integers(0, 2)))
 
 
+def _random_mlp(rng: np.random.Generator) -> SharedWeightNet:
+    """An MLP with 2 or 3 weight layers: the RNN unrolled for one step."""
+    depth = int(rng.integers(2, 4))
+    dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
+    return build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
+
+
 def random_net(rng: np.random.Generator, **kw) -> SharedWeightNet:
     """A small random net: an unrolled RNN or, sometimes, a plain MLP."""
     if rng.uniform() < 0.25:
-        depth = int(rng.integers(2, 4))
-        dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
-        return build_feedforward(dims)
+        return _random_mlp(rng)
     return build_rnn(random_spec(rng, **kw))
 
 
 def random_params(net: SharedWeightNet, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.5, 1.5, net.num_params)
-
-
-def kappa_terms(net: SharedWeightNet, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(kappa1, kappa2) of a net from ``random_net``: the layout closed
-    forms for an unrolled RNN, the squared-net backprop and pair
-    enumeration for any other DAG."""
-    if net.rnn is not None:
-        return pathnorm.kappa1(net.rnn, p), pathnorm.kappa2(net.rnn, p)
-    return pathnorm.kappa1_graph(net, p), pathnorm.kappa2_bruteforce(net, p)
 
 
 def _kink_free(net: SharedWeightNet, p: np.ndarray, batch, margin: float) -> bool:
@@ -113,8 +109,7 @@ def check_kappa_decomposition(rng, n, threshold=1e-4, kappa_scale=1.0) -> Proper
     for _ in range(n):
         net = random_net(rng)
         p = random_params(net, rng)
-        k1, k2 = kappa_terms(net, p)
-        total = kappa_scale * k1 + k2
+        total = kappa_scale * pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
         fd = pathnorm.kappa_fd(net, p)
         worst = max(worst, _rel(total, fd, 1.0))
     return PropertyResult("kappa-decomposition", worst <= threshold, worst, threshold, n)
@@ -136,9 +131,7 @@ def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
     """Without weight sharing, the interaction term vanishes identically."""
     worst = 0.0
     for _ in range(n):
-        depth = int(rng.integers(2, 4))
-        dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
-        net = build_feedforward(dims)
+        net = _random_mlp(rng)
         p = random_params(net, rng)
         worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
     return PropertyResult("feedforward-kappa2-zero", worst == 0.0, worst, 0.0, n,
@@ -223,7 +216,6 @@ def check_gradient(rng, n, threshold=1e-5) -> PropertyResult:
     worst = 0.0
     for _ in range(n):
         net = random_net(rng)
-        kind = "mse"
         out_dim = len(net.output_ids)
         batch = []
         for _ in range(2):
@@ -231,8 +223,8 @@ def check_gradient(rng, n, threshold=1e-5) -> PropertyResult:
             t = rng.standard_normal(out_dim)
             batch.append((x, t))
         p = sample_kink_free(net, rng, batch)
-        g = compute.grad(net, p, batch, kind=kind)
-        g_fd = compute.finite_diff_grad(net, p, batch, kind=kind)
+        g = compute.grad(net, p, batch)
+        g_fd = compute.finite_diff_grad(net, p, batch)
         worst = max(worst, float(np.max(np.abs(g - g_fd) /
                                         np.maximum(np.abs(g_fd), 1e-3))))
     return PropertyResult("gradient-check", worst <= threshold, worst, threshold, n)

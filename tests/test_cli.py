@@ -33,6 +33,19 @@ def test_train_writes_outputs(tmp_path, capsys):
     assert (out / "status.txt").read_text().strip() in ("budget_exhausted", "converged")
 
 
+@pytest.mark.parametrize("data", [
+    ["--set", "eval_size=0"],
+    ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=1"],
+])
+def test_train_rejects_empty_split_before_writing(tmp_path, capsys, data):
+    """A data setting that leaves a split empty exits 1 before out_dir exists."""
+    out = tmp_path / "run"
+    assert run_cli("train", *TINY, *data, "--set", f"out_dir={out}") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", [
     ["--set", "task=addition", "--set", "seq_len=5"],
     ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=64"],
@@ -225,6 +238,9 @@ def test_kappa_ratio_crosscheck(tmp_path, capsys):
 def test_kappa_ratio_bad_sizes(capsys):
     assert run_cli("kappa-ratio", "--hidden", "0", "--lengths", "3") == 1
     assert "error:" in capsys.readouterr().err
+    assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3", "--seeds", "0") == 1
+    captured = capsys.readouterr()
+    assert "seeds must be positive" in captured.err and not captured.out
 
 
 def test_kappa_ratio_zero_init(capsys):

@@ -92,6 +92,13 @@ def test_validate_rejections():
         {"checkpoint_interval": "-1"},
         {"checkpoint_interval": "150", "eval_interval": "100"},
         {"task": "linreg"},
+        {"eval_size": "0"},
+        {"data_size": "0"},
+        {"image_size": "0"},
+        {"num_classes": "0"},
+        {"test_frac": "0"},
+        {"test_frac": "1"},
+        {"test_frac": "-0.25"},
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pathsgd import graph
-from pathsgd.graph import RnnLayout, RnnSpec, build_feedforward, build_rnn
+from pathsgd.graph import RnnLayout, RnnSpec, build_rnn
 
 
 def test_single_unit_t2_counts(single_unit_t2):
@@ -57,19 +57,19 @@ def test_invalid_specs_rejected():
 
 
 def test_feedforward_one_to_one():
-    assert build_feedforward([2, 3, 1]).num_params == 9
-    assert build_feedforward([1, 1]).num_params == 1
-    net = build_feedforward([4, 4, 4, 4])
-    assert net.num_params == 48
+    """An MLP is the RNN at T = 1: no recurrent block, one edge per parameter."""
+    assert build_rnn(RnnSpec(2, (3,), 1, 1)).num_params == 9
+    assert build_rnn(RnnSpec(1, (1,), 1, 1)).num_params == 2
+    net = build_rnn(RnnSpec(4, (4, 4), 4, 1))
+    assert net.num_params == 48 and not net.rnn.has_recurrent
+    assert net.num_edges == net.num_params
     for i in range(net.num_params):
         assert len(graph.edges_for_param(net, i)) == 1
-    with pytest.raises(graph.GraphError):
-        build_feedforward([3])
 
 
 def test_edges_for_param_partitions_edges(rng):
     for net in [build_rnn(RnnSpec(2, (2,), 1, 3, bias=True)),
-                build_feedforward([2, 2, 2])]:
+                build_rnn(RnnSpec(2, (2,), 2, 1))]:
         seen = set()
         total = 0
         for i in range(net.num_params):
@@ -110,7 +110,6 @@ def test_validate_passes_on_builders(rng):
                        int(rng.integers(1, 5)),
                        bias=bool(rng.integers(0, 2)))
         assert graph.validate(build_rnn(spec)) is None
-    assert graph.validate(build_feedforward([3, 2, 1])) is None
 
 
 def test_validate_names_violations(single_unit_t2):

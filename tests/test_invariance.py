@@ -101,9 +101,7 @@ def test_untied_scaling_is_infeasible(single_unit_t2):
 
 
 def test_feedforward_any_node_scaling_feasible(rng):
-    from pathsgd.graph import build_feedforward
-
-    net = build_feedforward([2, 3, 2])
+    net = build_rnn(RnnSpec(2, (3,), 2, 1))
     beta = np.ones(net.num_nodes)
     for nd in net.nodes:
         if nd.kind == "internal":

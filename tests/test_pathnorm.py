@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, invariance, pathnorm, verify
-from pathsgd.graph import RnnLayout, RnnSpec, build_feedforward, build_rnn
+from pathsgd.graph import RnnLayout, RnnSpec, build_rnn
 
 
 def rel_gap(a, b, floor=1e-12):
@@ -67,9 +67,11 @@ def test_kappa_fd_hand_values(single_unit_t2, single_unit_t3):
 
 
 def test_kappa_fd_single_edge_independent_of_w():
-    net = build_feedforward([1, 1])
+    """1-1-1 MLP: gamma^2 = w_in^2 w_out^2, so kappa of w_in is w_out^2
+    whatever w_in is."""
+    net = build_rnn(RnnSpec(1, (1,), 1, 1))
     for w in (0.3, 1.0, -2.0):
-        assert np.allclose(pathnorm.kappa_fd(net, np.array([w])), [1.0],
+        assert np.allclose(pathnorm.kappa_fd(net, np.array([w, 1.0])), [1.0, w * w],
                            rtol=1e-8, atol=1e-8)
 
 
@@ -88,13 +90,12 @@ def test_kappa1_equals_per_edge_enumeration(rng):
         p = verify.random_params(net, rng)
         slow = pathnorm.kappa1_bruteforce(net, p)
         assert rel_gap(pathnorm.kappa1_graph(net, p), slow, floor=1e-9) < 1e-10
-        if net.rnn is not None:
-            assert rel_gap(pathnorm.kappa1(net.rnn, p), slow, floor=1e-9) < 1e-10
+        assert rel_gap(pathnorm.kappa1(net.rnn, p), slow, floor=1e-9) < 1e-10
 
 
 def test_kappa1_feedforward_equals_fd(rng):
-    for dims in ([1, 1], [2, 3, 1], [3, 2, 2]):
-        net = build_feedforward(dims)
+    for dims in ([1, 1, 1], [2, 3, 1], [3, 2, 2]):
+        net = build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
         p = rng.uniform(-1.0, 1.0, net.num_params)
         assert rel_gap(pathnorm.kappa1_graph(net, p),
                        pathnorm.kappa_fd(net, p), floor=1.0) < 1e-6
@@ -112,11 +113,12 @@ def test_kappa2_hand_values(single_unit_t2, single_unit_t3):
 
 
 def test_kappa2_feedforward_exactly_zero(rng):
-    for dims in ([1, 1], [2, 3, 1], [4, 4, 4, 4]):
-        net = build_feedforward(dims)
+    for dims in ([1, 1, 1], [2, 3, 1], [4, 4, 4, 4]):
+        net = build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
         p = rng.uniform(-1.0, 1.0, net.num_params)
         assert np.array_equal(pathnorm.kappa2_bruteforce(net, p),
                               np.zeros(net.num_params))
+        assert np.array_equal(pathnorm.kappa2(net.rnn, p), np.zeros(net.num_params))
 
 
 def test_kappa2_rnn_equals_bruteforce(rng):
@@ -227,9 +229,8 @@ def test_kappa_nonnegative(rng):
     for _ in range(10):
         net = verify.random_net(rng)
         p = verify.random_params(net, rng)
-        k1, k2 = verify.kappa_terms(net, p)
-        assert np.all(k1 >= 0.0)
-        assert np.all(k2 >= 0.0)
+        assert np.all(pathnorm.kappa1(net.rnn, p) >= 0.0)
+        assert np.all(pathnorm.kappa2(net.rnn, p) >= 0.0)
 
 
 def test_kappa_rescaling_covariance(rng):
@@ -245,8 +246,8 @@ def test_kappa_rescaling_covariance(rng):
         per_param = np.empty(net.num_params)
         for i in range(net.num_params):
             per_param[i] = mult[net._param_edges[i][0]]
-        a1, a2 = verify.kappa_terms(net, p)
-        b1, b2 = verify.kappa_terms(net, q)
+        a1, a2 = pathnorm.kappa1(net.rnn, p), pathnorm.kappa2(net.rnn, p)
+        b1, b2 = pathnorm.kappa1(net.rnn, q), pathnorm.kappa2(net.rnn, q)
         for before, after in ((a1, b1), (a2, b2), (a1 + a2, b1 + b2)):
             assert rel_gap(after * per_param ** 2, before, floor=1e-9) < 1e-9
 
