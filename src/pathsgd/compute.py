@@ -8,12 +8,16 @@ Two routes cover every network:
   evaluation and the squared-net pass of pathnorm.  rnn_forward runs one
   loop over blocks of time steps (layers inner): each layer's input drive
   and the block's outputs are one matmul per block, and only the
-  recurrence runs step by step.  Hidden states are time-major, (T, B, H_i),
-  so each step reads and writes one contiguous (B, H_i) block.  Training
-  keeps the whole sequence as one block, which is the trace rnn_backward
-  reads; evaluation, which needs only the outputs, runs the forward
-  trace-free (keep_trace=False) in blocks of BLOCK steps and holds one
-  (BLOCK, B, H_i) buffer and one carried (B, H_i) state per layer.
+  recurrence runs step by step, against one C-contiguous copy of W_rec^T
+  per layer.  Hidden states are time-major, (T, B, H_i), so each step
+  reads and writes one contiguous (B, H_i) block.  Training keeps the
+  whole sequence as one block, which is the trace rnn_backward reads;
+  evaluation, which needs only the outputs, runs the forward trace-free
+  (keep_trace=False) in blocks of BLOCK steps and holds one (BLOCK, B, H_i)
+  buffer and one carried (B, H_i) state per layer.  Outputs are projected
+  only from step first_output on: a many-to-one task reads the last step
+  alone, so its forward makes one (B, H) x (H, O) output product and its
+  backward seeds only that step.
 
 Both routes are exact reverse-mode differentiation and are tied together by
 equivalence tests.  All arithmetic is 64-bit; gradients over a batch are the
@@ -211,9 +215,11 @@ class RnnTrace:
 
     Hidden states are stored time-major, so one step of one layer is a
     contiguous (B, H_i) block: h[0] is the input block (T, B, input_dim) and
-    h[i] for hidden layer i is (T, B, H_i).  y keeps the caller-facing
-    (B, T, output_dim) shape (it may be a transposed view).  Pre-activations
-    are not kept: the ReLU mask is a function of the output.
+    h[i] for hidden layer i is (T, B, H_i).  y holds the outputs of steps
+    first_output .. T - 1 in the caller-facing (B, T - first_output,
+    output_dim) shape (it may be a transposed view); rnn_backward reads
+    first_output back from its length.  Pre-activations are not kept: the
+    ReLU mask is a function of the output.
     A trace-free forward (keep_trace=False) leaves h as None: it keeps only
     the current block of BLOCK steps per layer, so it has no trace to hand
     back.
@@ -224,19 +230,23 @@ class RnnTrace:
 
 
 def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
-                activation: str = "relu", keep_trace: bool = True) -> RnnTrace:
+                activation: str = "relu", keep_trace: bool = True,
+                first_output: int = 0) -> RnnTrace:
     """Batched forward pass over the unrolled layout.
 
     X has shape (B, T, input_dim); hidden state before the first step is 0.
     Time runs in blocks of K steps, and each block runs the layers
     bottom-up: one matmul writes a layer's input drive (plus bias) for the
     whole block, the recurrence then runs step by step, and after the top
-    layer one matmul writes the block's outputs.  With keep_trace K = T and
-    the block buffer is the trace that rnn_backward reads; without it
-    K = BLOCK, and each layer holds one (BLOCK, B, H_i) buffer and the
-    (B, H_i) state carried into the block, so no (T, B, H_i) array is
-    formed.  Matches the generic interpreter on the corresponding build_rnn
-    graph; y is bit-identical in both modes.
+    layer one matmul writes the block's outputs at steps >= first_output.
+    With keep_trace K = T and the block buffer is the trace that
+    rnn_backward reads; without it K = BLOCK, and each layer holds one
+    (BLOCK, B, H_i) buffer and the (B, H_i) state carried into the block,
+    so no (T, B, H_i) array is formed.  y is (B, T - first_output,
+    output_dim), the outputs of steps first_output .. T - 1; 0 <=
+    first_output < T.  Matches the generic interpreter on the corresponding
+    build_rnn graph; y is bit-identical in both modes and for every
+    first_output.
     """
     spec = layout.spec
     p = _check_params(p, layout.m)
@@ -247,6 +257,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     _check_activation(activation)
     relu = activation == "relu"
     B, T = X.shape[0], spec.length
+    if not 0 <= first_output < T:
+        raise ComputeError(f"rnn_forward: first_output {first_output} outside [0, {T})")
     K = T if keep_trace else min(T, BLOCK)
     layers = range(1, spec.depth)
 
@@ -255,7 +267,10 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     for i in layers:
         Wrec = layout.matrix(p, f"rec{i}")
         b = layout.matrix(p, f"b{i}")
-        weights.append((layout.view(p, f"in{i}").T, None if Wrec is None else Wrec.T,
+        # The recurrence multiplies by W_rec^T once per step; a contiguous
+        # copy is the faster BLAS operand at small batch sizes.
+        weights.append((layout.view(p, f"in{i}").T,
+                        None if Wrec is None else np.ascontiguousarray(Wrec.T),
                         None if b is None else b[:, 0]))
     WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
@@ -263,7 +278,7 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     # state after step s of the block.
     buf = [None] + [np.empty((K + 1, B, n)) for n in spec.hidden_dims]
     tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
-    y = np.empty((T, B, spec.output_dim))
+    y = np.empty((T - first_output, B, spec.output_dim))
     for t0 in range(0, T, K):
         k = min(K, T - t0)
         below = Xt[t0:t0 + k]
@@ -280,8 +295,12 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
                     np.maximum(blk[s], 0.0, out=blk[s])
             buf[i][0] = blk[-1]
             below = blk
-        yb = y[t0:t0 + k]
-        np.matmul(below.reshape(k * B, -1), WoutT, out=yb.reshape(k * B, -1))
+        lo = max(t0, first_output)  # first step of the block that is read out
+        n = t0 + k - lo
+        if n <= 0:
+            continue
+        yb = y[lo - first_output:lo - first_output + n]
+        np.matmul(below[lo - t0:].reshape(n * B, -1), WoutT, out=yb.reshape(n * B, -1))
         if bout is not None:
             yb += bout[:, 0]
     h = ([Xt] + [a[1:] for a in buf[1:]]) if keep_trace else None
@@ -300,9 +319,13 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     tr must come from rnn_forward with the trace kept.  dY, shaped like
     tr.y, must carry any batch normalization (e.g. 1/B for a batch mean);
     the result is the exact gradient of sum(dY * Y) linearized at the
-    trace.  With return_dpre the result is (dL/dp, dpre), where dpre[i] is
-    dL/d(pre-activation) of hidden layer i, time-major like tr.h[i]
-    (dpre[0] is None).
+    trace.  tr.y holds the outputs of steps r .. T - 1, with r the forward's
+    first_output, so dY seeds only those steps: the output gradients sum
+    over them, and the top layer's dpre takes dY @ W_out in those rows
+    alone, while below r it is the recurrence dpre[t + 1] @ W_rec written
+    straight into dpre[t].  With return_dpre the result is (dL/dp, dpre),
+    where dpre[i] is dL/d(pre-activation) of hidden layer i, time-major
+    like tr.h[i] (dpre[0] is None).
     """
     _check_activation(activation)
     spec = layout.spec
@@ -312,17 +335,23 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         raise ComputeError(f"rnn_backward: dY shape {dY.shape} != outputs shape {tr.y.shape}")
     dY = np.ascontiguousarray(dY.transpose(1, 0, 2))
     T = spec.length
+    r = T - dY.shape[0]  # first step with an output
     dp = np.zeros(layout.m)
 
     Wout = layout.view(p, "out")
+    top = tr.h[spec.depth - 1]
     sl, _ = layout.slices["out"]
-    dp[sl] = _outer_sum(dY, tr.h[spec.depth - 1]).reshape(-1)
+    dp[sl] = _outer_sum(dY, top[r:]).reshape(-1)
     if "bout" in layout.slices:
         sl, _ = layout.slices["bout"]
         dp[sl] = dY.sum(axis=(0, 1))
 
-    dh = dY @ Wout  # dL/dh for the top hidden layer
+    # dL/dh for the top hidden layer; rows below r are written by the
+    # recurrence before they are read.
+    dh = np.empty_like(top)
+    np.matmul(dY, Wout, out=dh[r:])
     dpres: list = [None] * spec.depth
+    seeded = r  # the current layer's dh is written from this step on
     for i in range(spec.depth - 1, 0, -1):
         Win = layout.view(p, f"in{i}")
         Wrec = layout.matrix(p, f"rec{i}")
@@ -333,7 +362,10 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         tmp = np.empty_like(dpre[0])
         for t in range(T - 1, -1, -1):
             if Wrec is not None and t < T - 1:
-                dpre[t] += np.matmul(dpre[t + 1], Wrec, out=tmp)
+                if t < seeded:
+                    np.matmul(dpre[t + 1], Wrec, out=dpre[t])
+                else:
+                    dpre[t] += np.matmul(dpre[t + 1], Wrec, out=tmp)
             if mask is not None:
                 dpre[t] *= mask[t]
         sl, _ = layout.slices[f"in{i}"]
@@ -347,4 +379,5 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         dpres[i] = dpre
         if i > 1:
             dh = dpre @ Win
+            seeded = 0
     return (dp, dpres) if return_dpre else dp

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .graph import RnnLayout
-from .optim import OPTIMIZERS, OptimizerState
+from .optim import DEFAULT_EPS, OPTIMIZERS, OptimizerState
 from .pathnorm import KAPPA_MODES
 
 TASKS = ("addition", "seqclass", "charlm")
@@ -48,8 +48,8 @@ class RunConfig:
     # optimizer
     optimizer: str = "path_sgd"
     lr: float = 1e-3
-    kappa_mode: str = "k1"
-    epsilon: float = 1e-8
+    kappa_mode: str = "k1"          # path optimizers only
+    epsilon: float = DEFAULT_EPS    # kappa floor; path optimizers only
     init: str = "uniform"
     init_range: float = 0.1
     init_ranges: str = ""           # per-block overrides, e.g. "rec1:0.3 out:0.05"
@@ -87,6 +87,14 @@ class RunConfig:
             raise ConfigError("steps must be >= 0")
         if self.lr <= 0 or self.epsilon <= 0 or self.init_range <= 0:
             raise ConfigError("lr, epsilon and init_range must be positive")
+        if self.optimizer in ("sgd", "adam"):
+            # Plain optimizers never compute kappa, so these keys could not
+            # take effect.
+            for key, default in (("kappa_mode", "k1"), ("epsilon", DEFAULT_EPS)):
+                if getattr(self, key) != default:
+                    raise ConfigError(f"{key} = {getattr(self, key)} has no effect with "
+                                      f"optimizer = {self.optimizer}; it applies to "
+                                      "path_sgd and path_adam only")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be >= 0")
         if self.checkpoint_interval and self.checkpoint_interval % self.eval_interval != 0:

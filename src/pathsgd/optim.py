@@ -186,9 +186,11 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
     loss and gradient at the pre-update parameters, records a history row when
     the step index is a multiple of eval_interval, then applies the update.
     Path kinds divide by kappa taken at those same parameters.  A final row
-    is recorded at the step budget.  Nothing but (p, opt) carries from one
-    step to the next, so resuming from (p, opt, start_step) at any step
-    reproduces the uninterrupted run exactly.
+    is recorded at the step budget; its loss and metric come from a forward
+    alone (loss_and_grad with grad=False), since no update follows it.
+    Nothing but (p, opt) carries from one step to the next, so resuming from
+    (p, opt, start_step) at any step reproduces the uninterrupted run
+    exactly.
 
     config is the run's RunConfig, validated again here.  The loop reads
     steps, batch_size, eval_interval, seed, target_loss, target_test_metric,
@@ -254,7 +256,7 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
     already_rowed = bool(history) and history[-1]["step"] == step
     if not reason and not already_rowed:
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
-        loss, _, metric = task.loss_and_grad(layout, p, batch)
+        loss, _, metric = task.loss_and_grad(layout, p, batch, grad=False)
         reason = _loss_divergence(loss)
         if not reason:
             eval_row(step, loss, metric)

@@ -1,9 +1,13 @@
 """Desk-scale sequence tasks: data generators, losses, and metrics.
 
 Each task object knows how to draw a training batch from a supplied RNG, how
-to compute the batch loss / gradient / training metric at given parameters,
-and how to score a fixed held-out set.  The model is an RnnLayout, run
-through the vectorized forward and backward of ``compute``.
+to compute the batch loss / gradient / training metric at given parameters
+(the gradient only when asked: loss_and_grad(..., grad=False) runs the
+forward alone and returns g = None), and how to score a fixed held-out set.
+The model is an RnnLayout, run through the vectorized forward and backward
+of ``compute``.  The many-to-one tasks (addition, seqclass) read only the
+last step's output, so they run the forward with first_output = T - 1 in
+training and evaluation alike; charlm reads every step.
 """
 
 from __future__ import annotations
@@ -110,7 +114,8 @@ def gen_addition(length: int, n: int, rng: np.random.Generator) -> AdditionSet:
 
 
 class AdditionTask:
-    """Predict the sum of two marked sequence entries from the final step."""
+    """Predict the sum of two marked sequence entries from the final step,
+    the only output the forward projects (first_output = T - 1)."""
 
     name = "addition"
     input_dim = 2
@@ -125,21 +130,23 @@ class AdditionTask:
     def train_batch(self, rng: np.random.Generator, size: int) -> AdditionSet:
         return gen_addition(self.length, size, rng)
 
-    def loss_and_grad(self, layout: RnnLayout, p, batch: AdditionSet):
-        X = batch.inputs()
-        tr = compute.rnn_forward(layout, p, X)
+    def loss_and_grad(self, layout: RnnLayout, p, batch: AdditionSet, grad: bool = True):
+        tr = compute.rnn_forward(layout, p, batch.inputs(), keep_trace=grad,
+                                 first_output=self.length - 1)
         err = tr.y[:, -1, 0] - batch.targets
         loss = float(np.mean(err ** 2))
-        dY = np.zeros_like(tr.y)
-        dY[:, -1, 0] = 2.0 * err / len(batch)
-        g = compute.rnn_backward(layout, p, tr, dY)
+        g = None
+        if grad:
+            dY = (2.0 * err / len(batch)).reshape(tr.y.shape)
+            g = compute.rnn_backward(layout, p, tr, dY)
         return loss, g, loss
 
     def evaluate(self, layout: RnnLayout, p) -> float:
         preds = []
         X = self.eval_set.inputs()
         for lo in range(0, len(self.eval_set), EVAL_CHUNK):
-            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False)
+            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False,
+                                     first_output=self.length - 1)
             preds.append(tr.y[:, -1, 0])
         return metric_mse(np.concatenate(preds), self.eval_set.targets)
 
@@ -186,7 +193,8 @@ def split_stratified(ds: SeqClassSet, test_frac: float,
 
 
 class SeqClassTask:
-    """Classify a pixel-sequence image from the final step's logits."""
+    """Classify a pixel-sequence image from the final step's logits, the
+    only output the forward projects (first_output = T - 1)."""
 
     name = "seqclass"
     input_dim = 1
@@ -208,21 +216,24 @@ class SeqClassTask:
         idx = rng.integers(0, len(self.train_set), size=size)
         return SeqClassSet(self.train_set.pixels[idx], self.train_set.labels[idx])
 
-    def loss_and_grad(self, layout: RnnLayout, p, batch: SeqClassSet):
-        tr = compute.rnn_forward(layout, p, batch.inputs())
+    def loss_and_grad(self, layout: RnnLayout, p, batch: SeqClassSet, grad: bool = True):
+        tr = compute.rnn_forward(layout, p, batch.inputs(), keep_trace=grad,
+                                 first_output=self.length - 1)
         logits = tr.y[:, -1, :]
         total, dlogits = softmax_xent_grad(logits, batch.labels)
         loss = total / len(batch)
-        dY = np.zeros_like(tr.y)
-        dY[:, -1, :] = dlogits / len(batch)
-        g = compute.rnn_backward(layout, p, tr, dY)
+        g = None
+        if grad:
+            dY = (dlogits / len(batch)).reshape(tr.y.shape)
+            g = compute.rnn_backward(layout, p, tr, dY)
         return loss, g, metric_error_rate(logits, batch.labels)
 
     def evaluate(self, layout: RnnLayout, p) -> float:
         logits = []
         X = self.test_set.inputs()
         for lo in range(0, len(self.test_set), EVAL_CHUNK):
-            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False)
+            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False,
+                                     first_output=self.length - 1)
             logits.append(tr.y[:, -1, :])
         return metric_error_rate(np.concatenate(logits), self.test_set.labels)
 
@@ -295,7 +306,8 @@ def bundled_corpus_path() -> Path:
 
 
 class CharLmTask:
-    """Next-character prediction with one-hot inputs and a per-step readout."""
+    """Next-character prediction with one-hot inputs and a per-step readout,
+    so the forward projects every step (first_output = 0)."""
 
     name = "charlm"
     metric_name = "bpc"
@@ -325,14 +337,16 @@ class CharLmTask:
         starts = rng.integers(0, len(self.corpus.train) - self.unroll, size=size)
         return self._window_batch(self.corpus.train, starts)
 
-    def loss_and_grad(self, layout: RnnLayout, p, batch):
+    def loss_and_grad(self, layout: RnnLayout, p, batch, grad: bool = True):
         X, targets = batch
         B, T, A = X.shape
-        tr = compute.rnn_forward(layout, p, X)
+        tr = compute.rnn_forward(layout, p, X, keep_trace=grad)
         total, dflat = softmax_xent_grad(tr.y.reshape(B * T, A), targets.reshape(-1))
         loss = total / (B * T)
-        dY = dflat.reshape(B, T, A) / (B * T)
-        g = compute.rnn_backward(layout, p, tr, dY)
+        g = None
+        if grad:
+            dY = dflat.reshape(B, T, A) / (B * T)
+            g = compute.rnn_backward(layout, p, tr, dY)
         return loss, g, loss / math.log(2.0)
 
     def evaluate(self, layout: RnnLayout, p) -> float:

@@ -64,6 +64,23 @@ def test_train_builds_no_dag(tmp_path, monkeypatch, task):
     assert (out / "status.txt").read_text() == "budget_exhausted\n"
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+@pytest.mark.parametrize("key, value", [("kappa_mode", "k1_plus_k2"), ("epsilon", "0.5")])
+def test_train_rejects_kappa_keys_for_plain_optimizers(tmp_path, capsys, optimizer,
+                                                       key, value):
+    """A kappa setting that sgd or adam would ignore exits 1 and names the
+    key; the path optimizers accept it."""
+    out = tmp_path / "run"
+    assert run_cli("train", *TINY, "--set", f"optimizer={optimizer}",
+                   "--set", f"{key}={value}", "--set", f"out_dir={out}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{key} = " in err
+    assert not out.exists()
+    assert run_cli("train", *TINY, "--set", f"optimizer=path_{optimizer}",
+                   "--set", f"{key}={value}", "--set", "steps=2",
+                   "--set", f"out_dir={out}") == 0
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli("train", *TINY, "--set", "hidden=4", "--set", "steps=200",

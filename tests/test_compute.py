@@ -134,6 +134,49 @@ def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length,
         assert np.allclose(lean.y[b].reshape(-1), y, rtol=1e-12, atol=1e-14)
 
 
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+@pytest.mark.parametrize("hidden", [(3,), (3, 2), (2, 3, 2)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("length", [compute.BLOCK + 1, 2 * compute.BLOCK + 3])
+@pytest.mark.parametrize("first", ["1", "BLOCK", "T-1"])
+def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first, rng):
+    """first_output = r gives the full forward's y[:, r:] bit for bit in
+    both modes, and the backward of that suffix equals the full backward
+    with dY zero before step r, dpre included.  The lengths span several
+    trace-free blocks and end in a partial one."""
+    r = {"1": 1, "BLOCK": compute.BLOCK, "T-1": length - 1}[first]
+    spec = RnnSpec(2, hidden, 2, length, bias=bias)
+    layout = graph.RnnLayout.from_spec(spec)
+    p = rng.uniform(-1.2, 1.2, layout.m)
+    X = rng.standard_normal((4, length, spec.input_dim))
+    full = compute.rnn_forward(layout, p, X, activation)
+    lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False, first_output=r)
+    tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
+    assert lean.y.shape == tr.y.shape == (4, length - r, 2)
+    np.testing.assert_array_equal(lean.y, full.y[:, r:])
+    np.testing.assert_array_equal(tr.y, full.y[:, r:])
+    dY = rng.standard_normal(tr.y.shape)
+    dY_full = np.zeros_like(full.y)
+    dY_full[:, r:] = dY
+    g, dpre = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+    g_full, dpre_full = compute.rnn_backward(layout, p, full, dY_full, activation,
+                                             return_dpre=True)
+    np.testing.assert_array_equal(g, g_full)
+    for got, want in zip(dpre[1:], dpre_full[1:]):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(compute.rnn_backward(layout, p, tr, dY, activation), g)
+
+
+@pytest.mark.parametrize("first_output", [-1, 5, 6])
+def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
+    layout = graph.RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
+    X = rng.standard_normal((2, 5, 2))
+    for keep_trace in (True, False):
+        with pytest.raises(compute.ComputeError, match="first_output"):
+            compute.rnn_forward(layout, np.zeros(layout.m), X, keep_trace=keep_trace,
+                                first_output=first_output)
+
+
 def test_rnn_backward_matches_generic_grad(rng):
     """The two reverse-mode routes agree on the same scalar objective."""
     for _ in range(5):

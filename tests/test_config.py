@@ -99,6 +99,11 @@ def test_validate_rejections():
         {"test_frac": "0"},
         {"test_frac": "1"},
         {"test_frac": "-0.25"},
+        # kappa keys that a plain optimizer would ignore
+        {"optimizer": "sgd", "kappa_mode": "k1_plus_k2"},
+        {"optimizer": "adam", "kappa_mode": "k1_plus_k2"},
+        {"optimizer": "sgd", "epsilon": "0.5"},
+        {"optimizer": "adam", "epsilon": "1e-6"},
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pathsgd import optim, pathnorm, tasks
+from pathsgd import compute, optim, pathnorm, tasks
 from pathsgd.config import ConfigError, RunConfig, load_checkpoint, save_checkpoint
 from pathsgd.graph import GraphError, RnnLayout, RnnSpec
 from pathsgd.optim import OptimizerState
@@ -273,6 +273,27 @@ def test_train_loop_kappa_at_every_step(monkeypatch):
         # pass kappa so the replay does not call the spy
         p = optim.path_sgd_step(TINY, p, g, 0.01, kappa=real(TINY, p, "k1"))
     assert np.array_equal(res.params, p)
+
+
+def test_train_loop_final_row_runs_no_backward(monkeypatch):
+    """Each of N path-SGD steps runs two backwards (the loss gradient and the
+    squared pass of kappa); the final row, at a step that is no eval step,
+    adds none, and it holds loss_and_grad's loss and metric at that step."""
+    calls = []
+    real = compute.rnn_backward
+    monkeypatch.setattr(compute, "rnn_backward",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    task = tasks.AdditionTask(length=4, eval_size=8)
+    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 4))
+    p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
+    cfg = RunConfig(steps=5, eval_interval=3, batch_size=4)
+    res = optim.train_loop(layout, task, cfg, p0, OptimizerState(kind="path_sgd", eta=0.01))
+    assert res.steps_done == 5 and len(calls) == 2 * 5
+    assert [r["step"] for r in res.history] == [0, 3, 5]
+    batch = task.train_batch(optim.rng_for(cfg.seed, optim.STREAM_DATA, 5), cfg.batch_size)
+    loss, g, metric = task.loss_and_grad(layout, res.params, batch)
+    assert g is not None
+    assert (res.history[-1]["train_loss"], res.history[-1]["train_metric"]) == (loss, metric)
 
 
 def test_train_loop_resume_matches_uninterrupted():

@@ -191,3 +191,22 @@ def test_charlm_validation():
     with pytest.raises(GraphError):
         tasks.CharLmTask(corpus, unroll=50)
 
+
+@pytest.mark.parametrize("name", ["addition", "seqclass", "charlm"])
+def test_loss_without_grad_matches(name, rng):
+    """grad=False returns g = None and the loss and metric of the full call
+    bit for bit, from a forward alone."""
+    if name == "addition":
+        task = tasks.AdditionTask(length=11, eval_size=8)
+    elif name == "seqclass":
+        task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
+    else:
+        task = tasks.CharLmTask(tasks.load_char_corpus(text="the quick brown fox " * 30),
+                                unroll=11)
+    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3, 2), task.output_dim,
+                                         task.length))
+    p = rng.uniform(-0.6, 0.6, layout.m)
+    batch = task.train_batch(rng, 4)
+    loss, g, metric = task.loss_and_grad(layout, p, batch)
+    assert g.shape == (layout.m,)
+    assert task.loss_and_grad(layout, p, batch, grad=False) == (loss, None, metric)
