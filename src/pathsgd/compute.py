@@ -10,14 +10,18 @@ Two routes cover every network:
   and the block's outputs are one matmul per block, and only the
   recurrence runs step by step, against one C-contiguous copy of W_rec^T
   per layer.  Hidden states are time-major, (T, B, H_i), so each step
-  reads and writes one contiguous (B, H_i) block.  Training keeps the
-  whole sequence as one block, which is the trace rnn_backward reads;
-  evaluation, which needs only the outputs, runs the forward trace-free
-  (keep_trace=False) in blocks of BLOCK steps and holds one (BLOCK, B, H_i)
-  buffer and one carried (B, H_i) state per layer.  Outputs are projected
-  only from step first_output on: a many-to-one task reads the last step
-  alone, so its forward makes one (B, H) x (H, O) output product and its
-  backward seeds only that step.
+  reads and writes one contiguous (B, H_i) block.  The training forward
+  keeps the whole sequence as one block, which is the trace rnn_backward
+  reads; evaluation, which needs only the outputs, runs the forward
+  trace-free (keep_trace=False) in blocks of BLOCK steps and holds one
+  (BLOCK, B, H_i) buffer and one carried (B, H_i) state per layer.
+  rnn_backward walks time from the end in blocks sized so that one
+  layer's dpre block fits in BUDGET bytes, layers top-down inside each
+  block, and carries dpre at each block's first step into the earlier
+  block, so it allocates no (T, B, H_i) array of its own.  Outputs are
+  projected only from step first_output on: a many-to-one task reads the
+  last step alone, so its forward makes one (B, H) x (H, O) output product
+  and its backward seeds only that step.
 
 Both routes are exact reverse-mode differentiation and are tied together by
 equivalence tests.  All arithmetic is 64-bit; gradients over a batch are the
@@ -38,6 +42,11 @@ ACTIVATIONS = ("relu", "identity")
 # larger input and output projections but bigger per-layer buffers; at 32
 # the evaluation buffers already show in the peak memory of small runs.
 BLOCK = 8
+
+# Bytes of one hidden layer's dpre block in rnn_backward, small enough to
+# stay in cache while the block's gradient products read it.  A step whose
+# whole dpre fits runs as one block.
+BUDGET = 2 << 20
 
 
 class ComputeError(ValueError):
@@ -323,9 +332,24 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     first_output, so dY seeds only those steps: the output gradients sum
     over them, and the top layer's dpre takes dY @ W_out in those rows
     alone, while below r it is the recurrence dpre[t + 1] @ W_rec written
-    straight into dpre[t].  With return_dpre the result is (dL/dp, dpre),
-    where dpre[i] is dL/d(pre-activation) of hidden layer i, time-major
-    like tr.h[i] (dpre[0] is None).
+    straight into dpre[t].
+
+    Time is walked from the end in blocks of K = min(T, BUDGET // (8 B
+    max H_i)) steps (at least 1), and each block runs the layers top-down:
+    the recurrence dpre[t] = (dh[t] + dpre[t + 1] @ W_rec) * mask[t] steps
+    through the block, starting from the dpre carried in from the first
+    step of the later block; the block's ReLU mask, its in{i}, rec{i}
+    (with the boundary pair dpre[t0] x h[t0 - 1]) and b{i} gradient
+    products and the seed dpre @ W_in of the layer below are all formed
+    while the block is in cache.  So no (T, B, H_i) array is allocated,
+    only one (K, B, H_i) block and its mask per layer.  dpre itself does
+    not depend on K, and only the gradient sums are split by block: a step
+    that fits in one block (K = T) forms each as one product over the whole
+    sequence, and a longer one differs from that by rounding alone.  With
+    return_dpre the result is (dL/dp, dpre), where dpre[i] is
+    dL/d(pre-activation) of hidden layer i, time-major like tr.h[i]
+    (dpre[0] is None); the same blocks then write into the full arrays, so
+    dL/dp is bit-identical in both modes.
     """
     _check_activation(activation)
     spec = layout.spec
@@ -334,50 +358,73 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     if dY.shape != tr.y.shape:
         raise ComputeError(f"rnn_backward: dY shape {dY.shape} != outputs shape {tr.y.shape}")
     dY = np.ascontiguousarray(dY.transpose(1, 0, 2))
-    T = spec.length
+    T, B = spec.length, dY.shape[1]
     r = T - dY.shape[0]  # first step with an output
+    K = min(T, max(1, BUDGET // (8 * B * max(spec.hidden_dims))))
+    relu = activation == "relu"
+    top = spec.depth - 1
+    layers = range(top, 0, -1)
     dp = np.zeros(layout.m)
 
     Wout = layout.view(p, "out")
-    top = tr.h[spec.depth - 1]
     sl, _ = layout.slices["out"]
-    dp[sl] = _outer_sum(dY, top[r:]).reshape(-1)
+    dp[sl] = _outer_sum(dY, tr.h[top][r:]).reshape(-1)
     if "bout" in layout.slices:
         sl, _ = layout.slices["bout"]
         dp[sl] = dY.sum(axis=(0, 1))
 
-    # dL/dh for the top hidden layer; rows below r are written by the
-    # recurrence before they are read.
-    dh = np.empty_like(top)
-    np.matmul(dY, Wout, out=dh[r:])
-    dpres: list = [None] * spec.depth
-    seeded = r  # the current layer's dh is written from this step on
-    for i in range(spec.depth - 1, 0, -1):
-        Win = layout.view(p, f"in{i}")
-        Wrec = layout.matrix(p, f"rec{i}")
-        # relu(z) > 0 exactly when z > 0, so the output gives the ReLU mask;
-        # the identity activation has no mask.
-        mask = tr.h[i] > 0.0 if activation == "relu" else None
-        dpre = dh  # dh[t] is last read at step t, so dpre overwrites it
-        tmp = np.empty_like(dpre[0])
-        for t in range(T - 1, -1, -1):
-            if Wrec is not None and t < T - 1:
-                if t < seeded:
-                    np.matmul(dpre[t + 1], Wrec, out=dpre[t])
-                else:
-                    dpre[t] += np.matmul(dpre[t + 1], Wrec, out=tmp)
-            if mask is not None:
-                dpre[t] *= mask[t]
-        sl, _ = layout.slices[f"in{i}"]
-        dp[sl] = _outer_sum(dpre, tr.h[i - 1]).reshape(-1)
-        if Wrec is not None:
-            sl, _ = layout.slices[f"rec{i}"]
-            dp[sl] = _outer_sum(dpre[1:], tr.h[i][:-1]).reshape(-1)
-        if f"b{i}" in layout.slices:
-            sl, _ = layout.slices[f"b{i}"]
-            dp[sl] = dpre.sum(axis=(0, 1))
-        dpres[i] = dpre
-        if i > 1:
-            dh = dpre @ Win
-            seeded = 0
+    weights = [None] + [(layout.view(p, f"in{i}"), layout.matrix(p, f"rec{i}"))
+                        for i in range(1, spec.depth)]
+    # dpre of the block being walked: one (K, B, H_i) buffer per layer, or
+    # blocks of the full (T, B, H_i) arrays that return_dpre hands back.
+    dpres = [None] + [np.empty((T if return_dpre else K, B, n)) for n in spec.hidden_dims]
+    mask = [None] + [np.empty((K, B, n), dtype=bool) for n in spec.hidden_dims]
+    carry = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
+    tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
+    grads: dict = {}  # the first block walked sets each sum, later blocks add
+
+    def add(name, value):
+        if name in grads:
+            grads[name] += value
+        else:
+            grads[name] = value
+
+    for t0 in reversed(range(0, T, K)):
+        k = min(K, T - t0)
+        at = t0 if return_dpre else 0
+        blocks = [None] + [d[at:at + k] for d in dpres[1:]]
+        # The top layer is seeded from dY in rows lo.. of the block, and each
+        # layer below by the one above in every row; unseeded rows are
+        # written by the recurrence before they are read.
+        lo = min(max(r - t0, 0), k)
+        if lo < k:
+            np.matmul(dY[t0 + lo - r:t0 + k - r], Wout, out=blocks[top][lo:])
+        for i in layers:
+            Win, Wrec = weights[i]
+            blk = blocks[i]
+            seeded = lo if i == top else 0
+            if relu:
+                # relu(z) > 0 exactly when z > 0, so the output gives the mask
+                m = np.greater(tr.h[i][t0:t0 + k], 0.0, out=mask[i][:k])
+            for s in range(k - 1, -1, -1):
+                if Wrec is not None and t0 + s < T - 1:
+                    nxt = blk[s + 1] if s + 1 < k else carry[i]
+                    if s < seeded:
+                        np.matmul(nxt, Wrec, out=blk[s])
+                    else:
+                        blk[s] += np.matmul(nxt, Wrec, out=tmp[i])
+                if relu:
+                    blk[s] *= m[s]
+            carry[i][...] = blk[0]
+            add(f"in{i}", _outer_sum(blk, tr.h[i - 1][t0:t0 + k]))
+            if Wrec is not None:
+                a = 1 if t0 == 0 else 0  # step 0 has no earlier state
+                add(f"rec{i}", _outer_sum(blk[a:], tr.h[i][t0 + a - 1:t0 + k - 1]))
+            if f"b{i}" in layout.slices:
+                add(f"b{i}", blk.sum(axis=(0, 1)))
+            if i > 1:
+                np.matmul(blk, Win, out=blocks[i - 1])
+    for name, value in grads.items():
+        sl, _ = layout.slices[name]
+        dp[sl] = value.reshape(-1)
     return (dp, dpres) if return_dpre else dp

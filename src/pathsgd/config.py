@@ -21,10 +21,18 @@ from .graph import RnnLayout
 from .optim import DEFAULT_EPS, OPTIMIZERS, OptimizerState
 from .pathnorm import KAPPA_MODES
 
-TASKS = ("addition", "seqclass", "charlm")
 INIT_SCHEMES = ("uniform", "identity")
 OUT_DIR_ENV = "PATHSGD_OUT_DIR"
 CHECKPOINT_MAGIC = "pathsgd checkpoint v1"
+# The data keys, and the ones each task reads (cli.make_task).
+DATA_KEYS = ("seq_len", "corpus", "num_classes", "image_size", "data_size",
+             "test_frac", "eval_size", "data_seed")
+TASK_KEYS = {
+    "addition": ("seq_len", "eval_size", "data_seed"),
+    "seqclass": ("image_size", "num_classes", "data_size", "test_frac", "data_seed"),
+    "charlm": ("seq_len", "corpus"),
+}
+TASKS = tuple(TASK_KEYS)
 
 
 class ConfigError(ValueError):
@@ -87,14 +95,19 @@ class RunConfig:
             raise ConfigError("steps must be >= 0")
         if self.lr <= 0 or self.epsilon <= 0 or self.init_range <= 0:
             raise ConfigError("lr, epsilon and init_range must be positive")
+        # A key that the task or the optimizer never reads could not take
+        # effect, so it must keep its default.
+        reads = TASK_KEYS[self.task]
+        idle = [(key, f"task = {self.task}, which reads only "
+                          f"{', '.join(reads)} of the data keys")
+                for key in DATA_KEYS if key not in reads]
         if self.optimizer in ("sgd", "adam"):
-            # Plain optimizers never compute kappa, so these keys could not
-            # take effect.
-            for key, default in (("kappa_mode", "k1"), ("epsilon", DEFAULT_EPS)):
-                if getattr(self, key) != default:
-                    raise ConfigError(f"{key} = {getattr(self, key)} has no effect with "
-                                      f"optimizer = {self.optimizer}; it applies to "
-                                      "path_sgd and path_adam only")
+            idle += [(key, f"optimizer = {self.optimizer}; it applies to path_sgd "
+                           "and path_adam only") for key in ("kappa_mode", "epsilon")]
+        default = RunConfig()
+        for key, why in idle:
+            if getattr(self, key) != getattr(default, key):
+                raise ConfigError(f"{key} = {getattr(self, key)} has no effect with {why}")
         if self.checkpoint_interval < 0:
             raise ConfigError("checkpoint_interval must be >= 0")
         if self.checkpoint_interval and self.checkpoint_interval % self.eval_interval != 0:

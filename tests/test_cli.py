@@ -47,7 +47,7 @@ def test_train_rejects_empty_split_before_writing(tmp_path, capsys, data):
 
 
 @pytest.mark.parametrize("task", [
-    ["--set", "task=addition", "--set", "seq_len=5"],
+    ["--set", "task=addition", "--set", "seq_len=5", "--set", "eval_size=16"],
     ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=64"],
     ["--set", "task=charlm", "--set", "seq_len=5"],
 ])
@@ -59,7 +59,7 @@ def test_train_builds_no_dag(tmp_path, monkeypatch, task):
     monkeypatch.setattr(cli, "build_rnn", refuse)
     out = tmp_path / "run"
     assert run_cli("train", *task, "--set", "hidden=3", "--set", "steps=4",
-                   "--set", "eval_interval=2", "--set", "eval_size=16",
+                   "--set", "eval_interval=2",
                    "--set", "kappa_mode=k1_plus_k2", "--set", f"out_dir={out}") == 0
     assert (out / "status.txt").read_text() == "budget_exhausted\n"
 
@@ -79,6 +79,23 @@ def test_train_rejects_kappa_keys_for_plain_optimizers(tmp_path, capsys, optimiz
     assert run_cli("train", *TINY, "--set", f"optimizer=path_{optimizer}",
                    "--set", f"{key}={value}", "--set", "steps=2",
                    "--set", f"out_dir={out}") == 0
+
+
+@pytest.mark.parametrize("settings, key", [
+    (["task=seqclass", "seq_len=999", "eval_size=3"], "seq_len"),
+    (["task=charlm", "eval_size=5", "num_classes=9"], "num_classes"),
+    (["task=addition", "image_size=3", "corpus=nope.txt"], "corpus"),
+])
+def test_train_rejects_keys_the_task_never_reads(tmp_path, capsys, settings, key):
+    """A data key that the chosen task would ignore exits 1, names the key
+    and writes nothing."""
+    out = tmp_path / "run"
+    argv = [arg for kv in settings for arg in ("--set", kv)]
+    assert run_cli("train", *argv, "--set", "hidden=2", "--set", "steps=1",
+                   "--set", f"out_dir={out}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} = ")
+    assert not out.exists()
 
 
 def test_train_divergence_exit_code(tmp_path, capsys):

@@ -177,7 +177,21 @@ def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
                                 first_output=first_output)
 
 
-def test_rnn_backward_matches_generic_grad(rng):
+def _assert_matches_generic_grad(net, p, X, dY, monkeypatch):
+    """rnn_backward equals per-example generic backprop, both with the
+    default block budget and with one step per backward block."""
+    g_ref = np.zeros(net.num_params)
+    for b in range(X.shape[0]):
+        _, trace = compute.forward(net, p, X[b])
+        g_ref += compute.backprop(net, p, trace, dY[b].reshape(-1))
+    tr = compute.rnn_forward(net.rnn, p, X)
+    for budget in (compute.BUDGET, 1):
+        monkeypatch.setattr(compute, "BUDGET", budget)
+        g_vec = compute.rnn_backward(net.rnn, p, tr, dY)
+        assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
+
+
+def test_rnn_backward_matches_generic_grad(rng, monkeypatch):
     """The two reverse-mode routes agree on the same scalar objective."""
     for _ in range(5):
         spec = verify.random_spec(rng)
@@ -185,16 +199,10 @@ def test_rnn_backward_matches_generic_grad(rng):
         p = rng.uniform(-1.2, 1.2, net.num_params)
         X = rng.standard_normal((3, spec.length, spec.input_dim))
         dY = rng.standard_normal((3, spec.length, spec.output_dim))
-        tr = compute.rnn_forward(net.rnn, p, X)
-        g_vec = compute.rnn_backward(net.rnn, p, tr, dY)
-        g_ref = np.zeros(net.num_params)
-        for b in range(X.shape[0]):
-            _, trace = compute.forward(net, p, X[b])
-            g_ref += compute.backprop(net, p, trace, dY[b].reshape(-1))
-        assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
+        _assert_matches_generic_grad(net, p, X, dY, monkeypatch)
 
 
-def test_rnn_backward_matches_generic_grad_stacked_long(rng):
+def test_rnn_backward_matches_generic_grad_stacked_long(rng, monkeypatch):
     """One and two hidden layers at T = 5..8, past the lengths that
     verify.random_spec draws; covers the in{i} gradient of upper layers."""
     for length in range(5, 9):
@@ -206,13 +214,39 @@ def test_rnn_backward_matches_generic_grad_stacked_long(rng):
             p = rng.uniform(-1.2, 1.2, net.num_params)
             X = rng.standard_normal((3, length, spec.input_dim))
             dY = rng.standard_normal((3, length, spec.output_dim))
-            tr = compute.rnn_forward(net.rnn, p, X)
-            g_vec = compute.rnn_backward(net.rnn, p, tr, dY)
-            g_ref = np.zeros(net.num_params)
-            for b in range(X.shape[0]):
-                _, trace = compute.forward(net, p, X[b])
-                g_ref += compute.backprop(net, p, trace, dY[b].reshape(-1))
-            assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
+            _assert_matches_generic_grad(net, p, X, dY, monkeypatch)
+
+
+@pytest.mark.parametrize("K", [1, 3, "T"])
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+@pytest.mark.parametrize("hidden", [(3,), (3, 2), (2, 3, 2)])
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("length", [7, 11])
+def test_rnn_backward_blocks_match_one_block(K, activation, hidden, bias, length, rng,
+                                             monkeypatch):
+    """A backward walked in K-step blocks (T = 7 and 11 end in a partial
+    block at K = 3) gives the one-block gradient up to rounding, the same
+    dpre bit for bit, and the same bits with and without return_dpre; the
+    first read-out step r is 0, inside a block, on a block boundary and
+    T - 1."""
+    B = 4
+    spec = RnnSpec(2, hidden, 2, length, bias=bias)
+    layout = graph.RnnLayout.from_spec(spec)
+    p = rng.uniform(-1.2, 1.2, layout.m)
+    X = rng.standard_normal((B, length, 2))
+    k = length if K == "T" else K
+    for r in (0, 4, 6, length - 1):
+        tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
+        dY = rng.standard_normal(tr.y.shape)
+        monkeypatch.setattr(compute, "BUDGET", 8 * B * max(hidden) * length)
+        g_one, dpre_one = compute.rnn_backward(layout, p, tr, dY, activation,
+                                               return_dpre=True)
+        monkeypatch.setattr(compute, "BUDGET", 8 * B * max(hidden) * k)
+        g, dpre = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+        np.testing.assert_allclose(g, g_one, rtol=1e-12, atol=1e-14)
+        for got, want in zip(dpre[1:], dpre_one[1:]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(compute.rnn_backward(layout, p, tr, dY, activation), g)
 
 
 def test_rnn_forward_shape_check(rng):

@@ -104,10 +104,40 @@ def test_validate_rejections():
         {"optimizer": "adam", "kappa_mode": "k1_plus_k2"},
         {"optimizer": "sgd", "epsilon": "0.5"},
         {"optimizer": "adam", "epsilon": "1e-6"},
+        # data keys that the chosen task never reads
+        {"task": "addition", "corpus": "nope.txt"},
+        {"task": "addition", "num_classes": "9"},
+        {"task": "addition", "image_size": "3"},
+        {"task": "addition", "data_size": "64"},
+        {"task": "addition", "test_frac": "0.5"},
+        {"task": "seqclass", "seq_len": "999"},
+        {"task": "seqclass", "eval_size": "3"},
+        {"task": "seqclass", "corpus": "nope.txt"},
+        {"task": "charlm", "eval_size": "5"},
+        {"task": "charlm", "num_classes": "9"},
+        {"task": "charlm", "image_size": "3"},
+        {"task": "charlm", "data_size": "64"},
+        {"task": "charlm", "test_frac": "0.5"},
+        {"task": "charlm", "data_seed": "2"},
     ]
     for overrides in cases:
         with pytest.raises(ConfigError):
             load_config(None, overrides)
+
+
+@pytest.mark.parametrize("task", cfgmod.TASKS)
+def test_each_task_takes_the_data_keys_it_reads(task):
+    """Defaults pass for every task, and so does a non-default value of
+    each data key the task reads; any other data key is named when set."""
+    load_config(None, {"task": task})
+    values = {"seq_len": "7", "corpus": "x.txt", "num_classes": "3", "image_size": "5",
+              "data_size": "64", "test_frac": "0.5", "eval_size": "9", "data_seed": "4"}
+    for key in cfgmod.DATA_KEYS:
+        if key in cfgmod.TASK_KEYS[task]:
+            load_config(None, {"task": task, key: values[key]})
+        else:
+            with pytest.raises(ConfigError, match=f"^{key} = .*task = {task}"):
+                load_config(None, {"task": task, key: values[key]})
 
 
 def test_parse_block_ranges():

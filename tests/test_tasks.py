@@ -88,6 +88,27 @@ def test_addition_eval_holds_no_trace():
     assert peak < tasks.EVAL_CHUNK * T * H * 8
 
 
+def test_addition_backward_holds_no_full_gradient():
+    """The blocked rnn_backward allocates no (T, B, H) array of its own: a
+    training loss_and_grad that spans several backward blocks peaks below
+    1.5x the (T, B, H) forward trace it has to hold, where a full dpre and
+    ReLU mask beside the trace would need more than 2x."""
+    T, H, B = 1000, 32, 32
+    K = compute.BUDGET // (8 * B * H)
+    assert -(-T // K) >= 4
+    task = tasks.AdditionTask(T, eval_size=1)
+    layout = RnnLayout.from_spec(RnnSpec(2, (H,), 1, T))
+    p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
+    batch = task.train_batch(np.random.default_rng(1), B)
+    tracemalloc.start()
+    try:
+        task.loss_and_grad(layout, p, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * T * B * H * 8
+
+
 # --- sequential classification ----------------------------------------------
 
 def test_synthetic_glyphs(rng):
