@@ -11,6 +11,7 @@ write_lines, which replaces the old file only once the new one is whole.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,6 +94,10 @@ class RunConfig:
             raise ConfigError("test_frac must lie strictly between 0 and 1")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
+        for key in ("lr", "epsilon", "init_range", "target_loss", "target_test_metric"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} = {value} is not finite")
         if self.lr <= 0 or self.epsilon <= 0 or self.init_range <= 0:
             raise ConfigError("lr, epsilon and init_range must be positive")
         # A key that the task or the optimizer never reads could not take
@@ -116,6 +121,8 @@ class RunConfig:
             ranges = parse_block_ranges(self.init_ranges)
             if self.init != "uniform":
                 raise ConfigError("init_ranges only applies to the uniform init")
+            if not all(math.isfinite(r) for r in ranges.values()):
+                raise ConfigError(f"init_ranges = {self.init_ranges} has a non-finite value")
             if any(r <= 0 for r in ranges.values()):
                 raise ConfigError("init_ranges values must be positive")
 

@@ -98,6 +98,19 @@ def test_train_rejects_keys_the_task_never_reads(tmp_path, capsys, settings, key
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting", ["lr=nan", "init_range=inf", "target_loss=nan"])
+def test_train_rejects_non_finite_settings(tmp_path, capsys, setting):
+    """A non-finite float setting exits 1, names the key and writes
+    nothing, instead of a diverged run, a traceback or a target that never
+    fires."""
+    out = tmp_path / "run"
+    assert run_cli("train", *TINY, "--set", setting, "--set", "steps=1",
+                   "--set", f"out_dir={out}") == 1
+    key = setting.split("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {key} = ")
+    assert not out.exists()
+
+
 def test_train_divergence_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     code = run_cli("train", *TINY, "--set", "hidden=4", "--set", "steps=200",

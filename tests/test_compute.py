@@ -254,3 +254,68 @@ def test_rnn_forward_shape_check(rng):
     layout = graph.RnnLayout.from_spec(spec)
     with pytest.raises(compute.ComputeError):
         compute.rnn_forward(layout, np.zeros(layout.m), np.zeros((2, 3, 2)))
+
+
+def _matmul_forward_steps(b, WrecT, first, t, relu):
+    """compute._forward_steps in the matmul form it replaced: index the
+    block at every step, np.matmul, += and the float 0.0."""
+    blk = b[1:]
+    for s in range(len(blk)):
+        if WrecT is not None and (s > 0 or not first):
+            blk[s] += np.matmul(b[s], WrecT, out=t)
+        if relu:
+            np.maximum(blk[s], 0.0, out=blk[s])
+
+
+def _matmul_backward_steps(blk, carry, m, Wrec, last, seeded, t):
+    """compute._backward_steps in the matmul form it replaced, with *= for
+    the mask."""
+    k = len(blk)
+    for s in range(k - 1, -1, -1):
+        if Wrec is not None and not (last and s == k - 1):
+            nxt = blk[s + 1] if s + 1 < k else carry
+            if s < seeded:
+                np.matmul(nxt, Wrec, out=blk[s])
+            else:
+                blk[s] += np.matmul(nxt, Wrec, out=t)
+        if m is not None:
+            blk[s] *= m[s]
+
+
+def _recurrence_outputs(layout, p, X, activation, r, dY):
+    tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
+    lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False, first_output=r)
+    g, dpre = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+    g_lean = compute.rnn_backward(layout, p, tr, dY, activation)
+    return [tr.y, *tr.h[1:], lean.y, g, *dpre[1:], g_lean]
+
+
+@pytest.mark.parametrize("budget", ["default", 1])
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("hidden", [(3,), (1,), (4, 1), (2, 3, 2)])
+def test_step_loops_bit_identical_to_matmul_form(hidden, bias, activation, budget, rng,
+                                                 monkeypatch):
+    """Every output of rnn_forward (traced and trace-free) and rnn_backward
+    (with and without return_dpre) has the bytes of the matmul-form step
+    loops, for B = 1 (the squared pass), 3 and 32, T = 1, 2, 7 and 40, and
+    first read-out steps 0, inside the sequence and T - 1.  A width-1 layer
+    at B = 1 covers the 1 x 1 product, whose sign of zero np.dot and
+    np.matmul disagree on; at budget 1 the backward walks one-step blocks."""
+    if budget != "default":
+        monkeypatch.setattr(compute, "BUDGET", budget)
+    for T in (1, 2, 7, 40):
+        layout = graph.RnnLayout.from_spec(RnnSpec(2, hidden, 2, T, bias=bias))
+        for B in (1, 3, 32):
+            p = rng.uniform(-1.2, 1.2, layout.m)
+            X = rng.standard_normal((B, T, 2))
+            for r in sorted({0, T // 2, T - 1}):
+                dY = rng.standard_normal((B, T - r, 2))
+                with monkeypatch.context() as mp:
+                    mp.setattr(compute, "_forward_steps", _matmul_forward_steps)
+                    mp.setattr(compute, "_backward_steps", _matmul_backward_steps)
+                    want = _recurrence_outputs(layout, p, X, activation, r, dY)
+                got = _recurrence_outputs(layout, p, X, activation, r, dY)
+                assert len(got) == len(want)
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (T, B, r)

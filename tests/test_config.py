@@ -123,6 +123,16 @@ def test_validate_rejections():
     for overrides in cases:
         with pytest.raises(ConfigError):
             load_config(None, overrides)
+    # Non-finite floats are named: NaN passes every <= 0 check, inf or 1e400
+    # diverges or overflows the init, and a NaN target never fires.
+    for key, raw in [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("lr", "1e400"),
+                     ("epsilon", "nan"), ("epsilon", "inf"),
+                     ("init_range", "nan"), ("init_range", "inf"),
+                     ("init_ranges", "rec1:nan"), ("init_ranges", "in1:0.1 out:inf"),
+                     ("target_loss", "nan"), ("target_loss", "inf"),
+                     ("target_test_metric", "nan"), ("target_test_metric", "-inf")]:
+        with pytest.raises(ConfigError, match=f"^{key} = "):
+            load_config(None, {key: raw})
 
 
 @pytest.mark.parametrize("task", cfgmod.TASKS)
