@@ -5,11 +5,12 @@ slices of one parameter vector.  The package computes the path-regularizer
 and its per-parameter second-order coefficients (kappa) from those matrices
 and uses them to precondition SGD and Adam so that training is invariant to
 node-wise rescalings of the weights.  The explicit DAG with an edge ->
-parameter map (SharedWeightNet) serves the oracles: everything is
-cross-checked against it and brute-force path enumeration on small nets.
+parameter map (SharedWeightNet) is not a second route but the reference:
+the layout route is cross-checked against it and brute-force path
+enumeration on small nets.
 """
 
-from .compute import backprop, forward, grad, rnn_backward, rnn_forward
+from .compute import backprop, forward, rnn_backward, rnn_forward
 from .graph import (
     GraphError,
     RnnLayout,
@@ -33,7 +34,6 @@ from .pathnorm import (
     gamma_bruteforce,
     gamma_recursive,
     kappa1,
-    kappa1_graph,
     kappa2,
     kappa2_bruteforce,
     kappa_fd,
@@ -59,10 +59,8 @@ __all__ = [
     "forward",
     "gamma_bruteforce",
     "gamma_recursive",
-    "grad",
     "is_feasible",
     "kappa1",
-    "kappa1_graph",
     "kappa2",
     "kappa2_bruteforce",
     "kappa_fd",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +50,8 @@ TRIM_THRESHOLD_BYTES = 64 << 20
 # Resuming keeps the checkpoint's optimizer; these config keys must agree.
 RESUME_KEYS = (("optimizer", "kind"), ("lr", "eta"),
                ("kappa_mode", "kappa_mode"), ("epsilon", "eps"))
+# The columns of the kappa-ratio table, on stdout and in --csv.
+KAPPA_RATIO_HEADER = "hidden,length,mean_ratio,sd_ratio"
 
 
 def make_task(cfg: RunConfig):
@@ -157,8 +160,13 @@ def cmd_kappa_ratio(args) -> int:
     lengths = [int(tok) for tok in args.lengths.split(",")]
     if any(h < 1 for h in hiddens) or any(t < 1 for t in lengths) or args.seeds < 1:
         raise ConfigError("hidden sizes, lengths and seeds must be positive")
-    rows = []
-    print("hidden,length,mean_ratio,sd_ratio")
+    for flag, dim in (("--input-dim", args.input_dim), ("--output-dim", args.output_dim)):
+        if dim < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {dim}")
+    if not (math.isfinite(args.init_range) and args.init_range >= 0.0):
+        raise ConfigError(f"--init-range must be finite and >= 0, got {args.init_range}")
+    lines = [KAPPA_RATIO_HEADER]
+    print(lines[0])
     for h in hiddens:
         for t in lengths:
             spec = RnnSpec(args.input_dim, (h,), args.output_dim, t)
@@ -180,15 +188,11 @@ def cmd_kappa_ratio(args) -> int:
                         print(f"crosscheck FAILED at H={h} T={t} seed={s}: {gap:.3e}",
                               file=sys.stderr)
                         return EXIT_VERIFY
-            mean = float(np.mean(ratios))
-            sd = float(np.std(ratios))
-            rows.append((h, t, mean, sd))
-            print(f"{h},{t},{mean:.6g},{sd:.6g}")
+            lines.append(f"{h},{t},{np.mean(ratios):.6g},{np.std(ratios):.6g}")
+            print(lines[-1])
             sys.stdout.flush()
     if args.csv:
-        lines = ["hidden,length,mean_ratio,sd_ratio"]
-        lines.extend(f"{h},{t},{mean:.6g},{sd:.6g}" for h, t, mean, sd in rows)
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        write_lines(args.csv, lines)
     return EXIT_OK
 
 

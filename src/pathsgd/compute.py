@@ -1,27 +1,22 @@
 """Forward evaluation and exact reverse-mode gradients of shared-weight nets.
 
-Two routes cover every network:
-
-* a generic interpreter over the explicit DAG (any SharedWeightNet), used by
-  the oracles and small verification nets;
-* a vectorized route over the RnnLayout matrices, used by training,
-  evaluation and the squared-net pass of pathnorm.  rnn_forward runs one
-  loop over blocks of time steps (layers inner): each layer's input drive
-  and the block's outputs are one matmul per block, and only the
-  recurrence runs step by step, against one C-contiguous copy of W_rec^T
-  per layer.  Hidden states are time-major, (T, B, H_i), so each step
-  reads and writes one contiguous (B, H_i) block.  The training forward
-  keeps the whole sequence as one block, which is the trace rnn_backward
-  reads; evaluation, which needs only the outputs, runs the forward
-  trace-free (keep_trace=False) in blocks of BLOCK steps and holds one
-  (BLOCK, B, H_i) buffer and one carried (B, H_i) state per layer.
-  rnn_backward walks time from the end in blocks sized so that one
-  layer's dpre block fits in BUDGET bytes, layers top-down inside each
-  block, and carries dpre at each block's first step into the earlier
-  block, so it allocates no (T, B, H_i) array of its own.  Outputs are
-  projected only from step first_output on: a many-to-one task reads the
-  last step alone, so its forward makes one (B, H) x (H, O) output product
-  and its backward seeds only that step.
+Training, evaluation, the squared-net pass of pathnorm and verify's
+gradient-check all run one route, vectorized over the RnnLayout matrices.
+rnn_forward runs one loop over blocks of time steps (layers inner): each
+layer's input drive and the block's outputs are one matmul per block, and
+only the recurrence runs step by step, against one C-contiguous copy of
+W_rec^T per layer.  Hidden states are time-major, (T, B, H_i), so each step
+reads and writes one contiguous (B, H_i) block.  The training forward keeps
+the whole sequence as one block, which is the trace rnn_backward reads;
+evaluation, which needs only the outputs, runs the forward trace-free
+(keep_trace=False) in blocks of BLOCK steps and holds one (BLOCK, B, H_i)
+buffer and one carried (B, H_i) state per layer.  rnn_backward walks time
+from the end in blocks sized so that one layer's dpre block fits in BUDGET
+bytes, layers top-down inside each block, and carries dpre at each block's
+first step into the earlier block, so it allocates no (T, B, H_i) array of
+its own.  Outputs are projected only from step first_output on: a
+many-to-one task reads the last step alone, so its forward makes one
+(B, H) x (H, O) output product and its backward seeds only that step.
 
 At small sizes a recurrence step costs as much in calls as in arithmetic:
 at B = H = 32 the (B, H) x (H, H) product takes about 1.6 us and each
@@ -36,9 +31,9 @@ arithmetic is that of the np.matmul / += / *= form the loops replaced, and
 every output is bit-identical to it; tests/test_compute.py keeps that form
 as the reference.
 
-Both routes are exact reverse-mode differentiation and are tied together by
-equivalence tests.  All arithmetic is 64-bit; gradients over a batch are the
-mean over examples.
+forward and backprop interpret the explicit DAG edge by edge: not a second
+route, but the reference tests/test_compute.py compares the layout route
+with on small nets.  All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -179,68 +174,18 @@ def backprop(net: SharedWeightNet, p: np.ndarray, trace: ActivationTrace,
     return dp
 
 
-# --- losses ------------------------------------------------------------------
+# --- finite differences -------------------------------------------------------
 
-def loss(outputs: np.ndarray, target) -> float:
-    """Mean squared error over the designated output vector."""
-    z = np.asarray(outputs, dtype=float).reshape(-1)
-    t = np.asarray(target, dtype=float).reshape(-1)
-    if t.shape != z.shape:
-        raise ComputeError(f"mse: target shape {t.shape} != outputs shape {z.shape}")
-    return float(np.mean((z - t) ** 2))
-
-
-def loss_grad(outputs: np.ndarray, target) -> np.ndarray:
-    """d(loss)/d(outputs)."""
-    z = np.asarray(outputs, dtype=float).reshape(-1)
-    t = np.asarray(target, dtype=float).reshape(-1)
-    return 2.0 * (z - t) / z.shape[0]
-
-
-def batch_loss(net: SharedWeightNet, p: np.ndarray, batch,
-               activation: str = "relu") -> float:
-    """Mean loss over (x, target) pairs."""
-    total = 0.0
-    for x, target in batch:
-        outputs, _ = forward(net, p, x, activation)
-        total += loss(outputs, target)
-    return total / len(batch)
-
-
-def grad(net: SharedWeightNet, p: np.ndarray, batch,
-         activation: str = "relu") -> np.ndarray:
-    """Mean gradient of the loss over a batch of (x, target) pairs."""
-    if not batch:
-        raise ComputeError("grad: empty batch")
-    dp = np.zeros(net.num_params)
-    for x, target in batch:
-        outputs, trace = forward(net, p, x, activation)
-        dp += backprop(net, p, trace, loss_grad(outputs, target), activation)
-    return dp / len(batch)
-
-
-def finite_diff_grad(net: SharedWeightNet, p: np.ndarray, batch,
-                     step: float = 1e-5, activation: str = "relu") -> np.ndarray:
-    """Central-difference gradient of the batch loss; the gradient oracle."""
-    p = _check_params(p, net.num_params)
-    return central_diff(lambda q: batch_loss(net, q, batch, activation), p, step)
-
-
-def central_diff(f, p: np.ndarray, step) -> np.ndarray:
-    """Per-coordinate central first difference of a scalar function.
-
-    step may be a scalar or a per-coordinate array.
-    """
+def central_diff(f, p: np.ndarray, step: float) -> np.ndarray:
+    """Per-coordinate central first difference of a scalar function."""
     p = np.asarray(p, dtype=float)
-    h = np.broadcast_to(np.asarray(step, dtype=float), p.shape)
     g = np.zeros_like(p)
     for i in range(p.shape[0]):
         pp = p.copy()
-        pp[i] = p[i] + h[i]
+        pp[i] = p[i] + step
         fp = f(pp)
-        pp[i] = p[i] - h[i]
-        fm = f(pp)
-        g[i] = (fp - fm) / (2.0 * h[i])
+        pp[i] = p[i] - step
+        g[i] = (fp - f(pp)) / (2.0 * step)
     return g
 
 

@@ -13,20 +13,20 @@ kappa = kappa1 + kappa2:
   parameter on one path, and is therefore exactly zero when no path reuses
   a parameter (any net with a one-to-one parameter map).
 
-The authoritative ground truth here is the finite-difference kappa_fd built
-on the gamma recursion; every closed form below is validated against it.
-kappa1, kappa2 and the preconditioner take the RnnLayout and read one pass
-of the squared net: compute.rnn_forward / rnn_backward, the routines
+gamma, kappa1, kappa2 and the preconditioner take the RnnLayout and read one
+pass of the squared net: compute.rnn_forward / rnn_backward, the routines
 training uses, run on the squared parameters at the all-ones input with
-identity activation.  Its summed output equals gamma^2 node-for-node; its
-parameter gradient is kappa1, and its per-step hidden values h and
-backward deltas are what kappa2 reads.  kappa2 sums the pairs of
-applications of a recurrent matrix in blocks of L = floor(sqrt(2 H))
-steps: pairs inside a block are L long matmuls over all blocks at once,
-and pairs across blocks pass through one H x H state carried from block to
-block, so a layer costs O(T H^2.5) time and O(T H^2 / L) memory.  The
-explicit DAG is read only by the oracles (gamma, kappa_fd, the enumerators
-and kappa1_graph).
+identity activation.  Its summed output is gamma^2; its parameter gradient
+is kappa1, and its per-step hidden values h and backward deltas are what
+kappa2 reads.  kappa2 sums the pairs of applications of a recurrent matrix
+in blocks of L = floor(sqrt(2 H)) steps: pairs inside a block are L long
+matmuls over all blocks at once, and pairs across blocks pass through one
+H x H state carried from block to block, so a layer costs O(T H^2.5) time
+and O(T H^2 / L) memory.
+
+The explicit DAG is read only by the oracles the layout route is checked
+against: the gamma recursion, the finite-difference kappa_fd built on it
+(the ground truth for every closed form) and the path enumerators.
 """
 
 from __future__ import annotations
@@ -82,6 +82,14 @@ def gamma_recursive(net: SharedWeightNet, p: np.ndarray) -> float:
     for v in net.output_ids:
         total += float(g[v])
     return total
+
+
+def gamma(layout: RnnLayout, p: np.ndarray) -> float:
+    """gamma^2 of an unrolled RNN: the summed output of compute.rnn_forward
+    on the squared parameters at the all-ones input, identity activation."""
+    X = np.ones((1, layout.spec.length, layout.spec.input_dim))
+    tr = compute.rnn_forward(layout, np.square(p), X, "identity", keep_trace=False)
+    return float(tr.y.sum())
 
 
 def count_paths(net: SharedWeightNet) -> int:
@@ -157,19 +165,6 @@ def kappa_fd(net: SharedWeightNet, p: np.ndarray, step: float = 1e-4) -> np.ndar
 
 
 # --- kappa1 ------------------------------------------------------------------
-
-def kappa1_graph(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
-    """kappa1 of any DAG via the squared net: the gradient of its summed
-    output at the all-ones input, taken with respect to the squared
-    parameters.  With nonnegative weights and inputs every node value is
-    nonnegative, so the ReLU forward is the gamma^2 polynomial and the
-    backward may use unit derivatives.  The oracle for kappa1."""
-    p = np.asarray(p, dtype=float)
-    sq = p * p
-    _, trace = compute.forward(net, sq, np.ones(len(net.input_ids)))
-    d_out = np.ones(len(net.output_ids))
-    return compute.backprop(net, sq, trace, d_out, activation="identity")
-
 
 def _squared_pass(layout: RnnLayout, p: np.ndarray):
     """kappa1 and the squared-net states from one compute.rnn_forward /

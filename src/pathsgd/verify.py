@@ -1,9 +1,10 @@
 """Executable correctness properties, surfaced by the ``verify`` subcommand.
 
-Each property draws randomized desk-scale instances, compares an efficient
-implementation against an independent oracle or an exact mathematical
-identity, and reports its worst residual.  The quick level runs in a few
-seconds; the full level uses the larger sample counts.
+Each property draws randomized desk-scale instances, compares the code
+training runs (rnn_forward / rnn_backward and the squared-net pass) against
+an independent oracle, such as the DAG, or an exact mathematical identity,
+and reports its worst residual.  The quick level runs in a few seconds; the
+full level uses the larger sample counts.
 """
 
 from __future__ import annotations
@@ -43,44 +44,55 @@ def random_spec(rng: np.random.Generator, max_hidden: int = 3,
         bias=bool(rng.integers(0, 2)))
 
 
-def _random_mlp(rng: np.random.Generator) -> SharedWeightNet:
+def _random_mlp(rng: np.random.Generator) -> RnnSpec:
     """An MLP with 2 or 3 weight layers: the RNN unrolled for one step."""
     depth = int(rng.integers(2, 4))
     dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
-    return build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
+    return RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1)
 
 
-def random_net(rng: np.random.Generator, **kw) -> SharedWeightNet:
+def random_net_spec(rng: np.random.Generator) -> RnnSpec:
     """A small random net: an unrolled RNN or, sometimes, a plain MLP."""
     if rng.uniform() < 0.25:
         return _random_mlp(rng)
-    return build_rnn(random_spec(rng, **kw))
+    return random_spec(rng)
 
 
-def random_params(net: SharedWeightNet, rng: np.random.Generator) -> np.ndarray:
-    return rng.uniform(-1.5, 1.5, net.num_params)
+def random_net(rng: np.random.Generator) -> SharedWeightNet:
+    return build_rnn(random_net_spec(rng))
 
 
-def _kink_free(net: SharedWeightNet, p: np.ndarray, batch, margin: float) -> bool:
-    for x, _ in batch:
-        _, tr = compute.forward(net, p, x)
-        for nd in net.nodes:
-            if nd.kind != "internal" or abs(tr.pre[nd.idx]) > margin:
-                continue
-            # pre near 0 is harmless when every source is dead: then pre is
-            # identically 0 in a neighborhood of p and the node is smooth.
-            if any(tr.values[u] != 0.0 for u, _ in net.incoming[nd.idx]):
-                return False
+def random_params(layout: RnnLayout, rng: np.random.Generator) -> np.ndarray:
+    return rng.uniform(-1.5, 1.5, layout.m)
+
+
+def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray, margin: float) -> bool:
+    # pre near 0 is harmless at a unit whose sources are all 0: then pre is
+    # identically 0 in a neighborhood of p and the unit is smooth.  The
+    # trace keeps only h, so pre is recomputed from it.
+    h = compute.rnn_forward(layout, p, X).h
+    for i in range(1, layout.spec.depth):
+        pre = h[i - 1] @ layout.view(p, f"in{i}").T
+        live = np.any(h[i - 1] != 0.0, axis=2)  # (T, B): some source is not 0
+        Wrec = layout.matrix(p, f"rec{i}")
+        if Wrec is not None:
+            pre[1:] += h[i][:-1] @ Wrec.T
+            live[1:] |= np.any(h[i][:-1] != 0.0, axis=2)
+        if f"b{i}" in layout.slices:  # the bias source is 1
+            pre += layout.view(p, f"b{i}")[:, 0]
+            live[...] = True
+        if np.any((np.abs(pre) <= margin) & live[..., None]):
+            return False
     return True
 
 
-def sample_kink_free(net: SharedWeightNet, rng: np.random.Generator,
-                     batch, margin: float = 1e-2, tries: int = 200):
-    """Parameters whose ReLU pre-activations stay at least ``margin`` from
-    zero on the given batch, so finite differences see a smooth function."""
+def sample_kink_free(layout: RnnLayout, rng: np.random.Generator,
+                     X: np.ndarray, margin: float = 1e-2, tries: int = 200):
+    """Parameters whose ReLU pre-activations on the batch X stay at least
+    ``margin`` from zero, so finite differences see a smooth function."""
     for _ in range(tries):
-        p = random_params(net, rng)
-        if _kink_free(net, p, batch, margin):
+        p = random_params(layout, rng)
+        if _kink_free(layout, p, X, margin):
             return p
     raise RuntimeError("could not sample kink-free parameters")
 
@@ -92,12 +104,12 @@ def _rel(a: np.ndarray, b: np.ndarray, floor: float) -> float:
 
 
 def check_gamma_oracle(rng, n, threshold=1e-10) -> PropertyResult:
-    """Recursive path-regularizer equals brute-force path enumeration."""
+    """gamma^2 from the layout forward equals brute-force path enumeration."""
     worst = 0.0
     for _ in range(n):
         net = random_net(rng)
-        p = random_params(net, rng)
-        g_fast = pathnorm.gamma_recursive(net, p)
+        p = random_params(net.rnn, rng)
+        g_fast = pathnorm.gamma(net.rnn, p)
         g_slow = pathnorm.gamma_bruteforce(net, p)
         worst = max(worst, abs(g_fast - g_slow) / max(abs(g_slow), 1e-12))
     return PropertyResult("gamma-oracle", worst <= threshold, worst, threshold, n)
@@ -108,7 +120,7 @@ def check_kappa_decomposition(rng, n, threshold=1e-4, kappa_scale=1.0) -> Proper
     worst = 0.0
     for _ in range(n):
         net = random_net(rng)
-        p = random_params(net, rng)
+        p = random_params(net.rnn, rng)
         total = kappa_scale * pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
         fd = pathnorm.kappa_fd(net, p)
         worst = max(worst, _rel(total, fd, 1.0))
@@ -120,7 +132,7 @@ def check_kappa2_closed_form(rng, n, threshold=1e-10) -> PropertyResult:
     worst = 0.0
     for _ in range(n):
         net = build_rnn(random_spec(rng))
-        p = random_params(net, rng)
+        p = random_params(net.rnn, rng)
         k2_fast = pathnorm.kappa2(net.rnn, p)
         k2_slow = pathnorm.kappa2_bruteforce(net, p)
         worst = max(worst, _rel(k2_fast, k2_slow, 1.0))
@@ -131,8 +143,8 @@ def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
     """Without weight sharing, the interaction term vanishes identically."""
     worst = 0.0
     for _ in range(n):
-        net = _random_mlp(rng)
-        p = random_params(net, rng)
+        net = build_rnn(_random_mlp(rng))
+        p = random_params(net.rnn, rng)
         worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
     return PropertyResult("feedforward-kappa2-zero", worst == 0.0, worst, 0.0, n,
                           detail="(exact)")
@@ -144,7 +156,7 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
     for _ in range(n):
         spec = random_spec(rng)
         net = build_rnn(spec)
-        p = random_params(net, rng)
+        p = random_params(net.rnn, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.5)
         q = invariance.apply_rescaling(spec, p, alpha)
         assert invariance.is_feasible(net, invariance.edge_multipliers(net, alpha))
@@ -153,8 +165,8 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
         yb = compute.rnn_forward(net.rnn, q, X).y
         scale = max(1.0, float(np.max(np.abs(ya))))
         worst = max(worst, float(np.max(np.abs(ya - yb))) / scale)
-        ga = pathnorm.gamma_recursive(net, p)
-        gb = pathnorm.gamma_recursive(net, q)
+        ga = pathnorm.gamma(net.rnn, p)
+        gb = pathnorm.gamma(net.rnn, q)
         worst = max(worst, abs(ga - gb) / max(abs(ga), 1e-12))
     return PropertyResult("rescaling-invariance", worst <= threshold, worst, threshold, n)
 
@@ -212,19 +224,23 @@ def check_sgd_not_invariant(rng, n, threshold=1e-3, steps=3) -> PropertyResult:
 
 
 def check_gradient(rng, n, threshold=1e-5) -> PropertyResult:
-    """Backpropagation matches central differences away from ReLU kinks."""
+    """rnn_backward of the mean squared error matches central differences of
+    rnn_forward away from ReLU kinks."""
     worst = 0.0
     for _ in range(n):
-        net = random_net(rng)
-        out_dim = len(net.output_ids)
-        batch = []
-        for _ in range(2):
-            x = rng.standard_normal(len(net.input_ids))
-            t = rng.standard_normal(out_dim)
-            batch.append((x, t))
-        p = sample_kink_free(net, rng, batch)
-        g = compute.grad(net, p, batch)
-        g_fd = compute.finite_diff_grad(net, p, batch)
+        spec = random_net_spec(rng)
+        layout = RnnLayout.from_spec(spec)
+        X = np.empty((2, spec.length, spec.input_dim))
+        Y = np.empty((2, spec.length, spec.output_dim))
+        for b in range(2):  # each example's input, then its target
+            X[b] = rng.standard_normal(X.shape[1:])
+            Y[b] = rng.standard_normal(Y.shape[1:])
+        p = sample_kink_free(layout, rng, X)
+        tr = compute.rnn_forward(layout, p, X)
+        g = compute.rnn_backward(layout, p, tr, 2.0 * (tr.y - Y) / Y.size)
+        g_fd = compute.central_diff(
+            lambda q: float(np.mean((compute.rnn_forward(layout, q, X).y - Y) ** 2)),
+            p, 1e-5)
         worst = max(worst, float(np.max(np.abs(g - g_fd) /
                                         np.maximum(np.abs(g_fd), 1e-3))))
     return PropertyResult("gradient-check", worst <= threshold, worst, threshold, n)

@@ -32,7 +32,7 @@ def test_criterion_01_gamma_oracle(capsys):
     res = verify.check_gamma_oracle(np.random.default_rng(101), 60)
     dt = time.time() - t0
     ok = res.passed and dt < 10.0
-    _report(capsys, 1, "gamma recursive vs brute-force enumeration", ok,
+    _report(capsys, 1, "gamma^2 from the layout forward vs brute-force enumeration", ok,
             f"worst rel gap {res.worst:.3e} (tol 1e-10) on {res.n} nets in {dt:.1f}s (budget 10s)")
 
 

@@ -198,6 +198,30 @@ def test_train_resume_in_place_keeps_earlier_rows(tmp_path):
         assert (run / name).read_bytes() == (full / name).read_bytes(), name
 
 
+def test_train_records_kappa_ratio(tmp_path):
+    """record_kappa_ratio adds a kappa_ratio column whose step-0 value is
+    pathnorm.kappa_ratio at the init parameters, and a run resumed into its
+    own out_dir keeps the rows before the checkpoint."""
+    base = [*RESUME_BASE, "--set", "record_kappa_ratio=true"]
+    full = tmp_path / "full"
+    run = tmp_path / "run"
+    assert run_cli("train", *base, "--set", "steps=40", "--set", f"out_dir={full}") == 0
+    assert run_cli("train", *base, "--set", "steps=20", "--set", f"out_dir={run}") == 0
+    assert run_cli("train", "--config", str(run / "config.txt"), "--set", "steps=40",
+                   "--resume", str(run / "checkpoint.txt")) == 0
+    rows = (run / "metrics.csv").read_text().splitlines()
+    assert rows == (full / "metrics.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "10", "20", "30", "40"]
+    header = rows[0].split(",")
+    assert "kappa_ratio" in header
+    step0 = dict(zip(header, rows[1].split(",")))
+    cfg = config.load_config(run / "config.txt")
+    layout = cli.make_net(cfg, cli.make_task(cfg))
+    assert step0["step"] == "0"
+    assert float(step0["kappa_ratio"]) == pathnorm.kappa_ratio(layout,
+                                                               cli.init_params(cfg, layout))
+
+
 def test_train_resume_rejects_override(tmp_path, capsys):
     half = tmp_path / "half"
     assert run_cli("train", *RESUME_BASE, "--set", "steps=20",
@@ -288,6 +312,23 @@ def test_kappa_ratio_bad_sizes(capsys):
     assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3", "--seeds", "0") == 1
     captured = capsys.readouterr()
     assert "seeds must be positive" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--init-range", "nan"), ("--init-range", "inf"), ("--init-range", "-inf"),
+    ("--init-range", "-0.1"), ("--input-dim", "0"), ("--output-dim", "0"),
+    ("--output-dim", "-1"),
+])
+def test_kappa_ratio_rejects_bad_flag_before_output(tmp_path, capsys, flag, value):
+    """A non-finite or negative init range and a dimension below 1 exit 1,
+    name the flag, and print nothing, not even the table header."""
+    csv = tmp_path / "ratios.csv"
+    assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3", f"{flag}={value}",
+                   "--csv", str(csv)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and flag in captured.err
+    assert captured.out == ""
+    assert not csv.exists()
 
 
 def test_kappa_ratio_zero_init(capsys):

@@ -39,37 +39,29 @@ def test_forward_deterministic(single_unit_t3, rng):
     assert np.array_equal(y1, y2)
 
 
-def test_loss_values():
-    assert compute.loss([0.75], [0.75]) == 0.0
-    assert compute.loss([1.0], [0.0]) == 1.0
-    assert compute.loss([1.0, 3.0], [0.0, 1.0]) == 2.5
-    with pytest.raises(compute.ComputeError):
-        compute.loss([1.0, 2.0], [1.0])
+def _mse_grad(layout, p, X, Y):
+    """rnn_backward of the mean squared error over (B, T, O)."""
+    tr = compute.rnn_forward(layout, p, X)
+    return compute.rnn_backward(layout, p, tr, 2.0 * (tr.y - Y) / Y.size)
 
 
 def test_grad_zero_at_optimum(single_unit_t2):
-    batch = [([0.5, 0.25], [0.5, 0.75])]
-    g = compute.grad(single_unit_t2, np.ones(3), batch)
+    g = _mse_grad(single_unit_t2.rnn, np.ones(3), np.array([[[0.5], [0.25]]]),
+                  np.array([[[0.5], [0.75]]]))
     assert np.all(g == 0.0)
 
 
 def test_grad_single_edge():
     """1-1-1 MLP, p = (w_in, w_out) = (1, 1), x = 1, target 0: loss (w_out
     w_in x)^2 has gradient (2 w_out x y, 2 w_in x y) = (2, 2)."""
-    net = build_rnn(RnnSpec(1, (1,), 1, 1))
-    g = compute.grad(net, np.array([1.0, 1.0]), [([1.0], [0.0])])
+    layout = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 1))
+    g = _mse_grad(layout, np.array([1.0, 1.0]), np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
     assert np.allclose(g, [2.0, 2.0], rtol=1e-12)
 
 
 def test_grad_matches_finite_differences(rng):
-    for _ in range(10):
-        net = verify.random_net(rng)
-        batch = [(rng.standard_normal(len(net.input_ids)),
-                  rng.standard_normal(len(net.output_ids))) for _ in range(2)]
-        p = verify.sample_kink_free(net, rng, batch)
-        g = compute.grad(net, p, batch)
-        g_fd = compute.finite_diff_grad(net, p, batch)
-        assert np.max(np.abs(g - g_fd) / np.maximum(np.abs(g_fd), 1e-3)) < 1e-5
+    res = verify.check_gradient(rng, 10)
+    assert res.passed, res.line()
 
 
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])

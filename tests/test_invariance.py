@@ -19,7 +19,7 @@ def test_rescaling_preserves_function(rng):
     for _ in range(10):
         spec = verify.random_spec(rng)
         net = build_rnn(spec)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = apply_rescaling(spec, p, alpha)
         for _ in range(3):
@@ -33,7 +33,7 @@ def test_rescaling_preserves_gamma(rng):
     for _ in range(10):
         spec = verify.random_spec(rng)
         net = build_rnn(spec)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = apply_rescaling(spec, p, alpha)
         ga = pathnorm.gamma_recursive(net, p)
@@ -44,7 +44,7 @@ def test_rescaling_preserves_gamma(rng):
 def test_group_structure(rng):
     spec = RnnSpec(2, (3, 2), 1, 3)
     net = build_rnn(spec)
-    p = verify.random_params(net, rng)
+    p = verify.random_params(net.rnn, rng)
     a = invariance.random_rescaling(spec, rng, 1.0)
     b = invariance.random_rescaling(spec, rng, 1.0)
 
@@ -71,7 +71,7 @@ def test_apply_matches_edge_multipliers(rng):
     for _ in range(6):
         spec = verify.random_spec(rng)
         net = build_rnn(spec)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = apply_rescaling(spec, p, alpha)
         mult = edge_multipliers(net, alpha)

@@ -21,15 +21,18 @@ def test_gamma_hand_values(single_unit_t2, single_unit_t3):
     assert pathnorm.gamma_bruteforce(single_unit_t2, p) == 3.0
     assert pathnorm.gamma_recursive(single_unit_t3, p) == 6.0
     assert pathnorm.gamma_recursive(single_unit_t2, np.zeros(3)) == 0.0
+    assert pathnorm.gamma(single_unit_t2.rnn, p) == 3.0
+    assert pathnorm.gamma(single_unit_t3.rnn, p) == 6.0
+    assert pathnorm.gamma(single_unit_t3.rnn, np.zeros(3)) == 0.0
 
 
 def test_gamma_recursive_equals_bruteforce(rng):
     for _ in range(20):
         net = verify.random_net(rng)
-        p = verify.random_params(net, rng)
-        fast = pathnorm.gamma_recursive(net, p)
+        p = verify.random_params(net.rnn, rng)
         slow = pathnorm.gamma_bruteforce(net, p)
-        assert rel_gap(fast, slow) < 1e-10
+        assert rel_gap(pathnorm.gamma_recursive(net, p), slow) < 1e-10
+        assert rel_gap(pathnorm.gamma(net.rnn, p), slow) < 1e-10
 
 
 def test_path_count_and_guard():
@@ -47,7 +50,7 @@ def test_squared_net_reproduces_gamma_bit_exactly(rng):
     without any floating-point slack."""
     for _ in range(10):
         net = verify.random_net(rng)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         outputs, tr = compute.forward(net, p * p, np.ones(len(net.input_ids)))
         assert np.all(tr.values >= 0.0)
         total = 0.0
@@ -79,26 +82,26 @@ def test_kappa1_hand_values(single_unit_t2, single_unit_t3):
     p = np.ones(3)
     assert np.allclose(pathnorm.kappa1(single_unit_t2.rnn, p), [3.0, 1.0, 3.0],
                        rtol=1e-12)
-    k1 = pathnorm.kappa1(single_unit_t3.rnn, p)
-    assert np.allclose(k1, [6.0, 4.0, 6.0], rtol=1e-12)
-    assert np.array_equal(pathnorm.kappa1_graph(single_unit_t3, p), k1)
+    assert np.allclose(pathnorm.kappa1(single_unit_t3.rnn, p), [6.0, 4.0, 6.0],
+                       rtol=1e-12)
 
 
 def test_kappa1_equals_per_edge_enumeration(rng):
     for _ in range(12):
         net = verify.random_net(rng)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         slow = pathnorm.kappa1_bruteforce(net, p)
-        assert rel_gap(pathnorm.kappa1_graph(net, p), slow, floor=1e-9) < 1e-10
         assert rel_gap(pathnorm.kappa1(net.rnn, p), slow, floor=1e-9) < 1e-10
 
 
 def test_kappa1_feedforward_equals_fd(rng):
+    """Without weight sharing kappa2 is 0, so kappa1 alone is kappa."""
     for dims in ([1, 1, 1], [2, 3, 1], [3, 2, 2]):
         net = build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
         p = rng.uniform(-1.0, 1.0, net.num_params)
-        assert rel_gap(pathnorm.kappa1_graph(net, p),
-                       pathnorm.kappa_fd(net, p), floor=1.0) < 1e-6
+        k1 = pathnorm.kappa1(net.rnn, p)
+        assert rel_gap(k1, pathnorm.kappa1_bruteforce(net, p), floor=1e-9) < 1e-10
+        assert rel_gap(k1, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-6
 
 
 def test_kappa2_hand_values(single_unit_t2, single_unit_t3):
@@ -125,7 +128,7 @@ def test_kappa2_rnn_equals_bruteforce(rng):
     for _ in range(12):
         spec = verify.random_spec(rng)
         net = build_rnn(spec)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         fast = pathnorm.kappa2(net.rnn, p)
         slow = pathnorm.kappa2_bruteforce(net, p)
         assert rel_gap(fast, slow, floor=1.0) < 1e-10
@@ -139,7 +142,7 @@ def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
             hidden = tuple(int(rng.integers(1, 3)) for _ in range(depth))
             net = build_rnn(RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
                                     length, bias=bool(rng.integers(0, 2))))
-            p = verify.random_params(net, rng)
+            p = verify.random_params(net.rnn, rng)
             fast = pathnorm.kappa2(net.rnn, p)
             slow = pathnorm.kappa2_bruteforce(net, p)
             assert rel_gap(fast, slow, floor=1.0) < 1e-10
@@ -228,7 +231,7 @@ def test_decomposition_matches_fd(rng):
 def test_kappa_nonnegative(rng):
     for _ in range(10):
         net = verify.random_net(rng)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         assert np.all(pathnorm.kappa1(net.rnn, p) >= 0.0)
         assert np.all(pathnorm.kappa2(net.rnn, p) >= 0.0)
 
@@ -239,7 +242,7 @@ def test_kappa_rescaling_covariance(rng):
     for _ in range(8):
         spec = verify.random_spec(rng)
         net = build_rnn(spec)
-        p = verify.random_params(net, rng)
+        p = verify.random_params(net.rnn, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = invariance.apply_rescaling(spec, p, alpha)
         mult = invariance.edge_multipliers(net, alpha)

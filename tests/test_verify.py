@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from pathsgd import compute, verify
@@ -37,18 +36,21 @@ def test_tampered_kappa_is_caught():
 
 
 def test_sample_kink_free_respects_margin(rng):
-    net = verify.random_net(rng)
-    batch = [(rng.uniform(-1, 1, len(net.input_ids)),
-              np.zeros(len(net.output_ids))) for _ in range(3)]
-    p = verify.sample_kink_free(net, rng, batch, margin=1e-2)
-    assert p is not None
-    for x, _ in batch:
-        _, tr = compute.forward(net, p, x)
-        for nd in net.nodes:
-            if nd.kind != "internal":
-                continue
-            dead = all(tr.values[u] == 0.0 for u, _ in net.incoming[nd.idx])
-            assert dead or abs(tr.pre[nd.idx]) > 1e-2
+    """The layout sampler's parameters keep every ReLU pre-activation of
+    the unrolled DAG more than the margin from 0, except at a unit whose
+    sources are all 0."""
+    for _ in range(5):
+        net = verify.random_net(rng)
+        spec = net.rnn.spec
+        X = rng.uniform(-1, 1, (3, spec.length, spec.input_dim))
+        p = verify.sample_kink_free(net.rnn, rng, X, margin=1e-2)
+        for x in X:
+            _, tr = compute.forward(net, p, x)
+            for nd in net.nodes:
+                if nd.kind != "internal":
+                    continue
+                dead = all(tr.values[u] == 0.0 for u, _ in net.incoming[nd.idx])
+                assert dead or abs(tr.pre[nd.idx]) > 1e-2
 
 
 def test_random_spec_bounds(rng):
