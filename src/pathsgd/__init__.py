@@ -4,23 +4,15 @@ An unrolled RNN is modelled by its RnnLayout, a map from weight matrices to
 slices of one parameter vector.  The package computes the path-regularizer
 and its per-parameter second-order coefficients (kappa) from those matrices
 and uses them to precondition SGD and Adam so that training is invariant to
-node-wise rescalings of the weights.  The explicit DAG with an edge ->
-parameter map (SharedWeightNet) is not a second route but the reference:
-the layout route is cross-checked against it and brute-force path
-enumeration on small nets.
+node-wise rescalings of the weights.  The oracles the matrix route is
+cross-checked against on small nets, a gamma recursion, its finite
+differences and brute-force path enumeration, walk the same layout one
+(layer, unit, time) coordinate at a time.
 """
 
-from .compute import backprop, forward, rnn_backward, rnn_forward
-from .graph import (
-    GraphError,
-    RnnLayout,
-    RnnSpec,
-    SharedWeightNet,
-    build_rnn,
-    edges_for_param,
-    validate,
-)
-from .invariance import NodeScaling, apply_rescaling, is_feasible, random_rescaling
+from .compute import rnn_backward, rnn_forward
+from .graph import GraphError, RnnLayout, RnnSpec
+from .invariance import NodeScaling, apply_rescaling, random_rescaling
 from .optim import (
     OptimizerState,
     TrainResult,
@@ -49,17 +41,11 @@ __all__ = [
     "OptimizerState",
     "RnnLayout",
     "RnnSpec",
-    "SharedWeightNet",
     "TrainResult",
     "adam_step",
     "apply_rescaling",
-    "backprop",
-    "build_rnn",
-    "edges_for_param",
-    "forward",
     "gamma_bruteforce",
     "gamma_recursive",
-    "is_feasible",
     "kappa1",
     "kappa2",
     "kappa2_bruteforce",
@@ -73,5 +59,4 @@ __all__ = [
     "rnn_forward",
     "sgd_step",
     "train_loop",
-    "validate",
 ]

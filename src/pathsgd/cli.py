@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import optim, pathnorm, tasks, verify
+from . import graph, optim, pathnorm, tasks, verify
 from .compute import ComputeError
 from .config import (
     ConfigError,
@@ -35,7 +35,11 @@ from .config import (
     write_lines,
     write_metrics,
 )
-from .graph import GraphError, RnnLayout, RnnSpec, build_rnn
+from .graph import GraphError, RnnLayout, RnnSpec
+
+# perfbench/probe.py times the DAG builder as an attribute of this module;
+# nothing here calls it.  It goes when the probe drops that span.
+build_rnn = graph.build_rnn
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -163,26 +167,22 @@ def cmd_kappa_ratio(args) -> int:
     for flag, dim in (("--input-dim", args.input_dim), ("--output-dim", args.output_dim)):
         if dim < 1:
             raise ConfigError(f"{flag} must be at least 1, got {dim}")
-    if not (math.isfinite(args.init_range) and args.init_range >= 0.0):
-        raise ConfigError(f"--init-range must be finite and >= 0, got {args.init_range}")
+    if not (math.isfinite(args.init_range) and args.init_range > 0.0):
+        raise ConfigError(f"--init-range must be finite and > 0 (at 0 kappa1 is "
+                          f"identically zero), got {args.init_range}")
     lines = [KAPPA_RATIO_HEADER]
     print(lines[0])
     for h in hiddens:
         for t in lengths:
-            spec = RnnSpec(args.input_dim, (h,), args.output_dim, t)
-            layout = RnnLayout.from_spec(spec)
+            layout = RnnLayout.from_spec(RnnSpec(args.input_dim, (h,), args.output_dim, t))
             ratios = []
             for s in range(args.seeds):
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)
                 p = rng.uniform(-args.init_range, args.init_range, layout.m)
-                try:
-                    ratios.append(pathnorm.kappa_ratio(layout, p))
-                except ZeroDivisionError:
-                    raise ConfigError("kappa1 is identically zero; increase init_range") from None
+                ratios.append(pathnorm.kappa_ratio(layout, p))
                 if args.crosscheck:
                     k2 = pathnorm.kappa2(layout, p)
-                    net = build_rnn(spec)
-                    k2b = pathnorm.kappa2_bruteforce(net, p)
+                    k2b = pathnorm.kappa2_bruteforce(layout, p)
                     gap = float(np.max(np.abs(k2 - k2b)))
                     if gap > 1e-10 * max(1.0, float(np.max(np.abs(k2b)))):
                         print(f"crosscheck FAILED at H={h} T={t} seed={s}: {gap:.3e}",

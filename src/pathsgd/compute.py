@@ -1,4 +1,4 @@
-"""Forward evaluation and exact reverse-mode gradients of shared-weight nets.
+"""Forward evaluation and exact reverse-mode gradients of unrolled RNNs.
 
 Training, evaluation, the squared-net pass of pathnorm and verify's
 gradient-check all run one route, vectorized over the RnnLayout matrices.
@@ -29,11 +29,8 @@ np.dot, which reaches BLAS with less dispatch than np.matmul (1.6 against
 uses as it is, where it would convert the float 0.0 at every call.  The
 arithmetic is that of the np.matmul / += / *= form the loops replaced, and
 every output is bit-identical to it; tests/test_compute.py keeps that form
-as the reference.
-
-forward and backprop interpret the explicit DAG edge by edge: not a second
-route, but the reference tests/test_compute.py compares the layout route
-with on small nets.  All arithmetic is 64-bit.
+as the reference, and checks the route on small nets against the per-unit
+scalar reference in tests/reference.py.  All arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import RnnLayout, SharedWeightNet
+from .graph import RnnLayout
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -88,90 +85,6 @@ def _check_params(p: np.ndarray, m: int) -> np.ndarray:
     if not np.all(np.isfinite(p)):
         raise ComputeError("parameter vector contains non-finite entries")
     return p
-
-
-@dataclass
-class ActivationTrace:
-    """Per-node record of one forward pass.
-
-    values[v] is the node output h_v, pre[v] the pre-activation, and
-    active[v] the (pre > 0) mask used as the ReLU subgradient (0 at exactly
-    0).  Input nodes carry their input coordinate in both fields; the bias
-    node carries 1.
-    """
-
-    values: np.ndarray
-    pre: np.ndarray
-    active: np.ndarray
-
-
-def forward(net: SharedWeightNet, p: np.ndarray, x: np.ndarray,
-            activation: str = "relu") -> tuple[np.ndarray, ActivationTrace]:
-    """Evaluate the network on one input vector.
-
-    x holds one coordinate per input node, in stored node order; outputs are
-    returned in output-node order.  Output nodes apply no nonlinearity.
-    """
-    p = _check_params(p, net.num_params)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape[0] != len(net.input_ids):
-        raise ComputeError(f"input: expected {len(net.input_ids)} coordinates, got {x.shape[0]}")
-    _check_activation(activation)
-
-    values = np.zeros(net.num_nodes)
-    pre = np.zeros(net.num_nodes)
-    for i, v in enumerate(net.input_ids):
-        pre[v] = values[v] = x[i]
-    if net.bias_id is not None:
-        pre[net.bias_id] = values[net.bias_id] = 1.0
-
-    for node in net.nodes:
-        if node.kind in ("input", "bias"):
-            continue
-        z = 0.0
-        for u, pi in net.incoming[node.idx]:
-            z += p[pi] * values[u]
-        pre[node.idx] = z
-        if node.kind == "output" or activation == "identity":
-            values[node.idx] = z
-        else:
-            values[node.idx] = z if z > 0.0 else 0.0
-
-    trace = ActivationTrace(values=values, pre=pre, active=pre > 0.0)
-    outputs = values[np.asarray(net.output_ids)]
-    return outputs, trace
-
-
-def backprop(net: SharedWeightNet, p: np.ndarray, trace: ActivationTrace,
-             d_outputs: np.ndarray, activation: str = "relu") -> np.ndarray:
-    """Reverse-mode pass: d(scalar)/dp from d(scalar)/d(outputs).
-
-    The shared-parameter chain rule accumulates every edge's weight gradient
-    into its parameter index.  activation="identity" backpropagates with unit
-    derivative at internal nodes regardless of the trace mask (used for the
-    squared-weight network, where the function is a polynomial).
-    """
-    _check_activation(activation)
-    p = np.asarray(p, dtype=float)
-    d_outputs = np.asarray(d_outputs, dtype=float).reshape(-1)
-    dval = np.zeros(net.num_nodes)
-    for i, v in enumerate(net.output_ids):
-        dval[v] = d_outputs[i]
-
-    dp = np.zeros(net.num_params)
-    for node in reversed(net.nodes):
-        if node.kind in ("input", "bias"):
-            continue
-        if node.kind == "output" or activation == "identity":
-            dpre = dval[node.idx]
-        else:
-            dpre = dval[node.idx] if trace.active[node.idx] else 0.0
-        if dpre == 0.0:
-            continue
-        for u, pi in net.incoming[node.idx]:
-            dp[pi] += dpre * trace.values[u]
-            dval[u] += dpre * p[pi]
-    return dp
 
 
 # --- finite differences -------------------------------------------------------
@@ -226,8 +139,7 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     (BLOCK, B, H_i) buffer and the (B, H_i) state carried into the block,
     so no (T, B, H_i) array is formed.  y is (B, T - first_output,
     output_dim), the outputs of steps first_output .. T - 1; 0 <=
-    first_output < T.  Matches the generic interpreter on the corresponding
-    build_rnn graph; y is bit-identical in both modes and for every
+    first_output < T.  y is bit-identical in both modes and for every
     first_output.
     """
     spec = layout.spec

@@ -1,13 +1,16 @@
-"""Stacked ReLU RNNs: the flat-parameter layout and the unrolled DAG.
+"""Stacked ReLU RNNs: the shape (RnnSpec) and the model (RnnLayout).
 
-An RNN is unrolled through time into a directed acyclic graph whose edge
-weights are drawn from a flat parameter vector p through an edge ->
-parameter-index map: the T copies of each weight matrix entry all map to
-the same parameter index.  A feedforward MLP is the case T = 1, where every
-parameter is used by exactly one edge.  Graphs are immutable after
-construction.  Training runs on RnnLayout alone; the unrolled DAG serves the
-oracles, which compare the layout route with per-edge computation on small
-nets.
+RnnLayout maps each weight matrix of an RNN unrolled through time to a
+slice of one flat parameter vector p, so the T applications of a matrix
+entry all read the same parameter.  A feedforward MLP is the case T = 1.
+Training, kappa and the oracles all run on RnnLayout; the oracles address
+one unit at one step by (layer, unit, time) and read its weights through
+param_index.
+
+build_rnn unrolls a spec into the explicit DAG, SharedWeightNet, with one
+node per unit and step and an edge -> parameter map.  No other module of
+the package reads it; it stays only while perfbench/probe.py times it
+through the cli module.
 """
 
 from __future__ import annotations
@@ -15,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-NODE_KINDS = ("input", "internal", "output", "bias")
 
 BIAS_LAYER = -1  # layer coordinate reserved for the bias node
 
@@ -27,11 +28,9 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class NodeRec:
-    """One graph node with (layer, unit, time) coordinates.
-
-    Coordinates let the rescaling machinery tie scalings of the same hidden
-    unit across all unrolled time steps.  Input, hidden and output nodes
-    carry times 1..T; the bias node carries time 0.
+    """One DAG node with (layer, unit, time) coordinates.  Input, hidden
+    and output nodes carry times 1..T; the bias node carries layer
+    BIAS_LAYER and time 0.
     """
 
     idx: int
@@ -81,9 +80,10 @@ class RnnLayout:
     Maps each weight matrix (and bias vector) to a contiguous slice of the
     parameter vector, in row-major [target_unit, source_unit] order.  Block
     order per hidden layer i: W_in^i, W_rec^i (absent when length == 1),
-    b^i (when bias is on); then W_out and b_out.  The graph builder assigns
-    edge parameter indices from this same layout, so matrix views of p and
-    the explicit edge map always agree.
+    b^i (when bias is on); then W_out and b_out.  param_index gives the
+    index of one matrix entry: the oracles read single weights through it,
+    and build_rnn assigns edge parameter indices from it, so matrix views
+    of p and per-entry reads always agree.
     """
 
     spec: RnnSpec
@@ -144,38 +144,18 @@ class RnnLayout:
 
 
 class SharedWeightNet:
-    """DAG with an edge -> parameter-index map.
-
-    nodes are stored in a valid topological order; edges are (src, dst) pairs
-    of node indices; param_of_edge[e] gives the 0-based parameter index of
-    edge e.  Nets built by build_rnn additionally carry their RnnLayout in
-    .rnn, so oracles can run the layout route on the same parameters.
-    """
+    """The unrolled DAG: nodes in a topological order, edges as (src, dst)
+    pairs of node indices, and param_of_edge[e], the parameter index that
+    edge e carries."""
 
     def __init__(self, nodes: list[NodeRec], edges: list[tuple[int, int]],
-                 param_of_edge: list[int], num_params: int,
-                 rnn: RnnLayout | None = None):
+                 param_of_edge: list[int], num_params: int):
         self.nodes = list(nodes)
         self.edges = list(edges)
         self.param_of_edge = list(param_of_edge)
         self.num_params = int(num_params)
-        self.rnn = rnn
-        self._index()
-
-    def _index(self) -> None:
         self.input_ids = [n.idx for n in self.nodes if n.kind == "input"]
         self.output_ids = [n.idx for n in self.nodes if n.kind == "output"]
-        self.bias_id = next((n.idx for n in self.nodes if n.kind == "bias"), None)
-        # incoming[v] = [(u, param_idx), ...] in edge order
-        self.incoming: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        self.outgoing: list[list[tuple[int, int]]] = [[] for _ in self.nodes]
-        for (u, v), pi in zip(self.edges, self.param_of_edge):
-            self.incoming[v].append((u, pi))
-            self.outgoing[u].append((v, pi))
-        self._param_edges: list[list[int]] = [[] for _ in range(self.num_params)]
-        for e, pi in enumerate(self.param_of_edge):
-            if 0 <= pi < self.num_params:
-                self._param_edges[pi].append(e)
         self._coord = {(n.layer, n.unit, n.time): n.idx for n in self.nodes}
 
     @property
@@ -252,68 +232,5 @@ def build_rnn(spec: RnnSpec) -> SharedWeightNet:
             if spec.bias:
                 add_edge(coord[(BIAS_LAYER, 0, 0)], v, layout.param_index("bout", j, 0))
 
-    return SharedWeightNet(nodes, edges, pidx, layout.m, rnn=layout)
-
-
-def edges_for_param(net: SharedWeightNet, i: int) -> set[tuple[int, int]]:
-    """The set of edges sharing parameter i (0-based).
-
-    Over all i these sets partition the edge set.
-    """
-    if not 0 <= i < net.num_params:
-        raise GraphError(f"parameter index {i} out of range [0, {net.num_params})")
-    return {net.edges[e] for e in net._param_edges[i]}
-
-
-def _topo_sort(num_nodes: int, edges: list[tuple[int, int]]) -> list[int] | None:
-    """Kahn's algorithm; None if the edge relation has a cycle."""
-    indeg = [0] * num_nodes
-    adj: list[list[int]] = [[] for _ in range(num_nodes)]
-    for u, v in edges:
-        indeg[v] += 1
-        adj[u].append(v)
-    frontier = [v for v in range(num_nodes) if indeg[v] == 0]
-    order = []
-    while frontier:
-        u = frontier.pop()
-        order.append(u)
-        for v in adj[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                frontier.append(v)
-    return order if len(order) == num_nodes else None
-
-
-def validate(net: SharedWeightNet) -> str | None:
-    """Check all structural invariants; return None if ok, else the name of
-    the first violated invariant (with detail)."""
-    n = net.num_nodes
-    for u, v in net.edges:
-        if not (0 <= u < n and 0 <= v < n):
-            return f"node index range: edge ({u}, {v}) outside [0, {n})"
-    if _topo_sort(n, net.edges) is None:
-        return "acyclicity: edge relation has a cycle"
-    for u, v in net.edges:
-        if u >= v:
-            return f"topological order: edge ({u}, {v}) not ascending in stored node order"
-    for node in net.nodes:
-        if node.kind not in NODE_KINDS:
-            return f"node kind: {node.kind!r}"
-    if not net.input_ids:
-        return "boundary nodes: no input nodes"
-    if not net.output_ids:
-        return "boundary nodes: no output nodes"
-    for node in net.nodes:
-        if node.kind in ("input", "bias") and net.incoming[node.idx]:
-            return f"boundary edges: {node.kind} node {node.idx} has incoming edges"
-        if node.kind == "output" and net.outgoing[node.idx]:
-            return f"boundary edges: output node {node.idx} has outgoing edges"
-    for e, pi in enumerate(net.param_of_edge):
-        if not 0 <= pi < net.num_params:
-            return f"param index range: edge {e} maps to {pi}, valid range [0, {net.num_params})"
-    used = set(net.param_of_edge)
-    for i in range(net.num_params):
-        if i not in used:
-            return f"param index coverage: parameter {i} used by no edge"
-    return None
+    return SharedWeightNet(nodes, edges, pidx, layout.m)
 

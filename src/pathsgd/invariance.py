@@ -13,9 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import BIAS_LAYER, GraphError, RnnLayout, RnnSpec, SharedWeightNet
-
-FEASIBLE_RTOL = 1e-12
+from .graph import GraphError, RnnLayout, RnnSpec
 
 
 @dataclass(frozen=True)
@@ -100,41 +98,3 @@ def apply_rescaling(spec: RnnSpec, p: np.ndarray, alpha: NodeScaling) -> np.ndar
     out[sl] = (W / alpha.layer(d - 1)[None, :]).reshape(-1)
     return out
 
-
-def node_scales(net: SharedWeightNet, alpha: NodeScaling) -> np.ndarray:
-    """Per-node scale: the unit's alpha for hidden nodes (tied across time),
-    1 for input, output and bias nodes."""
-    beta = np.ones(net.num_nodes)
-    for nd in net.nodes:
-        if nd.kind == "internal" and nd.layer != BIAS_LAYER:
-            beta[nd.idx] = alpha.layer(nd.layer)[nd.unit]
-    return beta
-
-
-def edge_multipliers(net: SharedWeightNet, alpha: NodeScaling) -> np.ndarray:
-    """The edge-level form of a node-wise rescaling: each edge u -> v is
-    multiplied by scale(v) / scale(u)."""
-    beta = node_scales(net, alpha)
-    mult = np.empty(net.num_edges)
-    for e, (u, v) in enumerate(net.edges):
-        mult[e] = beta[v] / beta[u]
-    return mult
-
-
-def is_feasible(net: SharedWeightNet, edge_scaling: np.ndarray) -> bool:
-    """Whether per-edge multipliers keep shared weights equal.
-
-    Shared weights stay equal for every parameter setting exactly when all
-    edges of one parameter receive the same multiplier (relative tolerance
-    FEASIBLE_RTOL).
-    """
-    edge_scaling = np.asarray(edge_scaling, dtype=float)
-    if edge_scaling.shape != (net.num_edges,):
-        raise GraphError(
-            f"is_feasible: expected one multiplier per edge ({net.num_edges}), got {edge_scaling.shape}")
-    for i in range(net.num_params):
-        es = [edge_scaling[e] for e in net._param_edges[i]]
-        lo, hi = min(es), max(es)
-        if hi - lo > FEASIBLE_RTOL * max(abs(lo), abs(hi)):
-            return False
-    return True

@@ -24,9 +24,12 @@ matmuls over all blocks at once, and pairs across blocks pass through one
 H x H state carried from block to block, so a layer costs O(T H^2.5) time
 and O(T H^2 / L) memory.
 
-The explicit DAG is read only by the oracles the layout route is checked
-against: the gamma recursion, the finite-difference kappa_fd built on it
-(the ground truth for every closed form) and the path enumerators.
+The oracles these are checked against share none of that code: they walk
+the unrolled net one (layer, unit, time) coordinate at a time in plain
+Python, reading each weight through RnnLayout.param_index.  They are the
+gamma recursion, the finite-difference kappa_fd built on it (the ground
+truth for every closed form) and the path enumerators, which iter_paths
+feeds and PATH_GUARD bounds.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import math
 import numpy as np
 
 from . import compute
-from .graph import RnnLayout, SharedWeightNet
+from .graph import RnnLayout
 
 # Enumeration oracles refuse beyond this many paths; path counts grow
 # exponentially in depth, so brute force is for desk-scale verification only.
@@ -60,27 +63,52 @@ class EnumerationError(RuntimeError):
     """Path enumeration would exceed PATH_GUARD."""
 
 
-def gamma_recursive(net: SharedWeightNet, p: np.ndarray) -> float:
-    """gamma^2 of the net by the node recursion.
+def _dims(layout: RnnLayout) -> tuple[int, ...]:
+    """Widths of layers 0 (the input) .. depth - 1 (the top hidden layer)."""
+    return (layout.spec.input_dim,) + layout.spec.hidden_dims
 
-    gamma^2 is 1 at input and bias nodes and accumulates incoming
-    gamma^2_u * w^2 at every other node; the net value sums the outputs.
-    Accumulation order matches the forward interpreter so that the squared
-    net evaluated at the all-ones input reproduces these values bit-exactly.
+
+def gamma_recursive(layout: RnnLayout, p: np.ndarray) -> float:
+    """gamma^2 of an unrolled RNN by the per-unit recursion, in scalar loops
+    over (layer, unit, time) coordinates.
+
+    gamma^2 is 1 at each input and at the bias and, at every hidden unit
+    and output, accumulates over its sources the source's gamma^2 times the
+    squared weight: the in{i} sources first, then rec{i} from the previous
+    step, then the bias.  The net value sums the outputs of every step.
     """
-    p = np.asarray(p, dtype=float)
-    g = np.zeros(net.num_nodes)
-    for node in net.nodes:
-        if node.kind in ("input", "bias"):
-            g[node.idx] = 1.0
-            continue
-        z = 0.0
-        for u, pi in net.incoming[node.idx]:
-            z += p[pi] * p[pi] * g[u]
-        g[node.idx] = z
+    spec, pi = layout.spec, layout.param_index
+    p = np.asarray(p, dtype=float).tolist()
+    dims, top = _dims(layout), spec.depth - 1
+    prev: list = [None] * (top + 1)  # each layer's values at the previous step
     total = 0.0
-    for v in net.output_ids:
-        total += float(g[v])
+    for t in range(spec.length):
+        below = [1.0] * spec.input_dim
+        for i in range(1, top + 1):
+            cur = []
+            for j in range(dims[i]):
+                z = 0.0
+                for k in range(dims[i - 1]):
+                    w = p[pi(f"in{i}", j, k)]
+                    z += w * w * below[k]
+                if t:
+                    for k in range(dims[i]):
+                        w = p[pi(f"rec{i}", j, k)]
+                        z += w * w * prev[i][k]
+                if spec.bias:
+                    w = p[pi(f"b{i}", j, 0)]
+                    z += w * w
+                cur.append(z)
+            prev[i] = below = cur
+        for j in range(spec.output_dim):
+            z = 0.0
+            for k in range(dims[top]):
+                w = p[pi("out", j, k)]
+                z += w * w * below[k]
+            if spec.bias:
+                w = p[pi("bout", j, 0)]
+                z += w * w
+            total += z
     return total
 
 
@@ -92,49 +120,71 @@ def gamma(layout: RnnLayout, p: np.ndarray) -> float:
     return float(tr.y.sum())
 
 
-def count_paths(net: SharedWeightNet) -> int:
-    """Number of directed paths from input/bias nodes to output nodes."""
-    counts = np.zeros(net.num_nodes, dtype=np.int64)
-    for node in reversed(net.nodes):
-        if node.kind == "output":
-            counts[node.idx] = 1
-        else:
-            counts[node.idx] = sum(counts[v] for v, _ in net.outgoing[node.idx])
-    sources = list(net.input_ids)
-    if net.bias_id is not None:
-        sources.append(net.bias_id)
-    return int(sum(counts[v] for v in sources))
+def count_paths(layout: RnnLayout) -> int:
+    """Number of paths from an input or bias to an output of the unrolled
+    net.  All units of one layer at one step reach the outputs by equally
+    many paths, so the count runs over (layer, time) alone."""
+    spec = layout.spec
+    dims, top, T = _dims(layout), spec.depth - 1, spec.length
+    # ahead[i]: paths from one unit of layer i at step t to an output
+    ahead = [0] * (top + 1)
+    total = 0
+    for t in reversed(range(T)):
+        nxt = list(ahead)  # the counts at step t + 1
+        for i in range(top, -1, -1):
+            ahead[i] = spec.output_dim if i == top else dims[i + 1] * ahead[i + 1]
+            if i and t + 1 < T:
+                ahead[i] += dims[i] * nxt[i]
+        total += dims[0] * ahead[0]
+        if spec.bias:
+            total += sum(dims[i] * ahead[i] for i in range(1, top + 1)) + spec.output_dim
+    return total
 
 
-def iter_paths(net: SharedWeightNet):
-    """Yield every input/bias -> output path as a list of parameter indices,
-    one per edge in path order.  Raises EnumerationError over PATH_GUARD."""
-    n = count_paths(net)
+def iter_paths(layout: RnnLayout):
+    """Yield every input/bias -> output path of the unrolled net as a list
+    of parameter indices, one per edge in path order.  Raises
+    EnumerationError over PATH_GUARD.
+
+    A path starts at input unit k of step t (the move in1), or at the bias
+    of a hidden layer or of the outputs; from hidden unit k of layer i at
+    step t it moves up to layer i + 1 (in{i+1}) or from the top layer to an
+    output (out), or forward to step t + 1 of its own layer (rec{i}).
+    """
+    n = count_paths(layout)
     if n > PATH_GUARD:
         raise EnumerationError(f"{n} paths exceed the enumeration guard of {PATH_GUARD}")
-    sources = list(net.input_ids)
-    if net.bias_id is not None:
-        sources.append(net.bias_id)
-    kinds = [nd.kind for nd in net.nodes]
+    spec, pi = layout.spec, layout.param_index
+    dims, top, T = _dims(layout), spec.depth - 1, spec.length
 
-    def walk(v: int, acc: list[int]):
-        if kinds[v] == "output":
-            yield list(acc)
-            return
-        for u, pi in net.outgoing[v]:
-            acc.append(pi)
-            yield from walk(u, acc)
-            acc.pop()
+    def walk(i: int, k: int, t: int, acc: list[int]):
+        if i == top:
+            for j in range(spec.output_dim):
+                yield acc + [pi("out", j, k)]
+        else:
+            for j in range(dims[i + 1]):
+                yield from walk(i + 1, j, t, acc + [pi(f"in{i + 1}", j, k)])
+        if i and t + 1 < T:
+            for j in range(dims[i]):
+                yield from walk(i, j, t + 1, acc + [pi(f"rec{i}", j, k)])
 
-    for s in sources:
-        yield from walk(s, [])
+    for t in range(T):
+        for k in range(spec.input_dim):
+            yield from walk(0, k, t, [])
+    if spec.bias:
+        for t in range(T):
+            for i in range(1, top + 1):
+                for j in range(dims[i]):
+                    yield from walk(i, j, t, [pi(f"b{i}", j, 0)])
+            for j in range(spec.output_dim):
+                yield [pi("bout", j, 0)]
 
 
-def gamma_bruteforce(net: SharedWeightNet, p: np.ndarray) -> float:
+def gamma_bruteforce(layout: RnnLayout, p: np.ndarray) -> float:
     """gamma^2 by explicit path enumeration; the oracle for the recursion."""
     p = np.asarray(p, dtype=float)
     total = 0.0
-    for path in iter_paths(net):
+    for path in iter_paths(layout):
         prod = 1.0
         for pi in path:
             prod *= p[pi] * p[pi]
@@ -142,7 +192,7 @@ def gamma_bruteforce(net: SharedWeightNet, p: np.ndarray) -> float:
     return total
 
 
-def kappa_fd(net: SharedWeightNet, p: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def kappa_fd(layout: RnnLayout, p: np.ndarray, step: float = 1e-4) -> np.ndarray:
     """Half the second derivative of gamma^2 per parameter, by central second
     differences of the recursion.  The authoritative kappa oracle.
 
@@ -152,14 +202,14 @@ def kappa_fd(net: SharedWeightNet, p: np.ndarray, step: float = 1e-4) -> np.ndar
     """
     p = np.asarray(p, dtype=float)
     out = np.zeros_like(p)
-    g0 = gamma_recursive(net, p)
+    g0 = gamma_recursive(layout, p)
     for i in range(p.shape[0]):
         h = step * max(abs(p[i]), 1.0)
         pp = p.copy()
         pp[i] = p[i] + h
-        gp = gamma_recursive(net, pp)
+        gp = gamma_recursive(layout, pp)
         pp[i] = p[i] - h
-        gm = gamma_recursive(net, pp)
+        gm = gamma_recursive(layout, pp)
         out[i] = 0.5 * (gp - 2.0 * g0 + gm) / (h * h)
     return out
 
@@ -197,13 +247,13 @@ def kappa1(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     return _squared_pass(layout, p)[0]
 
 
-def kappa1_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
+def kappa1_bruteforce(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     """kappa1 by per-edge path enumeration: for every path and every edge on
     it, the squared-weight product of the other edges.  Oracle for kappa1."""
     p = np.asarray(p, dtype=float)
     sq = p * p
-    out = np.zeros(net.num_params)
-    for path in iter_paths(net):
+    out = np.zeros(layout.m)
+    for path in iter_paths(layout):
         w2 = [sq[pi] for pi in path]
         for j, pi in enumerate(path):
             prod = 1.0
@@ -216,14 +266,14 @@ def kappa1_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
 
 # --- kappa2 ------------------------------------------------------------------
 
-def kappa2_bruteforce(net: SharedWeightNet, p: np.ndarray) -> np.ndarray:
+def kappa2_bruteforce(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     """kappa2 by enumerating ordered pairs of distinct same-parameter edges
     on each path: p_i^2 times the squared-weight product excluding the pair,
     scaled by ORDERED_PAIR_COEFF.  Oracle for the matrix form."""
     p = np.asarray(p, dtype=float)
     sq = p * p
-    out = np.zeros(net.num_params)
-    for path in iter_paths(net):
+    out = np.zeros(layout.m)
+    for path in iter_paths(layout):
         occ: dict[int, list[int]] = {}
         for j, pi in enumerate(path):
             occ.setdefault(pi, []).append(j)

@@ -2,8 +2,9 @@
 
 Each property draws randomized desk-scale instances, compares the code
 training runs (rnn_forward / rnn_backward and the squared-net pass) against
-an independent oracle, such as the DAG, or an exact mathematical identity,
-and reports its worst residual.  The quick level runs in a few seconds; the
+an independent oracle, such as the per-unit path enumerators and gamma
+recursion of pathnorm, or an exact mathematical identity, and reports its
+worst residual.  The quick level runs in a few seconds; the
 full level uses the larger sample counts.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compute, invariance, optim, pathnorm
-from .graph import RnnLayout, RnnSpec, SharedWeightNet, build_rnn
+from .graph import RnnLayout, RnnSpec
 
 
 @dataclass
@@ -56,10 +57,6 @@ def random_net_spec(rng: np.random.Generator) -> RnnSpec:
     if rng.uniform() < 0.25:
         return _random_mlp(rng)
     return random_spec(rng)
-
-
-def random_net(rng: np.random.Generator) -> SharedWeightNet:
-    return build_rnn(random_net_spec(rng))
 
 
 def random_params(layout: RnnLayout, rng: np.random.Generator) -> np.ndarray:
@@ -107,10 +104,10 @@ def check_gamma_oracle(rng, n, threshold=1e-10) -> PropertyResult:
     """gamma^2 from the layout forward equals brute-force path enumeration."""
     worst = 0.0
     for _ in range(n):
-        net = random_net(rng)
-        p = random_params(net.rnn, rng)
-        g_fast = pathnorm.gamma(net.rnn, p)
-        g_slow = pathnorm.gamma_bruteforce(net, p)
+        layout = RnnLayout.from_spec(random_net_spec(rng))
+        p = random_params(layout, rng)
+        g_fast = pathnorm.gamma(layout, p)
+        g_slow = pathnorm.gamma_bruteforce(layout, p)
         worst = max(worst, abs(g_fast - g_slow) / max(abs(g_slow), 1e-12))
     return PropertyResult("gamma-oracle", worst <= threshold, worst, threshold, n)
 
@@ -119,10 +116,10 @@ def check_kappa_decomposition(rng, n, threshold=1e-4, kappa_scale=1.0) -> Proper
     """kappa1 + kappa2 matches the finite-difference second derivative."""
     worst = 0.0
     for _ in range(n):
-        net = random_net(rng)
-        p = random_params(net.rnn, rng)
-        total = kappa_scale * pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
-        fd = pathnorm.kappa_fd(net, p)
+        layout = RnnLayout.from_spec(random_net_spec(rng))
+        p = random_params(layout, rng)
+        total = kappa_scale * pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
+        fd = pathnorm.kappa_fd(layout, p)
         worst = max(worst, _rel(total, fd, 1.0))
     return PropertyResult("kappa-decomposition", worst <= threshold, worst, threshold, n)
 
@@ -131,10 +128,10 @@ def check_kappa2_closed_form(rng, n, threshold=1e-10) -> PropertyResult:
     """The recurrent matrix form of kappa2 equals pair enumeration."""
     worst = 0.0
     for _ in range(n):
-        net = build_rnn(random_spec(rng))
-        p = random_params(net.rnn, rng)
-        k2_fast = pathnorm.kappa2(net.rnn, p)
-        k2_slow = pathnorm.kappa2_bruteforce(net, p)
+        layout = RnnLayout.from_spec(random_spec(rng))
+        p = random_params(layout, rng)
+        k2_fast = pathnorm.kappa2(layout, p)
+        k2_slow = pathnorm.kappa2_bruteforce(layout, p)
         worst = max(worst, _rel(k2_fast, k2_slow, 1.0))
     return PropertyResult("kappa2-closed-form", worst <= threshold, worst, threshold, n)
 
@@ -143,9 +140,9 @@ def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
     """Without weight sharing, the interaction term vanishes identically."""
     worst = 0.0
     for _ in range(n):
-        net = build_rnn(_random_mlp(rng))
-        p = random_params(net.rnn, rng)
-        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(net, p)))))
+        layout = RnnLayout.from_spec(_random_mlp(rng))
+        p = random_params(layout, rng)
+        worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(layout, p)))))
     return PropertyResult("feedforward-kappa2-zero", worst == 0.0, worst, 0.0, n,
                           detail="(exact)")
 
@@ -155,18 +152,17 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
     worst = 0.0
     for _ in range(n):
         spec = random_spec(rng)
-        net = build_rnn(spec)
-        p = random_params(net.rnn, rng)
+        layout = RnnLayout.from_spec(spec)
+        p = random_params(layout, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.5)
         q = invariance.apply_rescaling(spec, p, alpha)
-        assert invariance.is_feasible(net, invariance.edge_multipliers(net, alpha))
         X = rng.standard_normal((3, spec.length, spec.input_dim))
-        ya = compute.rnn_forward(net.rnn, p, X).y
-        yb = compute.rnn_forward(net.rnn, q, X).y
+        ya = compute.rnn_forward(layout, p, X).y
+        yb = compute.rnn_forward(layout, q, X).y
         scale = max(1.0, float(np.max(np.abs(ya))))
         worst = max(worst, float(np.max(np.abs(ya - yb))) / scale)
-        ga = pathnorm.gamma(net.rnn, p)
-        gb = pathnorm.gamma(net.rnn, q)
+        ga = pathnorm.gamma(layout, p)
+        gb = pathnorm.gamma(layout, q)
         worst = max(worst, abs(ga - gb) / max(abs(ga), 1e-12))
     return PropertyResult("rescaling-invariance", worst <= threshold, worst, threshold, n)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pathsgd import cli, compute, graph, invariance, optim, pathnorm, tasks, verify
-from pathsgd.graph import RnnSpec, build_rnn
+from pathsgd.graph import RnnSpec
 
 
 def _report(capsys, num, title, ok, detail):
@@ -41,12 +41,12 @@ def test_criterion_02_kappa_decomposition(capsys):
     t0 = time.time()
     worst_fd, worst_closed = 0.0, 0.0
     for _ in range(24):
-        net = build_rnn(verify.random_spec(rng, max_hidden=3, max_len=4))
-        p = rng.uniform(-0.5, 0.5, net.num_params)
-        total = pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2_bruteforce(net, p)
-        worst_fd = max(worst_fd, _rel(total, pathnorm.kappa_fd(net, p), 1.0))
-        worst_closed = max(worst_closed, _rel(pathnorm.kappa2(net.rnn, p),
-                                              pathnorm.kappa2_bruteforce(net, p), 1.0))
+        layout = graph.RnnLayout.from_spec(verify.random_spec(rng, max_hidden=3, max_len=4))
+        p = rng.uniform(-0.5, 0.5, layout.m)
+        total = pathnorm.kappa1(layout, p) + pathnorm.kappa2_bruteforce(layout, p)
+        worst_fd = max(worst_fd, _rel(total, pathnorm.kappa_fd(layout, p), 1.0))
+        worst_closed = max(worst_closed, _rel(pathnorm.kappa2(layout, p),
+                                              pathnorm.kappa2_bruteforce(layout, p), 1.0))
     unit2 = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 2, bias=False))
     unit3 = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 3, bias=False))
     ones = np.ones(3)

@@ -334,4 +334,6 @@ def test_kappa_ratio_rejects_bad_flag_before_output(tmp_path, capsys, flag, valu
 def test_kappa_ratio_zero_init(capsys):
     assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3",
                    "--init-range", "0") == 1
-    assert "kappa1 is identically zero" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "kappa1 is identically zero" in captured.err
+    assert captured.out == ""

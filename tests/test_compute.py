@@ -2,40 +2,45 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, graph, verify
-from pathsgd.graph import RnnSpec, build_rnn
+from pathsgd.graph import RnnSpec
+
+import reference
 
 
 def test_forward_hand_unrolled(single_unit_t2):
-    p = np.ones(3)
-    y, tr = compute.forward(single_unit_t2, p, [0.5, 0.25])
-    assert np.allclose(y, [0.5, 0.75], atol=0)
-    assert y[1] == 0.25 + 0.5  # h2 = relu(w_in x2 + w_rec h1)
+    """h2 = relu(w_in x2 + w_rec h1), on the layout route and the scalar
+    reference alike."""
+    X = np.array([[[0.5], [0.25]]])
+    y = compute.rnn_forward(single_unit_t2, np.ones(3), X).y
+    assert y.tolist() == [[[0.5], [0.75]]]
+    assert reference.forward(single_unit_t2, np.ones(3), X[0])[0] == [[0.5], [0.75]]
 
 
 def test_forward_zero_params(single_unit_t2, rng):
-    y, _ = compute.forward(single_unit_t2, np.zeros(3), rng.standard_normal(2))
+    y = compute.rnn_forward(single_unit_t2, np.zeros(3), rng.standard_normal((2, 2, 1))).y
     assert np.all(y == 0.0)
 
 
 def test_forward_relu_clips(single_unit_t2):
-    y, _ = compute.forward(single_unit_t2, np.ones(3), [-1.0, -1.0])
+    y = compute.rnn_forward(single_unit_t2, np.ones(3), -np.ones((1, 2, 1))).y
     assert np.all(y == 0.0)
 
 
 def test_forward_shape_and_finite_checks(single_unit_t2):
+    X = np.ones((1, 2, 1))
     with pytest.raises(compute.ComputeError):
-        compute.forward(single_unit_t2, np.ones(3), [1.0])
+        compute.rnn_forward(single_unit_t2, np.ones(3), np.ones((1, 1, 1)))
     with pytest.raises(compute.ComputeError):
-        compute.forward(single_unit_t2, np.array([1.0, np.nan, 1.0]), [1.0, 1.0])
+        compute.rnn_forward(single_unit_t2, np.array([1.0, np.nan, 1.0]), X)
     with pytest.raises(compute.ComputeError):
-        compute.forward(single_unit_t2, np.ones(3), [1.0, 1.0], activation="softplus")
+        compute.rnn_forward(single_unit_t2, np.ones(3), X, activation="softplus")
 
 
 def test_forward_deterministic(single_unit_t3, rng):
     p = rng.standard_normal(3)
-    x = rng.standard_normal(3)
-    y1, _ = compute.forward(single_unit_t3, p, x)
-    y2, _ = compute.forward(single_unit_t3, p, x)
+    X = rng.standard_normal((2, 3, 1))
+    y1 = compute.rnn_forward(single_unit_t3, p, X).y
+    y2 = compute.rnn_forward(single_unit_t3, p, X).y
     assert np.array_equal(y1, y2)
 
 
@@ -46,7 +51,7 @@ def _mse_grad(layout, p, X, Y):
 
 
 def test_grad_zero_at_optimum(single_unit_t2):
-    g = _mse_grad(single_unit_t2.rnn, np.ones(3), np.array([[[0.5], [0.25]]]),
+    g = _mse_grad(single_unit_t2, np.ones(3), np.array([[[0.5], [0.25]]]),
                   np.array([[[0.5], [0.75]]]))
     assert np.all(g == 0.0)
 
@@ -66,12 +71,10 @@ def test_grad_matches_finite_differences(rng):
 
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])
 def test_unknown_activation_rejected(activation, single_unit_t2, rng):
-    """Both routes raise instead of running some other activation."""
+    """The forward and the backward raise instead of running some other
+    activation."""
     p = np.ones(3)
-    _, trace = compute.forward(single_unit_t2, p, [1.0, 1.0])
-    with pytest.raises(compute.ComputeError, match="unknown activation"):
-        compute.backprop(single_unit_t2, p, trace, np.ones(2), activation)
-    layout = single_unit_t2.rnn
+    layout = single_unit_t2
     X = rng.standard_normal((2, 2, 1))
     for keep_trace in (True, False):
         with pytest.raises(compute.ComputeError, match="unknown activation"):
@@ -82,27 +85,31 @@ def test_unknown_activation_rejected(activation, single_unit_t2, rng):
 
 
 def test_relu_subgradient_zero_at_kink():
-    """At pre-activation exactly 0 the backward mask must be 0."""
-    net = build_rnn(RnnSpec(1, (1,), 1, 1))
-    p = np.array([1.0, 1.0])  # w_in, w_out
-    _, tr = compute.forward(net, p, [0.0])
-    hid = net.node_at(1, 0, 1)
-    assert tr.pre[hid] == 0.0 and not tr.active[hid]
-    g = compute.backprop(net, p, tr, np.ones(1))
-    assert g[0] == 0.0  # nothing flows through the inactive unit
+    """At pre-activation exactly 0 the backward mask must be 0: with
+    p = (w_in, b, w_out, b_out) = (1, 0, 1, 0) and x = 0 nothing flows to
+    the bias b, where an open mask would pass w_out = 1."""
+    layout = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 1, bias=True))
+    p = np.array([1.0, 0.0, 1.0, 0.0])
+    X = np.zeros((1, 1, 1))
+    assert reference.forward(layout, p, X[0])[2][0][1] == [0.0]
+    tr = compute.rnn_forward(layout, p, X)
+    g = compute.rnn_backward(layout, p, tr, np.ones_like(tr.y))
+    b = layout.param_index("b1", 0, 0)
+    assert g[b] == 0.0 and reference.backward(layout, p, X[0], [[1.0]])[b] == 0.0
 
 
 def test_rnn_route_matches_generic(rng):
+    """rnn_forward equals the per-unit scalar reference."""
     for _ in range(8):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = rng.uniform(-1.2, 1.2, net.num_params)
+        layout = graph.RnnLayout.from_spec(spec)
+        p = rng.uniform(-1.2, 1.2, layout.m)
         B = 2
         X = rng.standard_normal((B, spec.length, spec.input_dim))
-        tr = compute.rnn_forward(net.rnn, p, X)
+        tr = compute.rnn_forward(layout, p, X)
         for b in range(B):
-            y, _ = compute.forward(net, p, X[b])
-            assert np.allclose(tr.y[b].reshape(-1), y, rtol=1e-12, atol=1e-14)
+            y = reference.forward(layout, p, X[b])[0]
+            assert np.allclose(tr.y[b], y, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("activation", compute.ACTIVATIONS)
@@ -111,19 +118,20 @@ def test_rnn_route_matches_generic(rng):
 @pytest.mark.parametrize("length", [1, 2, 7, compute.BLOCK, 2 * compute.BLOCK + 3])
 def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length, rng):
     """keep_trace=False gives the traced y bit for bit, and both match the
-    generic interpreter; the longer lengths span several trace-free blocks
-    and end in a partial one, so the state carried between blocks counts."""
+    per-unit scalar reference; the longer lengths span several trace-free
+    blocks and end in a partial one, so the state carried between blocks
+    counts."""
     spec = RnnSpec(2, hidden, 2, length, bias=bias)
-    net = build_rnn(spec)
-    p = rng.uniform(-1.2, 1.2, net.num_params)
+    layout = graph.RnnLayout.from_spec(spec)
+    p = rng.uniform(-1.2, 1.2, layout.m)
     X = rng.standard_normal((4, length, spec.input_dim))
-    tr = compute.rnn_forward(net.rnn, p, X, activation)
-    lean = compute.rnn_forward(net.rnn, p, X, activation, keep_trace=False)
+    tr = compute.rnn_forward(layout, p, X, activation)
+    lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False)
     assert lean.h is None and lean.y.shape == tr.y.shape == (4, length, 2)
     np.testing.assert_array_equal(lean.y, tr.y)
     for b in range(X.shape[0]):
-        y, _ = compute.forward(net, p, X[b], activation)
-        assert np.allclose(lean.y[b].reshape(-1), y, rtol=1e-12, atol=1e-14)
+        y = reference.forward(layout, p, X[b], activation)[0]
+        assert np.allclose(lean.y[b], y, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("activation", compute.ACTIVATIONS)
@@ -169,29 +177,29 @@ def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
                                 first_output=first_output)
 
 
-def _assert_matches_generic_grad(net, p, X, dY, monkeypatch):
-    """rnn_backward equals per-example generic backprop, both with the
-    default block budget and with one step per backward block."""
-    g_ref = np.zeros(net.num_params)
+def _assert_matches_generic_grad(layout, p, X, dY, monkeypatch):
+    """rnn_backward equals the per-example scalar reference backward, both
+    with the default block budget and with one step per backward block."""
+    g_ref = np.zeros(layout.m)
     for b in range(X.shape[0]):
-        _, trace = compute.forward(net, p, X[b])
-        g_ref += compute.backprop(net, p, trace, dY[b].reshape(-1))
-    tr = compute.rnn_forward(net.rnn, p, X)
+        g_ref += reference.backward(layout, p, X[b], dY[b])
+    tr = compute.rnn_forward(layout, p, X)
     for budget in (compute.BUDGET, 1):
         monkeypatch.setattr(compute, "BUDGET", budget)
-        g_vec = compute.rnn_backward(net.rnn, p, tr, dY)
+        g_vec = compute.rnn_backward(layout, p, tr, dY)
         assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
 
 
 def test_rnn_backward_matches_generic_grad(rng, monkeypatch):
-    """The two reverse-mode routes agree on the same scalar objective."""
+    """The layout backward and the scalar reference agree on the same
+    scalar objective."""
     for _ in range(5):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = rng.uniform(-1.2, 1.2, net.num_params)
+        layout = graph.RnnLayout.from_spec(spec)
+        p = rng.uniform(-1.2, 1.2, layout.m)
         X = rng.standard_normal((3, spec.length, spec.input_dim))
         dY = rng.standard_normal((3, spec.length, spec.output_dim))
-        _assert_matches_generic_grad(net, p, X, dY, monkeypatch)
+        _assert_matches_generic_grad(layout, p, X, dY, monkeypatch)
 
 
 def test_rnn_backward_matches_generic_grad_stacked_long(rng, monkeypatch):
@@ -202,11 +210,11 @@ def test_rnn_backward_matches_generic_grad_stacked_long(rng, monkeypatch):
                        (int(rng.integers(1, 4)), int(rng.integers(1, 4)))):
             spec = RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
                            length, bias=bool(rng.integers(0, 2)))
-            net = build_rnn(spec)
-            p = rng.uniform(-1.2, 1.2, net.num_params)
+            layout = graph.RnnLayout.from_spec(spec)
+            p = rng.uniform(-1.2, 1.2, layout.m)
             X = rng.standard_normal((3, length, spec.input_dim))
             dY = rng.standard_normal((3, length, spec.output_dim))
-            _assert_matches_generic_grad(net, p, X, dY, monkeypatch)
+            _assert_matches_generic_grad(layout, p, X, dY, monkeypatch)
 
 
 @pytest.mark.parametrize("K", [1, 3, "T"])

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, invariance, pathnorm, verify
-from pathsgd.graph import GraphError, RnnSpec, build_rnn
-from pathsgd.invariance import NodeScaling, apply_rescaling, edge_multipliers
+from pathsgd.graph import GraphError, RnnLayout, RnnSpec
+from pathsgd.invariance import NodeScaling, apply_rescaling
 
 
-def test_single_unit_alpha_two(single_unit_t2):
+def test_single_unit_alpha_two():
     """Scaling the one hidden unit by 2 doubles the input weight, leaves the
     recurrent weight alone and halves the output weight."""
     spec = RnnSpec(1, (1,), 1, 2)
@@ -18,33 +18,31 @@ def test_single_unit_alpha_two(single_unit_t2):
 def test_rescaling_preserves_function(rng):
     for _ in range(10):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = verify.random_params(net.rnn, rng)
+        layout = RnnLayout.from_spec(spec)
+        p = verify.random_params(layout, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = apply_rescaling(spec, p, alpha)
-        for _ in range(3):
-            x = rng.uniform(-1.0, 1.0, len(net.input_ids))
-            ya, _ = compute.forward(net, p, x)
-            yb, _ = compute.forward(net, q, x)
-            assert np.allclose(ya, yb, rtol=1e-10, atol=1e-12)
+        X = rng.uniform(-1.0, 1.0, (3, spec.length, spec.input_dim))
+        ya = compute.rnn_forward(layout, p, X).y
+        yb = compute.rnn_forward(layout, q, X).y
+        assert np.allclose(ya, yb, rtol=1e-10, atol=1e-12)
 
 
 def test_rescaling_preserves_gamma(rng):
     for _ in range(10):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = verify.random_params(net.rnn, rng)
+        layout = RnnLayout.from_spec(spec)
+        p = verify.random_params(layout, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = apply_rescaling(spec, p, alpha)
-        ga = pathnorm.gamma_recursive(net, p)
-        gb = pathnorm.gamma_recursive(net, q)
+        ga = pathnorm.gamma_recursive(layout, p)
+        gb = pathnorm.gamma_recursive(layout, q)
         assert abs(ga - gb) <= 1e-10 * max(1.0, abs(ga))
 
 
 def test_group_structure(rng):
     spec = RnnSpec(2, (3, 2), 1, 3)
-    net = build_rnn(spec)
-    p = verify.random_params(net.rnn, rng)
+    p = verify.random_params(RnnLayout.from_spec(spec), rng)
     a = invariance.random_rescaling(spec, rng, 1.0)
     b = invariance.random_rescaling(spec, rng, 1.0)
 
@@ -65,49 +63,40 @@ def test_log_range_zero_is_identity(rng):
         assert np.array_equal(a, np.ones_like(a))
 
 
+def _multipliers(layout, alpha):
+    """Each parameter's factor under the rescaling in node form: the scale
+    of the unit its weight enters over the scale of the unit it leaves.
+    Only hidden units scale; inputs, outputs and the bias keep scale 1."""
+    hidden = range(1, layout.spec.depth)
+
+    def scale(layer, unit):
+        return alpha.layer(layer)[unit] if layer in hidden else 1.0
+
+    # (layer of the target unit, layer of the source unit) per block; the
+    # outputs sit at layer depth, and the bias at None
+    ends = {"out": (len(hidden) + 1, len(hidden)), "bout": (len(hidden) + 1, None)}
+    for i in hidden:
+        ends.update({f"in{i}": (i, i - 1), f"rec{i}": (i, i), f"b{i}": (i, None)})
+    mult = np.empty(layout.m)
+    for name, (_, (rows, cols)) in layout.slices.items():
+        dst, src = ends[name]
+        for j in range(rows):
+            for k in range(cols):
+                mult[layout.param_index(name, j, k)] = scale(dst, j) / scale(src, k)
+    return mult
+
+
 def test_apply_matches_edge_multipliers(rng):
-    """The three matrix-level formulas agree with the generic node form
-    scale(v) / scale(u) on every edge."""
+    """The matrix-level formulas of apply_rescaling agree with the node form
+    target scale / source scale on every parameter, built entry by entry
+    through param_index."""
     for _ in range(6):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = verify.random_params(net.rnn, rng)
+        layout = RnnLayout.from_spec(spec)
+        p = verify.random_params(layout, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = apply_rescaling(spec, p, alpha)
-        mult = edge_multipliers(net, alpha)
-        for i in range(net.num_params):
-            for e in net._param_edges[i]:
-                assert np.isclose(q[i], p[i] * mult[e], rtol=1e-12, atol=1e-15)
-
-
-def test_node_scalings_are_feasible(rng):
-    for _ in range(6):
-        spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        alpha = invariance.random_rescaling(spec, rng, 1.0)
-        assert invariance.is_feasible(net, edge_multipliers(net, alpha))
-
-
-def test_untied_scaling_is_infeasible(single_unit_t2):
-    """Scaling the hidden unit at t=1 only gives the shared input weight two
-    different multipliers, which no shared-weight net can absorb."""
-    net = single_unit_t2
-    beta = np.ones(net.num_nodes)
-    for nd in net.nodes:
-        if nd.kind == "internal" and nd.time == 1:
-            beta[nd.idx] = 2.0
-    mult = np.array([beta[v] / beta[u] for u, v in net.edges])
-    assert not invariance.is_feasible(net, mult)
-
-
-def test_feedforward_any_node_scaling_feasible(rng):
-    net = build_rnn(RnnSpec(2, (3,), 2, 1))
-    beta = np.ones(net.num_nodes)
-    for nd in net.nodes:
-        if nd.kind == "internal":
-            beta[nd.idx] = rng.uniform(0.5, 2.0)
-    mult = np.array([beta[v] / beta[u] for u, v in net.edges])
-    assert invariance.is_feasible(net, mult)
+        assert np.allclose(q, p * _multipliers(layout, alpha), rtol=1e-12, atol=1e-15)
 
 
 def test_error_cases():
@@ -120,6 +109,3 @@ def test_error_cases():
         apply_rescaling(spec, np.ones(2), NodeScaling((np.ones(2),)))
     with pytest.raises(GraphError):
         invariance.random_rescaling(spec, np.random.default_rng(0), -1.0)
-    net = build_rnn(spec)
-    with pytest.raises(GraphError):
-        invariance.is_feasible(net, np.ones(3))

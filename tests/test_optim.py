@@ -75,7 +75,7 @@ def test_sgd_step():
 def test_path_sgd_step_hand_value(single_unit_t2):
     p = np.full(3, 0.9)
     g = np.array([0.3, 0.1, 0.3])
-    out = optim.path_sgd_step(single_unit_t2.rnn, p, g, 1.0,
+    out = optim.path_sgd_step(single_unit_t2, p, g, 1.0,
                               kappa=np.array([3.0, 1.0, 3.0]))
     assert np.allclose(out, [0.8, 0.8, 0.8], rtol=1e-15)
 
@@ -83,14 +83,14 @@ def test_path_sgd_step_hand_value(single_unit_t2):
 def test_path_sgd_with_unit_kappa_is_sgd(single_unit_t2, rng):
     p = rng.uniform(-1, 1, 3)
     g = rng.uniform(-1, 1, 3)
-    a = optim.path_sgd_step(single_unit_t2.rnn, p, g, 0.05, kappa=np.ones(3))
+    a = optim.path_sgd_step(single_unit_t2, p, g, 0.05, kappa=np.ones(3))
     assert np.array_equal(a, optim.sgd_step(p, g, 0.05))
 
 
 def test_path_sgd_floors_kappa(single_unit_t2):
     p = np.zeros(3)
     g = np.array([1.0, 0.0, 0.0])
-    out = optim.path_sgd_step(single_unit_t2.rnn, p, g, 1e-8)
+    out = optim.path_sgd_step(single_unit_t2, p, g, 1e-8)
     # kappa is 0 at p=0, so the floor eps=1e-8 caps the effective step at eta/eps
     assert np.allclose(out, [-1.0, 0.0, 0.0], rtol=1e-12)
 
@@ -106,8 +106,8 @@ def test_path_sgd_computes_kappa_at_current_point(single_unit_t2, monkeypatch):
     monkeypatch.setattr(pathnorm, "preconditioner", spy)
     p0 = np.ones(3)
     g = np.full(3, 0.1)
-    p1 = optim.path_sgd_step(single_unit_t2.rnn, p0, g, 0.5)
-    optim.path_sgd_step(single_unit_t2.rnn, p1, g, 0.5)
+    p1 = optim.path_sgd_step(single_unit_t2, p0, g, 0.5)
+    optim.path_sgd_step(single_unit_t2, p1, g, 0.5)
     assert np.array_equal(seen[0], p0)
     assert np.array_equal(seen[1], p1)
 
@@ -148,7 +148,7 @@ def test_path_adam_with_unit_kappa_is_adam(single_unit_t2, rng):
     for _ in range(5):
         g = rng.uniform(-1, 1, 3)
         qa, sa = optim.adam_step(qa, g, sa)
-        qp, sp = optim.path_adam_step(single_unit_t2.rnn, qp, g, sp, kappa=np.ones(3))
+        qp, sp = optim.path_adam_step(single_unit_t2, qp, g, sp, kappa=np.ones(3))
     assert np.array_equal(qa, qp)
     assert np.array_equal(sa.m1, sp.m1)
     assert np.array_equal(sa.m2, sp.m2)
@@ -171,7 +171,7 @@ def test_apply_update_dispatch(single_unit_t2, rng):
     g = rng.uniform(-0.1, 0.1, 3)
     for kind in optim.OPTIMIZERS:
         state = OptimizerState(kind=kind, eta=0.01)
-        out, state2 = optim.apply_update(single_unit_t2.rnn, p, g, state)
+        out, state2 = optim.apply_update(single_unit_t2, p, g, state)
         assert out.shape == p.shape
         assert np.all(np.isfinite(out))
 

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, invariance, pathnorm, verify
-from pathsgd.graph import RnnLayout, RnnSpec, build_rnn
+from pathsgd.graph import RnnLayout, RnnSpec
+
+import reference
 
 
 def rel_gap(a, b, floor=1e-12):
@@ -21,42 +23,48 @@ def test_gamma_hand_values(single_unit_t2, single_unit_t3):
     assert pathnorm.gamma_bruteforce(single_unit_t2, p) == 3.0
     assert pathnorm.gamma_recursive(single_unit_t3, p) == 6.0
     assert pathnorm.gamma_recursive(single_unit_t2, np.zeros(3)) == 0.0
-    assert pathnorm.gamma(single_unit_t2.rnn, p) == 3.0
-    assert pathnorm.gamma(single_unit_t3.rnn, p) == 6.0
-    assert pathnorm.gamma(single_unit_t3.rnn, np.zeros(3)) == 0.0
+    assert pathnorm.gamma(single_unit_t2, p) == 3.0
+    assert pathnorm.gamma(single_unit_t3, p) == 6.0
+    assert pathnorm.gamma(single_unit_t3, np.zeros(3)) == 0.0
 
 
 def test_gamma_recursive_equals_bruteforce(rng):
     for _ in range(20):
-        net = verify.random_net(rng)
-        p = verify.random_params(net.rnn, rng)
-        slow = pathnorm.gamma_bruteforce(net, p)
-        assert rel_gap(pathnorm.gamma_recursive(net, p), slow) < 1e-10
-        assert rel_gap(pathnorm.gamma(net.rnn, p), slow) < 1e-10
+        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        p = verify.random_params(layout, rng)
+        slow = pathnorm.gamma_bruteforce(layout, p)
+        assert rel_gap(pathnorm.gamma_recursive(layout, p), slow) < 1e-10
+        assert rel_gap(pathnorm.gamma(layout, p), slow) < 1e-10
 
 
-def test_path_count_and_guard():
-    net = build_rnn(RnnSpec(1, (1,), 1, 3))
-    assert pathnorm.count_paths(net) == 6
-    big = build_rnn(RnnSpec(10, (10,), 10, 5))
+def test_path_count_and_guard(rng):
+    """count_paths equals the number of paths iter_paths yields, and the
+    enumerators refuse past PATH_GUARD."""
+    assert pathnorm.count_paths(RnnLayout.from_spec(RnnSpec(1, (1,), 1, 3))) == 6
+    for _ in range(20):
+        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        assert pathnorm.count_paths(layout) == sum(1 for _ in pathnorm.iter_paths(layout))
+    big = RnnLayout.from_spec(RnnSpec(10, (10,), 10, 5))
     assert pathnorm.count_paths(big) > pathnorm.PATH_GUARD
     with pytest.raises(pathnorm.EnumerationError):
-        pathnorm.gamma_bruteforce(big, np.ones(big.num_params))
+        pathnorm.gamma_bruteforce(big, np.ones(big.m))
 
 
 def test_squared_net_reproduces_gamma_bit_exactly(rng):
-    """Theorem: node values of the squared net at the all-ones input are the
-    per-node gamma^2 values; the summed output must equal the recursion
-    without any floating-point slack."""
+    """Theorem: unit values of the squared net at the all-ones input are the
+    per-unit gamma^2 values; the summed output of the scalar reference
+    forward must equal the recursion without any floating-point slack."""
     for _ in range(10):
-        net = verify.random_net(rng)
-        p = verify.random_params(net.rnn, rng)
-        outputs, tr = compute.forward(net, p * p, np.ones(len(net.input_ids)))
-        assert np.all(tr.values >= 0.0)
+        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        p = verify.random_params(layout, rng)
+        ones = np.ones((layout.spec.length, layout.spec.input_dim))
+        outputs, h, _ = reference.forward(layout, p * p, ones)
+        assert all(v >= 0.0 for hs in h for layer in hs for v in layer)
         total = 0.0
-        for v in outputs:
-            total += float(v)
-        assert total == pathnorm.gamma_recursive(net, p)
+        for yt in outputs:
+            for v in yt:
+                total += v
+        assert total == pathnorm.gamma_recursive(layout, p)
 
 
 # --- kappa oracles and closed forms ------------------------------------------
@@ -72,65 +80,65 @@ def test_kappa_fd_hand_values(single_unit_t2, single_unit_t3):
 def test_kappa_fd_single_edge_independent_of_w():
     """1-1-1 MLP: gamma^2 = w_in^2 w_out^2, so kappa of w_in is w_out^2
     whatever w_in is."""
-    net = build_rnn(RnnSpec(1, (1,), 1, 1))
+    layout = RnnLayout.from_spec(RnnSpec(1, (1,), 1, 1))
     for w in (0.3, 1.0, -2.0):
-        assert np.allclose(pathnorm.kappa_fd(net, np.array([w, 1.0])), [1.0, w * w],
+        assert np.allclose(pathnorm.kappa_fd(layout, np.array([w, 1.0])), [1.0, w * w],
                            rtol=1e-8, atol=1e-8)
 
 
 def test_kappa1_hand_values(single_unit_t2, single_unit_t3):
     p = np.ones(3)
-    assert np.allclose(pathnorm.kappa1(single_unit_t2.rnn, p), [3.0, 1.0, 3.0],
+    assert np.allclose(pathnorm.kappa1(single_unit_t2, p), [3.0, 1.0, 3.0],
                        rtol=1e-12)
-    assert np.allclose(pathnorm.kappa1(single_unit_t3.rnn, p), [6.0, 4.0, 6.0],
+    assert np.allclose(pathnorm.kappa1(single_unit_t3, p), [6.0, 4.0, 6.0],
                        rtol=1e-12)
 
 
 def test_kappa1_equals_per_edge_enumeration(rng):
     for _ in range(12):
-        net = verify.random_net(rng)
-        p = verify.random_params(net.rnn, rng)
-        slow = pathnorm.kappa1_bruteforce(net, p)
-        assert rel_gap(pathnorm.kappa1(net.rnn, p), slow, floor=1e-9) < 1e-10
+        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        p = verify.random_params(layout, rng)
+        slow = pathnorm.kappa1_bruteforce(layout, p)
+        assert rel_gap(pathnorm.kappa1(layout, p), slow, floor=1e-9) < 1e-10
 
 
 def test_kappa1_feedforward_equals_fd(rng):
     """Without weight sharing kappa2 is 0, so kappa1 alone is kappa."""
     for dims in ([1, 1, 1], [2, 3, 1], [3, 2, 2]):
-        net = build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
-        p = rng.uniform(-1.0, 1.0, net.num_params)
-        k1 = pathnorm.kappa1(net.rnn, p)
-        assert rel_gap(k1, pathnorm.kappa1_bruteforce(net, p), floor=1e-9) < 1e-10
-        assert rel_gap(k1, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-6
+        layout = RnnLayout.from_spec(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
+        p = rng.uniform(-1.0, 1.0, layout.m)
+        k1 = pathnorm.kappa1(layout, p)
+        assert rel_gap(k1, pathnorm.kappa1_bruteforce(layout, p), floor=1e-9) < 1e-10
+        assert rel_gap(k1, pathnorm.kappa_fd(layout, p), floor=1.0) < 1e-6
 
 
 def test_kappa2_hand_values(single_unit_t2, single_unit_t3):
     p = np.ones(3)
     assert np.array_equal(pathnorm.kappa2_bruteforce(single_unit_t2, p),
                           np.zeros(3))
-    assert np.array_equal(pathnorm.kappa2(single_unit_t2.rnn, p), np.zeros(3))
+    assert np.array_equal(pathnorm.kappa2(single_unit_t2, p), np.zeros(3))
     assert np.allclose(pathnorm.kappa2_bruteforce(single_unit_t3, p),
                        [0.0, 4.0, 0.0], rtol=1e-12)
-    assert np.allclose(pathnorm.kappa2(single_unit_t3.rnn, p),
+    assert np.allclose(pathnorm.kappa2(single_unit_t3, p),
                        [0.0, 4.0, 0.0], rtol=1e-12)
 
 
 def test_kappa2_feedforward_exactly_zero(rng):
     for dims in ([1, 1, 1], [2, 3, 1], [4, 4, 4, 4]):
-        net = build_rnn(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
-        p = rng.uniform(-1.0, 1.0, net.num_params)
-        assert np.array_equal(pathnorm.kappa2_bruteforce(net, p),
-                              np.zeros(net.num_params))
-        assert np.array_equal(pathnorm.kappa2(net.rnn, p), np.zeros(net.num_params))
+        layout = RnnLayout.from_spec(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
+        p = rng.uniform(-1.0, 1.0, layout.m)
+        assert np.array_equal(pathnorm.kappa2_bruteforce(layout, p),
+                              np.zeros(layout.m))
+        assert np.array_equal(pathnorm.kappa2(layout, p), np.zeros(layout.m))
 
 
 def test_kappa2_rnn_equals_bruteforce(rng):
     for _ in range(12):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = verify.random_params(net.rnn, rng)
-        fast = pathnorm.kappa2(net.rnn, p)
-        slow = pathnorm.kappa2_bruteforce(net, p)
+        layout = RnnLayout.from_spec(spec)
+        p = verify.random_params(layout, rng)
+        fast = pathnorm.kappa2(layout, p)
+        slow = pathnorm.kappa2_bruteforce(layout, p)
         assert rel_gap(fast, slow, floor=1.0) < 1e-10
 
 
@@ -140,11 +148,12 @@ def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
     for length in range(5, 9):
         for depth in (1, 2):
             hidden = tuple(int(rng.integers(1, 3)) for _ in range(depth))
-            net = build_rnn(RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
-                                    length, bias=bool(rng.integers(0, 2))))
-            p = verify.random_params(net.rnn, rng)
-            fast = pathnorm.kappa2(net.rnn, p)
-            slow = pathnorm.kappa2_bruteforce(net, p)
+            layout = RnnLayout.from_spec(RnnSpec(int(rng.integers(1, 3)), hidden,
+                                                 int(rng.integers(1, 3)), length,
+                                                 bias=bool(rng.integers(0, 2))))
+            p = verify.random_params(layout, rng)
+            fast = pathnorm.kappa2(layout, p)
+            slow = pathnorm.kappa2_bruteforce(layout, p)
             assert rel_gap(fast, slow, floor=1.0) < 1e-10
 
 
@@ -158,19 +167,19 @@ def test_kappa_matches_fd_at_long_unroll(rng):
     for hidden in (2, 4, 6, 8):
         spec = RnnSpec(int(rng.integers(1, 3)), (hidden,), int(rng.integers(1, 3)),
                        int(rng.integers(38, 43)), bias=bool(rng.integers(0, 2)))
-        net = build_rnn(spec)
-        p = rng.uniform(-1.0, 1.0, net.num_params)
-        sl, _ = net.rnn.slices["rec1"]
+        layout = RnnLayout.from_spec(spec)
+        p = rng.uniform(-1.0, 1.0, layout.m)
+        sl, _ = layout.slices["rec1"]
         rho = np.max(np.abs(np.linalg.eigvals(p[sl].reshape(hidden, hidden) ** 2)))
         p[sl] /= np.sqrt(rho)
-        k1 = pathnorm.kappa1(net.rnn, p)
-        fd = pathnorm.kappa_fd(net, p)
-        assert rel_gap(k1 + pathnorm.kappa2(net.rnn, p), fd, floor=1.0) < 1e-4
+        k1 = pathnorm.kappa1(layout, p)
+        fd = pathnorm.kappa_fd(layout, p)
+        assert rel_gap(k1 + pathnorm.kappa2(layout, p), fd, floor=1.0) < 1e-4
         assert rel_gap(k1, fd, floor=1.0) > 0.5
-    net = build_rnn(RnnSpec(1, (8,), 1, 5, bias=True))
-    p = rng.uniform(-1.0, 1.0, net.num_params)
-    kappa = pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
-    assert rel_gap(kappa, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-4
+    layout = RnnLayout.from_spec(RnnSpec(1, (8,), 1, 5, bias=True))
+    p = rng.uniform(-1.0, 1.0, layout.m)
+    kappa = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
+    assert rel_gap(kappa, pathnorm.kappa_fd(layout, p), floor=1.0) < 1e-4
 
 
 def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
@@ -222,41 +231,39 @@ def test_preconditioner_squared_overflow_is_non_finite(monkeypatch):
 
 def test_decomposition_matches_fd(rng):
     for _ in range(8):
-        net = build_rnn(RnnSpec(1, (3,), 1, 4))
-        p = rng.uniform(-0.5, 0.5, net.num_params)
-        total = pathnorm.kappa1(net.rnn, p) + pathnorm.kappa2(net.rnn, p)
-        assert rel_gap(total, pathnorm.kappa_fd(net, p), floor=1.0) < 1e-4
+        layout = RnnLayout.from_spec(RnnSpec(1, (3,), 1, 4))
+        p = rng.uniform(-0.5, 0.5, layout.m)
+        total = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
+        assert rel_gap(total, pathnorm.kappa_fd(layout, p), floor=1.0) < 1e-4
 
 
 def test_kappa_nonnegative(rng):
     for _ in range(10):
-        net = verify.random_net(rng)
-        p = verify.random_params(net.rnn, rng)
-        assert np.all(pathnorm.kappa1(net.rnn, p) >= 0.0)
-        assert np.all(pathnorm.kappa2(net.rnn, p) >= 0.0)
+        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        p = verify.random_params(layout, rng)
+        assert np.all(pathnorm.kappa1(layout, p) >= 0.0)
+        assert np.all(pathnorm.kappa2(layout, p) >= 0.0)
 
 
 def test_kappa_rescaling_covariance(rng):
-    """kappa transforms exactly inversely to the squared edge multiplier:
-    kappa_i(T(p)) = kappa_i(p) / mult_i^2, separately for k1, k2, total."""
+    """kappa transforms exactly inversely to the squared parameter
+    multiplier: kappa_i(T(p)) = kappa_i(p) / mult_i^2, with mult = T(p) / p,
+    separately for k1, k2, total."""
     for _ in range(8):
         spec = verify.random_spec(rng)
-        net = build_rnn(spec)
-        p = verify.random_params(net.rnn, rng)
+        layout = RnnLayout.from_spec(spec)
+        p = verify.random_params(layout, rng)
         alpha = invariance.random_rescaling(spec, rng, 1.0)
         q = invariance.apply_rescaling(spec, p, alpha)
-        mult = invariance.edge_multipliers(net, alpha)
-        per_param = np.empty(net.num_params)
-        for i in range(net.num_params):
-            per_param[i] = mult[net._param_edges[i][0]]
-        a1, a2 = pathnorm.kappa1(net.rnn, p), pathnorm.kappa2(net.rnn, p)
-        b1, b2 = pathnorm.kappa1(net.rnn, q), pathnorm.kappa2(net.rnn, q)
+        per_param = q / p
+        a1, a2 = pathnorm.kappa1(layout, p), pathnorm.kappa2(layout, p)
+        b1, b2 = pathnorm.kappa1(layout, q), pathnorm.kappa2(layout, q)
         for before, after in ((a1, b1), (a2, b2), (a1 + a2, b1 + b2)):
             assert rel_gap(after * per_param ** 2, before, floor=1e-9) < 1e-9
 
 
 def test_preconditioner_modes(single_unit_t3):
-    layout = single_unit_t3.rnn
+    layout = single_unit_t3
     p = np.ones(3)
     assert np.allclose(pathnorm.preconditioner(layout, p, "k1"),
                        [6.0, 4.0, 6.0])
@@ -270,7 +277,7 @@ def test_kappa_ratio(single_unit_t3, rng):
     # at T = 1 no parameter repeats along a path, so kappa2 vanishes
     layout = RnnLayout.from_spec(RnnSpec(2, (2,), 1, 1))
     assert pathnorm.kappa_ratio(layout, rng.uniform(-1, 1, layout.m)) == 0.0
-    r = pathnorm.kappa_ratio(single_unit_t3.rnn, np.ones(3))
+    r = pathnorm.kappa_ratio(single_unit_t3, np.ones(3))
     assert np.isclose(r, 4.0 / np.sqrt(36.0 + 16.0 + 36.0), rtol=1e-12)
     with pytest.raises(ZeroDivisionError):
-        pathnorm.kappa_ratio(single_unit_t3.rnn, np.zeros(3))
+        pathnorm.kappa_ratio(single_unit_t3, np.zeros(3))

@@ -1,6 +1,9 @@
 import pytest
 
-from pathsgd import compute, verify
+from pathsgd import verify
+from pathsgd.graph import RnnLayout
+
+import reference
 
 
 def test_run_all_quick_passes():
@@ -37,20 +40,20 @@ def test_tampered_kappa_is_caught():
 
 def test_sample_kink_free_respects_margin(rng):
     """The layout sampler's parameters keep every ReLU pre-activation of
-    the unrolled DAG more than the margin from 0, except at a unit whose
-    sources are all 0."""
+    the scalar reference more than the margin from 0, except at a unit
+    whose sources are all 0."""
     for _ in range(5):
-        net = verify.random_net(rng)
-        spec = net.rnn.spec
+        spec = verify.random_net_spec(rng)
+        layout = RnnLayout.from_spec(spec)
         X = rng.uniform(-1, 1, (3, spec.length, spec.input_dim))
-        p = verify.sample_kink_free(net.rnn, rng, X, margin=1e-2)
+        p = verify.sample_kink_free(layout, rng, X, margin=1e-2)
         for x in X:
-            _, tr = compute.forward(net, p, x)
-            for nd in net.nodes:
-                if nd.kind != "internal":
-                    continue
-                dead = all(tr.values[u] == 0.0 for u, _ in net.incoming[nd.idx])
-                assert dead or abs(tr.pre[nd.idx]) > 1e-2
+            _, h, pre = reference.forward(layout, p, x)
+            for t in range(spec.length):
+                for i in range(1, spec.depth):
+                    sources = h[t][i - 1] + (h[t - 1][i] if t else [])
+                    dead = not spec.bias and all(v == 0.0 for v in sources)
+                    assert dead or all(abs(z) > 1e-2 for z in pre[t][i])
 
 
 def test_random_spec_bounds(rng):
