@@ -8,15 +8,15 @@ only the recurrence runs step by step, against one C-contiguous copy of
 W_rec^T per layer.  Hidden states are time-major, (T, B, H_i), so each step
 reads and writes one contiguous (B, H_i) block.  The training forward keeps
 the whole sequence as one block, which is the trace rnn_backward reads;
-evaluation, which needs only the outputs, runs the forward trace-free
-(keep_trace=False) in blocks of BLOCK steps and holds one (BLOCK, B, H_i)
-buffer and one carried (B, H_i) state per layer.  rnn_backward walks time
-from the end in blocks sized so that one layer's dpre block fits in BUDGET
-bytes, layers top-down inside each block, and carries dpre at each block's
-first step into the earlier block, so it allocates no (T, B, H_i) array of
-its own.  Outputs are projected only from step first_output on: a
-many-to-one task reads the last step alone, so its forward makes one
-(B, H) x (H, O) output product and its backward seeds only that step.
+evaluation, which needs only the outputs, runs it trace-free
+(keep_trace=False) in chunks of rows and blocks of steps, so a held-out set
+of any size runs in one call.  rnn_backward walks time from the end in
+blocks, layers top-down inside each block, and carries dpre at each
+block's first step into the earlier block, so neither forms a (T, B, H_i)
+array of its own.  Every block size comes from BUDGET and the widest layer.
+Outputs are projected only from step first_output on: a many-to-one task
+reads the last step alone, so its forward makes one (B, H) x (H, O) output
+product and its backward seeds only that step.
 
 At small sizes a recurrence step costs as much in calls as in arithmetic:
 at B = H = 32 the (B, H) x (H, H) product takes about 1.6 us and each
@@ -43,14 +43,9 @@ from .graph import RnnLayout
 
 ACTIVATIONS = ("relu", "identity")
 
-# Steps per block of a trace-free rnn_forward.  Larger blocks mean fewer,
-# larger input and output projections but bigger per-layer buffers; at 32
-# the evaluation buffers already show in the peak memory of small runs.
-BLOCK = 8
-
 # Bytes of one hidden layer's dpre block in rnn_backward, small enough to
-# stay in cache while the block's gradient products read it.  A step whose
-# whole dpre fits runs as one block.
+# stay in cache while the block's gradient products read it; the
+# trace-free rnn_forward sizes its row chunks and step blocks from it too.
 BUDGET = 2 << 20
 
 
@@ -71,6 +66,11 @@ def _dot(t: np.ndarray):
     of a zero product that matmul's sum turns into +0.
     """
     return np.matmul if t.size == 1 else np.dot
+
+
+def _pow2(n: int) -> int:
+    """The least power of two >= n, and 1 for n < 1."""
+    return 1 << (max(n, 1) - 1).bit_length()
 
 
 def _check_activation(activation: str) -> None:
@@ -114,10 +114,8 @@ class RnnTrace:
     first_output .. T - 1 in the caller-facing (B, T - first_output,
     output_dim) shape (it may be a transposed view); rnn_backward reads
     first_output back from its length.  Pre-activations are not kept: the
-    ReLU mask is a function of the output.
-    A trace-free forward (keep_trace=False) leaves h as None: it keeps only
-    the current block of BLOCK steps per layer, so it has no trace to hand
-    back.
+    ReLU mask is a function of the output.  A trace-free forward leaves h
+    as None.
     """
 
     h: list | None
@@ -134,13 +132,18 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     bottom-up: one matmul writes a layer's input drive (plus bias) for the
     whole block, the recurrence then runs step by step, and after the top
     layer one matmul writes the block's outputs at steps >= first_output.
-    With keep_trace K = T and the block buffer is the trace that
-    rnn_backward reads; without it K = BLOCK, and each layer holds one
-    (BLOCK, B, H_i) buffer and the (B, H_i) state carried into the block,
-    so no (T, B, H_i) array is formed.  y is (B, T - first_output,
-    output_dim), the outputs of steps first_output .. T - 1; 0 <=
-    first_output < T.  y is bit-identical in both modes and for every
-    first_output.
+    With keep_trace the whole batch runs with K = T, and the block buffer
+    is the trace that rnn_backward reads.  Without it the batch runs in
+    chunks of R rows, each transposed on its own, and each chunk in blocks
+    of K steps: R rows of state take about BUDGET / 32 bytes and a
+    (K, R, H) block about BUDGET / 4 at the widest layer H, both rounded
+    up to a power of two: (R, K) = (256, 8) at H = 32, (128, 8) at H = 100
+    and (64, 8) at H = 128.  y is (B, T - first_output, output_dim), the
+    outputs of steps first_output .. T - 1; 0 <= first_output < T.  y
+    agrees across modes and first_output up to rounding; its last bits can
+    depend on R and K, as BLAS may round a row of a product differently at
+    another row count (with OpenBLAS 0.3.31 the unrounded 81 rows at
+    H = 100 change them, and a one-row product runs as gemv).
     """
     spec = layout.spec
     p = _check_params(p, layout.m)
@@ -153,10 +156,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     B, T = X.shape[0], spec.length
     if not 0 <= first_output < T:
         raise ComputeError(f"rnn_forward: first_output {first_output} outside [0, {T})")
-    K = T if keep_trace else min(T, BLOCK)
     layers = range(1, spec.depth)
 
-    Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
     weights = [None]  # per hidden layer: (W_in^T, W_rec^T or None, bias or None)
     for i in layers:
         Wrec = layout.matrix(p, f"rec{i}")
@@ -168,33 +169,47 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
                         None if b is None else b[:, 0]))
     WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
-    # buf[i][0] is the state carried into the block, buf[i][1 + s] the
-    # state after step s of the block.
-    buf = [None] + [np.empty((K + 1, B, n)) for n in spec.hidden_dims]
-    tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
-    y = np.empty((T - first_output, B, spec.output_dim))
-    for t0 in range(0, T, K):
-        k = min(K, T - t0)
-        below = Xt[t0:t0 + k]
-        for i in layers:
-            WinT, WrecT, b = weights[i]
-            blk = buf[i][1:k + 1]
-            np.matmul(below.reshape(k * B, -1), WinT, out=blk.reshape(k * B, -1))
-            if b is not None:
-                blk += b
-            _forward_steps(buf[i][:k + 1], WrecT, t0 == 0, tmp[i], relu)
-            buf[i][0] = blk[-1]
-            below = blk
-        lo = max(t0, first_output)  # first step of the block that is read out
-        n = t0 + k - lo
-        if n <= 0:
-            continue
-        yb = y[lo - first_output:lo - first_output + n]
-        np.matmul(below[lo - t0:].reshape(n * B, -1), WoutT, out=yb.reshape(n * B, -1))
-        if bout is not None:
-            yb += bout[:, 0]
-    h = ([Xt] + [a[1:] for a in buf[1:]]) if keep_trace else None
-    return RnnTrace(h=h, y=y.transpose(1, 0, 2))
+
+    def run(rows: slice, K: int):
+        """Xt, the block buffers and y of `rows`, all time-major."""
+        Xt = np.ascontiguousarray(X[rows].transpose(1, 0, 2))
+        R = Xt.shape[1]
+        # buf[i][0] is the state carried into the block, buf[i][1 + s] the
+        # state after step s of the block.
+        buf = [None] + [np.empty((K + 1, R, n)) for n in spec.hidden_dims]
+        tmp = [None] + [np.empty((R, n)) for n in spec.hidden_dims]
+        y = np.empty((T - first_output, R, spec.output_dim))
+        for t0 in range(0, T, K):
+            k = min(K, T - t0)
+            below = Xt[t0:t0 + k]
+            for i in layers:
+                WinT, WrecT, b = weights[i]
+                blk = buf[i][1:k + 1]
+                np.matmul(below.reshape(k * R, -1), WinT, out=blk.reshape(k * R, -1))
+                if b is not None:
+                    blk += b
+                _forward_steps(buf[i][:k + 1], WrecT, t0 == 0, tmp[i], relu)
+                buf[i][0] = blk[-1]
+                below = blk
+            lo = max(t0, first_output)  # first step of the block that is read out
+            n = t0 + k - lo
+            if n <= 0:
+                continue
+            yb = y[lo - first_output:lo - first_output + n]
+            np.matmul(below[lo - t0:].reshape(n * R, -1), WoutT, out=yb.reshape(n * R, -1))
+            if bout is not None:
+                yb += bout[:, 0]
+        return Xt, buf, y
+
+    if keep_trace:
+        Xt, buf, y = run(slice(None), T)
+        return RnnTrace(h=[Xt] + [a[1:] for a in buf[1:]], y=y.transpose(1, 0, 2))
+    H = max(spec.hidden_dims)
+    R = min(B, _pow2(BUDGET // 32 // (8 * H)))
+    K = min(T, _pow2(BUDGET // 4 // (8 * R * H)))
+    ys = [run(slice(lo, lo + R), K)[2] for lo in range(0, B, R)]
+    y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
+    return RnnTrace(h=None, y=y.transpose(1, 0, 2))
 
 
 def _forward_steps(b: np.ndarray, WrecT, first: bool, t: np.ndarray,

@@ -7,7 +7,9 @@ forward alone and returns g = None), and how to score a fixed held-out set.
 The model is an RnnLayout, run through the vectorized forward and backward
 of ``compute``.  The many-to-one tasks (addition, seqclass) read only the
 last step's output, so they run the forward with first_output = T - 1 in
-training and evaluation alike; charlm reads every step.
+training and evaluation alike; charlm reads every step.  Each evaluate is
+one trace-free forward over the whole held-out set and its metric: compute
+alone sizes the chunks that forward runs in, from compute.BUDGET.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import numpy as np
 
 from . import compute
 from .graph import GraphError, RnnLayout
-
-EVAL_CHUNK = 256
 
 _WORDS = (
     "the of and to in is was for on with as his that it at from by this had "
@@ -142,13 +142,9 @@ class AdditionTask:
         return loss, g, loss
 
     def evaluate(self, layout: RnnLayout, p) -> float:
-        preds = []
-        X = self.eval_set.inputs()
-        for lo in range(0, len(self.eval_set), EVAL_CHUNK):
-            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False,
-                                     first_output=self.length - 1)
-            preds.append(tr.y[:, -1, 0])
-        return metric_mse(np.concatenate(preds), self.eval_set.targets)
+        tr = compute.rnn_forward(layout, p, self.eval_set.inputs(), keep_trace=False,
+                                 first_output=self.length - 1)
+        return metric_mse(tr.y[:, -1, 0], self.eval_set.targets)
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +225,9 @@ class SeqClassTask:
         return loss, g, metric_error_rate(logits, batch.labels)
 
     def evaluate(self, layout: RnnLayout, p) -> float:
-        logits = []
-        X = self.test_set.inputs()
-        for lo in range(0, len(self.test_set), EVAL_CHUNK):
-            tr = compute.rnn_forward(layout, p, X[lo:lo + EVAL_CHUNK], keep_trace=False,
-                                     first_output=self.length - 1)
-            logits.append(tr.y[:, -1, :])
-        return metric_error_rate(np.concatenate(logits), self.test_set.labels)
+        tr = compute.rnn_forward(layout, p, self.test_set.inputs(), keep_trace=False,
+                                 first_output=self.length - 1)
+        return metric_error_rate(tr.y[:, -1, :], self.test_set.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -324,8 +316,7 @@ class CharLmTask:
         self.input_dim = corpus.num_symbols
         self.output_dim = corpus.num_symbols
         self.eye = np.eye(corpus.num_symbols)
-        starts = np.arange(0, len(corpus.test) - unroll - 1, unroll)
-        self.eval_starts = starts[:eval_windows]
+        self.eval_starts = np.arange(0, len(corpus.test) - unroll, unroll)[:eval_windows]
 
     def _window_batch(self, ids: np.ndarray, starts: np.ndarray):
         offs = np.arange(self.unroll)
@@ -350,14 +341,7 @@ class CharLmTask:
         return loss, g, loss / math.log(2.0)
 
     def evaluate(self, layout: RnnLayout, p) -> float:
-        total, count = 0.0, 0
-        for lo in range(0, len(self.eval_starts), EVAL_CHUNK):
-            X, targets = self._window_batch(self.corpus.test,
-                                            self.eval_starts[lo:lo + EVAL_CHUNK])
-            B, T, A = X.shape
-            tr = compute.rnn_forward(layout, p, X, keep_trace=False)
-            loss_sum, _ = softmax_xent_grad(tr.y.reshape(B * T, A), targets.reshape(-1))
-            total += loss_sum
-            count += B * T
-        return total / count / math.log(2.0)
+        X, targets = self._window_batch(self.corpus.test, self.eval_starts)
+        tr = compute.rnn_forward(layout, p, X, keep_trace=False)
+        return metric_bpc(tr.y.reshape(-1, self.output_dim), targets.reshape(-1))
 

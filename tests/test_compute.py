@@ -112,19 +112,32 @@ def test_rnn_route_matches_generic(rng):
             assert np.allclose(tr.y[b], y, rtol=1e-12, atol=1e-14)
 
 
+# Steps per trace-free block at the budget _set_block_budget sets.
+BLOCK = 8
+
+
+def _set_block_budget(monkeypatch, rows, hidden):
+    """Set compute.BUDGET so that a trace-free rnn_forward of at least
+    `rows` rows (a power of two) runs chunks of `rows` rows and blocks of
+    BLOCK steps."""
+    monkeypatch.setattr(compute, "BUDGET", 32 * 8 * rows * max(hidden))
+
+
 @pytest.mark.parametrize("activation", compute.ACTIVATIONS)
 @pytest.mark.parametrize("hidden", [(3,), (3, 2)])
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("length", [1, 2, 7, compute.BLOCK, 2 * compute.BLOCK + 3])
-def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length, rng):
-    """keep_trace=False gives the traced y bit for bit, and both match the
-    per-unit scalar reference; the longer lengths span several trace-free
-    blocks and end in a partial one, so the state carried between blocks
-    counts."""
+@pytest.mark.parametrize("length", [1, 2, 7, BLOCK, 2 * BLOCK + 3])
+def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length, rng,
+                                               monkeypatch):
+    """keep_trace=False over one chunk of rows gives the traced y bit for
+    bit, and both match the per-unit scalar reference; the longer lengths
+    span several trace-free blocks and end in a partial one, so the state
+    carried between blocks counts."""
     spec = RnnSpec(2, hidden, 2, length, bias=bias)
     layout = graph.RnnLayout.from_spec(spec)
     p = rng.uniform(-1.2, 1.2, layout.m)
     X = rng.standard_normal((4, length, spec.input_dim))
+    _set_block_budget(monkeypatch, 4, hidden)
     tr = compute.rnn_forward(layout, p, X, activation)
     lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False)
     assert lean.h is None and lean.y.shape == tr.y.shape == (4, length, 2)
@@ -137,18 +150,21 @@ def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length,
 @pytest.mark.parametrize("activation", compute.ACTIVATIONS)
 @pytest.mark.parametrize("hidden", [(3,), (3, 2), (2, 3, 2)])
 @pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("length", [compute.BLOCK + 1, 2 * compute.BLOCK + 3])
+@pytest.mark.parametrize("length", [BLOCK + 1, 2 * BLOCK + 3])
 @pytest.mark.parametrize("first", ["1", "BLOCK", "T-1"])
-def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first, rng):
+def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first, rng,
+                                        monkeypatch):
     """first_output = r gives the full forward's y[:, r:] bit for bit in
     both modes, and the backward of that suffix equals the full backward
     with dY zero before step r, dpre included.  The lengths span several
-    trace-free blocks and end in a partial one."""
-    r = {"1": 1, "BLOCK": compute.BLOCK, "T-1": length - 1}[first]
+    trace-free blocks and end in a partial one; "BLOCK" starts the read-out
+    on the first step of the second block."""
+    r = {"1": 1, "BLOCK": BLOCK, "T-1": length - 1}[first]
     spec = RnnSpec(2, hidden, 2, length, bias=bias)
     layout = graph.RnnLayout.from_spec(spec)
     p = rng.uniform(-1.2, 1.2, layout.m)
     X = rng.standard_normal((4, length, spec.input_dim))
+    _set_block_budget(monkeypatch, 4, hidden)
     full = compute.rnn_forward(layout, p, X, activation)
     lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False, first_output=r)
     tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
@@ -165,6 +181,37 @@ def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first,
     for got, want in zip(dpre[1:], dpre_full[1:]):
         np.testing.assert_array_equal(got, want)
     np.testing.assert_array_equal(compute.rnn_backward(layout, p, tr, dY, activation), g)
+
+
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+@pytest.mark.parametrize("hidden", [(3,), (3, 2), (2, 3, 2)])
+@pytest.mark.parametrize("bias", [False, True])
+def test_rnn_forward_trace_free_chunks(activation, hidden, bias, rng, monkeypatch):
+    """A trace-free forward forced into chunks of 1 and 2 rows (B = 5 ends
+    in a partial chunk) and blocks of 1 and BLOCK steps matches the traced
+    forward for every first_output, and each whole chunk's rows have the
+    bytes of the same forward over those rows alone.  Against the traced
+    forward the match is up to rounding: BLAS may round a row of a product
+    differently at another row count, and a one-row product runs as gemv."""
+    T, B = 11, 5
+    layout = graph.RnnLayout.from_spec(RnnSpec(2, hidden, 2, T, bias=bias))
+    p = rng.uniform(-1.2, 1.2, layout.m)
+    X = rng.standard_normal((B, T, 2))
+    for r in range(T):
+        want = compute.rnn_forward(layout, p, X, activation, first_output=r).y
+        for rows, steps in ((1, 1), (1, BLOCK), (2, BLOCK)):
+            if steps == 1:
+                monkeypatch.setattr(compute, "BUDGET", 1)
+            else:
+                _set_block_budget(monkeypatch, rows, hidden)
+            got = compute.rnn_forward(layout, p, X, activation, keep_trace=False,
+                                      first_output=r).y
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+            for lo in range(0, B - rows + 1, rows):
+                alone = compute.rnn_forward(layout, p, X[lo:lo + rows], activation,
+                                            keep_trace=False, first_output=r).y
+                assert got[lo:lo + rows].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("first_output", [-1, 5, 6])

@@ -73,8 +73,11 @@ def test_addition_eval_fixed_set():
 
 
 def test_addition_eval_holds_no_trace():
-    """Evaluation runs the forward trace-free: its peak allocation stays
-    below one chunk's (EVAL_CHUNK, T, H) hidden-state trace."""
+    """Evaluation runs the forward trace-free, one chunk of rows at a time:
+    its peak allocation stays below the held-out inputs plus one
+    compute.BUDGET, so it holds no hidden-state trace (13 MB for one
+    128-row chunk here) and no second, transposed copy of the whole set
+    (1.6 MB)."""
     T, H = 200, 64
     task = tasks.AdditionTask(T, eval_size=512)
     layout = RnnLayout.from_spec(RnnSpec(2, (H,), 1, T))
@@ -85,7 +88,7 @@ def test_addition_eval_holds_no_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < tasks.EVAL_CHUNK * T * H * 8
+    assert peak < task.eval_set.inputs().nbytes + compute.BUDGET
 
 
 def test_addition_backward_holds_no_full_gradient():
@@ -205,6 +208,21 @@ def test_charlm_grad_matches_fd(rng):
     assert np.allclose(g, fd, rtol=1e-5, atol=1e-7)
 
 
+@pytest.mark.parametrize("test_chars, starts", [(6, [0]), (11, [0, 5]), (12, [0, 5])])
+def test_charlm_eval_windows_reach_the_end(test_chars, starts):
+    """A window starting at len(test) - unroll - 1 still has its last
+    target, so it is evaluated: a test split of unroll + 1 characters gives
+    one window, and one of 2 unroll + 1 gives a last start of unroll."""
+    text = ("abcdefghijklmnopqrstuvwxyz" * 3)[:5 * test_chars]
+    corpus = tasks.load_char_corpus(text=text, fractions=(0.6, 0.2, 0.2))
+    assert len(corpus.test) == test_chars
+    task = tasks.CharLmTask(corpus, unroll=5)
+    assert task.eval_starts.tolist() == starts
+    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (4,), task.output_dim, 5))
+    bpc = task.evaluate(layout, np.zeros(layout.m))
+    assert bpc == pytest.approx(math.log2(corpus.num_symbols), abs=1e-12)
+
+
 def test_charlm_validation():
     corpus = tasks.load_char_corpus(text="ab" * 100)
     with pytest.raises(GraphError):
@@ -231,3 +249,24 @@ def test_loss_without_grad_matches(name, rng):
     loss, g, metric = task.loss_and_grad(layout, p, batch)
     assert g.shape == (layout.m,)
     assert task.loss_and_grad(layout, p, batch, grad=False) == (loss, None, metric)
+
+
+@pytest.mark.parametrize("name", ["addition", "seqclass", "charlm"])
+def test_evaluate_does_not_depend_on_budget(name, rng, monkeypatch):
+    """evaluate is one trace-free forward and its metric; forced into
+    one-row, one-step chunks by a tiny compute.BUDGET it returns the value
+    of the default budget up to rounding (a row of a BLAS product may round
+    differently at another row count)."""
+    if name == "addition":
+        task = tasks.AdditionTask(length=11, eval_size=37)
+    elif name == "seqclass":
+        task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
+    else:
+        task = tasks.CharLmTask(tasks.load_char_corpus(text="the quick brown fox " * 30),
+                                unroll=11)
+    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3, 2), task.output_dim,
+                                         task.length))
+    p = rng.uniform(-0.6, 0.6, layout.m)
+    want = task.evaluate(layout, p)
+    monkeypatch.setattr(compute, "BUDGET", 1)
+    assert task.evaluate(layout, p) == pytest.approx(want, rel=1e-12)
