@@ -98,6 +98,9 @@ def tune_malloc() -> None:
 
 def cmd_train(args) -> int:
     tune_malloc()
+    for kv in args.set:
+        if "=" not in kv:
+            raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
     overrides = dict(kv.split("=", 1) for kv in args.set)
     cfg = load_config(args.config, overrides)
     task = make_task(cfg)

@@ -127,7 +127,7 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
                 first_output: int = 0) -> RnnTrace:
     """Batched forward pass over the unrolled layout.
 
-    X has shape (B, T, input_dim); hidden state before the first step is 0.
+    X has shape (B, T, input_dim), B >= 1; the hidden state starts at 0.
     Time runs in blocks of K steps, and each block runs the layers
     bottom-up: one matmul writes a layer's input drive (plus bias) for the
     whole block, the recurrence then runs step by step, and after the top
@@ -151,6 +151,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     if X.ndim != 3 or X.shape[1] != spec.length or X.shape[2] != spec.input_dim:
         raise ComputeError(
             f"rnn_forward: expected X of shape (B, {spec.length}, {spec.input_dim}), got {X.shape}")
+    if X.shape[0] == 0:
+        raise ComputeError(f"rnn_forward: empty batch, X of shape {X.shape}")
     _check_activation(activation)
     relu = activation == "relu"
     B, T = X.shape[0], spec.length

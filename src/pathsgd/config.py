@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .graph import RnnLayout
-from .optim import DEFAULT_EPS, OPTIMIZERS, OptimizerState
+from .optim import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, DEFAULT_EPS, OPTIMIZERS,
+                    OptimizerState)
 from .pathnorm import KAPPA_MODES
 
 INIT_SCHEMES = ("uniform", "identity")
@@ -34,6 +35,9 @@ TASK_KEYS = {
     "charlm": ("seq_len", "corpus"),
 }
 TASKS = tuple(TASK_KEYS)
+# Adam's fixed settings, written to every checkpoint header; a checkpoint
+# that holds other values cannot continue here.
+ADAM_HEADER = (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2), ("eps_adam", ADAM_EPS))
 
 
 class ConfigError(ValueError):
@@ -275,9 +279,8 @@ def save_checkpoint(path, step: int, layout: RnnLayout, p: np.ndarray,
         yield f"eta {_fmt(opt.eta)}"
         yield f"kappa_mode {opt.kappa_mode}"
         yield f"eps {_fmt(opt.eps)}"
-        yield f"beta1 {_fmt(opt.beta1)}"
-        yield f"beta2 {_fmt(opt.beta2)}"
-        yield f"eps_adam {_fmt(opt.eps_adam)}"
+        for key, value in ADAM_HEADER:
+            yield f"{key} {_fmt(value)}"
         yield f"t {opt.t}"
         yield f"m {len(p)}"
         yield from _fmt_array(p)
@@ -330,9 +333,10 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
     try:
         opt = OptimizerState(kind=head["kind"], eta=float(head["eta"]),
                              kappa_mode=head["kappa_mode"], eps=float(head["eps"]),
-                             beta1=float(head["beta1"]), beta2=float(head["beta2"]),
-                             eps_adam=float(head["eps_adam"]), t=int(head["t"]),
-                             m1=m1, m2=m2)
+                             t=int(head["t"]), m1=m1, m2=m2)
+        for key, value in ADAM_HEADER:
+            if float(head[key]) != value:
+                raise ValueError(f"{key} {head[key]}, fixed at {value:g}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad optimizer header ({exc})") from exc
     return step, p, opt

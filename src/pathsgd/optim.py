@@ -17,13 +17,17 @@ if TYPE_CHECKING:
 
 DEFAULT_EPS = 1e-8
 DIVERGE_LOSS = 1e6
+# Adam's moment decays and the epsilon of its denominator; fixed, and
+# written to every checkpoint.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 OPTIMIZERS = ("sgd", "adam", "path_sgd", "path_adam")
 
 # Independent RNG streams derived from the run seed.
 STREAM_INIT = 0
 STREAM_DATA = 1
-STREAM_TASK = 2
 
 
 def rng_for(seed: int, *key: int) -> np.random.Generator:
@@ -76,9 +80,6 @@ class OptimizerState:
     eta: float = 0.01
     kappa_mode: str = "k1"
     eps: float = DEFAULT_EPS        # floor applied to kappa
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
     t: int = 0                      # Adam timestep
     m1: np.ndarray | None = None    # first moment
     m2: np.ndarray | None = None    # second moment
@@ -94,10 +95,6 @@ class OptimizerState:
     @property
     def uses_kappa(self) -> bool:
         return self.kind in ("path_sgd", "path_adam")
-
-    @property
-    def uses_adam(self) -> bool:
-        return self.kind in ("adam", "path_adam")
 
 
 def sgd_step(p: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
@@ -120,11 +117,11 @@ def _adam_direction(state: OptimizerState, g: np.ndarray) -> tuple[np.ndarray, O
     if state.m1 is None:
         state = dataclasses.replace(state, m1=np.zeros_like(g), m2=np.zeros_like(g))
     t = state.t + 1
-    m1 = state.beta1 * state.m1 + (1 - state.beta1) * g
-    m2 = state.beta2 * state.m2 + (1 - state.beta2) * g * g
-    mhat = m1 / (1 - state.beta1 ** t)
-    vhat = m2 / (1 - state.beta2 ** t)
-    direction = mhat / (np.sqrt(vhat) + state.eps_adam)
+    m1 = ADAM_BETA1 * state.m1 + (1 - ADAM_BETA1) * g
+    m2 = ADAM_BETA2 * state.m2 + (1 - ADAM_BETA2) * g * g
+    mhat = m1 / (1 - ADAM_BETA1 ** t)
+    vhat = m2 / (1 - ADAM_BETA2 ** t)
+    direction = mhat / (np.sqrt(vhat) + ADAM_EPS)
     return direction, dataclasses.replace(state, t=t, m1=m1, m2=m2)
 
 

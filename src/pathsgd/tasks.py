@@ -1,15 +1,14 @@
-"""Desk-scale sequence tasks: data generators, losses, and metrics.
+"""Desk-scale sequence tasks: their data and one loss head each.
 
-Each task object knows how to draw a training batch from a supplied RNG, how
-to compute the batch loss / gradient / training metric at given parameters
-(the gradient only when asked: loss_and_grad(..., grad=False) runs the
-forward alone and returns g = None), and how to score a fixed held-out set.
-The model is an RnnLayout, run through the vectorized forward and backward
-of ``compute``.  The many-to-one tasks (addition, seqclass) read only the
-last step's output, so they run the forward with first_output = T - 1 in
-training and evaluation alike; charlm reads every step.  Each evaluate is
-one trace-free forward over the whole held-out set and its metric: compute
-alone sizes the chunks that forward runs in, from compute.BUDGET.
+The task route is written once, in Task.  loss_and_grad is the forward of
+``compute`` on an (X, target) batch, the task's head, and the backward from
+the head's dY (with grad=False, the forward alone and g = None).  evaluate
+is one trace-free forward over the fixed held-out set and the head's
+metric; compute alone sizes the chunks that forward runs in, from
+compute.BUDGET.  head(y, target) -> (loss, dY, metric) is each task's one
+definition of its loss and metric.  The many-to-one tasks (addition,
+seqclass) read only the last step's output, so their forward projects from
+first_output = T - 1; charlm reads every step (first_output = 0).
 """
 
 from __future__ import annotations
@@ -41,26 +40,30 @@ _WORDS = (
 
 
 # ---------------------------------------------------------------------------
-# metrics
+# the task route
 
-def metric_mse(pred: np.ndarray, target: np.ndarray) -> float:
-    pred = np.asarray(pred, dtype=float)
-    target = np.asarray(target, dtype=float)
-    return float(np.mean((pred - target) ** 2))
+class Task:
+    """The forward, head and backward every task shares.
 
-
-def metric_error_rate(logits: np.ndarray, labels: np.ndarray) -> float:
-    """Fraction of rows whose argmax is not the label."""
-    return float(np.mean(np.argmax(logits, axis=-1) != np.asarray(labels)))
-
-
-def metric_bpc(logits: np.ndarray, targets: np.ndarray) -> float:
-    """Mean bits per character, -log2 p(target), under softmax(logits).
-
-    logits: (n, k); targets: (n,) integer classes.
+    A subclass sets name, metric_name, input_dim, output_dim, length and
+    first_output, and defines train_batch, held_out and head.
     """
-    loss, _ = softmax_xent_grad(logits, targets)
-    return loss / logits.shape[0] / math.log(2.0)
+
+    def loss_and_grad(self, layout: RnnLayout, p, batch, grad: bool = True):
+        """(loss, g, metric) on an (X, target) batch; g is None without grad."""
+        X, target = batch
+        tr = compute.rnn_forward(layout, p, X, keep_trace=grad,
+                                 first_output=self.first_output)
+        loss, dY, metric = self.head(tr.y, target)
+        g = compute.rnn_backward(layout, p, tr, dY) if grad else None
+        return loss, g, metric
+
+    def evaluate(self, layout: RnnLayout, p) -> float:
+        """The head's metric on the held-out set."""
+        X, target = self.held_out()
+        tr = compute.rnn_forward(layout, p, X, keep_trace=False,
+                                 first_output=self.first_output)
+        return self.head(tr.y, target)[2]
 
 
 def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
@@ -89,9 +92,6 @@ class AdditionSet:
     masks: np.ndarray    # (n, T) exactly two ones
     targets: np.ndarray  # (n,) sum of the two marked values
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     def inputs(self) -> np.ndarray:
         """(n, T, 2) with the value channel first, the mask channel second."""
         return np.stack([self.values, self.masks], axis=2)
@@ -113,9 +113,11 @@ def gen_addition(length: int, n: int, rng: np.random.Generator) -> AdditionSet:
     return AdditionSet(values, masks, targets)
 
 
-class AdditionTask:
+class AdditionTask(Task):
     """Predict the sum of two marked sequence entries from the final step,
-    the only output the forward projects (first_output = T - 1)."""
+    the only output the forward projects (first_output = T - 1).  The
+    held-out set is kept as values and masks; its inputs are stacked for
+    each evaluation."""
 
     name = "addition"
     input_dim = 2
@@ -124,73 +126,33 @@ class AdditionTask:
 
     def __init__(self, length: int, eval_size: int = 512, eval_seed: int = 1):
         self.length = length
+        self.first_output = length - 1
         self.eval_set = gen_addition(length, eval_size,
                                      np.random.default_rng(eval_seed))
 
-    def train_batch(self, rng: np.random.Generator, size: int) -> AdditionSet:
-        return gen_addition(self.length, size, rng)
+    def train_batch(self, rng: np.random.Generator, size: int):
+        batch = gen_addition(self.length, size, rng)
+        return batch.inputs(), batch.targets
 
-    def loss_and_grad(self, layout: RnnLayout, p, batch: AdditionSet, grad: bool = True):
-        tr = compute.rnn_forward(layout, p, batch.inputs(), keep_trace=grad,
-                                 first_output=self.length - 1)
-        err = tr.y[:, -1, 0] - batch.targets
+    def held_out(self):
+        return self.eval_set.inputs(), self.eval_set.targets
+
+    def head(self, y: np.ndarray, target: np.ndarray):
+        """Mean squared error; the metric is the loss itself."""
+        err = y[:, -1, 0] - target
         loss = float(np.mean(err ** 2))
-        g = None
-        if grad:
-            dY = (2.0 * err / len(batch)).reshape(tr.y.shape)
-            g = compute.rnn_backward(layout, p, tr, dY)
-        return loss, g, loss
-
-    def evaluate(self, layout: RnnLayout, p) -> float:
-        tr = compute.rnn_forward(layout, p, self.eval_set.inputs(), keep_trace=False,
-                                 first_output=self.length - 1)
-        return metric_mse(tr.y[:, -1, 0], self.eval_set.targets)
+        return loss, (2.0 * err / len(err)).reshape(y.shape), loss
 
 
 # ---------------------------------------------------------------------------
 # sequential classification of tiny glyph images
 
-@dataclass(frozen=True)
-class SeqClassSet:
-    pixels: np.ndarray   # (n, size*size) row-major flattened images
-    labels: np.ndarray   # (n,) integer classes
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
-
-    def inputs(self) -> np.ndarray:
-        return self.pixels[:, :, None]
-
-
-def synthetic_glyphs(n: int, size: int, num_classes: int,
-                     rng: np.random.Generator) -> SeqClassSet:
-    """Noisy copies of per-class binary templates, flattened row-major so the
-    image is consumed one pixel per time step."""
-    templates = (rng.uniform(size=(num_classes, size, size)) > 0.5).astype(float)
-    labels = rng.integers(0, num_classes, size=n)
-    images = templates[labels] + 0.3 * rng.standard_normal((n, size, size))
-    return SeqClassSet(images.reshape(n, size * size), labels)
-
-
-def split_stratified(ds: SeqClassSet, test_frac: float,
-                     rng: np.random.Generator) -> tuple[SeqClassSet, SeqClassSet]:
-    """Per-class shuffled split so both sides see every class."""
-    train_idx, test_idx = [], []
-    for k in np.unique(ds.labels):
-        idx = np.flatnonzero(ds.labels == k)
-        idx = rng.permutation(idx)
-        cut = int(round(len(idx) * test_frac))
-        test_idx.extend(idx[:cut])
-        train_idx.extend(idx[cut:])
-    tr = np.sort(np.asarray(train_idx, dtype=int))
-    te = np.sort(np.asarray(test_idx, dtype=int))
-    return (SeqClassSet(ds.pixels[tr], ds.labels[tr]),
-            SeqClassSet(ds.pixels[te], ds.labels[te]))
-
-
-class SeqClassTask:
+class SeqClassTask(Task):
     """Classify a pixel-sequence image from the final step's logits, the
-    only output the forward projects (first_output = T - 1)."""
+    only output the forward projects (first_output = T - 1).  The images
+    are noisy copies of per-class binary templates, flattened row-major so
+    an image is consumed one pixel per time step, and split per class so
+    both sides see every class."""
 
     name = "seqclass"
     input_dim = 1
@@ -199,35 +161,38 @@ class SeqClassTask:
     def __init__(self, size: int = 8, num_classes: int = 4, n: int = 1024,
                  test_frac: float = 0.25, data_seed: int = 1):
         rng = np.random.default_rng(data_seed)
-        self.num_classes = num_classes
         self.output_dim = num_classes
         self.length = size * size
-        full = synthetic_glyphs(n, size, num_classes, rng)
-        self.train_set, self.test_set = split_stratified(full, test_frac, rng)
-        if not len(self.train_set) or not len(self.test_set):
+        self.first_output = self.length - 1
+        templates = (rng.uniform(size=(num_classes, size, size)) > 0.5).astype(float)
+        labels = rng.integers(0, num_classes, size=n)
+        images = templates[labels] + 0.3 * rng.standard_normal((n, size, size))
+        X = images.reshape(n, self.length, 1)
+        test = np.zeros(n, dtype=bool)
+        for k in np.unique(labels):
+            idx = rng.permutation(np.flatnonzero(labels == k))
+            test[idx[:int(round(len(idx) * test_frac))]] = True
+        self.train_X, self.train_labels = X[~test], labels[~test]
+        self.test_X, self.test_labels = X[test], labels[test]
+        if not len(self.train_labels) or not len(self.test_labels):
             raise GraphError(f"seqclass: {n} examples with test_frac = {test_frac} "
                              "leave a split empty")
 
-    def train_batch(self, rng: np.random.Generator, size: int) -> SeqClassSet:
-        idx = rng.integers(0, len(self.train_set), size=size)
-        return SeqClassSet(self.train_set.pixels[idx], self.train_set.labels[idx])
+    def train_batch(self, rng: np.random.Generator, size: int):
+        idx = rng.integers(0, len(self.train_labels), size=size)
+        return self.train_X[idx], self.train_labels[idx]
 
-    def loss_and_grad(self, layout: RnnLayout, p, batch: SeqClassSet, grad: bool = True):
-        tr = compute.rnn_forward(layout, p, batch.inputs(), keep_trace=grad,
-                                 first_output=self.length - 1)
-        logits = tr.y[:, -1, :]
-        total, dlogits = softmax_xent_grad(logits, batch.labels)
-        loss = total / len(batch)
-        g = None
-        if grad:
-            dY = (dlogits / len(batch)).reshape(tr.y.shape)
-            g = compute.rnn_backward(layout, p, tr, dY)
-        return loss, g, metric_error_rate(logits, batch.labels)
+    def held_out(self):
+        return self.test_X, self.test_labels
 
-    def evaluate(self, layout: RnnLayout, p) -> float:
-        tr = compute.rnn_forward(layout, p, self.test_set.inputs(), keep_trace=False,
-                                 first_output=self.length - 1)
-        return metric_error_rate(tr.y[:, -1, :], self.test_set.labels)
+    def head(self, y: np.ndarray, target: np.ndarray):
+        """Mean softmax cross-entropy in nats; the metric is the error rate,
+        the share of rows whose argmax is not the label."""
+        logits = y[:, -1, :]
+        total, dlogits = softmax_xent_grad(logits, target)
+        n = len(target)
+        error_rate = float(np.mean(np.argmax(logits, axis=-1) != target))
+        return total / n, (dlogits / n).reshape(y.shape), error_rate
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +262,13 @@ def bundled_corpus_path() -> Path:
     return Path(__file__).parent / "data" / "corpus.txt"
 
 
-class CharLmTask:
+class CharLmTask(Task):
     """Next-character prediction with one-hot inputs and a per-step readout,
     so the forward projects every step (first_output = 0)."""
 
     name = "charlm"
     metric_name = "bpc"
+    first_output = 0
 
     def __init__(self, corpus: CharCorpus, unroll: int = 50, eval_windows: int = 64):
         if unroll < 1:
@@ -311,7 +277,6 @@ class CharLmTask:
         if shortest <= unroll:
             raise GraphError("CharLmTask: corpus splits shorter than the unroll")
         self.corpus = corpus
-        self.unroll = unroll
         self.length = unroll
         self.input_dim = corpus.num_symbols
         self.output_dim = corpus.num_symbols
@@ -319,29 +284,22 @@ class CharLmTask:
         self.eval_starts = np.arange(0, len(corpus.test) - unroll, unroll)[:eval_windows]
 
     def _window_batch(self, ids: np.ndarray, starts: np.ndarray):
-        offs = np.arange(self.unroll)
+        offs = np.arange(self.length)
         xs = ids[starts[:, None] + offs[None, :]]
         ys = ids[starts[:, None] + offs[None, :] + 1]
         return self.eye[xs], ys
 
     def train_batch(self, rng: np.random.Generator, size: int):
-        starts = rng.integers(0, len(self.corpus.train) - self.unroll, size=size)
+        starts = rng.integers(0, len(self.corpus.train) - self.length, size=size)
         return self._window_batch(self.corpus.train, starts)
 
-    def loss_and_grad(self, layout: RnnLayout, p, batch, grad: bool = True):
-        X, targets = batch
-        B, T, A = X.shape
-        tr = compute.rnn_forward(layout, p, X, keep_trace=grad)
-        total, dflat = softmax_xent_grad(tr.y.reshape(B * T, A), targets.reshape(-1))
+    def held_out(self):
+        return self._window_batch(self.corpus.test, self.eval_starts)
+
+    def head(self, y: np.ndarray, target: np.ndarray):
+        """Mean softmax cross-entropy per character in nats; the metric is
+        the same mean in bits per character."""
+        B, T, A = y.shape
+        total, dflat = softmax_xent_grad(y.reshape(B * T, A), target.reshape(-1))
         loss = total / (B * T)
-        g = None
-        if grad:
-            dY = dflat.reshape(B, T, A) / (B * T)
-            g = compute.rnn_backward(layout, p, tr, dY)
-        return loss, g, loss / math.log(2.0)
-
-    def evaluate(self, layout: RnnLayout, p) -> float:
-        X, targets = self._window_batch(self.corpus.test, self.eval_starts)
-        tr = compute.rnn_forward(layout, p, X, keep_trace=False)
-        return metric_bpc(tr.y.reshape(-1, self.output_dim), targets.reshape(-1))
-
+        return loss, dflat.reshape(B, T, A) / (B * T), loss / math.log(2.0)

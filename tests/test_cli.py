@@ -265,6 +265,13 @@ def test_train_bad_override(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_train_set_without_equals(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run_cli("train", "--set", "steps", "--set", f"out_dir={out}") == 1
+    assert "--set expects KEY=VALUE, got 'steps'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_kappa_every(tmp_path, capsys):
     old = tmp_path / "config.txt"
     old.write_text("task = addition\nkappa_every = 1\n")

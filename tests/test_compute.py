@@ -224,6 +224,14 @@ def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
                                 first_output=first_output)
 
 
+@pytest.mark.parametrize("keep_trace", [True, False])
+def test_rnn_forward_rejects_empty_batch(keep_trace):
+    layout = graph.RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
+    with pytest.raises(compute.ComputeError, match=r"empty batch.*\(0, 5, 2\)"):
+        compute.rnn_forward(layout, np.zeros(layout.m), np.zeros((0, 5, 2)),
+                            keep_trace=keep_trace)
+
+
 def _assert_matches_generic_grad(layout, p, X, dY, monkeypatch):
     """rnn_backward equals the per-example scalar reference backward, both
     with the default block budget and with one step per backward block."""

@@ -238,6 +238,25 @@ def test_checkpoint_error_cases(tmp_path):
         load_checkpoint(trunc)
 
 
+def test_checkpoint_rejects_other_adam_settings(tmp_path):
+    """The Adam header lines are written as they always were, and a
+    checkpoint whose value differs from the fixed one is rejected by key."""
+    layout = layout_for(1, (2,), 1, 2)
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, 5, layout, np.zeros(layout.m), OptimizerState(kind="adam"))
+    lines = path.read_text().splitlines()
+    assert lines[7:10] == ["beta1 0.90000000000000002", "beta2 0.999", "eps_adam 1e-08"]
+    for at, key in ((7, "beta1"), (8, "beta2"), (9, "eps_adam")):
+        bad = tmp_path / f"{key}.txt"
+        bad.write_text("\n".join(lines[:at] + [f"{key} 0.5"] + lines[at + 1:]) + "\n")
+        with pytest.raises(ConfigError, match=rf"header \({key} 0.5, fixed at"):
+            load_checkpoint(bad, layout)
+    missing = tmp_path / "missing.txt"
+    missing.write_text("\n".join(lines[:9] + lines[10:]) + "\n")
+    with pytest.raises(ConfigError, match=r"header \('eps_adam'\)"):
+        load_checkpoint(missing, layout)
+
+
 def test_checkpoint_header_names_the_rnn(tmp_path):
     """The header line that resume checks; checkpoints of earlier versions
     carry the same one."""

@@ -124,7 +124,7 @@ def test_adam_first_step_is_signlike():
 
 def test_adam_two_steps_match_hand_recurrence():
     p = np.array([2.0])
-    state = OptimizerState(kind="adam", eta=0.1, beta1=0.9, beta2=0.999)
+    state = OptimizerState(kind="adam", eta=0.1)
     g1, g2 = np.array([0.4]), np.array([-0.2])
 
     p1, state = optim.adam_step(p, g1, state)
@@ -162,7 +162,7 @@ def test_optimizer_state_validation():
     with pytest.raises(GraphError):
         OptimizerState(eta=0.0)
     st = OptimizerState(kind="path_adam")
-    assert st.uses_kappa and st.uses_adam
+    assert st.uses_kappa
     assert not OptimizerState(kind="sgd").uses_kappa
 
 
@@ -354,3 +354,37 @@ def test_train_loop_resume_at_every_step(tmp_path, kind, kappa_mode):
                         resumed.params, resumed.opt)
         assert ((tmp_path / "resumed.txt").read_bytes()
                 == (tmp_path / "full.txt").read_bytes())
+
+
+@pytest.mark.parametrize("name, kind", [("charlm", "path_adam"), ("seqclass", "adam")])
+def test_train_loop_resume_off_eval_step(tmp_path, name, kind):
+    """Resume through a checkpoint at step 5, between the eval rows at 3
+    and 6, with Adam moments in the checkpoint: the final checkpoint's
+    bytes and the history equal the uninterrupted run's."""
+    if name == "charlm":
+        task = tasks.CharLmTask(tasks.load_char_corpus(text="the quick brown fox " * 30),
+                                unroll=5)
+    else:
+        task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
+    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3,), task.output_dim,
+                                         task.length))
+    p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
+    opt0 = OptimizerState(kind=kind, eta=0.01, kappa_mode="k1_plus_k2")
+    full = optim.train_loop(layout, task, RunConfig(steps=10, eval_interval=3,
+                                                    batch_size=4), p0, opt0)
+    half = optim.train_loop(layout, task, RunConfig(steps=5, eval_interval=3,
+                                                    batch_size=4), p0, opt0)
+    save_checkpoint(tmp_path / "half.txt", 5, layout, half.params, half.opt)
+    start, p, opt = load_checkpoint(tmp_path / "half.txt", layout)
+    assert start == 5 and opt.m1 is not None
+    resumed = optim.train_loop(layout, task, RunConfig(steps=10, eval_interval=3,
+                                                       batch_size=4),
+                               p, opt, start_step=start)
+    kept = [r for r in half.history if r["step"] < start]
+    assert [r["step"] for r in kept + resumed.history] == [0, 3, 6, 9, 10]
+    assert kept + resumed.history == full.history
+    for label, res in (("full", full), ("resumed", resumed)):
+        save_checkpoint(tmp_path / f"{label}.txt", res.steps_done, layout,
+                        res.params, res.opt)
+    assert ((tmp_path / "resumed.txt").read_bytes()
+            == (tmp_path / "full.txt").read_bytes())

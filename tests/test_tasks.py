@@ -8,14 +8,29 @@ from pathsgd import compute, tasks
 from pathsgd.graph import GraphError, RnnLayout, RnnSpec
 
 
-# --- metrics -----------------------------------------------------------------
+# --- the shared route and the heads ------------------------------------------
+
+def test_tasks_share_one_route():
+    """loss_and_grad and evaluate are defined once, on Task; each task
+    brings its data, train_batch, held_out and one head."""
+    for cls in (tasks.AdditionTask, tasks.SeqClassTask, tasks.CharLmTask):
+        assert issubclass(cls, tasks.Task)
+        assert not {"loss_and_grad", "evaluate"} & set(vars(cls)), cls
+        assert {"train_batch", "held_out", "head"} <= set(vars(cls)), cls
+
 
 def test_metric_pins():
-    assert tasks.metric_mse([1.0, 2.0], [1.0, 4.0]) == 2.0
-    logits = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])
-    assert tasks.metric_error_rate(logits, [0, 1, 1]) == pytest.approx(1 / 3)
-    zeros = np.zeros((5, 8))
-    assert tasks.metric_bpc(zeros, np.zeros(5, dtype=int)) == pytest.approx(3.0, abs=1e-12)
+    """Each head's loss and metric on fixed outputs."""
+    add = tasks.AdditionTask(length=2, eval_size=1)
+    loss, _, mse = add.head(np.array([[[1.0]], [[2.0]]]), np.array([1.0, 4.0]))
+    assert loss == mse == 2.0
+    seq = tasks.SeqClassTask(size=2, num_classes=2, n=16)
+    logits = np.array([[2.0, 0.0], [0.0, 2.0], [2.0, 0.0]])[:, None, :]
+    assert seq.head(logits, np.array([0, 1, 1]))[2] == pytest.approx(1 / 3)
+    charlm = tasks.CharLmTask(tasks.load_char_corpus(text="abcdefgh" * 40), unroll=5)
+    loss, _, bpc = charlm.head(np.zeros((5, 1, 8)), np.zeros((5, 1), dtype=int))
+    assert loss == pytest.approx(math.log(8.0), abs=1e-12)
+    assert bpc == pytest.approx(3.0, abs=1e-12)
 
 
 def test_softmax_xent_grad():
@@ -115,18 +130,19 @@ def test_addition_backward_holds_no_full_gradient():
 # --- sequential classification ----------------------------------------------
 
 def test_synthetic_glyphs(rng):
-    ds = tasks.synthetic_glyphs(50, 4, 3, rng)
-    assert ds.pixels.shape == (50, 16)
-    assert set(np.unique(ds.labels)) <= {0, 1, 2}
-    assert ds.inputs().shape == (50, 16, 1)
+    task = tasks.SeqClassTask(size=4, num_classes=3, n=50)
+    assert task.train_X.shape == (len(task.train_labels), 16, 1)
+    assert task.test_X.shape == (len(task.test_labels), 16, 1)
+    assert set(np.unique(task.train_labels)) <= {0, 1, 2}
+    X, labels = task.train_batch(rng, 7)
+    assert X.shape == (7, 16, 1) and labels.shape == (7,)
 
 
-def test_split_stratified(rng):
-    ds = tasks.synthetic_glyphs(200, 3, 4, rng)
-    train, test = tasks.split_stratified(ds, 0.25, rng)
+def test_split_stratified():
+    task = tasks.SeqClassTask(size=3, num_classes=4, n=200, test_frac=0.25)
+    train, test = task.train_labels, task.test_labels
     assert len(train) + len(test) == 200
-    assert set(np.unique(train.labels)) == set(np.unique(ds.labels))
-    assert set(np.unique(test.labels)) == set(np.unique(ds.labels))
+    assert set(np.unique(train)) == set(np.unique(test)) == {0, 1, 2, 3}
     assert abs(len(test) / 200 - 0.25) < 0.05
 
 
@@ -144,7 +160,7 @@ def test_seq_class_uniform_logit_metric(rng):
     task = tasks.SeqClassTask(size=3, num_classes=4, n=128, data_seed=3)
     layout = RnnLayout.from_spec(RnnSpec(1, (2,), 4, task.length))
     err = task.evaluate(layout, np.zeros(layout.m))
-    share0 = float(np.mean(task.test_set.labels == 0))
+    share0 = float(np.mean(task.test_labels == 0))
     assert err == pytest.approx(1.0 - share0)
 
 
