@@ -16,8 +16,6 @@ from .invariance import NodeScaling, apply_rescaling, random_rescaling
 from .optim import (
     OptimizerState,
     TrainResult,
-    adam_step,
-    path_adam_step,
     path_sgd_step,
     sgd_step,
     train_loop,
@@ -42,7 +40,6 @@ __all__ = [
     "RnnLayout",
     "RnnSpec",
     "TrainResult",
-    "adam_step",
     "apply_rescaling",
     "gamma_bruteforce",
     "gamma_recursive",
@@ -51,7 +48,6 @@ __all__ = [
     "kappa2_bruteforce",
     "kappa_fd",
     "kappa_ratio",
-    "path_adam_step",
     "path_sgd_step",
     "preconditioner",
     "random_rescaling",

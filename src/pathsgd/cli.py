@@ -110,6 +110,10 @@ def cmd_train(args) -> int:
     earlier: list[str] = []
     if args.resume:
         start_step, p, opt = load_checkpoint(args.resume, layout)
+        if start_step > cfg.steps:
+            raise ConfigError(
+                f"steps = {cfg.steps} cannot take effect on resume: the "
+                f"checkpoint is already at step {start_step}")
         for key, field in RESUME_KEYS:
             if getattr(cfg, key) != getattr(opt, field):
                 raise ConfigError(
@@ -153,8 +157,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify.run_all(level=args.level, seed=args.seed,
-                             kappa_scale=args.tamper_kappa)
+    results = verify.run_all(level=args.level, seed=args.seed)
     for res in results:
         print(res.line())
     failed = [r for r in results if not r.passed]
@@ -214,8 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     vp = sub.add_parser("verify", help="run correctness properties")
     vp.add_argument("--level", choices=("quick", "full"), default="quick")
     vp.add_argument("--seed", type=int, default=0)
-    vp.add_argument("--tamper-kappa", type=float, default=1.0,
-                    help=argparse.SUPPRESS)  # fault injection for testing verify
     vp.set_defaults(fn=cmd_verify)
 
     kp = sub.add_parser("kappa-ratio",

@@ -37,10 +37,6 @@ class NodeScaling:
         """Scales of hidden layer i (1-based)."""
         return self.layers[i - 1]
 
-    @classmethod
-    def identity(cls, spec: RnnSpec) -> "NodeScaling":
-        return cls(tuple(np.ones(h) for h in spec.hidden_dims))
-
     def compose(self, other: "NodeScaling") -> "NodeScaling":
         return NodeScaling(tuple(a * b for a, b in zip(self.layers, other.layers)))
 

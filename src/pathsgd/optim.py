@@ -111,48 +111,32 @@ def path_sgd_step(layout: RnnLayout, p: np.ndarray, g: np.ndarray, eta: float,
     return p - eta * g / np.maximum(kappa, eps)
 
 
-def _adam_direction(state: OptimizerState, g: np.ndarray) -> tuple[np.ndarray, OptimizerState]:
-    """One Adam moment update; returns the (unscaled) step direction and the
-    advanced state."""
+def apply_update(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
+                 state: OptimizerState,
+                 kappa: np.ndarray | None = None) -> tuple[np.ndarray, OptimizerState]:
+    """One update of the configured kind; the only place the Adam rule is
+    written.  path_adam is Adam run on the preconditioned gradient
+    g / max(kappa, eps); path kinds take kappa at the current p unless the
+    caller passes it."""
+    if state.kind == "sgd":
+        return sgd_step(p, g, state.eta), state
+    if state.kind == "path_sgd":
+        return path_sgd_step(layout, p, g, state.eta, state.kappa_mode,
+                             state.eps, kappa=kappa), state
+    if state.kind == "path_adam":
+        if kappa is None:
+            kappa = pathnorm.preconditioner(layout, p, state.kappa_mode)
+        g = g / np.maximum(kappa, state.eps)
     if state.m1 is None:
         state = dataclasses.replace(state, m1=np.zeros_like(g), m2=np.zeros_like(g))
     t = state.t + 1
     m1 = ADAM_BETA1 * state.m1 + (1 - ADAM_BETA1) * g
     m2 = ADAM_BETA2 * state.m2 + (1 - ADAM_BETA2) * g * g
-    mhat = m1 / (1 - ADAM_BETA1 ** t)
-    vhat = m2 / (1 - ADAM_BETA2 ** t)
-    direction = mhat / (np.sqrt(vhat) + ADAM_EPS)
-    return direction, dataclasses.replace(state, t=t, m1=m1, m2=m2)
-
-
-def adam_step(p: np.ndarray, g: np.ndarray,
-              state: OptimizerState) -> tuple[np.ndarray, OptimizerState]:
-    direction, state = _adam_direction(state, g)
-    return p - state.eta * direction, state
-
-
-def path_adam_step(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
-                   state: OptimizerState,
-                   kappa: np.ndarray | None = None) -> tuple[np.ndarray, OptimizerState]:
-    """Adam run on the preconditioned gradient g / max(kappa, eps)."""
-    if kappa is None:
-        kappa = pathnorm.preconditioner(layout, p, state.kappa_mode)
-    direction, state = _adam_direction(state, g / np.maximum(kappa, state.eps))
-    return p - state.eta * direction, state
-
-
-def apply_update(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
-                 state: OptimizerState,
-                 kappa: np.ndarray | None = None) -> tuple[np.ndarray, OptimizerState]:
-    """Dispatch one update of the configured kind."""
-    if state.kind == "sgd":
-        return sgd_step(p, g, state.eta), state
-    if state.kind == "adam":
-        return adam_step(p, g, state)
-    if state.kind == "path_sgd":
-        return path_sgd_step(layout, p, g, state.eta, state.kappa_mode,
-                             state.eps, kappa=kappa), state
-    return path_adam_step(layout, p, g, state, kappa=kappa)
+    # mhat / (sqrt(vhat) + eps) as one expression, so mhat and vhat are
+    # freed before the update's own temporaries are made.
+    direction = ((m1 / (1 - ADAM_BETA1 ** t))
+                 / (np.sqrt(m2 / (1 - ADAM_BETA2 ** t)) + ADAM_EPS))
+    return p - state.eta * direction, dataclasses.replace(state, t=t, m1=m1, m2=m2)
 
 
 @dataclass
@@ -179,13 +163,17 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
                on_eval=None) -> TrainResult:
     """Minibatch training with periodic evaluation.
 
-    Each step draws its batch from an RNG keyed by (seed, step), evaluates the
-    loss and gradient at the pre-update parameters, records a history row when
-    the step index is a multiple of eval_interval, then applies the update.
-    Path kinds divide by kappa taken at those same parameters.  A final row
-    is recorded at the step budget; its loss and metric come from a forward
-    alone (loss_and_grad with grad=False), since no update follows it.
-    Nothing but (p, opt) carries from one step to the next, so resuming from
+    One body runs for every step up to and including the budget.  It draws
+    the batch from an RNG keyed by (seed, step), evaluates the loss and
+    gradient at the pre-update parameters, records a history row when the
+    step index is a multiple of eval_interval, then applies the update.
+    Path kinds divide by kappa taken at those same parameters.  The last
+    pass, at step == steps, runs loss_and_grad with grad=False, since no
+    update follows it, and always records a row.  A step whose loss meets
+    target_loss records its row with that loss and metric and stops the run
+    as converged, as does an eval row that meets target_test_metric; the
+    final row ends the run as budget_exhausted whatever it meets.  Nothing
+    but (p, opt) carries from one step to the next, so resuming from
     (p, opt, start_step) at any step reproduces the uninterrupted run
     exactly.
 
@@ -222,19 +210,21 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
         return row
 
     step = start_step
-    while step < config.steps:
+    while True:
+        last = step >= config.steps
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
-        loss, g, metric = task.loss_and_grad(layout, p, batch)
+        loss, g, metric = task.loss_and_grad(layout, p, batch, grad=not last)
         reason = _loss_divergence(loss)
         if reason:
             break
-        if step % config.eval_interval == 0:
+        met = config.target_loss is not None and loss <= config.target_loss
+        if last or met or step % config.eval_interval == 0:
             row = eval_row(step, loss, metric)
-            if (config.target_test_metric is not None
-                    and row["test_metric"] <= config.target_test_metric):
-                status = "converged"
-                break
-        if config.target_loss is not None and loss <= config.target_loss:
+            met = met or (config.target_test_metric is not None
+                          and row["test_metric"] <= config.target_test_metric)
+        if last:
+            break
+        if met:
             status = "converged"
             break
         kappa = None
@@ -250,13 +240,6 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
         p, opt = p_new, opt_new
         step += 1
 
-    already_rowed = bool(history) and history[-1]["step"] == step
-    if not reason and not already_rowed:
-        batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
-        loss, _, metric = task.loss_and_grad(layout, p, batch, grad=False)
-        reason = _loss_divergence(loss)
-        if not reason:
-            eval_row(step, loss, metric)
     if reason:
         status = "diverged"
     return TrainResult(status=status, params=p, opt=opt, steps_done=step,

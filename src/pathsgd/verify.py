@@ -112,13 +112,13 @@ def check_gamma_oracle(rng, n, threshold=1e-10) -> PropertyResult:
     return PropertyResult("gamma-oracle", worst <= threshold, worst, threshold, n)
 
 
-def check_kappa_decomposition(rng, n, threshold=1e-4, kappa_scale=1.0) -> PropertyResult:
+def check_kappa_decomposition(rng, n, threshold=1e-4) -> PropertyResult:
     """kappa1 + kappa2 matches the finite-difference second derivative."""
     worst = 0.0
     for _ in range(n):
         layout = RnnLayout.from_spec(random_net_spec(rng))
         p = random_params(layout, rng)
-        total = kappa_scale * pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
+        total = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
         fd = pathnorm.kappa_fd(layout, p)
         worst = max(worst, _rel(total, fd, 1.0))
     return PropertyResult("kappa-decomposition", worst <= threshold, worst, threshold, n)
@@ -185,8 +185,7 @@ def _trajectory_gap(layout, p, q, stepper, steps, rng):
     return float(np.max(np.abs(ya - yb))) / scale
 
 
-def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3,
-                              kappa_scale=1.0) -> PropertyResult:
+def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3) -> PropertyResult:
     """Path-SGD trajectories commute with rescaling, in both kappa modes."""
     worst = 0.0
     for _ in range(n):
@@ -197,8 +196,7 @@ def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3,
         q = invariance.apply_rescaling(spec, p, alpha)
         for mode in pathnorm.KAPPA_MODES:
             def stepper(pp, gg, mode=mode):
-                kap = kappa_scale * pathnorm.preconditioner(layout, pp, mode)
-                return optim.path_sgd_step(layout, pp, gg, 0.05, kappa=kap)
+                return optim.path_sgd_step(layout, pp, gg, 0.05, mode)
             worst = max(worst, _trajectory_gap(layout, p, q, stepper, steps, rng))
     return PropertyResult("path-sgd-invariance", worst <= threshold, worst, threshold, n)
 
@@ -250,19 +248,18 @@ LEVELS = {
 }
 
 
-def run_all(level: str = "quick", seed: int = 0,
-            kappa_scale: float = 1.0) -> list[PropertyResult]:
+def run_all(level: str = "quick", seed: int = 0) -> list[PropertyResult]:
     if level not in LEVELS:
         raise ValueError(f"unknown verify level {level!r}")
     sizes = LEVELS[level]
     rng = np.random.default_rng(seed)
     return [
         check_gamma_oracle(rng, sizes["gamma"]),
-        check_kappa_decomposition(rng, sizes["decomp"], kappa_scale=kappa_scale),
+        check_kappa_decomposition(rng, sizes["decomp"]),
         check_kappa2_closed_form(rng, sizes["closed"]),
         check_feedforward_kappa2_zero(rng, sizes["ffzero"]),
         check_rescaling_invariance(rng, sizes["rescale"]),
-        check_path_sgd_invariance(rng, sizes["inv"], kappa_scale=kappa_scale),
+        check_path_sgd_invariance(rng, sizes["inv"]),
         check_sgd_not_invariant(rng, sizes["control"]),
         check_gradient(rng, sizes["grad"]),
     ]

@@ -235,6 +235,26 @@ def test_train_resume_rejects_override(tmp_path, capsys):
     assert (half / "config.txt").read_bytes() == config_before
 
 
+def test_train_resume_rejects_past_budget(tmp_path, capsys):
+    """A checkpoint past the step budget is rejected before anything in
+    out_dir is written; one exactly at the budget still records its row."""
+    run = tmp_path / "run"
+    assert run_cli("train", *RESUME_BASE, "--set", "steps=40",
+                   "--set", f"out_dir={run}") == 0
+    capsys.readouterr()
+    before = {f.name: f.read_bytes() for f in run.iterdir()}
+    resume = ["--config", str(run / "config.txt"),
+              "--resume", str(run / "checkpoint_40.txt")]
+    assert run_cli("train", *resume, "--set", "steps=20") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("steps = 20 cannot take effect on resume: the checkpoint is "
+            "already at step 40") in captured.err
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
+    assert run_cli("train", *resume) == 0
+    assert (run / "metrics.csv").read_bytes() == before["metrics.csv"]
+
+
 def test_train_periodic_checkpoints(tmp_path):
     out = tmp_path / "run"
     assert run_cli("train", *TINY, "--set", "steps=40",
@@ -292,8 +312,10 @@ def test_verify_quick(capsys):
     assert "8/8 properties passed" in out
 
 
-def test_verify_tamper_detected(capsys):
-    assert run_cli("verify", "--level", "quick", "--tamper-kappa", "3.0") == 2
+def test_verify_tamper_detected(monkeypatch, capsys):
+    real = pathnorm.kappa1
+    monkeypatch.setattr(pathnorm, "kappa1", lambda layout, p: 3.0 * real(layout, p))
+    assert run_cli("verify", "--level", "quick") == 2
     out = capsys.readouterr().out
     assert "FAIL" in out
 

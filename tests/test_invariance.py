@@ -46,7 +46,7 @@ def test_group_structure(rng):
     a = invariance.random_rescaling(spec, rng, 1.0)
     b = invariance.random_rescaling(spec, rng, 1.0)
 
-    ident = NodeScaling.identity(spec)
+    ident = NodeScaling(tuple(np.ones(h) for h in spec.hidden_dims))
     assert np.array_equal(apply_rescaling(spec, p, ident), p)
 
     both = apply_rescaling(spec, apply_rescaling(spec, p, a), b)

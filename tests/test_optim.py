@@ -112,23 +112,23 @@ def test_path_sgd_computes_kappa_at_current_point(single_unit_t2, monkeypatch):
     assert np.array_equal(seen[1], p1)
 
 
-def test_adam_first_step_is_signlike():
+def test_adam_first_step_is_signlike(single_unit_t2):
     p = np.array([1.0, -1.0, 0.5])
     g = np.array([10.0, -0.01, 0.0])
     state = OptimizerState(kind="adam", eta=0.1)
-    out, state = optim.adam_step(p, g, state)
+    out, state = optim.apply_update(single_unit_t2, p, g, state)
     assert state.t == 1
     assert np.allclose(out[:2], p[:2] - 0.1 * np.sign(g[:2]), atol=1e-4)
     assert out[2] == p[2]
 
 
-def test_adam_two_steps_match_hand_recurrence():
+def test_adam_two_steps_match_hand_recurrence(single_unit_t2):
     p = np.array([2.0])
     state = OptimizerState(kind="adam", eta=0.1)
     g1, g2 = np.array([0.4]), np.array([-0.2])
 
-    p1, state = optim.adam_step(p, g1, state)
-    p2, state = optim.adam_step(p1, g2, state)
+    p1, state = optim.apply_update(single_unit_t2, p, g1, state)
+    p2, state = optim.apply_update(single_unit_t2, p1, g2, state)
 
     m = 0.1 * g1
     v = 0.001 * g1 * g1
@@ -147,8 +147,8 @@ def test_path_adam_with_unit_kappa_is_adam(single_unit_t2, rng):
     qa, qp = p.copy(), p.copy()
     for _ in range(5):
         g = rng.uniform(-1, 1, 3)
-        qa, sa = optim.adam_step(qa, g, sa)
-        qp, sp = optim.path_adam_step(single_unit_t2, qp, g, sp, kappa=np.ones(3))
+        qa, sa = optim.apply_update(single_unit_t2, qa, g, sa)
+        qp, sp = optim.apply_update(single_unit_t2, qp, g, sp, kappa=np.ones(3))
     assert np.array_equal(qa, qp)
     assert np.array_equal(sa.m1, sp.m1)
     assert np.array_equal(sa.m2, sp.m2)
@@ -294,6 +294,60 @@ def test_train_loop_final_row_runs_no_backward(monkeypatch):
     loss, g, metric = task.loss_and_grad(layout, res.params, batch)
     assert g is not None
     assert (res.history[-1]["train_loss"], res.history[-1]["train_metric"]) == (loss, metric)
+
+
+def _spy_loss_and_grad(task):
+    """Record (loss, metric, grad flag) of each loss_and_grad call."""
+    calls = []
+    real = task.loss_and_grad
+
+    def spy(layout, p, batch, grad=True):
+        loss, g, metric = real(layout, p, batch, grad=grad)
+        calls.append((loss, metric, grad))
+        return loss, g, metric
+
+    task.loss_and_grad = spy
+    return calls
+
+
+def test_train_loop_target_loss_off_eval_step():
+    """A target_loss met at a step that is no eval step stops the run as
+    converged after one loss_and_grad at that step, and its row holds the
+    loss and metric that met the target."""
+    cfg = RunConfig(steps=60, eval_interval=10, batch_size=4)
+    opt0 = OptimizerState(kind="path_sgd", eta=0.2)
+    free = tiny_task()
+    seen = _spy_loss_and_grad(free)
+    optim.train_loop(TINY, free, cfg, TINY_P0, opt0)
+    losses = [loss for loss, _, _ in seen]
+    stop = next(s for s in range(1, 60)
+                if s % 10 and losses[s] < min(losses[:s]))
+
+    task = tiny_task()
+    calls = _spy_loss_and_grad(task)
+    cfg.target_loss = losses[stop]
+    res = optim.train_loop(TINY, task, cfg, TINY_P0, opt0)
+    assert (res.status, res.steps_done) == ("converged", stop)
+    assert calls == seen[:stop + 1]
+    assert all(grad for _, _, grad in calls)
+    assert [r["step"] for r in res.history] == [*range(0, stop, 10), stop]
+    loss, metric, _ = seen[stop]
+    assert (res.history[-1]["train_loss"], res.history[-1]["train_metric"]) == (loss, metric)
+
+
+def test_train_loop_target_test_metric_on_final_row_is_budget_exhausted():
+    """target_test_metric is checked on eval rows only: met first by the
+    row at the step budget, it leaves the run budget_exhausted."""
+    cfg = RunConfig(steps=15, eval_interval=10, batch_size=4)
+    opt0 = OptimizerState(kind="path_sgd", eta=0.1)
+    free = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, opt0)
+    metrics = [r["test_metric"] for r in free.history]
+    assert [r["step"] for r in free.history] == [0, 10, 15]
+    assert metrics[-1] < min(metrics[:-1])
+    cfg.target_test_metric = metrics[-1]
+    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, opt0)
+    assert (res.status, res.steps_done) == ("budget_exhausted", 15)
+    assert res.history == free.history
 
 
 def test_train_loop_resume_matches_uninterrupted():

@@ -1,6 +1,6 @@
 import pytest
 
-from pathsgd import verify
+from pathsgd import pathnorm, verify
 from pathsgd.graph import RnnLayout
 
 import reference
@@ -29,10 +29,12 @@ def test_result_line_format():
     assert res.line().endswith("bad")
 
 
-def test_tampered_kappa_is_caught():
-    """Scaling kappa by a constant keeps update invariance (it only rescales
+def test_tampered_kappa_is_caught(monkeypatch):
+    """Scaling kappa1 by a constant keeps update invariance (it only rescales
     the step size), so the fault must be caught by the oracle comparison."""
-    results = {r.name: r for r in verify.run_all("quick", seed=0, kappa_scale=3.0)}
+    real = pathnorm.kappa1
+    monkeypatch.setattr(pathnorm, "kappa1", lambda layout, p: 3.0 * real(layout, p))
+    results = {r.name: r for r in verify.run_all("quick", seed=0)}
     assert not results["kappa-decomposition"].passed
     assert results["path-sgd-invariance"].passed
     assert any(not r.passed for r in results.values())
