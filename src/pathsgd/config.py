@@ -65,7 +65,6 @@ class RunConfig:
     epsilon: float = DEFAULT_EPS    # kappa floor; path optimizers only
     init: str = "uniform"
     init_range: float = 0.1
-    init_ranges: str = ""           # per-block overrides, e.g. "rec1:0.3 out:0.05"
     # loop
     batch_size: int = 32
     steps: int = 1000
@@ -98,6 +97,9 @@ class RunConfig:
             raise ConfigError("test_frac must lie strictly between 0 and 1")
         if self.steps < 0:
             raise ConfigError("steps must be >= 0")
+        for key in ("seed", "data_seed"):
+            if getattr(self, key) < 0:
+                raise ConfigError(f"{key} = {getattr(self, key)} must be >= 0")
         for key in ("lr", "epsilon", "init_range", "target_loss", "target_test_metric"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
@@ -121,28 +123,6 @@ class RunConfig:
             raise ConfigError("checkpoint_interval must be >= 0")
         if self.checkpoint_interval and self.checkpoint_interval % self.eval_interval != 0:
             raise ConfigError("checkpoint_interval must be a multiple of eval_interval")
-        if self.init_ranges:
-            ranges = parse_block_ranges(self.init_ranges)
-            if self.init != "uniform":
-                raise ConfigError("init_ranges only applies to the uniform init")
-            if not all(math.isfinite(r) for r in ranges.values()):
-                raise ConfigError(f"init_ranges = {self.init_ranges} has a non-finite value")
-            if any(r <= 0 for r in ranges.values()):
-                raise ConfigError("init_ranges values must be positive")
-
-
-def parse_block_ranges(s: str) -> dict[str, float]:
-    """``name:value`` pairs separated by spaces or commas."""
-    out: dict[str, float] = {}
-    for tok in s.replace(",", " ").split():
-        if ":" not in tok:
-            raise ConfigError(f"bad init_ranges entry {tok!r}; expected name:value")
-        name, raw = tok.split(":", 1)
-        try:
-            out[name] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"bad init_ranges value {tok!r}") from exc
-    return out
 
 
 def _parse_bool(s: str) -> bool:

@@ -128,16 +128,6 @@ class RnnLayout:
             return None
         return self.view(p, name)
 
-    def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
-        """Assemble a parameter vector from per-block matrices."""
-        p = np.zeros(self.m)
-        for name, (sl, shape) in self.slices.items():
-            b = np.asarray(blocks[name], dtype=float)
-            if b.shape != shape:
-                raise GraphError(f"block {name}: expected shape {shape}, got {b.shape}")
-            p[sl] = b.reshape(-1)
-        return p
-
     def param_index(self, name: str, j: int, k: int) -> int:
         sl, shape = self.slices[name]
         return sl.start + j * shape[1] + k

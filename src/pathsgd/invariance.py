@@ -37,12 +37,6 @@ class NodeScaling:
         """Scales of hidden layer i (1-based)."""
         return self.layers[i - 1]
 
-    def compose(self, other: "NodeScaling") -> "NodeScaling":
-        return NodeScaling(tuple(a * b for a, b in zip(self.layers, other.layers)))
-
-    def inverse(self) -> "NodeScaling":
-        return NodeScaling(tuple(1.0 / a for a in self.layers))
-
 
 def random_rescaling(spec: RnnSpec, rng: np.random.Generator,
                      log_range: float) -> NodeScaling:

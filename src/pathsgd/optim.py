@@ -37,24 +37,9 @@ def rng_for(seed: int, *key: int) -> np.random.Generator:
 
 
 def init_uniform(layout: RnnLayout, rng: np.random.Generator,
-                 half_width: float,
-                 per_block: dict[str, float] | None = None) -> np.ndarray:
-    """All parameters i.i.d. uniform on [-half_width, half_width].
-
-    per_block overrides the half width for named weight blocks of the
-    layout, e.g. {"rec1": 0.3, "out": 0.05}; blocks not named keep the
-    global width.  Draws one value per parameter in packing order, so an
-    empty or all-equal override reproduces the plain call bit for bit.
-    """
-    per_block = per_block or {}
-    unknown = sorted(set(per_block) - set(layout.slices))
-    if unknown:
-        raise GraphError(f"per-block init: unknown blocks {unknown}")
-    p = np.empty(layout.m)
-    for name, (sl, _) in layout.slices.items():
-        r = float(per_block.get(name, half_width))
-        p[sl] = rng.uniform(-r, r, sl.stop - sl.start)
-    return p
+                 half_width: float) -> np.ndarray:
+    """All parameters i.i.d. uniform on [-half_width, half_width]."""
+    return rng.uniform(-half_width, half_width, size=layout.m)
 
 
 def init_identity(layout: RnnLayout, rng: np.random.Generator,

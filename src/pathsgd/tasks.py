@@ -86,38 +86,26 @@ def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------------------
 # addition problem
 
-@dataclass(frozen=True)
-class AdditionSet:
-    values: np.ndarray   # (n, T) uniform values
-    masks: np.ndarray    # (n, T) exactly two ones
-    targets: np.ndarray  # (n,) sum of the two marked values
-
-    def inputs(self) -> np.ndarray:
-        """(n, T, 2) with the value channel first, the mask channel second."""
-        return np.stack([self.values, self.masks], axis=2)
-
-
-def gen_addition(length: int, n: int, rng: np.random.Generator) -> AdditionSet:
-    """Mark two positions, one in each half of the sequence; the target is
-    the sum of the values at the marked positions."""
+def gen_addition(length: int, n: int, rng: np.random.Generator):
+    """(X, targets): X is (n, T, 2), a uniform value channel and a mask
+    channel that marks two positions, one in each half of the sequence; the
+    target is the sum of the values at the marked positions."""
     if length < 2:
         raise GraphError("gen_addition: length must be >= 2")
     values = rng.uniform(0.0, 1.0, size=(n, length))
-    masks = np.zeros((n, length))
     first = rng.integers(0, length // 2, size=n)
     second = rng.integers(length // 2, length, size=n)
     rows = np.arange(n)
-    masks[rows, first] = 1.0
-    masks[rows, second] = 1.0
-    targets = values[rows, first] + values[rows, second]
-    return AdditionSet(values, masks, targets)
+    X = np.zeros((n, length, 2))
+    X[:, :, 0] = values
+    X[rows, first, 1] = 1.0
+    X[rows, second, 1] = 1.0
+    return X, values[rows, first] + values[rows, second]
 
 
 class AdditionTask(Task):
     """Predict the sum of two marked sequence entries from the final step,
-    the only output the forward projects (first_output = T - 1).  The
-    held-out set is kept as values and masks; its inputs are stacked for
-    each evaluation."""
+    the only output the forward projects (first_output = T - 1)."""
 
     name = "addition"
     input_dim = 2
@@ -131,11 +119,10 @@ class AdditionTask(Task):
                                      np.random.default_rng(eval_seed))
 
     def train_batch(self, rng: np.random.Generator, size: int):
-        batch = gen_addition(self.length, size, rng)
-        return batch.inputs(), batch.targets
+        return gen_addition(self.length, size, rng)
 
     def held_out(self):
-        return self.eval_set.inputs(), self.eval_set.targets
+        return self.eval_set
 
     def head(self, y: np.ndarray, target: np.ndarray):
         """Mean squared error; the metric is the loss itself."""

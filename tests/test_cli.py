@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pathsgd import cli, config, graph, pathnorm
+from pathsgd import cli, config, graph, optim, pathnorm
 
 # A tiny addition model, small enough for every CLI training test.
 TINY = ["--set", "task=addition", "--set", "seq_len=4", "--set", "hidden=2",
@@ -143,7 +143,17 @@ def test_train_non_finite_kappa_exits_diverged(tmp_path, capsys, monkeypatch):
 def test_train_kappa_overflow_skips_kappa2_quietly(tmp_path, capsys, monkeypatch):
     """Large recurrent weights at T = 400 overflow the squared net while the
     tiny readout keeps the loss finite: the run ends on the non-finite
-    kappa1, kappa2 never runs, and numpy prints no warning."""
+    kappa1, kappa2 never runs, and numpy prints no warning.  The weights
+    (init_range = 2, the out block at +-1e-120) start the run as a step-0
+    checkpoint."""
+    layout = graph.RnnLayout.from_spec(graph.RnnSpec(2, (8,), 1, 400))
+    p = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 2.0)
+    out_block = layout.slices["out"][0]
+    p[out_block] = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT),
+                                      1e-120)[out_block]
+    start = tmp_path / "start.txt"
+    config.save_checkpoint(start, 0, layout, p, optim.OptimizerState(
+        kind="path_sgd", eta=1e-3, kappa_mode="k1_plus_k2", eps=optim.DEFAULT_EPS))
     calls = []
     real = pathnorm.kappa2
     monkeypatch.setattr(pathnorm, "kappa2",
@@ -153,9 +163,9 @@ def test_train_kappa_overflow_skips_kappa2_quietly(tmp_path, capsys, monkeypatch
         warnings.simplefilter("error")
         code = run_cli("train", "--set", "task=addition", "--set", "seq_len=400",
                        "--set", "hidden=8", "--set", "kappa_mode=k1_plus_k2",
-                       "--set", "init_range=2", "--set", "init_ranges=out:1e-120",
                        "--set", "eval_size=16", "--set", "batch_size=4",
-                       "--set", "steps=5", "--set", f"out_dir={out}")
+                       "--set", "steps=5", "--set", f"out_dir={out}",
+                       "--resume", str(start))
     assert code == 3
     assert calls == []
     assert "status: diverged (non-finite kappa) after 0 steps" in capsys.readouterr().out
@@ -299,6 +309,44 @@ def test_train_rejects_kappa_every(tmp_path, capsys):
     assert "unknown config key 'kappa_every'" in capsys.readouterr().err
 
 
+def test_train_rejects_init_ranges(tmp_path, capsys):
+    """Every config.txt of earlier versions lists init_ranges, if only as
+    `init_ranges = `; such a file is rejected by name before out_dir exists."""
+    lines = config.config_text(config.RunConfig()).splitlines()
+    lines.insert(lines.index("init_range = 0.1") + 1, "init_ranges = ")
+    old = tmp_path / "config.txt"
+    old.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "run"
+    assert run_cli("train", "--config", str(old), "--set", f"out_dir={out}") == 1
+    captured = capsys.readouterr()
+    assert "unknown config key 'init_ranges'" in captured.err and not captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("seed", "-1"), ("data_seed", "-3")])
+def test_train_rejects_negative_seed_by_name(tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    assert run_cli("train", *TINY, "--set", f"{key}={value}",
+                   "--set", f"out_dir={out}") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} = {value}") and not captured.out
+    assert not out.exists()
+
+
+def test_resume_with_negative_seed_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "run"
+    base = ["train", *TINY, "--set", "steps=4", "--set", "eval_interval=2",
+            "--set", "checkpoint_interval=2", "--set", f"out_dir={out}"]
+    assert run_cli(*base) == 0
+    before = {f.name: f.read_bytes() for f in out.iterdir()}
+    capsys.readouterr()
+    assert run_cli(*base, "--set", "seed=-1",
+                   "--resume", str(out / "checkpoint_2.txt")) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seed = -1") and not captured.out
+    assert {f.name: f.read_bytes() for f in out.iterdir()} == before
+
+
 def test_env_out_dir(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PATHSGD_OUT_DIR", str(tmp_path / "envrun"))
     assert run_cli("train", *TINY, "--set", "steps=5",
@@ -320,11 +368,11 @@ def test_verify_tamper_detected(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_kappa_ratio_crosscheck(tmp_path, capsys):
+def test_kappa_ratio_table(tmp_path, capsys):
     csv = tmp_path / "ratios.csv"
     code = run_cli("kappa-ratio", "--hidden", "3,5", "--lengths", "3,4",
                    "--input-dim", "2", "--output-dim", "2", "--seeds", "2",
-                   "--crosscheck", "--csv", str(csv))
+                   "--csv", str(csv))
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "hidden,length,mean_ratio,sd_ratio"
@@ -333,6 +381,14 @@ def test_kappa_ratio_crosscheck(tmp_path, capsys):
     for line in out[1:]:
         h, t, mean, sd = line.split(",")
         assert float(mean) >= 0.0
+
+
+def test_kappa_ratio_crosscheck_is_a_usage_error(capsys):
+    """The brute-force crosscheck flag is gone (verify's kappa2-closed-form
+    checks the same); passing it exits 1 before any output."""
+    assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3", "--crosscheck") == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --crosscheck" in captured.err and not captured.out
 
 
 def test_kappa_ratio_bad_sizes(capsys):

@@ -89,6 +89,7 @@ def test_validate_rejections():
         {"steps": "-5"},
         {"lr": "0"},
         {"kappa_every": "0"},
+        {"init_ranges": "rec1:0.3"},
         {"checkpoint_interval": "-1"},
         {"checkpoint_interval": "150", "eval_interval": "100"},
         {"task": "linreg"},
@@ -128,9 +129,10 @@ def test_validate_rejections():
     for key, raw in [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("lr", "1e400"),
                      ("epsilon", "nan"), ("epsilon", "inf"),
                      ("init_range", "nan"), ("init_range", "inf"),
-                     ("init_ranges", "rec1:nan"), ("init_ranges", "in1:0.1 out:inf"),
                      ("target_loss", "nan"), ("target_loss", "inf"),
-                     ("target_test_metric", "nan"), ("target_test_metric", "-inf")]:
+                     ("target_test_metric", "nan"), ("target_test_metric", "-inf"),
+                     # a negative seed has no SeedSequence
+                     ("seed", "-1"), ("data_seed", "-3")]:
         with pytest.raises(ConfigError, match=f"^{key} = "):
             load_config(None, {key: raw})
 
@@ -148,20 +150,6 @@ def test_each_task_takes_the_data_keys_it_reads(task):
         else:
             with pytest.raises(ConfigError, match=f"^{key} = .*task = {task}"):
                 load_config(None, {"task": task, key: values[key]})
-
-
-def test_parse_block_ranges():
-    assert cfgmod.parse_block_ranges("rec1:0.3 out:0.05") == {"rec1": 0.3, "out": 0.05}
-    assert cfgmod.parse_block_ranges("rec1:0.3,in1:0.1") == {"rec1": 0.3, "in1": 0.1}
-    with pytest.raises(ConfigError):
-        cfgmod.parse_block_ranges("rec1=0.3")
-    with pytest.raises(ConfigError):
-        cfgmod.parse_block_ranges("rec1:abc")
-    with pytest.raises(ConfigError):
-        load_config(None, {"init_ranges": "rec1:-0.5"})
-    with pytest.raises(ConfigError):
-        load_config(None, {"init": "identity", "init_ranges": "rec1:0.5",
-                           "task": "addition"})
 
 
 def test_config_text_roundtrip(tmp_path):

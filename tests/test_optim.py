@@ -34,28 +34,14 @@ def test_init_uniform_range(rng):
     assert np.all(np.abs(p) <= 0.25)
 
 
-def test_init_uniform_per_block(rng):
-    p = optim.init_uniform(LAYOUT, rng, 0.05, per_block={"rec1": 0.4})
-    sl, _ = LAYOUT.slices["rec1"]
-    rec = p[sl]
-    rest = np.delete(p, np.arange(sl.start, sl.stop))
-    assert np.all(np.abs(rec) <= 0.4) and np.any(np.abs(rec) > 0.05)
-    assert np.all(np.abs(rest) <= 0.05)
-
-
 def test_init_uniform_per_block_stream_matches_plain():
-    a = optim.init_uniform(LAYOUT, optim.rng_for(0, 0), 0.1)
-    b = optim.init_uniform(LAYOUT, optim.rng_for(0, 0), 0.1, per_block={"rec1": 0.1})
-    assert np.array_equal(a, b)
-
-
-def test_init_uniform_per_block_errors(rng):
-    with pytest.raises(GraphError):
-        optim.init_uniform(LAYOUT, rng, 0.1, per_block={"rec9": 0.2})
-    # at T = 1 the layout has no recurrent block to override
-    with pytest.raises(GraphError):
-        optim.init_uniform(RnnLayout.from_spec(RnnSpec(2, (4,), 1, 1)), rng, 0.1,
-                           per_block={"rec1": 0.2})
+    """The one draw over all m parameters gives the same bits as one draw
+    per block in packing order, the init of earlier versions."""
+    rng = optim.rng_for(0, 0)
+    blocks = [rng.uniform(-0.1, 0.1, sl.stop - sl.start)
+              for sl, _ in LAYOUT.slices.values()]
+    assert np.array_equal(optim.init_uniform(LAYOUT, optim.rng_for(0, 0), 0.1),
+                          np.concatenate(blocks))
 
 
 def test_init_identity(rng):

@@ -47,16 +47,14 @@ def test_softmax_xent_grad():
 # --- addition ----------------------------------------------------------------
 
 def test_gen_addition_invariants(rng):
-    ds = tasks.gen_addition(12, 200, rng)
-    assert ds.values.shape == ds.masks.shape == (200, 12)
-    assert np.all(ds.masks.sum(axis=1) == 2.0)
-    assert np.all(ds.masks[:, :6].sum(axis=1) == 1.0)
-    assert np.all(ds.masks[:, 6:].sum(axis=1) == 1.0)
-    marked = (ds.values * ds.masks).sum(axis=1)
-    assert np.allclose(marked, ds.targets, rtol=1e-15)
-    x = ds.inputs()
-    assert x.shape == (200, 12, 2)
-    assert np.array_equal(x[:, :, 0], ds.values)
+    X, targets = tasks.gen_addition(12, 200, rng)
+    assert X.shape == (200, 12, 2) and targets.shape == (200,)
+    values, masks = X[:, :, 0], X[:, :, 1]
+    assert np.all(masks.sum(axis=1) == 2.0)
+    assert np.all(masks[:, :6].sum(axis=1) == 1.0)
+    assert np.all(masks[:, 6:].sum(axis=1) == 1.0)
+    marked = (values * masks).sum(axis=1)
+    assert np.allclose(marked, targets, rtol=1e-15)
 
 
 def test_gen_addition_short_length_raises(rng):
@@ -67,8 +65,8 @@ def test_gen_addition_short_length_raises(rng):
 def test_gen_addition_seeded():
     a = tasks.gen_addition(8, 16, np.random.default_rng(5))
     b = tasks.gen_addition(8, 16, np.random.default_rng(5))
-    assert np.array_equal(a.values, b.values)
-    assert np.array_equal(a.targets, b.targets)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
 
 
 def test_addition_grad_matches_fd(rng):
@@ -84,7 +82,7 @@ def test_addition_grad_matches_fd(rng):
 def test_addition_eval_fixed_set():
     a = tasks.AdditionTask(length=6, eval_size=32, eval_seed=9)
     b = tasks.AdditionTask(length=6, eval_size=32, eval_seed=9)
-    assert np.array_equal(a.eval_set.targets, b.eval_set.targets)
+    assert np.array_equal(a.held_out()[1], b.held_out()[1])
 
 
 def test_addition_eval_holds_no_trace():
@@ -103,7 +101,7 @@ def test_addition_eval_holds_no_trace():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < task.eval_set.inputs().nbytes + compute.BUDGET
+    assert peak < task.held_out()[0].nbytes + compute.BUDGET
 
 
 def test_addition_backward_holds_no_full_gradient():
