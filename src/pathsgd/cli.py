@@ -20,7 +20,6 @@ from pathlib import Path
 import numpy as np
 
 from . import graph, optim, pathnorm, tasks, verify
-from .compute import ComputeError
 from .config import (
     ConfigError,
     RunConfig,
@@ -34,7 +33,7 @@ from .config import (
     write_lines,
     write_metrics,
 )
-from .graph import GraphError, RnnLayout, RnnSpec
+from .graph import RnnLayout, RnnSpec
 
 # perfbench/probe.py times the DAG builder as an attribute of this module;
 # nothing here calls it.  It goes when the probe drops that span.
@@ -238,7 +237,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.fn(args)
-    except (ConfigError, GraphError, ComputeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

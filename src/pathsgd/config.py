@@ -275,7 +275,9 @@ def save_checkpoint(path, step: int, layout: RnnLayout, p: np.ndarray,
 
 def load_checkpoint(path, layout: RnnLayout | None = None):
     """Returns (step, p, OptimizerState).  If a layout is given, its
-    description must match the one stored at save time."""
+    description must match the one stored at save time.  Adam kinds carry
+    moments exactly when t >= 1; sgd and path_sgd are at t = 0 with none,
+    as save_checkpoint writes them."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
@@ -319,6 +321,13 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
                 raise ValueError(f"{key} {head[key]}, fixed at {value:g}")
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: bad optimizer header ({exc})") from exc
+    adam = opt.kind in ("adam", "path_adam")
+    if opt.t < 0 or (opt.t and not adam):
+        raise ConfigError(f"{path}: kind {opt.kind} at t {opt.t}; t must be "
+                          f"{'>= 0' if adam else '0'}")
+    if (m1 is not None) != (opt.t >= 1):
+        what = "has a moment block" if m1 is not None else "lacks its moment block"
+        raise ConfigError(f"{path}: kind {opt.kind} at t {opt.t} {what}")
     return step, p, opt
 
 
@@ -352,11 +361,12 @@ def write_metrics(path, history: list[dict], record_kappa_ratio: bool,
 def metrics_rows_before(path, step: int, record_kappa_ratio: bool) -> list[str]:
     """The rows of an existing metrics file at steps below ``step``, so a run
     resumed into its own out_dir keeps them; none if the file is missing or
-    has other columns."""
+    empty.  A file with other columns is rejected, since rewriting it would
+    drop its rows."""
     path = Path(path)
-    if not path.is_file():
-        return []
-    lines = path.read_text().splitlines()
-    if not lines or lines[0] != metrics_header(record_kappa_ratio):
-        return []
+    header = metrics_header(record_kappa_ratio)
+    lines = path.read_text().splitlines() if path.is_file() else []
+    if lines and lines[0] != header:
+        raise ConfigError(f"{path} has columns [{lines[0]}]; this run writes "
+                          f"[{header}] and would drop its rows")
     return [line for line in lines[1:] if int(line.split(",", 1)[0]) < step]

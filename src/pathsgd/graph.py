@@ -90,10 +90,6 @@ class RnnLayout:
     slices: dict[str, tuple[slice, tuple[int, int]]]
     m: int
 
-    @property
-    def has_recurrent(self) -> bool:
-        return self.spec.length >= 2
-
     @classmethod
     def from_spec(cls, spec: RnnSpec) -> "RnnLayout":
         spec.check()

@@ -322,7 +322,7 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     spec = layout.spec
     n = spec.length - 2
     out = np.zeros(layout.m)
-    if n < 1 or not layout.has_recurrent:
+    if n < 1:
         return out
     if states is None:
         k1, states = _squared_pass(layout, p)

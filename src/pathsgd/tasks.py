@@ -45,7 +45,7 @@ _WORDS = (
 class Task:
     """The forward, head and backward every task shares.
 
-    A subclass sets name, metric_name, input_dim, output_dim, length and
+    A subclass sets metric_name, input_dim, output_dim, length and
     first_output, and defines train_batch, held_out and head.
     """
 
@@ -107,7 +107,6 @@ class AdditionTask(Task):
     """Predict the sum of two marked sequence entries from the final step,
     the only output the forward projects (first_output = T - 1)."""
 
-    name = "addition"
     input_dim = 2
     output_dim = 1
     metric_name = "mse"
@@ -141,7 +140,6 @@ class SeqClassTask(Task):
     an image is consumed one pixel per time step, and split per class so
     both sides see every class."""
 
-    name = "seqclass"
     input_dim = 1
     metric_name = "error_rate"
 
@@ -253,7 +251,6 @@ class CharLmTask(Task):
     """Next-character prediction with one-hot inputs and a per-step readout,
     so the forward projects every step (first_output = 0)."""
 
-    name = "charlm"
     metric_name = "bpc"
     first_output = 0
 

@@ -33,6 +33,24 @@ def test_train_writes_outputs(tmp_path, capsys):
     assert (out / "status.txt").read_text().strip() in ("budget_exhausted", "converged")
 
 
+def test_train_timing_fills_only_wall_ms(tmp_path):
+    """timing = true fills wall_ms with the elapsed time, positive and
+    nondecreasing; every other column is that of a timing = false run."""
+    rows = {}
+    for timing in ("false", "true"):
+        out = tmp_path / timing
+        assert run_cli("train", *TINY, "--set", "steps=40", "--set", "eval_interval=10",
+                       "--set", f"timing={timing}", "--set", f"out_dir={out}") == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert lines[0].endswith(",wall_ms")
+        rows[timing] = [line.rsplit(",", 1) for line in lines[1:]]
+    assert len(rows["true"]) == 5
+    assert [r[0] for r in rows["true"]] == [r[0] for r in rows["false"]]
+    assert {r[1] for r in rows["false"]} == {"0.0"}
+    wall = [float(r[1]) for r in rows["true"]]
+    assert wall[0] > 0 and wall == sorted(wall)
+
+
 @pytest.mark.parametrize("data", [
     ["--set", "eval_size=0"],
     ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=1"],
@@ -263,6 +281,56 @@ def test_train_resume_rejects_past_budget(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in run.iterdir()} == before
     assert run_cli("train", *resume) == 0
     assert (run / "metrics.csv").read_bytes() == before["metrics.csv"]
+
+
+def four_step_run(out, optimizer):
+    """A 4-step run with checkpoints at steps 2 and 4; returns its files."""
+    assert run_cli("train", "--set", "task=addition", "--set", "seq_len=5",
+                   "--set", "hidden=3", "--set", f"optimizer={optimizer}",
+                   "--set", "steps=4", "--set", "eval_interval=2",
+                   "--set", "checkpoint_interval=2", "--set", f"out_dir={out}") == 0
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def test_train_resume_rejects_adam_checkpoint_without_moments(tmp_path, capsys):
+    """An Adam checkpoint past t = 0 whose moment block is gone would resume
+    with zero moments; it exits 1 and writes nothing."""
+    run = tmp_path / "run"
+    four_step_run(run, "path_adam")
+    lines = (run / "checkpoint_2.txt").read_text().splitlines()
+    assert "t 2" in lines
+    at = lines.index("moments")
+    m = int(next(line for line in lines if line.startswith("m "))[2:])
+    del lines[at:at + 1 + 2 * m]
+    (run / "checkpoint_2.txt").write_text("\n".join(lines) + "\n")
+    before = {f.name: f.read_bytes() for f in run.iterdir()}
+    capsys.readouterr()
+    other = tmp_path / "other"
+    assert run_cli("train", "--config", str(run / "config.txt"),
+                   "--set", f"out_dir={other}",
+                   "--resume", str(run / "checkpoint_2.txt")) == 1
+    captured = capsys.readouterr()
+    assert "kind path_adam at t 2 lacks its moment block" in captured.err
+    assert not captured.out and not other.exists()
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
+
+
+def test_train_resume_in_place_rejects_other_columns(tmp_path, capsys):
+    """Resuming into the run's own out_dir with other metrics columns would
+    drop the earlier rows; it exits 1, names both headers and leaves every
+    file in out_dir as it was."""
+    run = tmp_path / "run"
+    before = four_step_run(run, "path_sgd")
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(run / "config.txt"),
+                   "--set", "record_kappa_ratio=true",
+                   "--resume", str(run / "checkpoint_2.txt")) == 1
+    captured = capsys.readouterr()
+    assert ("has columns [step,train_loss,train_metric,test_metric,wall_ms]; this "
+            "run writes [step,train_loss,train_metric,test_metric,kappa_ratio,"
+            "wall_ms]") in captured.err
+    assert not captured.out
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
 
 def test_train_periodic_checkpoints(tmp_path):

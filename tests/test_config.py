@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -184,7 +186,7 @@ def test_checkpoint_number_text(tmp_path):
     text = ["0.10000000000000001", "0.33333333333333331", "1e-300", "-0",
             "4.9406564584124654e-324"]
     p = np.array(awkward[:4])
-    opt = OptimizerState(kind="path_adam", m1=np.array(awkward[1:]),
+    opt = OptimizerState(kind="path_adam", t=1, m1=np.array(awkward[1:]),
                          m2=np.array(awkward[:2] + awkward[3:]))
     save_checkpoint(tmp_path / "ck.txt", 3, layout, p, opt)
     lines = (tmp_path / "ck.txt").read_text().splitlines()
@@ -224,6 +226,27 @@ def test_checkpoint_error_cases(tmp_path):
     trunc.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ConfigError):
         load_checkpoint(trunc)
+
+
+@pytest.mark.parametrize("kind, t, moments, error", [
+    ("path_adam", 2, False, "kind path_adam at t 2 lacks its moment block"),
+    ("adam", 1, False, "kind adam at t 1 lacks its moment block"),
+    ("adam", 0, True, "kind adam at t 0 has a moment block"),
+    ("sgd", 0, True, "kind sgd at t 0 has a moment block"),
+    ("path_sgd", 3, False, "kind path_sgd at t 3; t must be 0"),
+    ("adam", -1, False, "kind adam at t -1; t must be >= 0"),
+])
+def test_checkpoint_moments_match_kind_and_t(tmp_path, kind, t, moments, error):
+    """Adam kinds carry moments exactly when t >= 1, and the sgd kinds stay
+    at t = 0 with none; any other pairing is rejected by kind and t, where
+    loading it would restart or invent the Adam moments."""
+    layout = layout_for(1, (2,), 1, 2)
+    m1 = m2 = np.full(layout.m, 0.5) if moments else None
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, 4, layout, np.zeros(layout.m),
+                    OptimizerState(kind=kind, t=t, m1=m1, m2=m2))
+    with pytest.raises(ConfigError, match=re.escape(error)):
+        load_checkpoint(path, layout)
 
 
 def test_checkpoint_rejects_other_adam_settings(tmp_path):
@@ -289,6 +312,11 @@ def test_metrics_rows_before(tmp_path):
     write_metrics(path, rows, False)
     kept = cfgmod.metrics_rows_before(path, 20, False)
     assert kept == [metrics_row(r, False) for r in rows[:2]]
+    with pytest.raises(ConfigError, match=re.escape(
+            "has columns [step,train_loss,train_metric,test_metric,wall_ms]; this run "
+            "writes [step,train_loss,train_metric,test_metric,kappa_ratio,wall_ms]")):
+        cfgmod.metrics_rows_before(path, 20, True)
+    path.write_text("")
     assert cfgmod.metrics_rows_before(path, 20, True) == []
 
 

@@ -67,7 +67,7 @@ def test_feedforward_one_to_one():
     assert build_rnn(RnnSpec(1, (1,), 1, 1)).num_params == 2
     spec = RnnSpec(4, (4, 4), 4, 1)
     net = build_rnn(spec)
-    assert net.num_params == 48 and not RnnLayout.from_spec(spec).has_recurrent
+    assert net.num_params == 48 and "rec1" not in RnnLayout.from_spec(spec).slices
     assert sorted(net.param_of_edge) == list(range(net.num_params))
 
 

@@ -4,8 +4,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# __init__.py imports names only to re-export them.
-SOURCES = sorted(p for p in (ROOT / "src" / "pathsgd").glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted((ROOT / "src" / "pathsgd").glob("*.py"))
 SOURCES += sorted((ROOT / "tests").glob("*.py"))
 
 

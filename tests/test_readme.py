@@ -1,9 +1,11 @@
 """README drift: every name the README's module table and Configuration
-block cite must still exist in the package."""
+block cite must still exist in the package, and its library example runs."""
 
 import argparse
+import builtins
 import dataclasses
 import importlib
+import math
 import re
 from pathlib import Path
 
@@ -38,3 +40,14 @@ def test_configuration_keys_are_fields():
     assert len(keys) >= 10, "configuration block not found"
     fields = {f.name for f in dataclasses.fields(config.RunConfig)}
     assert not sorted(set(keys) - fields)
+
+
+def test_library_example_runs():
+    """The README's library example, its loop capped at 20 steps, prints a
+    finite test MSE and kappa ratio."""
+    code = README.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    printed = []
+    exec(code, {"range": lambda n: builtins.range(min(n, 20)),
+                "print": lambda *args: printed.append(args)})
+    assert [args[0] for args in printed] == ["test MSE", "kappa2/kappa1"]
+    assert all(math.isfinite(args[1]) for args in printed)
