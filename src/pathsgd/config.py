@@ -187,7 +187,7 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     """Defaults, then the file, then PATHSGD_OUT_DIR, then overrides."""
     cfg = RunConfig()
     if path is not None:
-        for key, raw in parse_kv_text(Path(path).read_text()).items():
+        for key, raw in parse_kv_text(Path(path).read_text(encoding="utf-8")).items():
             setattr(cfg, key, _field_value(cfg, key, raw))
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:
@@ -234,14 +234,14 @@ def describe_net(layout: RnnLayout) -> str:
 
 
 def write_lines(path, lines) -> None:
-    """Write each line and a newline to a temp file beside path, then move
-    it over path.  An exception or a crash of the process mid-way leaves
-    the previous file whole.  Lines may be a generator: a checkpoint is
-    never held in memory as one string."""
+    """Write each line and a newline, as UTF-8, to a temp file beside path,
+    then move it over path.  An exception or a crash of the process mid-way
+    leaves the previous file whole.  Lines may be a generator: a checkpoint
+    is never held in memory as one string."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.writelines(line + "\n" for line in lines)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -278,7 +278,7 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
     description must match the one stored at save time.  Adam kinds carry
     moments exactly when t >= 1; sgd and path_sgd are at t = 0 with none,
     as save_checkpoint writes them."""
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
     head: dict[str, str] = {}
@@ -365,7 +365,7 @@ def metrics_rows_before(path, step: int, record_kappa_ratio: bool) -> list[str]:
     drop its rows."""
     path = Path(path)
     header = metrics_header(record_kappa_ratio)
-    lines = path.read_text().splitlines() if path.is_file() else []
+    lines = path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
     if lines and lines[0] != header:
         raise ConfigError(f"{path} has columns [{lines[0]}]; this run writes "
                           f"[{header}] and would drop its rows")

@@ -207,9 +207,10 @@ def make_synthetic_corpus(n_chars: int, seed: int = 7) -> str:
 
 @dataclass(frozen=True)
 class CharCorpus:
+    """A corpus's alphabet and its train and test ids over it."""
+
     alphabet: str
     train: np.ndarray
-    valid: np.ndarray
     test: np.ndarray
 
     @property
@@ -217,30 +218,55 @@ class CharCorpus:
         return len(self.alphabet)
 
 
+def _code_points(text: str) -> np.ndarray:
+    """One uint32 code point per character of text, lone surrogates too."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+
+
+def _lookup(codes: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """The index in symbols of each code point, read from one table indexed
+    by code point, in the smallest unsigned dtype that holds len(symbols)."""
+    n = len(symbols)
+    size = int(max(codes.max(initial=0), symbols.max(initial=0))) + 1
+    table = np.full(size, n, dtype=np.min_scalar_type(n))
+    table[symbols] = np.arange(n)
+    ids = table[codes]
+    if ids.size and ids.max() == n:
+        first = codes[np.argmax(ids == n)]
+        raise GraphError(f"character {chr(first)!r} not in alphabet")
+    return ids
+
+
 def encode_text(text: str, alphabet: str) -> np.ndarray:
-    lut = {c: i for i, c in enumerate(alphabet)}
-    try:
-        return np.asarray([lut[c] for c in text], dtype=np.int64)
-    except KeyError as exc:
-        raise GraphError(f"character {exc.args[0]!r} not in alphabet") from exc
+    """The index in alphabet of each character of text, in the smallest
+    unsigned dtype that holds len(alphabet); a character missing from the
+    alphabet raises GraphError naming the first one."""
+    return _lookup(_code_points(text), _code_points(alphabet))
 
 
 def load_char_corpus(path=None, text: str | None = None,
                      fractions=(0.8, 0.1, 0.1)) -> CharCorpus:
-    """Split a text corpus into contiguous train/valid/test id arrays over its
-    sorted character alphabet."""
+    """Split a text corpus, read from path as UTF-8 or given as text, into
+    contiguous train and test id arrays over its alphabet, the characters
+    it holds sorted by code point (as sorted(set(text)) sorts them).  The
+    middle fraction is cut out and not kept.  The text is decoded to code
+    points once and mapped in NumPy, with no Python step per character;
+    ids take the smallest unsigned dtype that holds the alphabet's size."""
     if text is None:
         if path is None:
             raise GraphError("load_char_corpus: need a path or a text")
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     if abs(sum(fractions) - 1.0) > 1e-9 or any(f <= 0 for f in fractions):
         raise GraphError("load_char_corpus: fractions must be positive and sum to 1")
-    alphabet = "".join(sorted(set(text)))
-    ids = encode_text(text, alphabet)
+    codes = _code_points(text)
+    present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
+    present[codes] = True  # unlike np.bincount, no intp copy of codes
+    symbols = np.flatnonzero(present)
+    ids = _lookup(codes, symbols)
     n = len(ids)
     a = int(n * fractions[0])
     b = a + int(n * fractions[1])
-    return CharCorpus(alphabet, ids[:a], ids[a:b], ids[b:])
+    return CharCorpus("".join(map(chr, symbols.tolist())), ids[:a], ids[b:])
 
 
 def bundled_corpus_path() -> Path:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +118,37 @@ def test_train_rejects_keys_the_task_never_reads(tmp_path, capsys, settings, key
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key} = ")
     assert not out.exists()
+
+
+# A UTF-8 corpus beyond ASCII (Latin-1, CJK and astral characters), and a
+# locale whose encoding is ASCII: Python's coercion of the C locale to
+# UTF-8 and its UTF-8 mode are both off.
+UTF8_CORPUS = "café naïve 日本 🙂 déjà vu.\n" * 40
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize("locale", [{}, ASCII_LOCALE], ids=["default", "ascii"])
+def test_train_reads_the_corpus_as_utf8(tmp_path, locale):
+    """A charlm run on a UTF-8 corpus, in a fresh process under the given
+    locale, exits 0 with one input per distinct character, and writes the
+    same metrics and checkpoint as the run in this process."""
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(UTF8_CORPUS, encoding="utf-8")
+    settings = ["--set", "task=charlm", "--set", f"corpus={corpus}", "--set", "steps=2",
+                "--set", "seq_len=5", "--set", "hidden=4"]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, **locale, "PYTHONPATH": src}
+    out = tmp_path / "run"
+    proc = subprocess.run([sys.executable, "-m", "pathsgd.cli", "train", *settings,
+                           "--set", f"out_dir={out}"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    checkpoint = (out / "checkpoint.txt").read_bytes()
+    assert f" in={len(set(UTF8_CORPUS))} ".encode() in checkpoint.split(b"\n")[1]
+    ref = tmp_path / "ref"
+    assert run_cli("train", *settings, "--set", f"out_dir={ref}") == 0
+    assert checkpoint == (ref / "checkpoint.txt").read_bytes()
+    assert (out / "metrics.csv").read_bytes() == (ref / "metrics.csv").read_bytes()
 
 
 @pytest.mark.parametrize("setting", ["lr=nan", "init_range=inf", "target_loss=nan"])

@@ -172,19 +172,57 @@ def test_corpus_is_regenerable():
 
 
 def test_corpus_alphabet():
+    """The bundled corpus's alphabet and the ids of its train and test
+    splits, as the per-character dict encoding gave them."""
     corpus = tasks.load_char_corpus(tasks.bundled_corpus_path())
     assert corpus.alphabet == "\n .abcdefghijklmnopqrstuvwy"
     assert corpus.num_symbols == 27
+    assert corpus.train.dtype == corpus.test.dtype == np.uint8
     assert len(corpus.train) == 88_000
-    assert len(corpus.valid) == 11_000
+    assert int(corpus.train.sum()) == 1_004_063
     assert len(corpus.test) == 11_000
+    assert int(corpus.test.sum()) == 125_831
+
+
+TEXTS = {
+    "ascii": "the quick brown fox.\n",
+    "latin1": "café naïve déjà vu ÿ\x00",
+    "cjk": "日本語のテキスト、中文文本",
+    "astral": "a🙂b😀c\U0010ffff",
+    "surrogate": "ab\udcc3\ud800",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
+def test_encode_text_matches_per_character_reference(text):
+    alphabet = "".join(sorted(set(text)))
+    ids = tasks.encode_text(text, alphabet)
+    assert ids.tolist() == [alphabet.index(c) for c in text]
+    assert ids.dtype == np.uint8
+    corpus = tasks.load_char_corpus(text=text * 10)
+    assert corpus.alphabet == alphabet
+    whole = tasks.encode_text(text * 10, alphabet)
+    assert np.array_equal(corpus.train, whole[:len(corpus.train)])
+    assert np.array_equal(corpus.test, whole[len(whole) - len(corpus.test):])
 
 
 def test_encode_text():
-    ids = tasks.encode_text("abba", "ab")
-    assert np.array_equal(ids, [0, 1, 1, 0])
-    with pytest.raises(GraphError):
-        tasks.encode_text("abc", "ab")
+    ids = tasks.encode_text("abba", "ba")
+    assert np.array_equal(ids, [1, 0, 0, 1])
+    with pytest.raises(GraphError, match="character 'é' not in alphabet"):
+        tasks.encode_text("abéc", "ab")
+
+
+@pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16),
+                                         (70_000, np.uint32)])
+def test_ids_take_the_smallest_dtype_that_holds_the_alphabet(size, dtype):
+    alphabet = "".join(map(chr, range(size)))
+    text = alphabet[::-1] + alphabet[:3]
+    ids = tasks.encode_text(text, alphabet)
+    assert ids.dtype == dtype
+    assert ids.tolist() == [*range(size - 1, -1, -1), 0, 1, 2]
+    assert tasks.load_char_corpus(text=text).train.dtype == dtype
 
 
 def test_load_char_corpus_validation():
