@@ -5,8 +5,10 @@ The task route is written once, in Task.  loss_and_grad is the forward of
 the head's dY (with grad=False, the forward alone and g = None).  evaluate
 is one trace-free forward over the fixed held-out set and the head's
 metric; compute alone sizes the chunks that forward runs in, from
-compute.BUDGET.  head(y, target) -> (loss, dY, metric) is each task's one
-definition of its loss and metric.  The many-to-one tasks (addition,
+compute.BUDGET.  The addition task keeps no copy of its held-out set: it
+rebuilds the set from its seed, bit-identical, at each evaluation, so the
+set is resident only while evaluate runs.  head(y, target) -> (loss, dY,
+metric) is each task's one definition of its loss and metric.  The many-to-one tasks (addition,
 seqclass) read only the last step's output, so their forward projects from
 first_output = T - 1; charlm reads every step (first_output = 0).
 """
@@ -46,7 +48,9 @@ class Task:
     """The forward, head and backward every task shares.
 
     A subclass sets metric_name, input_dim, output_dim, length and
-    first_output, and defines train_batch, held_out and head.
+    first_output, and defines train_batch, held_out and head.  held_out
+    returns the same (X, target) at every call, and evaluate asks for it
+    at each evaluation.
     """
 
     def loss_and_grad(self, layout: RnnLayout, p, batch, grad: bool = True):
@@ -89,23 +93,29 @@ def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
 def gen_addition(length: int, n: int, rng: np.random.Generator):
     """(X, targets): X is (n, T, 2), a uniform value channel and a mask
     channel that marks two positions, one in each half of the sequence; the
-    target is the sum of the values at the marked positions."""
+    target is the sum of the values at the marked positions.  The uniform
+    draws go straight into the value plane of one channel-first (2, n, T)
+    array, which X views channel-last, so the set is allocated once with no
+    whole-set temporary.  rng.random gives the doubles of rng.uniform(0, 1)
+    and leaves rng in the same state."""
     if length < 2:
         raise GraphError("gen_addition: length must be >= 2")
-    values = rng.uniform(0.0, 1.0, size=(n, length))
+    planes = np.zeros((2, n, length))
+    values = rng.random(out=planes[0])
     first = rng.integers(0, length // 2, size=n)
     second = rng.integers(length // 2, length, size=n)
     rows = np.arange(n)
-    X = np.zeros((n, length, 2))
-    X[:, :, 0] = values
-    X[rows, first, 1] = 1.0
-    X[rows, second, 1] = 1.0
-    return X, values[rows, first] + values[rows, second]
+    planes[1, rows, first] = 1.0
+    planes[1, rows, second] = 1.0
+    return planes.transpose(1, 2, 0), values[rows, first] + values[rows, second]
 
 
 class AdditionTask(Task):
     """Predict the sum of two marked sequence entries from the final step,
-    the only output the forward projects (first_output = T - 1)."""
+    the only output the forward projects (first_output = T - 1).  The task
+    holds no arrays: held_out rebuilds the held-out set from eval_seed at
+    each call, bit-identical every time, so it is resident only while an
+    evaluation runs."""
 
     input_dim = 2
     output_dim = 1
@@ -114,14 +124,15 @@ class AdditionTask(Task):
     def __init__(self, length: int, eval_size: int = 512, eval_seed: int = 1):
         self.length = length
         self.first_output = length - 1
-        self.eval_set = gen_addition(length, eval_size,
-                                     np.random.default_rng(eval_seed))
+        self.eval_size = eval_size
+        self.eval_seed = eval_seed
 
     def train_batch(self, rng: np.random.Generator, size: int):
         return gen_addition(self.length, size, rng)
 
     def held_out(self):
-        return self.eval_set
+        return gen_addition(self.length, self.eval_size,
+                            np.random.default_rng(self.eval_seed))
 
     def head(self, y: np.ndarray, target: np.ndarray):
         """Mean squared error; the metric is the loss itself."""

@@ -10,7 +10,7 @@ full level uses the larger sample counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -240,11 +240,40 @@ def check_gradient(rng, n, threshold=1e-5) -> PropertyResult:
     return PropertyResult("gradient-check", worst <= threshold, worst, threshold, n)
 
 
+def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
+    """rnn_backward's gradient and the trace-free rnn_forward's outputs do
+    not depend on how time is split into blocks: compute.BUDGET forced to
+    give backward blocks of 1, 2 and 3 steps (and forward chunks of one row
+    in blocks of 1 or 2 steps) agrees up to rounding with the default
+    budget, which runs these nets in one block.  BUDGET is restored after."""
+    worst = 0.0
+    default = compute.BUDGET
+    try:
+        for _ in range(n):
+            spec = replace(random_spec(rng), length=int(rng.integers(4, 10)))
+            layout = RnnLayout.from_spec(spec)
+            p = random_params(layout, rng)
+            X = rng.standard_normal((3, spec.length, spec.input_dim))
+            tr = compute.rnn_forward(layout, p, X)
+            dY = rng.standard_normal(tr.y.shape)
+            compute.BUDGET = default
+            g = compute.rnn_backward(layout, p, tr, dY)
+            y = compute.rnn_forward(layout, p, X, keep_trace=False).y
+            for k in (1, 2, 3):
+                compute.BUDGET = k * 8 * len(X) * max(spec.hidden_dims)
+                worst = max(worst, _rel(compute.rnn_backward(layout, p, tr, dY), g, 1.0),
+                            _rel(compute.rnn_forward(layout, p, X, keep_trace=False).y,
+                                 y, 1.0))
+    finally:
+        compute.BUDGET = default
+    return PropertyResult("time-blocking", worst <= threshold, worst, threshold, n)
+
+
 LEVELS = {
     "quick": dict(gamma=8, decomp=5, closed=5, ffzero=5, rescale=20,
-                  inv=5, control=5, grad=10),
+                  inv=5, control=5, grad=10, blocking=5),
     "full": dict(gamma=50, decomp=20, closed=20, ffzero=20, rescale=100,
-                 inv=50, control=10, grad=50),
+                 inv=50, control=10, grad=50, blocking=20),
 }
 
 
@@ -262,4 +291,5 @@ def run_all(level: str = "quick", seed: int = 0) -> list[PropertyResult]:
         check_path_sgd_invariance(rng, sizes["inv"]),
         check_sgd_not_invariant(rng, sizes["control"]),
         check_gradient(rng, sizes["grad"]),
+        check_time_blocking(rng, sizes["blocking"]),
     ]

@@ -4,7 +4,14 @@ One example at a time, one (layer, unit, time) coordinate at a time, in
 plain Python: every weight is read through RnnLayout.param_index, so the
 reference shares no code with the vectorized route it checks.  Each unit
 sums its in{i} sources, then rec{i} from the previous step, then the bias.
+
+gen_addition draws the addition problem with rng.uniform into a temporary
+and copies it into a channel-last X; tasks.gen_addition, which draws into
+its final array, must give the same arrays and leave the generator in the
+same state.
 """
+
+import numpy as np
 
 
 def forward(layout, p, x, activation="relu"):
@@ -85,3 +92,16 @@ def backward(layout, p, x, dy, activation="relu"):
                     dp[pi(f"b{i}", j, 0)] += di[j]
             later[i] = above = di
     return dp
+
+
+def gen_addition(length, n, rng):
+    """(X, targets) of the addition problem, X of shape (n, T, 2)."""
+    values = rng.uniform(0.0, 1.0, size=(n, length))
+    first = rng.integers(0, length // 2, size=n)
+    second = rng.integers(length // 2, length, size=n)
+    rows = np.arange(n)
+    X = np.zeros((n, length, 2))
+    X[:, :, 0] = values
+    X[rows, first, 1] = 1.0
+    X[rows, second, 1] = 1.0
+    return X, values[rows, first] + values[rows, second]

@@ -7,6 +7,8 @@ import pytest
 from pathsgd import compute, tasks
 from pathsgd.graph import GraphError, RnnLayout, RnnSpec
 
+import reference
+
 
 # --- the shared route and the heads ------------------------------------------
 
@@ -69,6 +71,33 @@ def test_gen_addition_seeded():
     assert np.array_equal(a[1], b[1])
 
 
+@pytest.mark.parametrize("length, n, seed", [
+    (2, 1, 0), (3, 5, 7), (40, 32, 1), (40, 1024, 1), (750, 512, 1), (751, 64, 3)])
+def test_gen_addition_matches_reference(length, n, seed):
+    """Drawing straight into the final array gives the earlier form's X and
+    targets bit for bit and leaves the generator in the same state."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    X, targets = tasks.gen_addition(length, n, rng)
+    X_ref, targets_ref = reference.gen_addition(length, n, ref)
+    assert X.shape == X_ref.shape
+    assert X.tobytes() == X_ref.tobytes()
+    assert targets.tobytes() == targets_ref.tobytes()
+    assert rng.random() == ref.random()
+
+
+def test_gen_addition_allocates_one_copy_of_the_set():
+    """The draws go into X's own buffer, so building a set peaks at X plus
+    a few (n,) index arrays; a whole-set temporary of the values would take
+    it to 1.5x X."""
+    tracemalloc.start()
+    try:
+        X, _ = tasks.gen_addition(200, 512, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= X.nbytes + 64 * 1024
+
+
 def test_addition_grad_matches_fd(rng):
     task = tasks.AdditionTask(length=5, eval_size=8)
     layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
@@ -85,14 +114,51 @@ def test_addition_eval_fixed_set():
     assert np.array_equal(a.held_out()[1], b.held_out()[1])
 
 
+@pytest.mark.parametrize("length, n, value_sum, target_sum, mark_sum", [
+    (40, 1024, 20454.30030889075, 999.0503786504418, 40111),
+    (750, 512, 191881.18983009298, 505.4222489367922, 378056)])
+def test_held_out_is_the_same_at_every_call(length, n, value_sum, target_sum,
+                                            mark_sum):
+    """held_out rebuilds the set from eval_seed at each call: the calls agree
+    bit for bit, and with the pinned exact sums of the set's values, its
+    targets and its marked steps."""
+    task = tasks.AdditionTask(length, eval_size=n, eval_seed=1)
+    (X, target), (X2, target2) = task.held_out(), task.held_out()
+    assert X.tobytes() == X2.tobytes() and target.tobytes() == target2.tobytes()
+    assert math.fsum(X[:, :, 0].ravel()) == value_sum
+    assert math.fsum(target) == target_sum
+    assert int(np.nonzero(X[:, :, 1])[1].sum()) == mark_sum
+
+
+def test_addition_task_keeps_no_held_out_set():
+    """An AdditionTask holds no array, after construction or after an
+    evaluate: the held-out set (1.6 MB here) exists only while evaluate
+    runs."""
+    T = 200
+    layout = RnnLayout.from_spec(RnnSpec(2, (8,), 1, T))
+    p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
+    tracemalloc.start()
+    try:
+        task = tasks.AdditionTask(T, eval_size=512)
+        built = tracemalloc.get_traced_memory()[0]
+        task.evaluate(layout, p)
+        evaluated = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert built < 64 * 1024 and evaluated < 64 * 1024
+    assert not any(isinstance(v, np.ndarray) for v in vars(task).values())
+
+
 def test_addition_eval_holds_no_trace():
-    """Evaluation runs the forward trace-free, one chunk of rows at a time
-    on the held-out set it already holds: its peak allocation stays below
+    """Evaluation runs the forward trace-free, one chunk of rows at a time:
+    with the held-out set built beforehand, its peak allocation stays below
     one compute.BUDGET, so it holds no hidden-state trace (13 MB for one
     128-row chunk here) and no second, transposed copy of the whole set
     (1.6 MB)."""
     T, H = 200, 64
     task = tasks.AdditionTask(T, eval_size=512)
+    held = task.held_out()
+    task.held_out = lambda: held
     layout = RnnLayout.from_spec(RnnSpec(2, (H,), 1, T))
     p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
     tracemalloc.start()

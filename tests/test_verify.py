@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from pathsgd import pathnorm, verify
+from pathsgd import compute, pathnorm, verify
 from pathsgd.graph import RnnLayout
 
 import reference
@@ -8,7 +9,7 @@ import reference
 
 def test_run_all_quick_passes():
     results = verify.run_all("quick", seed=0)
-    assert len(results) == 8
+    assert len(results) == 9
     for res in results:
         assert res.passed, res.line()
         assert res.worst <= res.threshold or res.name == "sgd-not-invariant"
@@ -38,6 +39,18 @@ def test_tampered_kappa_is_caught(monkeypatch):
     assert not results["kappa-decomposition"].passed
     assert results["path-sgd-invariance"].passed
     assert any(not r.passed for r in results.values())
+
+
+def test_zeroed_block_carry_is_caught(monkeypatch):
+    """A backward that drops the dpre carried into each earlier time block
+    is right at one block and wrong at several: only the time-blocking
+    property sees it, and it leaves compute.BUDGET as it found it."""
+    real, budget = compute._backward_steps, compute.BUDGET
+    monkeypatch.setattr(compute, "_backward_steps", lambda blk, carry, *rest:
+                        real(blk, np.zeros_like(carry), *rest))
+    results = {r.name: r for r in verify.run_all("quick", seed=0)}
+    assert [name for name, r in results.items() if not r.passed] == ["time-blocking"]
+    assert compute.BUDGET == budget
 
 
 def test_sample_kink_free_respects_margin(rng):
