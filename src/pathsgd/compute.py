@@ -244,11 +244,14 @@ def _backward_steps(blk: np.ndarray, carry: np.ndarray, m, Wrec, last: bool,
     dpre[s] = (blk[s] + dpre[s + 1] @ W_rec) * m[s].
 
     blk[s] holds the gradient reaching step s from dY or from the layer
-    above and becomes dpre[s]; rows below seeded have no such gradient, so
-    the recurrence writes them.  carry is dpre at the first step of the
-    later block, and last marks the block that ends the sequence, whose
-    last step has no later state.  m is the block's bool ReLU mask, or None
-    under identity; Wrec is None for a layer without recurrence.
+    above and becomes dpre[s].  Rows below seeded have no such gradient, so
+    the recurrence writes them: under ReLU they hold the step's mask as
+    0.0 / 1.0 and the product into t is multiplied by it, under identity
+    the product is written straight into them.  carry is dpre at the first
+    step of the later block, and last marks the block that ends the
+    sequence, whose last step has no later state.  m is the block's bool
+    ReLU mask, read only in rows from seeded on, or None under identity;
+    Wrec is None for a layer without recurrence.
     """
     k, relu = len(blk), m is not None
     end = 0 if Wrec is None else k - last  # steps from end on take no recurrence
@@ -260,12 +263,14 @@ def _backward_steps(blk: np.ndarray, carry: np.ndarray, m, Wrec, last: bool,
     dot, add, multiply = _dot(t), np.add, np.multiply
     for s in range(end - 1, -1, -1):
         row = rows[s]
-        if s < seeded:
-            dot(rows[s + 1], Wrec, row)
-        else:
+        if s >= seeded:
             add(row, dot(rows[s + 1], Wrec, t), row)
-        if relu:
-            multiply(row, masks[s], row)
+            if relu:
+                multiply(row, masks[s], row)
+        elif relu:
+            multiply(dot(rows[s + 1], Wrec, t), row, row)
+        else:
+            dot(rows[s + 1], Wrec, row)
 
 
 def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -294,7 +299,9 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     (with the boundary pair dpre[t0] x h[t0 - 1]) and b{i} gradient
     products and the seed dpre @ W_in of the layer below are all formed
     while the block is in cache.  So no (T, B, H_i) array is allocated,
-    only one (K, B, H_i) block and its mask per layer.  dpre itself does
+    only one (K, B, H_i) block per layer and, under ReLU, its bool mask,
+    formed only in the rows dY or the layer above seeds; the rows below r
+    take the mask as floats.  dpre itself does
     not depend on K, and only the gradient sums are split by block: a step
     that fits in one block (K = T) forms each as one product over the whole
     sequence, and a longer one differs from that by rounding alone.  With
@@ -330,7 +337,8 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     # dpre of the block being walked: one (K, B, H_i) buffer per layer, or
     # blocks of the full (T, B, H_i) arrays that return_dpre hands back.
     dpres = [None] + [np.empty((T if return_dpre else K, B, n)) for n in spec.hidden_dims]
-    mask = [None] + [np.empty((K, B, n), dtype=bool) for n in spec.hidden_dims]
+    mask = [None] + [np.empty((K, B, n), dtype=bool) if relu else None
+                     for n in spec.hidden_dims]
     carry = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
     tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
     grads: dict = {}  # the first block walked sets each sum, later blocks add
@@ -354,10 +362,18 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         for i in layers:
             Win, Wrec = weights[i]
             blk = blocks[i]
-            # relu(z) > 0 exactly when z > 0, so the output gives the mask
-            m = np.greater(tr.h[i][t0:t0 + k], 0.0, out=mask[i][:k]) if relu else None
-            _backward_steps(blk, carry[i], m, Wrec, t0 + k == T, lo if i == top else 0,
-                            tmp[i])
+            seeded = lo if i == top else 0
+            m = None
+            if relu:
+                # relu(z) > 0 exactly when z > 0, so the output gives the
+                # mask: as floats into the unseeded rows, which the
+                # recurrence multiplies by it as it overwrites them (x * 1.0
+                # and x * 0.0 are x * True and x * False), as bools in the rest
+                h = tr.h[i][t0:t0 + k]
+                np.greater(h[:seeded], 0.0, out=blk[:seeded])
+                m = mask[i][:k]
+                np.greater(h[seeded:], 0.0, out=m[seeded:])
+            _backward_steps(blk, carry[i], m, Wrec, t0 + k == T, seeded, tmp[i])
             carry[i][...] = blk[0]
             add(f"in{i}", _outer_sum(blk, tr.h[i - 1][t0:t0 + k]))
             if Wrec is not None:

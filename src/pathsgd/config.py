@@ -220,10 +220,20 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# Entries per string _fmt_array yields: one % formatting per block, without
+# a Python float per entry of the whole array at once.
+FMT_BLOCK = 4096
+
+
 def _fmt_array(a: np.ndarray):
-    """_fmt over every entry, formatted from the plain floats of tolist():
-    the same text, without a numpy scalar per entry."""
-    return map("{:.17g}".format, np.asarray(a, dtype=float).tolist())
+    """_fmt over every entry, one line each, in strings of at most FMT_BLOCK
+    lines (without the last newline, which write_lines adds).  Each is one
+    "%.17g" formatting of the plain floats of its slice's tolist(): the
+    same text as _fmt, without a numpy scalar per entry."""
+    a = np.asarray(a, dtype=float).reshape(-1)
+    for lo in range(0, len(a), FMT_BLOCK):
+        vals = a[lo:lo + FMT_BLOCK].tolist()
+        yield ("%.17g\n" * len(vals))[:-1] % tuple(vals)
 
 
 def describe_net(layout: RnnLayout) -> str:

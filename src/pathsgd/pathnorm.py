@@ -22,7 +22,10 @@ kappa2 reads.  kappa2 sums the pairs of applications of a recurrent matrix
 in blocks of L = floor(sqrt(2 H)) steps: pairs inside a block are L long
 matmuls over all blocks at once, and pairs across blocks pass through one
 H x H state carried from block to block, so a layer costs O(T H^2.5) time
-and O(T H^2 / L) memory.
+and O(T H^2 / L) memory.  It copies h and delta once per layer, into
+position-major blocks (step q of every block, then step q + 1), so the
+step pairs of each lag are one contiguous slab of each copy and no lag
+copies them again.
 
 The oracles these are checked against share none of that code: they walk
 the unrolled net one (layer, unit, time) coordinate at a time in plain
@@ -293,6 +296,18 @@ def kappa2_bruteforce(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     return ORDERED_PAIR_COEFF * out
 
 
+def _position_major(x: np.ndarray, L: int, nb: int) -> np.ndarray:
+    """The (n, H) steps x as an (L, nb, H) array of nb blocks of L steps,
+    position-major and zero-padded: out[q, b] = x[bL+q], 0 past step n."""
+    n, H = x.shape
+    out = np.zeros((L, nb, H))
+    whole = n // L
+    out[:, :whole] = x[:whole * L].reshape(whole, L, H).transpose(1, 0, 2)
+    if whole < nb:
+        out[:n - whole * L, whole] = x[whole * L:]
+    return out
+
+
 def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     """kappa2 for unrolled RNNs in closed matrix form.
 
@@ -309,12 +324,16 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     with s, u from 0 to n-1, n = T-2 (0-based steps), and
     C = CHRONO_PAIR_COEFF.  accT is computed exactly in blocks of
     L = min(n, floor(sqrt(2 H))) steps, with the powers P_r = A^r for
-    r <= L: pairs inside a block are L products P_d * (h^T delta) over
-    step pairs d apart, flattened across blocks; pairs across blocks go
-    through the state Z carried from block to block, Z <- Z P_L + V_b, and
-    add Z M_b, where V_b collects block b's sources and M_b its sinks (one
-    batched product each over all blocks).  Cost per layer
-    O(T H^3 / L + T L H^2) = O(T H^2.5); V and M take O(T H^2 / L) memory.
+    r <= L.  h and delta are copied once into zero-padded position-major
+    blocks hq[q, b] = h_(bL+q) and dq[r, b] = delta_(bL+r+2), each
+    (L, nb, H).  Pairs inside a block are L products P_d * (h^T delta)
+    over step pairs d apart, whose operands hq[:L-d] and dq[d:] are
+    contiguous slabs across all blocks, read without a copy; pairs across
+    blocks go through the state Z carried from block to block,
+    Z <- Z P_L + V_b, and add Z M_b, where V_b collects block b's sources
+    and M_b its sinks (one batched product each over all blocks, reading
+    hq and dq).  Cost per layer O(T H^3 / L + T L H^2) = O(T H^2.5); V
+    and M take O(T H^2 / L) memory.
     h and delta come from the squared pass that also gives kappa1 (each
     (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
     (h, delta), otherwise the pass runs here.
@@ -335,25 +354,22 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
         H = A.shape[0]
         L = min(n, math.isqrt(2 * H))
         nb = -(-n // L)
-        # Steps zero-padded to whole blocks: hb[b, q] = h_(bL+q),
-        # db[b, r] = delta_(bL+r+2).
-        hb = np.zeros((nb * L, H))
-        db = np.zeros((nb * L, H))
-        hb[:n] = h[i][:n, 0]
-        db[:n] = delta[i][2:, 0]
-        hb = hb.reshape(nb, L, H)
-        db = db.reshape(nb, L, H)
+        # Position-major blocks, zero-padded: hq[q, b] = h_(bL+q) and
+        # dq[r, b] = delta_(bL+r+2), so the pairs d steps apart in every
+        # block are the contiguous slabs hq[:L-d] and dq[d:].
+        hq = _position_major(h[i][:n, 0], L, nb)
+        dq = _position_major(delta[i][2:, 0], L, nb)
         P = np.empty((L + 1, H, H))
         P[0] = np.eye(H)
         for r in range(L):
             np.matmul(P[r], A, out=P[r + 1])
         accT = np.zeros((H, H))
         for d in range(L):
-            accT += P[d] * (hb[:, :L - d].reshape(-1, H).T @ db[:, d:].reshape(-1, H))
-        # V[k, b, j] = sum_q hb[b, q, k] P_(L-1-q)[k, j]
-        V = np.matmul(hb.transpose(2, 0, 1), P[L - 1::-1].transpose(1, 0, 2))
-        # M[j, b, m] = sum_r P_(r+1)[m, j] db[b, r, j]
-        M = np.matmul(db.transpose(2, 0, 1), P[1:].transpose(2, 0, 1))
+            accT += P[d] * (hq[:L - d].reshape(-1, H).T @ dq[d:].reshape(-1, H))
+        # V[k, b, j] = sum_q hq[q, b, k] P_(L-1-q)[k, j]
+        V = np.matmul(hq.transpose(2, 1, 0), P[L - 1::-1].transpose(1, 0, 2))
+        # M[j, b, m] = sum_r P_(r+1)[m, j] dq[r, b, j]
+        M = np.matmul(dq.transpose(2, 1, 0), P[1:].transpose(2, 0, 1))
         Z = V[:, 0]
         for b in range(1, nb):
             accT += Z @ M[:, b].T

@@ -9,9 +9,19 @@ gen_addition draws the addition problem with rng.uniform into a temporary
 and copies it into a channel-last X; tasks.gen_addition, which draws into
 its final array, must give the same arrays and leave the generator in the
 same state.
+
+kappa2 is the closed matrix form of pathnorm.kappa2 over step-major
+blocks: the steps are zero-padded into (nb, L, H) arrays, from which each
+lag's step pairs are copied out.  pathnorm.kappa2 reads position-major
+blocks and sums the same pairs in another order, so it must agree with
+this form up to rounding.
 """
 
+import math
+
 import numpy as np
+
+from pathsgd import pathnorm
 
 
 def forward(layout, p, x, activation="relu"):
@@ -105,3 +115,47 @@ def gen_addition(length, n, rng):
     X[rows, first, 1] = 1.0
     X[rows, second, 1] = 1.0
     return X, values[rows, first] + values[rows, second]
+
+
+def kappa2(layout, p, states=None):
+    """kappa2 in closed matrix form over step-major blocks hb[b, q] =
+    h_(bL+q), db[b, r] = delta_(bL+r+2); states as in pathnorm.kappa2."""
+    spec = layout.spec
+    n = spec.length - 2
+    out = np.zeros(layout.m)
+    if n < 1:
+        return out
+    if states is None:
+        k1, states = pathnorm._squared_pass(layout, p)
+        if states is None:
+            return k1
+    h, delta = states
+    pt = np.square(np.asarray(p, dtype=float))
+    for i in range(1, spec.depth):
+        A = layout.view(pt, f"rec{i}")
+        H = A.shape[0]
+        L = min(n, math.isqrt(2 * H))
+        nb = -(-n // L)
+        hb = np.zeros((nb * L, H))
+        db = np.zeros((nb * L, H))
+        hb[:n] = h[i][:n, 0]
+        db[:n] = delta[i][2:, 0]
+        hb = hb.reshape(nb, L, H)
+        db = db.reshape(nb, L, H)
+        P = np.empty((L + 1, H, H))
+        P[0] = np.eye(H)
+        for r in range(L):
+            np.matmul(P[r], A, out=P[r + 1])
+        accT = np.zeros((H, H))
+        for d in range(L):
+            accT += P[d] * (hb[:, :L - d].reshape(-1, H).T @ db[:, d:].reshape(-1, H))
+        V = np.matmul(hb.transpose(2, 0, 1), P[L - 1::-1].transpose(1, 0, 2))
+        M = np.matmul(db.transpose(2, 0, 1), P[1:].transpose(2, 0, 1))
+        Z = V[:, 0]
+        for b in range(1, nb):
+            accT += Z @ M[:, b].T
+            if b < nb - 1:
+                Z = Z @ P[L] + V[:, b]
+        sl, _ = layout.slices[f"rec{i}"]
+        out[sl] = (pathnorm.CHRONO_PAIR_COEFF * A * accT.T).reshape(-1)
+    return out

@@ -324,17 +324,20 @@ def _matmul_forward_steps(b, WrecT, first, t, relu):
 
 def _matmul_backward_steps(blk, carry, m, Wrec, last, seeded, t):
     """compute._backward_steps in the matmul form it replaced, with *= for
-    the mask."""
+    the bool mask.  Under ReLU the rows below seeded hold their step's mask
+    as 0.0 / 1.0; it is read back as bools before the product overwrites
+    the row."""
     k = len(blk)
     for s in range(k - 1, -1, -1):
+        ms = None if m is None else blk[s] > 0.0 if s < seeded else m[s]
         if Wrec is not None and not (last and s == k - 1):
             nxt = blk[s + 1] if s + 1 < k else carry
             if s < seeded:
                 np.matmul(nxt, Wrec, out=blk[s])
             else:
                 blk[s] += np.matmul(nxt, Wrec, out=t)
-        if m is not None:
-            blk[s] *= m[s]
+        if ms is not None:
+            blk[s] *= ms
 
 
 def _recurrence_outputs(layout, p, X, activation, r, dY):

@@ -197,6 +197,19 @@ def test_checkpoint_number_text(tmp_path):
     assert q.tobytes() == p.tobytes() and opt2.m1.tobytes() == opt.m1.tobytes()
 
 
+def test_fmt_array_blocks_are_the_per_entry_text(rng):
+    """_fmt_array yields at most FMT_BLOCK lines per string, and its lines
+    are _fmt of each entry, across block boundaries and on values whose
+    text is awkward."""
+    n = 2 * cfgmod.FMT_BLOCK + 5
+    a = rng.standard_normal(n) * np.logspace(-300, 300, n)
+    a[[0, cfgmod.FMT_BLOCK - 1, cfgmod.FMT_BLOCK, n - 1]] = [-0.0, np.inf, np.nan, 5e-324]
+    blocks = list(cfgmod._fmt_array(a))
+    assert [b.count("\n") + 1 for b in blocks] == [cfgmod.FMT_BLOCK] * 2 + [5]
+    assert "\n".join(blocks).split("\n") == [cfgmod._fmt(x) for x in a]
+    assert list(cfgmod._fmt_array(np.zeros(0))) == []
+
+
 def test_checkpoint_without_moments(tmp_path):
     layout = layout_for(1, (2,), 1, 2)
     p = np.linspace(-1, 1, layout.m)
@@ -290,14 +303,16 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
     def fail_midway(a):
         for text in real_fmt_array(a):
             calls.append(1)
-            if len(calls) > 10:
+            if len(calls) > 2:
                 raise OSError("disk full")
             yield text
 
+    # blocks of 4 values, so the write fails inside the parameter array
+    monkeypatch.setattr(cfgmod, "FMT_BLOCK", 4)
     monkeypatch.setattr(cfgmod, "_fmt_array", fail_midway)
     with pytest.raises(OSError):
         save_checkpoint(path, 8, layout, -p, OptimizerState(kind="path_sgd"))
-    assert len(calls) > 10
+    assert len(calls) > 2
     assert path.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["checkpoint.txt"]
     step, q, _ = load_checkpoint(path, layout)

@@ -157,6 +157,28 @@ def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
             assert rel_gap(fast, slow, floor=1.0) < 1e-10
 
 
+@pytest.mark.parametrize("length, hidden", [
+    (750, (100,)),   # L = 14: 53 whole blocks and a partial one
+    (50, (128,)),    # L = 16: exactly 3 blocks
+    (101, (16,)),    # L = 5: a partial last block
+    (30, (8, 3)),    # L = 4 and 2, one per layer
+])
+def test_kappa2_matches_step_major_reference(rng, length, hidden):
+    """At training shapes, beyond the reach of kappa2_bruteforce and
+    kappa_fd, kappa2 agrees with the step-major block form it replaced.
+    Each squared recurrent matrix has spectral radius 1, so kappa2 grows
+    with T and its large entries are compared relative to their size."""
+    layout = RnnLayout.from_spec(RnnSpec(2, hidden, 1, length, bias=True))
+    p = rng.uniform(-1.0, 1.0, layout.m)
+    for i, n in enumerate(hidden, 1):
+        sl, _ = layout.slices[f"rec{i}"]
+        rho = np.max(np.abs(np.linalg.eigvals(p[sl].reshape(n, n) ** 2)))
+        p[sl] /= np.sqrt(rho)
+    expected = reference.kappa2(layout, p)
+    assert np.max(np.abs(expected)) > 100.0
+    assert rel_gap(pathnorm.kappa2(layout, p), expected, floor=1.0) < 1e-12
+
+
 def test_kappa_matches_fd_at_long_unroll(rng):
     """kappa1 + kappa2 against the finite-difference oracle at T ~ 40.  The
     recurrent block is scaled so its squared matrix has spectral radius 1:

@@ -9,7 +9,7 @@ import reference
 
 def test_run_all_quick_passes():
     results = verify.run_all("quick", seed=0)
-    assert len(results) == 9
+    assert len(results) == 10
     for res in results:
         assert res.passed, res.line()
         assert res.worst <= res.threshold or res.name == "sgd-not-invariant"
@@ -51,6 +51,22 @@ def test_zeroed_block_carry_is_caught(monkeypatch):
     results = {r.name: r for r in verify.run_all("quick", seed=0)}
     assert [name for name, r in results.items() if not r.passed] == ["time-blocking"]
     assert compute.BUDGET == budget
+
+
+def test_unmasked_readout_rows_are_caught(monkeypatch):
+    """A backward that skips the ReLU mask on the steps before the read-out
+    step (it sets their 0.0 / 1.0 mask rows to 1.0) is right whenever every
+    step is read out: only the read-out gradient check sees it."""
+    real = compute._backward_steps
+
+    def unmasked(blk, carry, m, Wrec, last, seeded, t):
+        if m is not None:
+            blk[:seeded] = 1.0
+        real(blk, carry, m, Wrec, last, seeded, t)
+
+    monkeypatch.setattr(compute, "_backward_steps", unmasked)
+    results = {r.name: r for r in verify.run_all("quick", seed=0)}
+    assert [name for name, r in results.items() if not r.passed] == ["gradient-check-readout"]
 
 
 def test_sample_kink_free_respects_margin(rng):
