@@ -33,7 +33,7 @@ from .config import (
     write_lines,
     write_metrics,
 )
-from .graph import RnnLayout, RnnSpec
+from .graph import RnnLayout
 
 # perfbench/probe.py times the DAG builder as an attribute of this module;
 # nothing here calls it.  It goes when the probe drops that span.
@@ -69,8 +69,7 @@ def make_task(cfg: RunConfig):
 
 
 def make_net(cfg: RunConfig, task) -> RnnLayout:
-    return RnnLayout.from_spec(RnnSpec(task.input_dim, cfg.hidden, task.output_dim,
-                                       task.length, bias=cfg.bias))
+    return RnnLayout(task.input_dim, cfg.hidden, task.output_dim, task.length, bias=cfg.bias)
 
 
 def init_params(cfg: RunConfig, layout: RnnLayout) -> np.ndarray:
@@ -102,10 +101,14 @@ def tune_malloc() -> None:
 
 def cmd_train(args) -> int:
     tune_malloc()
+    overrides: dict[str, str] = {}
     for kv in args.set:
         if "=" not in kv:
             raise ConfigError(f"--set expects KEY=VALUE, got {kv!r}")
-    overrides = dict(kv.split("=", 1) for kv in args.set)
+        key, value = kv.split("=", 1)
+        if key in overrides:
+            raise ConfigError(f"--set gives {key!r} twice: {key}={overrides[key]} and {kv}")
+        overrides[key] = value
     cfg = load_config(args.config, overrides)
     task = make_task(cfg)
     layout = make_net(cfg, task)
@@ -135,12 +138,17 @@ def cmd_train(args) -> int:
     write_lines(out / "config.txt", config_text(cfg).splitlines())
 
     print(metrics_header(cfg.record_kappa_ratio))
+    rows: list[dict] = []
 
     def on_eval(row, pp, oo):
+        rows.append(row)
         print(metrics_row(row, cfg.record_kappa_ratio))
         sys.stdout.flush()
         if (cfg.checkpoint_interval and row["step"]
                 and row["step"] % cfg.checkpoint_interval == 0):
+            # The rows first: a crash between the two writes then leaves
+            # every row before the newest checkpoint on disk.
+            write_metrics(out / "metrics.csv", rows, cfg.record_kappa_ratio, earlier)
             save_checkpoint(out / f"checkpoint_{row['step']}.txt",
                             row["step"], layout, pp, oo)
 
@@ -184,7 +192,7 @@ def cmd_kappa_ratio(args) -> int:
     print(lines[0])
     for h in hiddens:
         for t in lengths:
-            layout = RnnLayout.from_spec(RnnSpec(args.input_dim, (h,), args.output_dim, t))
+            layout = RnnLayout(args.input_dim, (h,), args.output_dim, t)
             ratios = []
             for s in range(args.seeds):
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)

@@ -145,20 +145,19 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     another row count (with OpenBLAS 0.3.31 the unrounded 81 rows at
     H = 100 change them, and a one-row product runs as gemv).
     """
-    spec = layout.spec
     p = _check_params(p, layout.m)
     X = np.asarray(X, dtype=float)
-    if X.ndim != 3 or X.shape[1] != spec.length or X.shape[2] != spec.input_dim:
+    if X.ndim != 3 or X.shape[1] != layout.length or X.shape[2] != layout.input_dim:
         raise ComputeError(
-            f"rnn_forward: expected X of shape (B, {spec.length}, {spec.input_dim}), got {X.shape}")
+            f"rnn_forward: expected X of shape (B, {layout.length}, {layout.input_dim}), got {X.shape}")
     if X.shape[0] == 0:
         raise ComputeError(f"rnn_forward: empty batch, X of shape {X.shape}")
     _check_activation(activation)
     relu = activation == "relu"
-    B, T = X.shape[0], spec.length
+    B, T = X.shape[0], layout.length
     if not 0 <= first_output < T:
         raise ComputeError(f"rnn_forward: first_output {first_output} outside [0, {T})")
-    layers = range(1, spec.depth)
+    layers = range(1, layout.depth)
 
     weights = [None]  # per hidden layer: (W_in^T, W_rec^T or None, bias or None)
     for i in layers:
@@ -178,9 +177,9 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
         R = Xt.shape[1]
         # buf[i][0] is the state carried into the block, buf[i][1 + s] the
         # state after step s of the block.
-        buf = [None] + [np.empty((K + 1, R, n)) for n in spec.hidden_dims]
-        tmp = [None] + [np.empty((R, n)) for n in spec.hidden_dims]
-        y = np.empty((T - first_output, R, spec.output_dim))
+        buf = [None] + [np.empty((K + 1, R, n)) for n in layout.hidden_dims]
+        tmp = [None] + [np.empty((R, n)) for n in layout.hidden_dims]
+        y = np.empty((T - first_output, R, layout.output_dim))
         for t0 in range(0, T, K):
             k = min(K, T - t0)
             below = Xt[t0:t0 + k]
@@ -206,7 +205,7 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     if keep_trace:
         Xt, buf, y = run(slice(None), T)
         return RnnTrace(h=[Xt] + [a[1:] for a in buf[1:]], y=y.transpose(1, 0, 2))
-    H = max(spec.hidden_dims)
+    H = max(layout.hidden_dims)
     R = min(B, _pow2(BUDGET // 32 // (8 * H)))
     K = min(T, _pow2(BUDGET // 4 // (8 * R * H)))
     ys = [run(slice(lo, lo + R), K)[2] for lo in range(0, B, R)]
@@ -311,17 +310,16 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     dL/dp is bit-identical in both modes.
     """
     _check_activation(activation)
-    spec = layout.spec
     p = np.asarray(p, dtype=float)
     dY = np.asarray(dY, dtype=float)
     if dY.shape != tr.y.shape:
         raise ComputeError(f"rnn_backward: dY shape {dY.shape} != outputs shape {tr.y.shape}")
     dY = np.ascontiguousarray(dY.transpose(1, 0, 2))
-    T, B = spec.length, dY.shape[1]
+    T, B = layout.length, dY.shape[1]
     r = T - dY.shape[0]  # first step with an output
-    K = min(T, max(1, BUDGET // (8 * B * max(spec.hidden_dims))))
+    K = min(T, max(1, BUDGET // (8 * B * max(layout.hidden_dims))))
     relu = activation == "relu"
-    top = spec.depth - 1
+    top = layout.depth - 1
     layers = range(top, 0, -1)
     dp = np.zeros(layout.m)
 
@@ -333,14 +331,14 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         dp[sl] = dY.sum(axis=(0, 1))
 
     weights = [None] + [(layout.view(p, f"in{i}"), layout.matrix(p, f"rec{i}"))
-                        for i in range(1, spec.depth)]
+                        for i in range(1, layout.depth)]
     # dpre of the block being walked: one (K, B, H_i) buffer per layer, or
     # blocks of the full (T, B, H_i) arrays that return_dpre hands back.
-    dpres = [None] + [np.empty((T if return_dpre else K, B, n)) for n in spec.hidden_dims]
+    dpres = [None] + [np.empty((T if return_dpre else K, B, n)) for n in layout.hidden_dims]
     mask = [None] + [np.empty((K, B, n), dtype=bool) if relu else None
-                     for n in spec.hidden_dims]
-    carry = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
-    tmp = [None] + [np.empty((B, n)) for n in spec.hidden_dims]
+                     for n in layout.hidden_dims]
+    carry = [None] + [np.empty((B, n)) for n in layout.hidden_dims]
+    tmp = [None] + [np.empty((B, n)) for n in layout.hidden_dims]
     grads: dict = {}  # the first block walked sets each sum, later blocks add
 
     def add(name, value):

@@ -70,7 +70,6 @@ class RunConfig:
     steps: int = 1000
     eval_interval: int = 100
     seed: int = 0
-    target_loss: float | None = None
     target_test_metric: float | None = None
     record_kappa_ratio: bool = False
     timing: bool = False
@@ -100,7 +99,7 @@ class RunConfig:
         for key in ("seed", "data_seed"):
             if getattr(self, key) < 0:
                 raise ConfigError(f"{key} = {getattr(self, key)} must be >= 0")
-        for key in ("lr", "epsilon", "init_range", "target_loss", "target_test_metric"):
+        for key in ("lr", "epsilon", "init_range", "target_test_metric"):
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{key} = {value} is not finite")
@@ -170,16 +169,21 @@ def _field_value(cfg: RunConfig, key: str, raw: str):
 
 
 def parse_kv_text(text: str) -> dict[str, str]:
-    """``key = value`` per line; blank lines and ``#`` comments ignored."""
+    """``key = value`` per line; blank lines and ``#`` comments ignored.  A
+    key given on two lines is rejected: only one of them could take effect."""
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
             raise ConfigError(f"line {lineno}: expected key = value, got {line!r}")
-        key, raw = body.split("=", 1)
-        out[key.strip()] = raw.strip()
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if key in seen:
+            raise ConfigError(f"line {lineno}: {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
+        out[key] = raw
     return out
 
 
@@ -237,10 +241,9 @@ def _fmt_array(a: np.ndarray):
 
 
 def describe_net(layout: RnnLayout) -> str:
-    s = layout.spec
-    hid = ",".join(str(h) for h in s.hidden_dims)
-    return (f"rnn in={s.input_dim} hidden={hid} out={s.output_dim} "
-            f"T={s.length} bias={int(s.bias)}")
+    hid = ",".join(str(h) for h in layout.hidden_dims)
+    return (f"rnn in={layout.input_dim} hidden={hid} out={layout.output_dim} "
+            f"T={layout.length} bias={int(layout.bias)}")
 
 
 def write_lines(path, lines) -> None:

@@ -1,21 +1,20 @@
-"""Stacked ReLU RNNs: the shape (RnnSpec) and the model (RnnLayout).
+"""Stacked ReLU RNNs: the model, RnnLayout (an MLP is the case T = 1).
 
-RnnLayout maps each weight matrix of an RNN unrolled through time to a
-slice of one flat parameter vector p, so the T applications of a matrix
-entry all read the same parameter.  A feedforward MLP is the case T = 1.
-Training, kappa and the oracles all run on RnnLayout; the oracles address
-one unit at one step by (layer, unit, time) and read its weights through
-param_index.
+RnnLayout holds the shape of an RNN unrolled through time and maps each
+weight matrix to a slice of one flat parameter vector p, so the T
+applications of a matrix entry all read the same parameter.  Training,
+kappa and the oracles all run on it; the oracles address one unit at one
+step by (layer, unit, time) and read its weights through param_index.
 
-build_rnn unrolls a spec into the explicit DAG, SharedWeightNet, with one
-node per unit and step and an edge -> parameter map.  No other module of
-the package reads it; it stays only while perfbench/probe.py times it
+build_rnn unrolls a layout into the explicit DAG, SharedWeightNet, with
+one node per unit and step and an edge -> parameter map.  No other module
+of the package reads it; it stays only while perfbench/probe.py times it
 through the cli module.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +22,7 @@ BIAS_LAYER = -1  # layer coordinate reserved for the bias node
 
 
 class GraphError(ValueError):
-    """Raised when a network or spec violates a structural constraint."""
+    """Raised when a network violates a structural constraint."""
 
 
 @dataclass(frozen=True)
@@ -41,11 +40,20 @@ class NodeRec:
 
 
 @dataclass(frozen=True)
-class RnnSpec:
-    """Shape of a stacked ReLU RNN before unrolling.
+class RnnLayout:
+    """A stacked ReLU RNN unrolled for ``length`` steps, and the layout of
+    its flat parameter vector.
 
     depth = number of weight layers = len(hidden_dims) + 1; a single-layer
-    RNN (one hidden layer) has depth 2.
+    RNN (one hidden layer) has depth 2.  slices maps each weight matrix
+    (and bias vector) to a contiguous slice of the parameter vector, in
+    row-major [target_unit, source_unit] order, and m is the parameter
+    count; both are computed from the shape, so dataclasses.replace
+    recomputes them.  Block order per hidden layer i: W_in^i, W_rec^i
+    (absent when length == 1), b^i (when bias is on); then W_out and
+    b_out.  param_index gives the index of one matrix entry: the oracles
+    read single weights through it, and build_rnn assigns edge parameter
+    indices from it, so matrix views of p and per-entry reads always agree.
     """
 
     input_dim: int
@@ -53,47 +61,20 @@ class RnnSpec:
     output_dim: int
     length: int
     bias: bool = False
+    slices: dict[str, tuple[slice, tuple[int, int]]] = field(init=False, repr=False)
+    m: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
-
-    @property
-    def depth(self) -> int:
-        return len(self.hidden_dims) + 1
-
-    def check(self) -> None:
-        if self.depth < 2 or not self.hidden_dims:
-            raise GraphError("RnnSpec: depth must be >= 2 (at least one hidden layer)")
-        if self.length < 1:
-            raise GraphError("RnnSpec: length must be >= 1")
-        for name, dim in [("input_dim", self.input_dim), ("output_dim", self.output_dim)]:
+        if not self.hidden_dims:
+            raise GraphError("RnnLayout: depth must be >= 2 (at least one hidden layer)")
+        for name, dim in [("length", self.length), ("input_dim", self.input_dim),
+                          ("output_dim", self.output_dim)]:
             if dim < 1:
-                raise GraphError(f"RnnSpec: {name} must be >= 1")
+                raise GraphError(f"RnnLayout: {name} must be >= 1")
         if any(h < 1 for h in self.hidden_dims):
-            raise GraphError("RnnSpec: hidden dims must be >= 1")
-
-
-@dataclass(frozen=True)
-class RnnLayout:
-    """Flat-parameter layout of an unrolled RNN.
-
-    Maps each weight matrix (and bias vector) to a contiguous slice of the
-    parameter vector, in row-major [target_unit, source_unit] order.  Block
-    order per hidden layer i: W_in^i, W_rec^i (absent when length == 1),
-    b^i (when bias is on); then W_out and b_out.  param_index gives the
-    index of one matrix entry: the oracles read single weights through it,
-    and build_rnn assigns edge parameter indices from it, so matrix views
-    of p and per-entry reads always agree.
-    """
-
-    spec: RnnSpec
-    slices: dict[str, tuple[slice, tuple[int, int]]]
-    m: int
-
-    @classmethod
-    def from_spec(cls, spec: RnnSpec) -> "RnnLayout":
-        spec.check()
-        dims = (spec.input_dim,) + spec.hidden_dims
+            raise GraphError("RnnLayout: hidden dims must be >= 1")
+        dims = self.dims
         slices: dict[str, tuple[slice, tuple[int, int]]] = {}
         off = 0
 
@@ -103,16 +84,26 @@ class RnnLayout:
             slices[name] = (slice(off, off + n), shape)
             off += n
 
-        for i in range(1, spec.depth):
+        for i in range(1, self.depth):
             add(f"in{i}", (dims[i], dims[i - 1]))
-            if spec.length >= 2:
+            if self.length >= 2:
                 add(f"rec{i}", (dims[i], dims[i]))
-            if spec.bias:
+            if self.bias:
                 add(f"b{i}", (dims[i], 1))
-        add("out", (spec.output_dim, spec.hidden_dims[-1]))
-        if spec.bias:
-            add("bout", (spec.output_dim, 1))
-        return cls(spec=spec, slices=slices, m=off)
+        add("out", (self.output_dim, self.hidden_dims[-1]))
+        if self.bias:
+            add("bout", (self.output_dim, 1))
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "m", off)
+
+    @property
+    def depth(self) -> int:
+        return len(self.hidden_dims) + 1
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        """Widths of layers 0 (the input) .. depth - 1 (the top hidden layer)."""
+        return (self.input_dim,) + self.hidden_dims
 
     def view(self, p: np.ndarray, name: str) -> np.ndarray:
         sl, shape = self.slices[name]
@@ -157,8 +148,8 @@ class SharedWeightNet:
         return self._coord[(layer, unit, time)]
 
 
-def build_rnn(spec: RnnSpec) -> SharedWeightNet:
-    """Unroll an RNN spec into a shared-weight DAG.
+def build_rnn(layout: RnnLayout) -> SharedWeightNet:
+    """Unroll an RNN layout into a shared-weight DAG.
 
     Hidden state at t=0 is the constant zero, modeled by omitting recurrent
     edges into the first time step.  Output nodes exist at every time step
@@ -166,9 +157,7 @@ def build_rnn(spec: RnnSpec) -> SharedWeightNet:
     no recurrent parameters are materialized (every parameter index must be
     used by at least one edge).
     """
-    layout = RnnLayout.from_spec(spec)
-    d, T = spec.depth, spec.length
-    dims = (spec.input_dim,) + spec.hidden_dims
+    d, T, dims = layout.depth, layout.length, layout.dims
 
     nodes: list[NodeRec] = []
 
@@ -177,17 +166,17 @@ def build_rnn(spec: RnnSpec) -> SharedWeightNet:
         nodes.append(NodeRec(idx, kind, layer, unit, time))
         return idx
 
-    if spec.bias:
+    if layout.bias:
         add_node("bias", BIAS_LAYER, 0, 0)
     for t in range(1, T + 1):
-        for k in range(spec.input_dim):
+        for k in range(layout.input_dim):
             add_node("input", 0, k, t)
     for t in range(1, T + 1):
         for i in range(1, d):
             for j in range(dims[i]):
                 add_node("internal", i, j, t)
     for t in range(1, T + 1):
-        for j in range(spec.output_dim):
+        for j in range(layout.output_dim):
             add_node("output", d, j, t)
 
     coord = {(n.layer, n.unit, n.time): n.idx for n in nodes}
@@ -209,13 +198,13 @@ def build_rnn(spec: RnnSpec) -> SharedWeightNet:
                     for k in range(dims[i]):
                         u = coord[(i, k, t - 1)]
                         add_edge(u, v, layout.param_index(f"rec{i}", j, k))
-                if spec.bias:
+                if layout.bias:
                     add_edge(coord[(BIAS_LAYER, 0, 0)], v, layout.param_index(f"b{i}", j, 0))
-        for j in range(spec.output_dim):
+        for j in range(layout.output_dim):
             v = coord[(d, j, t)]
             for k in range(dims[d - 1]):
                 add_edge(coord[(d - 1, k, t)], v, layout.param_index("out", j, k))
-            if spec.bias:
+            if layout.bias:
                 add_edge(coord[(BIAS_LAYER, 0, 0)], v, layout.param_index("bout", j, 0))
 
     return SharedWeightNet(nodes, edges, pidx, layout.m)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphError, RnnLayout, RnnSpec
+from .graph import GraphError, RnnLayout
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,16 @@ class NodeScaling:
         return self.layers[i - 1]
 
 
-def random_rescaling(spec: RnnSpec, rng: np.random.Generator,
+def random_rescaling(layout: RnnLayout, rng: np.random.Generator,
                      log_range: float) -> NodeScaling:
     """Scales drawn as exp(U(-log_range, log_range)) per hidden unit."""
     if log_range < 0:
         raise GraphError("random_rescaling: log_range must be >= 0")
     return NodeScaling(tuple(
-        np.exp(rng.uniform(-log_range, log_range, size=h)) for h in spec.hidden_dims))
+        np.exp(rng.uniform(-log_range, log_range, size=h)) for h in layout.hidden_dims))
 
 
-def apply_rescaling(spec: RnnSpec, p: np.ndarray, alpha: NodeScaling) -> np.ndarray:
+def apply_rescaling(layout: RnnLayout, p: np.ndarray, alpha: NodeScaling) -> np.ndarray:
     """Transform RNN parameters by a node-wise rescaling.
 
     Per hidden layer i with scales a^i: the first input matrix scales rows by
@@ -57,16 +57,15 @@ def apply_rescaling(spec: RnnSpec, p: np.ndarray, alpha: NodeScaling) -> np.ndar
     output biases are untouched.  The transformed net computes the same
     function for any input.
     """
-    layout = RnnLayout.from_spec(spec)
     p = np.asarray(p, dtype=float)
     if p.shape != (layout.m,):
         raise GraphError(f"apply_rescaling: expected {layout.m} parameters, got {p.shape}")
-    if len(alpha.layers) != len(spec.hidden_dims) or any(
-            a.shape[0] != h for a, h in zip(alpha.layers, spec.hidden_dims)):
-        raise GraphError("apply_rescaling: scaling shape does not match spec hidden dims")
+    if len(alpha.layers) != len(layout.hidden_dims) or any(
+            a.shape[0] != h for a, h in zip(alpha.layers, layout.hidden_dims)):
+        raise GraphError("apply_rescaling: scaling shape does not match the hidden dims")
 
     out = p.copy()
-    d = spec.depth
+    d = layout.depth
     for i in range(1, d):
         a_i = alpha.layer(i)
         sl, shape = layout.slices[f"in{i}"]

@@ -154,16 +154,14 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
     step index is a multiple of eval_interval, then applies the update.
     Path kinds divide by kappa taken at those same parameters.  The last
     pass, at step == steps, runs loss_and_grad with grad=False, since no
-    update follows it, and always records a row.  A step whose loss meets
-    target_loss records its row with that loss and metric and stops the run
-    as converged, as does an eval row that meets target_test_metric; the
-    final row ends the run as budget_exhausted whatever it meets.  Nothing
-    but (p, opt) carries from one step to the next, so resuming from
-    (p, opt, start_step) at any step reproduces the uninterrupted run
-    exactly.
+    update follows it, and always records a row.  An eval row that meets
+    target_test_metric stops the run as converged; the final row ends the
+    run as budget_exhausted whatever it meets.  Nothing but (p, opt)
+    carries from one step to the next, so resuming from (p, opt,
+    start_step) at any step reproduces the uninterrupted run exactly.
 
     config is the run's RunConfig, validated again here.  The loop reads
-    steps, batch_size, eval_interval, seed, target_loss, target_test_metric,
+    steps, batch_size, eval_interval, seed, target_test_metric,
     record_kappa_ratio and timing from it; the optimizer settings come from
     opt.
 
@@ -202,16 +200,14 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
         reason = _loss_divergence(loss)
         if reason:
             break
-        met = config.target_loss is not None and loss <= config.target_loss
-        if last or met or step % config.eval_interval == 0:
+        if last or step % config.eval_interval == 0:
             row = eval_row(step, loss, metric)
-            met = met or (config.target_test_metric is not None
-                          and row["test_metric"] <= config.target_test_metric)
-        if last:
-            break
-        if met:
-            status = "converged"
-            break
+            if last:
+                break
+            if (config.target_test_metric is not None
+                    and row["test_metric"] <= config.target_test_metric):
+                status = "converged"
+                break
         kappa = None
         if opt.uses_kappa:
             kappa = pathnorm.preconditioner(layout, p, opt.kappa_mode)

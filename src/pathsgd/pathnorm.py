@@ -66,11 +66,6 @@ class EnumerationError(RuntimeError):
     """Path enumeration would exceed PATH_GUARD."""
 
 
-def _dims(layout: RnnLayout) -> tuple[int, ...]:
-    """Widths of layers 0 (the input) .. depth - 1 (the top hidden layer)."""
-    return (layout.spec.input_dim,) + layout.spec.hidden_dims
-
-
 def gamma_recursive(layout: RnnLayout, p: np.ndarray) -> float:
     """gamma^2 of an unrolled RNN by the per-unit recursion, in scalar loops
     over (layer, unit, time) coordinates.
@@ -80,13 +75,13 @@ def gamma_recursive(layout: RnnLayout, p: np.ndarray) -> float:
     squared weight: the in{i} sources first, then rec{i} from the previous
     step, then the bias.  The net value sums the outputs of every step.
     """
-    spec, pi = layout.spec, layout.param_index
+    pi = layout.param_index
     p = np.asarray(p, dtype=float).tolist()
-    dims, top = _dims(layout), spec.depth - 1
+    dims, top = layout.dims, layout.depth - 1
     prev: list = [None] * (top + 1)  # each layer's values at the previous step
     total = 0.0
-    for t in range(spec.length):
-        below = [1.0] * spec.input_dim
+    for t in range(layout.length):
+        below = [1.0] * layout.input_dim
         for i in range(1, top + 1):
             cur = []
             for j in range(dims[i]):
@@ -98,17 +93,17 @@ def gamma_recursive(layout: RnnLayout, p: np.ndarray) -> float:
                     for k in range(dims[i]):
                         w = p[pi(f"rec{i}", j, k)]
                         z += w * w * prev[i][k]
-                if spec.bias:
+                if layout.bias:
                     w = p[pi(f"b{i}", j, 0)]
                     z += w * w
                 cur.append(z)
             prev[i] = below = cur
-        for j in range(spec.output_dim):
+        for j in range(layout.output_dim):
             z = 0.0
             for k in range(dims[top]):
                 w = p[pi("out", j, k)]
                 z += w * w * below[k]
-            if spec.bias:
+            if layout.bias:
                 w = p[pi("bout", j, 0)]
                 z += w * w
             total += z
@@ -118,7 +113,7 @@ def gamma_recursive(layout: RnnLayout, p: np.ndarray) -> float:
 def gamma(layout: RnnLayout, p: np.ndarray) -> float:
     """gamma^2 of an unrolled RNN: the summed output of compute.rnn_forward
     on the squared parameters at the all-ones input, identity activation."""
-    X = np.ones((1, layout.spec.length, layout.spec.input_dim))
+    X = np.ones((1, layout.length, layout.input_dim))
     tr = compute.rnn_forward(layout, np.square(p), X, "identity", keep_trace=False)
     return float(tr.y.sum())
 
@@ -127,20 +122,19 @@ def count_paths(layout: RnnLayout) -> int:
     """Number of paths from an input or bias to an output of the unrolled
     net.  All units of one layer at one step reach the outputs by equally
     many paths, so the count runs over (layer, time) alone."""
-    spec = layout.spec
-    dims, top, T = _dims(layout), spec.depth - 1, spec.length
+    dims, top, T = layout.dims, layout.depth - 1, layout.length
     # ahead[i]: paths from one unit of layer i at step t to an output
     ahead = [0] * (top + 1)
     total = 0
     for t in reversed(range(T)):
         nxt = list(ahead)  # the counts at step t + 1
         for i in range(top, -1, -1):
-            ahead[i] = spec.output_dim if i == top else dims[i + 1] * ahead[i + 1]
+            ahead[i] = layout.output_dim if i == top else dims[i + 1] * ahead[i + 1]
             if i and t + 1 < T:
                 ahead[i] += dims[i] * nxt[i]
         total += dims[0] * ahead[0]
-        if spec.bias:
-            total += sum(dims[i] * ahead[i] for i in range(1, top + 1)) + spec.output_dim
+        if layout.bias:
+            total += sum(dims[i] * ahead[i] for i in range(1, top + 1)) + layout.output_dim
     return total
 
 
@@ -157,12 +151,12 @@ def iter_paths(layout: RnnLayout):
     n = count_paths(layout)
     if n > PATH_GUARD:
         raise EnumerationError(f"{n} paths exceed the enumeration guard of {PATH_GUARD}")
-    spec, pi = layout.spec, layout.param_index
-    dims, top, T = _dims(layout), spec.depth - 1, spec.length
+    pi = layout.param_index
+    dims, top, T = layout.dims, layout.depth - 1, layout.length
 
     def walk(i: int, k: int, t: int, acc: list[int]):
         if i == top:
-            for j in range(spec.output_dim):
+            for j in range(layout.output_dim):
                 yield acc + [pi("out", j, k)]
         else:
             for j in range(dims[i + 1]):
@@ -172,14 +166,14 @@ def iter_paths(layout: RnnLayout):
                 yield from walk(i, j, t + 1, acc + [pi(f"rec{i}", j, k)])
 
     for t in range(T):
-        for k in range(spec.input_dim):
+        for k in range(layout.input_dim):
             yield from walk(0, k, t, [])
-    if spec.bias:
+    if layout.bias:
         for t in range(T):
             for i in range(1, top + 1):
                 for j in range(dims[i]):
                     yield from walk(i, j, t, [pi(f"b{i}", j, 0)])
-            for j in range(spec.output_dim):
+            for j in range(layout.output_dim):
                 yield [pi("bout", j, 0)]
 
 
@@ -233,11 +227,10 @@ def _squared_pass(layout: RnnLayout, p: np.ndarray):
     rnn_forward rejects a non-finite parameter vector, so an overflowed p^2
     gives an all-inf kappa1 and no states instead.
     """
-    spec = layout.spec
     pt = np.square(np.asarray(p, dtype=float))
     if not np.all(np.isfinite(pt)):
         return np.full(layout.m, np.inf), None
-    tr = compute.rnn_forward(layout, pt, np.ones((1, spec.length, spec.input_dim)),
+    tr = compute.rnn_forward(layout, pt, np.ones((1, layout.length, layout.input_dim)),
                              "identity")
     k1, delta = compute.rnn_backward(layout, pt, tr, np.ones_like(tr.y), "identity",
                                      return_dpre=True)
@@ -338,8 +331,7 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
     (h, delta), otherwise the pass runs here.
     """
-    spec = layout.spec
-    n = spec.length - 2
+    n = layout.length - 2
     out = np.zeros(layout.m)
     if n < 1:
         return out
@@ -349,7 +341,7 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
             return k1
     h, delta = states
     pt = np.square(np.asarray(p, dtype=float))
-    for i in range(1, spec.depth):
+    for i in range(1, layout.depth):
         A = layout.view(pt, f"rec{i}")
         H = A.shape[0]
         L = min(n, math.isqrt(2 * H))

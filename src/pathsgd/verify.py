@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import compute, invariance, optim, pathnorm
-from .graph import RnnLayout, RnnSpec
+from .graph import RnnLayout
 
 
 @dataclass
@@ -34,10 +34,10 @@ class PropertyResult:
                 f"threshold={self.threshold:.0e} n={self.n}{extra}")
 
 
-def random_spec(rng: np.random.Generator, max_hidden: int = 3,
-                max_len: int = 4, max_depth: int = 2) -> RnnSpec:
+def random_layout(rng: np.random.Generator, max_hidden: int = 3,
+                  max_len: int = 4, max_depth: int = 2) -> RnnLayout:
     depth = int(rng.integers(1, max_depth + 1))
-    return RnnSpec(
+    return RnnLayout(
         input_dim=int(rng.integers(1, 3)),
         hidden_dims=tuple(int(rng.integers(1, max_hidden + 1)) for _ in range(depth)),
         output_dim=int(rng.integers(1, 3)),
@@ -45,18 +45,18 @@ def random_spec(rng: np.random.Generator, max_hidden: int = 3,
         bias=bool(rng.integers(0, 2)))
 
 
-def _random_mlp(rng: np.random.Generator) -> RnnSpec:
+def _random_mlp(rng: np.random.Generator) -> RnnLayout:
     """An MLP with 2 or 3 weight layers: the RNN unrolled for one step."""
     depth = int(rng.integers(2, 4))
     dims = [int(rng.integers(1, 4)) for _ in range(depth + 1)]
-    return RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1)
+    return RnnLayout(dims[0], tuple(dims[1:-1]), dims[-1], 1)
 
 
-def random_net_spec(rng: np.random.Generator) -> RnnSpec:
+def random_net(rng: np.random.Generator) -> RnnLayout:
     """A small random net: an unrolled RNN or, sometimes, a plain MLP."""
     if rng.uniform() < 0.25:
         return _random_mlp(rng)
-    return random_spec(rng)
+    return random_layout(rng)
 
 
 def random_params(layout: RnnLayout, rng: np.random.Generator) -> np.ndarray:
@@ -68,7 +68,7 @@ def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray, margin: float) -
     # identically 0 in a neighborhood of p and the unit is smooth.  The
     # trace keeps only h, so pre is recomputed from it.
     h = compute.rnn_forward(layout, p, X).h
-    for i in range(1, layout.spec.depth):
+    for i in range(1, layout.depth):
         pre = h[i - 1] @ layout.view(p, f"in{i}").T
         live = np.any(h[i - 1] != 0.0, axis=2)  # (T, B): some source is not 0
         Wrec = layout.matrix(p, f"rec{i}")
@@ -104,7 +104,7 @@ def check_gamma_oracle(rng, n, threshold=1e-10) -> PropertyResult:
     """gamma^2 from the layout forward equals brute-force path enumeration."""
     worst = 0.0
     for _ in range(n):
-        layout = RnnLayout.from_spec(random_net_spec(rng))
+        layout = random_net(rng)
         p = random_params(layout, rng)
         g_fast = pathnorm.gamma(layout, p)
         g_slow = pathnorm.gamma_bruteforce(layout, p)
@@ -116,7 +116,7 @@ def check_kappa_decomposition(rng, n, threshold=1e-4) -> PropertyResult:
     """kappa1 + kappa2 matches the finite-difference second derivative."""
     worst = 0.0
     for _ in range(n):
-        layout = RnnLayout.from_spec(random_net_spec(rng))
+        layout = random_net(rng)
         p = random_params(layout, rng)
         total = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
         fd = pathnorm.kappa_fd(layout, p)
@@ -128,7 +128,7 @@ def check_kappa2_closed_form(rng, n, threshold=1e-10) -> PropertyResult:
     """The recurrent matrix form of kappa2 equals pair enumeration."""
     worst = 0.0
     for _ in range(n):
-        layout = RnnLayout.from_spec(random_spec(rng))
+        layout = random_layout(rng)
         p = random_params(layout, rng)
         k2_fast = pathnorm.kappa2(layout, p)
         k2_slow = pathnorm.kappa2_bruteforce(layout, p)
@@ -140,7 +140,7 @@ def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
     """Without weight sharing, the interaction term vanishes identically."""
     worst = 0.0
     for _ in range(n):
-        layout = RnnLayout.from_spec(_random_mlp(rng))
+        layout = _random_mlp(rng)
         p = random_params(layout, rng)
         worst = max(worst, float(np.max(np.abs(pathnorm.kappa2_bruteforce(layout, p)))))
     return PropertyResult("feedforward-kappa2-zero", worst == 0.0, worst, 0.0, n,
@@ -151,12 +151,11 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
     """Feasible node-wise rescalings preserve the function and gamma^2."""
     worst = 0.0
     for _ in range(n):
-        spec = random_spec(rng)
-        layout = RnnLayout.from_spec(spec)
+        layout = random_layout(rng)
         p = random_params(layout, rng)
-        alpha = invariance.random_rescaling(spec, rng, 1.5)
-        q = invariance.apply_rescaling(spec, p, alpha)
-        X = rng.standard_normal((3, spec.length, spec.input_dim))
+        alpha = invariance.random_rescaling(layout, rng, 1.5)
+        q = invariance.apply_rescaling(layout, p, alpha)
+        X = rng.standard_normal((3, layout.length, layout.input_dim))
         ya = compute.rnn_forward(layout, p, X).y
         yb = compute.rnn_forward(layout, q, X).y
         scale = max(1.0, float(np.max(np.abs(ya))))
@@ -169,8 +168,7 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
 
 def _trajectory_gap(layout, p, q, stepper, steps, rng):
     """Max output gap between trainings started from equivalent parameters."""
-    spec = layout.spec
-    X = rng.standard_normal((4, spec.length, spec.input_dim))
+    X = rng.standard_normal((4, layout.length, layout.input_dim))
     pa, qa = p.copy(), q.copy()
     for _ in range(steps):
         tra = compute.rnn_forward(layout, pa, X)
@@ -189,11 +187,10 @@ def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3) -> PropertyResult
     """Path-SGD trajectories commute with rescaling, in both kappa modes."""
     worst = 0.0
     for _ in range(n):
-        spec = random_spec(rng)
-        layout = RnnLayout.from_spec(spec)
+        layout = random_layout(rng)
         p = rng.uniform(-0.9, 0.9, layout.m)
-        alpha = invariance.random_rescaling(spec, rng, 1.0)
-        q = invariance.apply_rescaling(spec, p, alpha)
+        alpha = invariance.random_rescaling(layout, rng, 1.0)
+        q = invariance.apply_rescaling(layout, p, alpha)
         for mode in pathnorm.KAPPA_MODES:
             def stepper(pp, gg, mode=mode):
                 return optim.path_sgd_step(layout, pp, gg, 0.05, mode)
@@ -205,11 +202,10 @@ def check_sgd_not_invariant(rng, n, threshold=1e-3, steps=3) -> PropertyResult:
     """Negative control: plain SGD must break under the same rescalings."""
     worst = 0.0
     for _ in range(n):
-        spec = random_spec(rng, max_len=4)
-        layout = RnnLayout.from_spec(spec)
+        layout = random_layout(rng, max_len=4)
         p = rng.uniform(-0.9, 0.9, layout.m)
-        alpha = invariance.random_rescaling(spec, rng, 1.5)
-        q = invariance.apply_rescaling(spec, p, alpha)
+        alpha = invariance.random_rescaling(layout, rng, 1.5)
+        q = invariance.apply_rescaling(layout, p, alpha)
         gap = _trajectory_gap(layout, p, q,
                               lambda pp, gg: optim.sgd_step(pp, gg, 0.05), steps, rng)
         worst = max(worst, gap)
@@ -225,11 +221,10 @@ def check_gradient(rng, n, threshold=1e-5, readout=False) -> PropertyResult:
     seed."""
     worst = 0.0
     for _ in range(n):
-        spec = random_net_spec(rng)
-        layout = RnnLayout.from_spec(spec)
-        first = spec.length - 1 if readout else 0
-        X = np.empty((2, spec.length, spec.input_dim))
-        Y = np.empty((2, spec.length - first, spec.output_dim))
+        layout = random_net(rng)
+        first = layout.length - 1 if readout else 0
+        X = np.empty((2, layout.length, layout.input_dim))
+        Y = np.empty((2, layout.length - first, layout.output_dim))
         for b in range(2):  # each example's input, then its target
             X[b] = rng.standard_normal(X.shape[1:])
             Y[b] = rng.standard_normal(Y.shape[1:])
@@ -256,17 +251,16 @@ def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
     default = compute.BUDGET
     try:
         for _ in range(n):
-            spec = replace(random_spec(rng), length=int(rng.integers(4, 10)))
-            layout = RnnLayout.from_spec(spec)
+            layout = replace(random_layout(rng), length=int(rng.integers(4, 10)))
             p = random_params(layout, rng)
-            X = rng.standard_normal((3, spec.length, spec.input_dim))
+            X = rng.standard_normal((3, layout.length, layout.input_dim))
             tr = compute.rnn_forward(layout, p, X)
             dY = rng.standard_normal(tr.y.shape)
             compute.BUDGET = default
             g = compute.rnn_backward(layout, p, tr, dY)
             y = compute.rnn_forward(layout, p, X, keep_trace=False).y
             for k in (1, 2, 3):
-                compute.BUDGET = k * 8 * len(X) * max(spec.hidden_dims)
+                compute.BUDGET = k * 8 * len(X) * max(layout.hidden_dims)
                 worst = max(worst, _rel(compute.rnn_backward(layout, p, tr, dY), g, 1.0),
                             _rel(compute.rnn_forward(layout, p, X, keep_trace=False).y,
                                  y, 1.0))

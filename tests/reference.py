@@ -27,11 +27,11 @@ from pathsgd import pathnorm
 def forward(layout, p, x, activation="relu"):
     """Outputs y[t][o] for the input x[t][k], plus the states h[t][i][j]
     (h[t][0] is x[t]) and pre-activations pre[t][i][j] of hidden layer i."""
-    spec, pi = layout.spec, layout.param_index
+    pi = layout.param_index
     p = [float(v) for v in p]
-    dims, top = (spec.input_dim,) + spec.hidden_dims, spec.depth - 1
+    dims, top = layout.dims, layout.depth - 1
     y, h, pre = [], [], []
-    for t in range(spec.length):
+    for t in range(layout.length):
         hs, zs = [[float(v) for v in x[t]]], [None]
         for i in range(1, top + 1):
             zi = []
@@ -42,17 +42,17 @@ def forward(layout, p, x, activation="relu"):
                 if t:
                     for k in range(dims[i]):
                         z += p[pi(f"rec{i}", j, k)] * h[t - 1][i][k]
-                if spec.bias:
+                if layout.bias:
                     z += p[pi(f"b{i}", j, 0)]
                 zi.append(z)
             zs.append(zi)
             hs.append(zi if activation == "identity" else [z if z > 0.0 else 0.0 for z in zi])
         yt = []
-        for o in range(spec.output_dim):
+        for o in range(layout.output_dim):
             z = 0.0
             for k in range(dims[top]):
                 z += p[pi("out", o, k)] * hs[top][k]
-            if spec.bias:
+            if layout.bias:
                 z += p[pi("bout", o, 0)]
             yt.append(z)
         y.append(yt)
@@ -65,17 +65,17 @@ def backward(layout, p, x, dy, activation="relu"):
     """d(sum over t, o of dy[t][o] y[t][o]) / dp by reverse mode, step by
     step from the last, layers top-down.  The ReLU derivative is 0 at a
     pre-activation of exactly 0."""
-    spec, pi = layout.spec, layout.param_index
+    pi = layout.param_index
     _, h, pre = forward(layout, p, x, activation)
     p = [float(v) for v in p]
-    dims, top, T = (spec.input_dim,) + spec.hidden_dims, spec.depth - 1, spec.length
+    dims, top, T = layout.dims, layout.depth - 1, layout.length
     dp = [0.0] * layout.m
     later = [[0.0] * n for n in dims]  # dpre of each layer at step t + 1
     for t in reversed(range(T)):
-        for o in range(spec.output_dim):
+        for o in range(layout.output_dim):
             for k in range(dims[top]):
                 dp[pi("out", o, k)] += dy[t][o] * h[t][top][k]
-            if spec.bias:
+            if layout.bias:
                 dp[pi("bout", o, 0)] += dy[t][o]
         above = None  # dpre of layer i + 1 at step t
         for i in range(top, 0, -1):
@@ -83,7 +83,7 @@ def backward(layout, p, x, dy, activation="relu"):
             for j in range(dims[i]):
                 d = 0.0
                 if i == top:
-                    for o in range(spec.output_dim):
+                    for o in range(layout.output_dim):
                         d += dy[t][o] * p[pi("out", o, j)]
                 else:
                     for q in range(dims[i + 1]):
@@ -98,7 +98,7 @@ def backward(layout, p, x, dy, activation="relu"):
                 if t:
                     for k in range(dims[i]):
                         dp[pi(f"rec{i}", j, k)] += di[j] * h[t - 1][i][k]
-                if spec.bias:
+                if layout.bias:
                     dp[pi(f"b{i}", j, 0)] += di[j]
             later[i] = above = di
     return dp
@@ -120,8 +120,7 @@ def gen_addition(length, n, rng):
 def kappa2(layout, p, states=None):
     """kappa2 in closed matrix form over step-major blocks hb[b, q] =
     h_(bL+q), db[b, r] = delta_(bL+r+2); states as in pathnorm.kappa2."""
-    spec = layout.spec
-    n = spec.length - 2
+    n = layout.length - 2
     out = np.zeros(layout.m)
     if n < 1:
         return out
@@ -131,7 +130,7 @@ def kappa2(layout, p, states=None):
             return k1
     h, delta = states
     pt = np.square(np.asarray(p, dtype=float))
-    for i in range(1, spec.depth):
+    for i in range(1, layout.depth):
         A = layout.view(pt, f"rec{i}")
         H = A.shape[0]
         L = min(n, math.isqrt(2 * H))

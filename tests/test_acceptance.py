@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from pathsgd import cli, compute, graph, invariance, optim, pathnorm, tasks, verify
-from pathsgd.graph import RnnSpec
+from pathsgd import cli, compute, invariance, optim, pathnorm, tasks, verify
+from pathsgd.graph import RnnLayout
 
 
 def _report(capsys, num, title, ok, detail):
@@ -41,14 +41,14 @@ def test_criterion_02_kappa_decomposition(capsys):
     t0 = time.time()
     worst_fd, worst_closed = 0.0, 0.0
     for _ in range(24):
-        layout = graph.RnnLayout.from_spec(verify.random_spec(rng, max_hidden=3, max_len=4))
+        layout = verify.random_layout(rng, max_hidden=3, max_len=4)
         p = rng.uniform(-0.5, 0.5, layout.m)
         total = pathnorm.kappa1(layout, p) + pathnorm.kappa2_bruteforce(layout, p)
         worst_fd = max(worst_fd, _rel(total, pathnorm.kappa_fd(layout, p), 1.0))
         worst_closed = max(worst_closed, _rel(pathnorm.kappa2(layout, p),
                                               pathnorm.kappa2_bruteforce(layout, p), 1.0))
-    unit2 = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 2, bias=False))
-    unit3 = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 3, bias=False))
+    unit2 = RnnLayout(1, (1,), 1, 2, bias=False)
+    unit3 = RnnLayout(1, (1,), 1, 3, bias=False)
     ones = np.ones(3)
     k_t2 = pathnorm.kappa1(unit2, ones) + pathnorm.kappa2(unit2, ones)
     k1_t3 = pathnorm.kappa1(unit3, ones)
@@ -81,18 +81,17 @@ def test_criterion_05_update_invariance(capsys):
     rng = np.random.default_rng(505)
     worst, n = 0.0, 0
     while n < 50:
-        spec = verify.random_spec(rng)
-        layout = graph.RnnLayout.from_spec(spec)
+        layout = verify.random_layout(rng)
         p = rng.uniform(-0.9, 0.9, layout.m)
-        alpha = invariance.random_rescaling(spec, rng, 1.0)
-        q = invariance.apply_rescaling(spec, p, alpha)
+        alpha = invariance.random_rescaling(layout, rng, 1.0)
+        q = invariance.apply_rescaling(layout, p, alpha)
         # skip instances where the epsilon floor would bind and break exactness
         floor_free = all(
             float(np.min(pathnorm.preconditioner(layout, pp, mode))) > 10 * optim.DEFAULT_EPS
             for pp in (p, q) for mode in pathnorm.KAPPA_MODES)
         if not floor_free:
             continue
-        X = rng.standard_normal((4, spec.length, spec.input_dim))
+        X = rng.standard_normal((4, layout.length, layout.input_dim))
         for mode in pathnorm.KAPPA_MODES:
             pa, qa = p.copy(), q.copy()
             for _ in range(3):
@@ -109,12 +108,11 @@ def test_criterion_05_update_invariance(capsys):
         n += 1
 
     # pinned negative control: plain SGD must drift apart under the same rescaling
-    spec = RnnSpec(1, (1,), 1, 2, bias=False)
-    layout = graph.RnnLayout.from_spec(spec)
+    layout = RnnLayout(1, (1,), 1, 2, bias=False)
     p = np.array([1.0, 0.8, 1.2])
-    alpha = invariance.random_rescaling(spec, np.random.default_rng(55), 1.5)
-    q = invariance.apply_rescaling(spec, p, alpha)
-    X = np.random.default_rng(56).standard_normal((4, spec.length, spec.input_dim))
+    alpha = invariance.random_rescaling(layout, np.random.default_rng(55), 1.5)
+    q = invariance.apply_rescaling(layout, p, alpha)
+    X = np.random.default_rng(56).standard_normal((4, layout.length, layout.input_dim))
     pa, qa = p.copy(), q.copy()
     for _ in range(3):
         tra = compute.rnn_forward(layout, pa, X)
@@ -144,7 +142,7 @@ def test_criterion_07_kappa_ratio_trend(capsys):
     def cell(h, t, seeds=5):
         # wide readout (output dim far above H), the regime in which the
         # interaction share shrinks as H grows; narrow readouts reverse it
-        layout = graph.RnnLayout.from_spec(RnnSpec(10000, (h,), 10000, t))
+        layout = RnnLayout(10000, (h,), 10000, t)
         vals = []
         for s in range(seeds):
             rng = optim.rng_for(0, optim.STREAM_INIT, s)
@@ -170,7 +168,7 @@ def test_criterion_07_kappa_ratio_trend(capsys):
 def test_criterion_08_addition_training(capsys):
     t0 = time.time()
     task = tasks.AdditionTask(length=40, eval_size=1024, eval_seed=1)
-    layout = graph.RnnLayout.from_spec(RnnSpec(2, (32,), 1, 40, bias=False))
+    layout = RnnLayout(2, (32,), 1, 40, bias=False)
 
     def best_test_mse(kind, eta, seed):
         p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.30)

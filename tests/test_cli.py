@@ -151,7 +151,7 @@ def test_train_reads_the_corpus_as_utf8(tmp_path, locale):
     assert (out / "metrics.csv").read_bytes() == (ref / "metrics.csv").read_bytes()
 
 
-@pytest.mark.parametrize("setting", ["lr=nan", "init_range=inf", "target_loss=nan"])
+@pytest.mark.parametrize("setting", ["lr=nan", "init_range=inf", "target_test_metric=nan"])
 def test_train_rejects_non_finite_settings(tmp_path, capsys, setting):
     """A non-finite float setting exits 1, names the key and writes
     nothing, instead of a diverged run, a traceback or a target that never
@@ -166,7 +166,8 @@ def test_train_rejects_non_finite_settings(tmp_path, capsys, setting):
 
 def test_train_divergence_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
-    code = run_cli("train", *TINY, "--set", "hidden=4", "--set", "steps=200",
+    code = run_cli("train", "--set", "task=addition", "--set", "seq_len=4",
+                   "--set", "hidden=4", "--set", "eval_size=16", "--set", "steps=200",
                    "--set", "eval_interval=10", "--set", "optimizer=sgd",
                    "--set", "lr=10.0", "--set", "init_range=1.0",
                    "--set", f"out_dir={out}")
@@ -199,7 +200,7 @@ def test_train_kappa_overflow_skips_kappa2_quietly(tmp_path, capsys, monkeypatch
     kappa1, kappa2 never runs, and numpy prints no warning.  The weights
     (init_range = 2, the out block at +-1e-120) start the run as a step-0
     checkpoint."""
-    layout = graph.RnnLayout.from_spec(graph.RnnSpec(2, (8,), 1, 400))
+    layout = graph.RnnLayout(2, (8,), 1, 400)
     p = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 2.0)
     out_block = layout.slices["out"][0]
     p[out_block] = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT),
@@ -283,6 +284,39 @@ def test_train_records_kappa_ratio(tmp_path):
     assert step0["step"] == "0"
     assert float(step0["kappa_ratio"]) == pathnorm.kappa_ratio(layout,
                                                                cli.init_params(cfg, layout))
+
+
+def test_train_crash_keeps_rows_before_the_checkpoint(tmp_path, monkeypatch):
+    """A run that dies between two periodic checkpoints and is resumed in
+    place from the older one writes the metrics.csv and checkpoint of a
+    run that never stopped: each periodic checkpoint is written after the
+    metrics rows up to its step."""
+    full = tmp_path / "full"
+    run = tmp_path / "run"
+    base = [*RESUME_BASE, "--set", "steps=40"]
+    assert run_cli("train", *base, "--set", f"out_dir={full}") == 0
+
+    class Crash(Exception):
+        pass
+
+    real = optim.apply_update
+    calls = []
+
+    def crash_at_step_25(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 26:  # the update of step 25
+            raise Crash
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optim, "apply_update", crash_at_step_25)
+    with pytest.raises(Crash):
+        run_cli("train", *base, "--set", f"out_dir={run}")
+    monkeypatch.setattr(optim, "apply_update", real)
+    assert not (run / "checkpoint.txt").exists()
+    assert run_cli("train", "--config", str(run / "config.txt"),
+                   "--resume", str(run / "checkpoint_20.txt")) == 0
+    for name in ("metrics.csv", "checkpoint.txt", "checkpoint_40.txt"):
+        assert (run / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_train_resume_rejects_override(tmp_path, capsys):
@@ -406,10 +440,31 @@ def test_train_set_without_equals(tmp_path, capsys):
 
 
 def test_train_rejects_kappa_every(tmp_path, capsys):
-    old = tmp_path / "config.txt"
-    old.write_text("task = addition\nkappa_every = 1\n")
-    assert run_cli("train", "--config", str(old), "--set", f"out_dir={tmp_path}") == 1
-    assert "unknown config key 'kappa_every'" in capsys.readouterr().err
+    """A config.txt that lists a removed key is rejected by the key's name:
+    kappa_every, and target_loss, which config.txt listed as
+    target_loss = none."""
+    for line in ("kappa_every = 1", "target_loss = none"):
+        old = tmp_path / "config.txt"
+        old.write_text(f"task = addition\n{line}\n")
+        assert run_cli("train", "--config", str(old), "--set", f"out_dir={tmp_path}") == 1
+        key = line.split(" ")[0]
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_train_rejects_a_set_key_given_twice(tmp_path, capsys):
+    """Two --set values for one key are rejected with both, before out_dir
+    is made; a --set over the config file's value stays legal."""
+    out = tmp_path / "run"
+    assert run_cli("train", *TINY, "--set", "steps=2", "--set", "steps=0",
+                   "--set", f"out_dir={out}") == 1
+    assert ("--set gives 'steps' twice: steps=2 and steps=0"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 5\n")
+    assert run_cli("train", "--config", str(cfg), *TINY, "--set", "steps=0",
+                   "--set", f"out_dir={out}") == 0
+    assert (out / "status.txt").exists()
 
 
 def test_train_rejects_init_ranges(tmp_path, capsys):

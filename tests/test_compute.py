@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from pathsgd import compute, graph, verify
-from pathsgd.graph import RnnSpec
+from pathsgd import compute, verify
+from pathsgd.graph import RnnLayout
 
 import reference
 
@@ -59,7 +59,7 @@ def test_grad_zero_at_optimum(single_unit_t2):
 def test_grad_single_edge():
     """1-1-1 MLP, p = (w_in, w_out) = (1, 1), x = 1, target 0: loss (w_out
     w_in x)^2 has gradient (2 w_out x y, 2 w_in x y) = (2, 2)."""
-    layout = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 1))
+    layout = RnnLayout(1, (1,), 1, 1)
     g = _mse_grad(layout, np.array([1.0, 1.0]), np.ones((1, 1, 1)), np.zeros((1, 1, 1)))
     assert np.allclose(g, [2.0, 2.0], rtol=1e-12)
 
@@ -88,7 +88,7 @@ def test_relu_subgradient_zero_at_kink():
     """At pre-activation exactly 0 the backward mask must be 0: with
     p = (w_in, b, w_out, b_out) = (1, 0, 1, 0) and x = 0 nothing flows to
     the bias b, where an open mask would pass w_out = 1."""
-    layout = graph.RnnLayout.from_spec(RnnSpec(1, (1,), 1, 1, bias=True))
+    layout = RnnLayout(1, (1,), 1, 1, bias=True)
     p = np.array([1.0, 0.0, 1.0, 0.0])
     X = np.zeros((1, 1, 1))
     assert reference.forward(layout, p, X[0])[2][0][1] == [0.0]
@@ -101,11 +101,10 @@ def test_relu_subgradient_zero_at_kink():
 def test_rnn_route_matches_generic(rng):
     """rnn_forward equals the per-unit scalar reference."""
     for _ in range(8):
-        spec = verify.random_spec(rng)
-        layout = graph.RnnLayout.from_spec(spec)
+        layout = verify.random_layout(rng)
         p = rng.uniform(-1.2, 1.2, layout.m)
         B = 2
-        X = rng.standard_normal((B, spec.length, spec.input_dim))
+        X = rng.standard_normal((B, layout.length, layout.input_dim))
         tr = compute.rnn_forward(layout, p, X)
         for b in range(B):
             y = reference.forward(layout, p, X[b])[0]
@@ -133,10 +132,9 @@ def test_rnn_forward_trace_free_matches_traced(activation, hidden, bias, length,
     bit, and both match the per-unit scalar reference; the longer lengths
     span several trace-free blocks and end in a partial one, so the state
     carried between blocks counts."""
-    spec = RnnSpec(2, hidden, 2, length, bias=bias)
-    layout = graph.RnnLayout.from_spec(spec)
+    layout = RnnLayout(2, hidden, 2, length, bias=bias)
     p = rng.uniform(-1.2, 1.2, layout.m)
-    X = rng.standard_normal((4, length, spec.input_dim))
+    X = rng.standard_normal((4, length, layout.input_dim))
     _set_block_budget(monkeypatch, 4, hidden)
     tr = compute.rnn_forward(layout, p, X, activation)
     lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False)
@@ -160,10 +158,9 @@ def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first,
     trace-free blocks and end in a partial one; "BLOCK" starts the read-out
     on the first step of the second block."""
     r = {"1": 1, "BLOCK": BLOCK, "T-1": length - 1}[first]
-    spec = RnnSpec(2, hidden, 2, length, bias=bias)
-    layout = graph.RnnLayout.from_spec(spec)
+    layout = RnnLayout(2, hidden, 2, length, bias=bias)
     p = rng.uniform(-1.2, 1.2, layout.m)
-    X = rng.standard_normal((4, length, spec.input_dim))
+    X = rng.standard_normal((4, length, layout.input_dim))
     _set_block_budget(monkeypatch, 4, hidden)
     full = compute.rnn_forward(layout, p, X, activation)
     lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False, first_output=r)
@@ -194,7 +191,7 @@ def test_rnn_forward_trace_free_chunks(activation, hidden, bias, rng, monkeypatc
     forward the match is up to rounding: BLAS may round a row of a product
     differently at another row count, and a one-row product runs as gemv."""
     T, B = 11, 5
-    layout = graph.RnnLayout.from_spec(RnnSpec(2, hidden, 2, T, bias=bias))
+    layout = RnnLayout(2, hidden, 2, T, bias=bias)
     p = rng.uniform(-1.2, 1.2, layout.m)
     X = rng.standard_normal((B, T, 2))
     for r in range(T):
@@ -216,7 +213,7 @@ def test_rnn_forward_trace_free_chunks(activation, hidden, bias, rng, monkeypatc
 
 @pytest.mark.parametrize("first_output", [-1, 5, 6])
 def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
-    layout = graph.RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
+    layout = RnnLayout(2, (3,), 1, 5)
     X = rng.standard_normal((2, 5, 2))
     for keep_trace in (True, False):
         with pytest.raises(compute.ComputeError, match="first_output"):
@@ -226,7 +223,7 @@ def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
 
 @pytest.mark.parametrize("keep_trace", [True, False])
 def test_rnn_forward_rejects_empty_batch(keep_trace):
-    layout = graph.RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
+    layout = RnnLayout(2, (3,), 1, 5)
     with pytest.raises(compute.ComputeError, match=r"empty batch.*\(0, 5, 2\)"):
         compute.rnn_forward(layout, np.zeros(layout.m), np.zeros((0, 5, 2)),
                             keep_trace=keep_trace)
@@ -249,26 +246,24 @@ def test_rnn_backward_matches_generic_grad(rng, monkeypatch):
     """The layout backward and the scalar reference agree on the same
     scalar objective."""
     for _ in range(5):
-        spec = verify.random_spec(rng)
-        layout = graph.RnnLayout.from_spec(spec)
+        layout = verify.random_layout(rng)
         p = rng.uniform(-1.2, 1.2, layout.m)
-        X = rng.standard_normal((3, spec.length, spec.input_dim))
-        dY = rng.standard_normal((3, spec.length, spec.output_dim))
+        X = rng.standard_normal((3, layout.length, layout.input_dim))
+        dY = rng.standard_normal((3, layout.length, layout.output_dim))
         _assert_matches_generic_grad(layout, p, X, dY, monkeypatch)
 
 
 def test_rnn_backward_matches_generic_grad_stacked_long(rng, monkeypatch):
     """One and two hidden layers at T = 5..8, past the lengths that
-    verify.random_spec draws; covers the in{i} gradient of upper layers."""
+    verify.random_layout draws; covers the in{i} gradient of upper layers."""
     for length in range(5, 9):
         for hidden in ((int(rng.integers(1, 4)),),
                        (int(rng.integers(1, 4)), int(rng.integers(1, 4)))):
-            spec = RnnSpec(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
-                           length, bias=bool(rng.integers(0, 2)))
-            layout = graph.RnnLayout.from_spec(spec)
+            layout = RnnLayout(int(rng.integers(1, 3)), hidden, int(rng.integers(1, 3)),
+                               length, bias=bool(rng.integers(0, 2)))
             p = rng.uniform(-1.2, 1.2, layout.m)
-            X = rng.standard_normal((3, length, spec.input_dim))
-            dY = rng.standard_normal((3, length, spec.output_dim))
+            X = rng.standard_normal((3, length, layout.input_dim))
+            dY = rng.standard_normal((3, length, layout.output_dim))
             _assert_matches_generic_grad(layout, p, X, dY, monkeypatch)
 
 
@@ -285,8 +280,7 @@ def test_rnn_backward_blocks_match_one_block(K, activation, hidden, bias, length
     first read-out step r is 0, inside a block, on a block boundary and
     T - 1."""
     B = 4
-    spec = RnnSpec(2, hidden, 2, length, bias=bias)
-    layout = graph.RnnLayout.from_spec(spec)
+    layout = RnnLayout(2, hidden, 2, length, bias=bias)
     p = rng.uniform(-1.2, 1.2, layout.m)
     X = rng.standard_normal((B, length, 2))
     k = length if K == "T" else K
@@ -305,8 +299,7 @@ def test_rnn_backward_blocks_match_one_block(K, activation, hidden, bias, length
 
 
 def test_rnn_forward_shape_check(rng):
-    spec = RnnSpec(2, (3,), 1, 4)
-    layout = graph.RnnLayout.from_spec(spec)
+    layout = RnnLayout(2, (3,), 1, 4)
     with pytest.raises(compute.ComputeError):
         compute.rnn_forward(layout, np.zeros(layout.m), np.zeros((2, 3, 2)))
 
@@ -363,7 +356,7 @@ def test_step_loops_bit_identical_to_matmul_form(hidden, bias, activation, budge
     if budget != "default":
         monkeypatch.setattr(compute, "BUDGET", budget)
     for T in (1, 2, 7, 40):
-        layout = graph.RnnLayout.from_spec(RnnSpec(2, hidden, 2, T, bias=bias))
+        layout = RnnLayout(2, hidden, 2, T, bias=bias)
         for B in (1, 3, 32):
             p = rng.uniform(-1.2, 1.2, layout.m)
             X = rng.standard_normal((B, T, 2))

@@ -16,12 +16,8 @@ from pathsgd.config import (
     save_checkpoint,
     write_metrics,
 )
-from pathsgd.graph import RnnLayout, RnnSpec
+from pathsgd.graph import RnnLayout
 from pathsgd.optim import OptimizerState
-
-
-def layout_for(*spec):
-    return RnnLayout.from_spec(RnnSpec(*spec))
 
 
 def test_defaults_validate():
@@ -45,15 +41,23 @@ def test_parse_kv_text():
         parse_kv_text("just words")
 
 
+def test_parse_kv_text_rejects_a_key_given_twice():
+    """Only one of two lines for a key could take effect, so the file is
+    rejected with both line numbers; a file value that --set overrides
+    stays legal (test_precedence_file_env_override)."""
+    with pytest.raises(ConfigError, match=r"^line 3: 'lr' is already set on line 1$"):
+        parse_kv_text("lr = 1e-2\nsteps = 5\n lr=1e-3  # again\n")
+
+
 def test_load_config_file(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("task = seqclass\nlr = 0.5\nhidden = 8 4\n"
-                 "target_loss = none\nbias = true\ntiming = off\n")
+                 "target_test_metric = none\nbias = true\ntiming = off\n")
     cfg = load_config(f)
     assert cfg.task == "seqclass"
     assert cfg.lr == 0.5
     assert cfg.hidden == (8, 4)
-    assert cfg.target_loss is None
+    assert cfg.target_test_metric is None
     assert cfg.bias is True
     assert cfg.timing is False
 
@@ -131,8 +135,8 @@ def test_validate_rejections():
     for key, raw in [("lr", "nan"), ("lr", "inf"), ("lr", "-inf"), ("lr", "1e400"),
                      ("epsilon", "nan"), ("epsilon", "inf"),
                      ("init_range", "nan"), ("init_range", "inf"),
-                     ("target_loss", "nan"), ("target_loss", "inf"),
-                     ("target_test_metric", "nan"), ("target_test_metric", "-inf"),
+                     ("target_test_metric", "nan"), ("target_test_metric", "inf"),
+                     ("target_test_metric", "-inf"),
                      # a negative seed has no SeedSequence
                      ("seed", "-1"), ("data_seed", "-3")]:
         with pytest.raises(ConfigError, match=f"^{key} = "):
@@ -163,7 +167,7 @@ def test_config_text_roundtrip(tmp_path):
 
 
 def test_checkpoint_roundtrip_exact(tmp_path, rng):
-    layout = layout_for(2, (3,), 1, 4)
+    layout = RnnLayout(2, (3,), 1, 4)
     p = rng.uniform(-1, 1, layout.m) * np.logspace(-12, 3, layout.m)
     opt = OptimizerState(kind="path_adam", eta=0.01, t=17,
                          m1=rng.uniform(-1, 1, layout.m),
@@ -181,7 +185,7 @@ def test_checkpoint_roundtrip_exact(tmp_path, rng):
 def test_checkpoint_number_text(tmp_path):
     """Parameters and moments are written as %.17g text, pinned byte for
     byte on values whose shortest repr differs, on -0 and on subnormals."""
-    layout = layout_for(1, (1,), 1, 2)  # m = 4
+    layout = RnnLayout(1, (1,), 1, 2)  # m = 4
     awkward = [0.1, 1 / 3, 1e-300, -0.0, 5e-324]
     text = ["0.10000000000000001", "0.33333333333333331", "1e-300", "-0",
             "4.9406564584124654e-324"]
@@ -211,7 +215,7 @@ def test_fmt_array_blocks_are_the_per_entry_text(rng):
 
 
 def test_checkpoint_without_moments(tmp_path):
-    layout = layout_for(1, (2,), 1, 2)
+    layout = RnnLayout(1, (2,), 1, 2)
     p = np.linspace(-1, 1, layout.m)
     save_checkpoint(tmp_path / "ck.txt", 5, layout, p, OptimizerState(kind="path_sgd"))
     step, q, opt = load_checkpoint(tmp_path / "ck.txt")
@@ -221,8 +225,8 @@ def test_checkpoint_without_moments(tmp_path):
 
 
 def test_checkpoint_error_cases(tmp_path):
-    layout = layout_for(1, (2,), 1, 2)
-    other = layout_for(1, (3,), 1, 2)
+    layout = RnnLayout(1, (2,), 1, 2)
+    other = RnnLayout(1, (3,), 1, 2)
     path = tmp_path / "ck.txt"
     save_checkpoint(path, 5, layout, np.zeros(layout.m), OptimizerState())
 
@@ -253,7 +257,7 @@ def test_checkpoint_moments_match_kind_and_t(tmp_path, kind, t, moments, error):
     """Adam kinds carry moments exactly when t >= 1, and the sgd kinds stay
     at t = 0 with none; any other pairing is rejected by kind and t, where
     loading it would restart or invent the Adam moments."""
-    layout = layout_for(1, (2,), 1, 2)
+    layout = RnnLayout(1, (2,), 1, 2)
     m1 = m2 = np.full(layout.m, 0.5) if moments else None
     path = tmp_path / "ck.txt"
     save_checkpoint(path, 4, layout, np.zeros(layout.m),
@@ -265,7 +269,7 @@ def test_checkpoint_moments_match_kind_and_t(tmp_path, kind, t, moments, error):
 def test_checkpoint_rejects_other_adam_settings(tmp_path):
     """The Adam header lines are written as they always were, and a
     checkpoint whose value differs from the fixed one is rejected by key."""
-    layout = layout_for(1, (2,), 1, 2)
+    layout = RnnLayout(1, (2,), 1, 2)
     path = tmp_path / "ck.txt"
     save_checkpoint(path, 5, layout, np.zeros(layout.m), OptimizerState(kind="adam"))
     lines = path.read_text().splitlines()
@@ -284,14 +288,14 @@ def test_checkpoint_rejects_other_adam_settings(tmp_path):
 def test_checkpoint_header_names_the_rnn(tmp_path):
     """The header line that resume checks; checkpoints of earlier versions
     carry the same one."""
-    layout = layout_for(2, (4, 3), 1, 6, True)
+    layout = RnnLayout(2, (4, 3), 1, 6, True)
     save_checkpoint(tmp_path / "ck.txt", 0, layout, np.zeros(layout.m), OptimizerState())
     lines = (tmp_path / "ck.txt").read_text().splitlines()
     assert lines[1] == "net rnn in=2 hidden=4,3 out=1 T=6 bias=1"
 
 
 def test_failed_checkpoint_write_keeps_previous(tmp_path, monkeypatch):
-    layout = layout_for(2, (3,), 1, 4)
+    layout = RnnLayout(2, (3,), 1, 4)
     path = tmp_path / "checkpoint.txt"
     p = np.linspace(-1, 1, layout.m)
     save_checkpoint(path, 7, layout, p, OptimizerState(kind="path_sgd"))

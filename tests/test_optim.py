@@ -3,13 +3,13 @@ import pytest
 
 from pathsgd import compute, optim, pathnorm, tasks
 from pathsgd.config import ConfigError, RunConfig, load_checkpoint, save_checkpoint
-from pathsgd.graph import GraphError, RnnLayout, RnnSpec
+from pathsgd.graph import GraphError, RnnLayout
 from pathsgd.optim import OptimizerState
 
 # Addition at T = 2 through one hidden unit: p = (w_value, w_mask, w_rec,
 # w_out).  The target x_1 + x_2 is exactly representable, so path-SGD drives
 # the loss to zero within a few hundred steps.
-TINY = RnnLayout.from_spec(RnnSpec(2, (1,), 1, 2))
+TINY = RnnLayout(2, (1,), 1, 2)
 TINY_P0 = np.array([0.5, 0.0, 0.5, 0.5])
 
 
@@ -25,7 +25,7 @@ def test_rng_for_is_stateless():
     assert not np.array_equal(a, c)
 
 
-LAYOUT = RnnLayout.from_spec(RnnSpec(2, (4,), 1, 3))
+LAYOUT = RnnLayout(2, (4,), 1, 3)
 
 
 def test_init_uniform_range(rng):
@@ -180,7 +180,7 @@ def test_train_loop_zero_steps_records_initial_row():
 
 def test_train_loop_path_sgd_converges():
     cfg = RunConfig(steps=1000, batch_size=8, eval_interval=50,
-                    target_loss=1e-8)
+                    target_test_metric=1e-8)
     res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
                            OptimizerState(kind="path_sgd", eta=0.2))
     assert res.status == "converged"
@@ -211,7 +211,7 @@ def test_train_loop_divergence_has_no_nan_rows():
 
 def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
     task = tasks.AdditionTask(length=4, eval_size=8)
-    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 4))
+    layout = RnnLayout(2, (3,), 1, 4)
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
     monkeypatch.setattr(pathnorm, "preconditioner",
                         lambda layout, p, mode: np.full(layout.m, np.inf))
@@ -270,7 +270,7 @@ def test_train_loop_final_row_runs_no_backward(monkeypatch):
     monkeypatch.setattr(compute, "rnn_backward",
                         lambda *a, **kw: calls.append(1) or real(*a, **kw))
     task = tasks.AdditionTask(length=4, eval_size=8)
-    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 4))
+    layout = RnnLayout(2, (3,), 1, 4)
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
     cfg = RunConfig(steps=5, eval_interval=3, batch_size=4)
     res = optim.train_loop(layout, task, cfg, p0, OptimizerState(kind="path_sgd", eta=0.01))
@@ -279,45 +279,6 @@ def test_train_loop_final_row_runs_no_backward(monkeypatch):
     batch = task.train_batch(optim.rng_for(cfg.seed, optim.STREAM_DATA, 5), cfg.batch_size)
     loss, g, metric = task.loss_and_grad(layout, res.params, batch)
     assert g is not None
-    assert (res.history[-1]["train_loss"], res.history[-1]["train_metric"]) == (loss, metric)
-
-
-def _spy_loss_and_grad(task):
-    """Record (loss, metric, grad flag) of each loss_and_grad call."""
-    calls = []
-    real = task.loss_and_grad
-
-    def spy(layout, p, batch, grad=True):
-        loss, g, metric = real(layout, p, batch, grad=grad)
-        calls.append((loss, metric, grad))
-        return loss, g, metric
-
-    task.loss_and_grad = spy
-    return calls
-
-
-def test_train_loop_target_loss_off_eval_step():
-    """A target_loss met at a step that is no eval step stops the run as
-    converged after one loss_and_grad at that step, and its row holds the
-    loss and metric that met the target."""
-    cfg = RunConfig(steps=60, eval_interval=10, batch_size=4)
-    opt0 = OptimizerState(kind="path_sgd", eta=0.2)
-    free = tiny_task()
-    seen = _spy_loss_and_grad(free)
-    optim.train_loop(TINY, free, cfg, TINY_P0, opt0)
-    losses = [loss for loss, _, _ in seen]
-    stop = next(s for s in range(1, 60)
-                if s % 10 and losses[s] < min(losses[:s]))
-
-    task = tiny_task()
-    calls = _spy_loss_and_grad(task)
-    cfg.target_loss = losses[stop]
-    res = optim.train_loop(TINY, task, cfg, TINY_P0, opt0)
-    assert (res.status, res.steps_done) == ("converged", stop)
-    assert calls == seen[:stop + 1]
-    assert all(grad for _, _, grad in calls)
-    assert [r["step"] for r in res.history] == [*range(0, stop, 10), stop]
-    loss, metric, _ = seen[stop]
     assert (res.history[-1]["train_loss"], res.history[-1]["train_metric"]) == (loss, metric)
 
 
@@ -364,7 +325,7 @@ def test_train_loop_resume_adam_state():
 
 
 # T = 4 so kappa2 is not zero; eval rows at 0, 3, 6, 9 and the budget.
-RESUME_LAYOUT = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 4))
+RESUME_LAYOUT = RnnLayout(2, (3,), 1, 4)
 
 
 @pytest.mark.parametrize("kappa_mode", pathnorm.KAPPA_MODES)
@@ -406,8 +367,7 @@ def test_train_loop_resume_off_eval_step(tmp_path, name, kind):
                                 unroll=5)
     else:
         task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
-    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3,), task.output_dim,
-                                         task.length))
+    layout = RnnLayout(task.input_dim, (3,), task.output_dim, task.length)
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
     opt0 = OptimizerState(kind=kind, eta=0.01, kappa_mode="k1_plus_k2")
     full = optim.train_loop(layout, task, RunConfig(steps=10, eval_interval=3,

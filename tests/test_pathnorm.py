@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, invariance, pathnorm, verify
-from pathsgd.graph import RnnLayout, RnnSpec
+from pathsgd.graph import RnnLayout
 
 import reference
 
@@ -30,7 +30,7 @@ def test_gamma_hand_values(single_unit_t2, single_unit_t3):
 
 def test_gamma_recursive_equals_bruteforce(rng):
     for _ in range(20):
-        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        layout = verify.random_net(rng)
         p = verify.random_params(layout, rng)
         slow = pathnorm.gamma_bruteforce(layout, p)
         assert rel_gap(pathnorm.gamma_recursive(layout, p), slow) < 1e-10
@@ -40,11 +40,11 @@ def test_gamma_recursive_equals_bruteforce(rng):
 def test_path_count_and_guard(rng):
     """count_paths equals the number of paths iter_paths yields, and the
     enumerators refuse past PATH_GUARD."""
-    assert pathnorm.count_paths(RnnLayout.from_spec(RnnSpec(1, (1,), 1, 3))) == 6
+    assert pathnorm.count_paths(RnnLayout(1, (1,), 1, 3)) == 6
     for _ in range(20):
-        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        layout = verify.random_net(rng)
         assert pathnorm.count_paths(layout) == sum(1 for _ in pathnorm.iter_paths(layout))
-    big = RnnLayout.from_spec(RnnSpec(10, (10,), 10, 5))
+    big = RnnLayout(10, (10,), 10, 5)
     assert pathnorm.count_paths(big) > pathnorm.PATH_GUARD
     with pytest.raises(pathnorm.EnumerationError):
         pathnorm.gamma_bruteforce(big, np.ones(big.m))
@@ -55,9 +55,9 @@ def test_squared_net_reproduces_gamma_bit_exactly(rng):
     per-unit gamma^2 values; the summed output of the scalar reference
     forward must equal the recursion without any floating-point slack."""
     for _ in range(10):
-        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        layout = verify.random_net(rng)
         p = verify.random_params(layout, rng)
-        ones = np.ones((layout.spec.length, layout.spec.input_dim))
+        ones = np.ones((layout.length, layout.input_dim))
         outputs, h, _ = reference.forward(layout, p * p, ones)
         assert all(v >= 0.0 for hs in h for layer in hs for v in layer)
         total = 0.0
@@ -80,7 +80,7 @@ def test_kappa_fd_hand_values(single_unit_t2, single_unit_t3):
 def test_kappa_fd_single_edge_independent_of_w():
     """1-1-1 MLP: gamma^2 = w_in^2 w_out^2, so kappa of w_in is w_out^2
     whatever w_in is."""
-    layout = RnnLayout.from_spec(RnnSpec(1, (1,), 1, 1))
+    layout = RnnLayout(1, (1,), 1, 1)
     for w in (0.3, 1.0, -2.0):
         assert np.allclose(pathnorm.kappa_fd(layout, np.array([w, 1.0])), [1.0, w * w],
                            rtol=1e-8, atol=1e-8)
@@ -96,7 +96,7 @@ def test_kappa1_hand_values(single_unit_t2, single_unit_t3):
 
 def test_kappa1_equals_per_edge_enumeration(rng):
     for _ in range(12):
-        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        layout = verify.random_net(rng)
         p = verify.random_params(layout, rng)
         slow = pathnorm.kappa1_bruteforce(layout, p)
         assert rel_gap(pathnorm.kappa1(layout, p), slow, floor=1e-9) < 1e-10
@@ -105,7 +105,7 @@ def test_kappa1_equals_per_edge_enumeration(rng):
 def test_kappa1_feedforward_equals_fd(rng):
     """Without weight sharing kappa2 is 0, so kappa1 alone is kappa."""
     for dims in ([1, 1, 1], [2, 3, 1], [3, 2, 2]):
-        layout = RnnLayout.from_spec(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
+        layout = RnnLayout(dims[0], tuple(dims[1:-1]), dims[-1], 1)
         p = rng.uniform(-1.0, 1.0, layout.m)
         k1 = pathnorm.kappa1(layout, p)
         assert rel_gap(k1, pathnorm.kappa1_bruteforce(layout, p), floor=1e-9) < 1e-10
@@ -125,7 +125,7 @@ def test_kappa2_hand_values(single_unit_t2, single_unit_t3):
 
 def test_kappa2_feedforward_exactly_zero(rng):
     for dims in ([1, 1, 1], [2, 3, 1], [4, 4, 4, 4]):
-        layout = RnnLayout.from_spec(RnnSpec(dims[0], tuple(dims[1:-1]), dims[-1], 1))
+        layout = RnnLayout(dims[0], tuple(dims[1:-1]), dims[-1], 1)
         p = rng.uniform(-1.0, 1.0, layout.m)
         assert np.array_equal(pathnorm.kappa2_bruteforce(layout, p),
                               np.zeros(layout.m))
@@ -134,8 +134,7 @@ def test_kappa2_feedforward_exactly_zero(rng):
 
 def test_kappa2_rnn_equals_bruteforce(rng):
     for _ in range(12):
-        spec = verify.random_spec(rng)
-        layout = RnnLayout.from_spec(spec)
+        layout = verify.random_layout(rng)
         p = verify.random_params(layout, rng)
         fast = pathnorm.kappa2(layout, p)
         slow = pathnorm.kappa2_bruteforce(layout, p)
@@ -148,9 +147,9 @@ def test_kappa2_layout_equals_bruteforce_past_two_lags(rng):
     for length in range(5, 9):
         for depth in (1, 2):
             hidden = tuple(int(rng.integers(1, 3)) for _ in range(depth))
-            layout = RnnLayout.from_spec(RnnSpec(int(rng.integers(1, 3)), hidden,
-                                                 int(rng.integers(1, 3)), length,
-                                                 bias=bool(rng.integers(0, 2))))
+            layout = RnnLayout(int(rng.integers(1, 3)), hidden,
+                               int(rng.integers(1, 3)), length,
+                               bias=bool(rng.integers(0, 2)))
             p = verify.random_params(layout, rng)
             fast = pathnorm.kappa2(layout, p)
             slow = pathnorm.kappa2_bruteforce(layout, p)
@@ -168,7 +167,7 @@ def test_kappa2_matches_step_major_reference(rng, length, hidden):
     kappa_fd, kappa2 agrees with the step-major block form it replaced.
     Each squared recurrent matrix has spectral radius 1, so kappa2 grows
     with T and its large entries are compared relative to their size."""
-    layout = RnnLayout.from_spec(RnnSpec(2, hidden, 1, length, bias=True))
+    layout = RnnLayout(2, hidden, 1, length, bias=True)
     p = rng.uniform(-1.0, 1.0, layout.m)
     for i, n in enumerate(hidden, 1):
         sl, _ = layout.slices[f"rec{i}"]
@@ -187,9 +186,8 @@ def test_kappa_matches_fd_at_long_unroll(rng):
     H = 8, so these lengths cover several blocks and partial last ones; at
     H = 8, T = 5 the two pair steps are fewer than one block."""
     for hidden in (2, 4, 6, 8):
-        spec = RnnSpec(int(rng.integers(1, 3)), (hidden,), int(rng.integers(1, 3)),
-                       int(rng.integers(38, 43)), bias=bool(rng.integers(0, 2)))
-        layout = RnnLayout.from_spec(spec)
+        layout = RnnLayout(int(rng.integers(1, 3)), (hidden,), int(rng.integers(1, 3)),
+                           int(rng.integers(38, 43)), bias=bool(rng.integers(0, 2)))
         p = rng.uniform(-1.0, 1.0, layout.m)
         sl, _ = layout.slices["rec1"]
         rho = np.max(np.abs(np.linalg.eigvals(p[sl].reshape(hidden, hidden) ** 2)))
@@ -198,7 +196,7 @@ def test_kappa_matches_fd_at_long_unroll(rng):
         fd = pathnorm.kappa_fd(layout, p)
         assert rel_gap(k1 + pathnorm.kappa2(layout, p), fd, floor=1.0) < 1e-4
         assert rel_gap(k1, fd, floor=1.0) > 0.5
-    layout = RnnLayout.from_spec(RnnSpec(1, (8,), 1, 5, bias=True))
+    layout = RnnLayout(1, (8,), 1, 5, bias=True)
     p = rng.uniform(-1.0, 1.0, layout.m)
     kappa = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
     assert rel_gap(kappa, pathnorm.kappa_fd(layout, p), floor=1.0) < 1e-4
@@ -207,7 +205,7 @@ def test_kappa_matches_fd_at_long_unroll(rng):
 def test_preconditioner_shares_one_squared_pass(rng, monkeypatch):
     """preconditioner(k1_plus_k2) and kappa_ratio each run one forward and
     one backward of the squared net, shared by kappa1 and kappa2."""
-    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 6, bias=True))
+    layout = RnnLayout(2, (3,), 1, 6, bias=True)
     p = rng.uniform(-1.5, 1.5, layout.m)
     expected = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
     ratio = pathnorm.kappa_ratio(layout, p)
@@ -226,7 +224,7 @@ def test_preconditioner_overflow_skips_kappa2(monkeypatch):
     """Once the squared net overflows, kappa1 is already non-finite: the
     preconditioner returns it as is, without kappa2 and without a numpy
     warning."""
-    layout = RnnLayout.from_spec(RnnSpec(2, (8,), 1, 400))
+    layout = RnnLayout(2, (8,), 1, 400)
     p = np.random.default_rng(0).uniform(-2.0, 2.0, layout.m)
     monkeypatch.setattr(pathnorm, "kappa2", lambda *a, **kw: pytest.fail("kappa2 ran"))
     with warnings.catch_warnings():
@@ -240,7 +238,7 @@ def test_preconditioner_squared_overflow_is_non_finite(monkeypatch):
     """A finite p whose square overflows gives a non-finite kappa in both
     modes and a NaN kappa ratio, without an exception, a numpy warning or a
     kappa2 pass."""
-    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5, bias=True))
+    layout = RnnLayout(2, (3,), 1, 5, bias=True)
     p = np.full(layout.m, 0.5)
     p[0] = 1e200
     monkeypatch.setattr(pathnorm, "kappa2", lambda *a, **kw: pytest.fail("kappa2 ran"))
@@ -253,7 +251,7 @@ def test_preconditioner_squared_overflow_is_non_finite(monkeypatch):
 
 def test_decomposition_matches_fd(rng):
     for _ in range(8):
-        layout = RnnLayout.from_spec(RnnSpec(1, (3,), 1, 4))
+        layout = RnnLayout(1, (3,), 1, 4)
         p = rng.uniform(-0.5, 0.5, layout.m)
         total = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
         assert rel_gap(total, pathnorm.kappa_fd(layout, p), floor=1.0) < 1e-4
@@ -261,7 +259,7 @@ def test_decomposition_matches_fd(rng):
 
 def test_kappa_nonnegative(rng):
     for _ in range(10):
-        layout = RnnLayout.from_spec(verify.random_net_spec(rng))
+        layout = verify.random_net(rng)
         p = verify.random_params(layout, rng)
         assert np.all(pathnorm.kappa1(layout, p) >= 0.0)
         assert np.all(pathnorm.kappa2(layout, p) >= 0.0)
@@ -272,11 +270,10 @@ def test_kappa_rescaling_covariance(rng):
     multiplier: kappa_i(T(p)) = kappa_i(p) / mult_i^2, with mult = T(p) / p,
     separately for k1, k2, total."""
     for _ in range(8):
-        spec = verify.random_spec(rng)
-        layout = RnnLayout.from_spec(spec)
+        layout = verify.random_layout(rng)
         p = verify.random_params(layout, rng)
-        alpha = invariance.random_rescaling(spec, rng, 1.0)
-        q = invariance.apply_rescaling(spec, p, alpha)
+        alpha = invariance.random_rescaling(layout, rng, 1.0)
+        q = invariance.apply_rescaling(layout, p, alpha)
         per_param = q / p
         a1, a2 = pathnorm.kappa1(layout, p), pathnorm.kappa2(layout, p)
         b1, b2 = pathnorm.kappa1(layout, q), pathnorm.kappa2(layout, q)
@@ -297,7 +294,7 @@ def test_preconditioner_modes(single_unit_t3):
 
 def test_kappa_ratio(single_unit_t3, rng):
     # at T = 1 no parameter repeats along a path, so kappa2 vanishes
-    layout = RnnLayout.from_spec(RnnSpec(2, (2,), 1, 1))
+    layout = RnnLayout(2, (2,), 1, 1)
     assert pathnorm.kappa_ratio(layout, rng.uniform(-1, 1, layout.m)) == 0.0
     r = pathnorm.kappa_ratio(single_unit_t3, np.ones(3))
     assert np.isclose(r, 4.0 / np.sqrt(36.0 + 16.0 + 36.0), rtol=1e-12)

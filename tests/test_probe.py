@@ -6,8 +6,9 @@ runs.  These checks read the probe without changing it.
 """
 
 import ast
-import importlib.util
 import inspect
+import runpy
+from types import SimpleNamespace
 from pathlib import Path
 
 from pathsgd import optim, tasks
@@ -16,10 +17,7 @@ PROBE = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
 
 
 def load_probe():
-    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return SimpleNamespace(**runpy.run_path(str(PROBE)))
 
 
 def test_traced_names_exist():

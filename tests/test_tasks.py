@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, tasks
-from pathsgd.graph import GraphError, RnnLayout, RnnSpec
+from pathsgd.graph import GraphError, RnnLayout
 
 import reference
 
@@ -100,7 +100,7 @@ def test_gen_addition_allocates_one_copy_of_the_set():
 
 def test_addition_grad_matches_fd(rng):
     task = tasks.AdditionTask(length=5, eval_size=8)
-    layout = RnnLayout.from_spec(RnnSpec(2, (3,), 1, 5))
+    layout = RnnLayout(2, (3,), 1, 5)
     p = rng.uniform(-0.5, 0.5, layout.m)
     batch = task.train_batch(rng, 4)
     _, g, _ = task.loss_and_grad(layout, p, batch)
@@ -135,7 +135,7 @@ def test_addition_task_keeps_no_held_out_set():
     evaluate: the held-out set (1.6 MB here) exists only while evaluate
     runs."""
     T = 200
-    layout = RnnLayout.from_spec(RnnSpec(2, (8,), 1, T))
+    layout = RnnLayout(2, (8,), 1, T)
     p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
     tracemalloc.start()
     try:
@@ -159,7 +159,7 @@ def test_addition_eval_holds_no_trace():
     task = tasks.AdditionTask(T, eval_size=512)
     held = task.held_out()
     task.held_out = lambda: held
-    layout = RnnLayout.from_spec(RnnSpec(2, (H,), 1, T))
+    layout = RnnLayout(2, (H,), 1, T)
     p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
     tracemalloc.start()
     try:
@@ -179,7 +179,7 @@ def test_addition_backward_holds_no_full_gradient():
     K = compute.BUDGET // (8 * B * H)
     assert -(-T // K) >= 4
     task = tasks.AdditionTask(T, eval_size=1)
-    layout = RnnLayout.from_spec(RnnSpec(2, (H,), 1, T))
+    layout = RnnLayout(2, (H,), 1, T)
     p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
     batch = task.train_batch(np.random.default_rng(1), B)
     tracemalloc.start()
@@ -212,7 +212,7 @@ def test_split_stratified():
 
 def test_seq_class_grad_matches_fd(rng):
     task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
-    layout = RnnLayout.from_spec(RnnSpec(1, (3,), 3, task.length))
+    layout = RnnLayout(1, (3,), 3, task.length)
     p = rng.uniform(-0.4, 0.4, layout.m)
     batch = task.train_batch(rng, 4)
     _, g, _ = task.loss_and_grad(layout, p, batch)
@@ -222,7 +222,7 @@ def test_seq_class_grad_matches_fd(rng):
 
 def test_seq_class_uniform_logit_metric(rng):
     task = tasks.SeqClassTask(size=3, num_classes=4, n=128, data_seed=3)
-    layout = RnnLayout.from_spec(RnnSpec(1, (2,), 4, task.length))
+    layout = RnnLayout(1, (2,), 4, task.length)
     err = task.evaluate(layout, np.zeros(layout.m))
     share0 = float(np.mean(task.test_labels == 0))
     assert err == pytest.approx(1.0 - share0)
@@ -310,7 +310,7 @@ def test_charlm_windows_shift_by_one(rng):
 def test_charlm_uniform_predictor_bpc():
     corpus = tasks.load_char_corpus(text=tasks.make_synthetic_corpus(4000))
     task = tasks.CharLmTask(corpus, unroll=10, eval_windows=8)
-    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (4,), task.output_dim, 10))
+    layout = RnnLayout(task.input_dim, (4,), task.output_dim, 10)
     bpc = task.evaluate(layout, np.zeros(layout.m))
     assert bpc == pytest.approx(math.log2(corpus.num_symbols), abs=1e-12)
 
@@ -318,7 +318,7 @@ def test_charlm_uniform_predictor_bpc():
 def test_charlm_grad_matches_fd(rng):
     corpus = tasks.load_char_corpus(text="the quick brown fox " * 30)
     task = tasks.CharLmTask(corpus, unroll=4)
-    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3,), task.output_dim, 4))
+    layout = RnnLayout(task.input_dim, (3,), task.output_dim, 4)
     p = rng.uniform(-0.4, 0.4, layout.m)
     batch = task.train_batch(rng, 3)
     _, g, _ = task.loss_and_grad(layout, p, batch)
@@ -336,7 +336,7 @@ def test_charlm_eval_windows_reach_the_end(test_chars, starts):
     assert len(corpus.test) == test_chars
     task = tasks.CharLmTask(corpus, unroll=5)
     assert task.eval_starts.tolist() == starts
-    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (4,), task.output_dim, 5))
+    layout = RnnLayout(task.input_dim, (4,), task.output_dim, 5)
     bpc = task.evaluate(layout, np.zeros(layout.m))
     assert bpc == pytest.approx(math.log2(corpus.num_symbols), abs=1e-12)
 
@@ -360,8 +360,7 @@ def test_loss_without_grad_matches(name, rng):
     else:
         task = tasks.CharLmTask(tasks.load_char_corpus(text="the quick brown fox " * 30),
                                 unroll=11)
-    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3, 2), task.output_dim,
-                                         task.length))
+    layout = RnnLayout(task.input_dim, (3, 2), task.output_dim, task.length)
     p = rng.uniform(-0.6, 0.6, layout.m)
     batch = task.train_batch(rng, 4)
     loss, g, metric = task.loss_and_grad(layout, p, batch)
@@ -382,8 +381,7 @@ def test_evaluate_does_not_depend_on_budget(name, rng, monkeypatch):
     else:
         task = tasks.CharLmTask(tasks.load_char_corpus(text="the quick brown fox " * 30),
                                 unroll=11)
-    layout = RnnLayout.from_spec(RnnSpec(task.input_dim, (3, 2), task.output_dim,
-                                         task.length))
+    layout = RnnLayout(task.input_dim, (3, 2), task.output_dim, task.length)
     p = rng.uniform(-0.6, 0.6, layout.m)
     want = task.evaluate(layout, p)
     monkeypatch.setattr(compute, "BUDGET", 1)

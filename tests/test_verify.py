@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, pathnorm, verify
-from pathsgd.graph import RnnLayout
 
 import reference
 
@@ -74,22 +73,20 @@ def test_sample_kink_free_respects_margin(rng):
     the scalar reference more than the margin from 0, except at a unit
     whose sources are all 0."""
     for _ in range(5):
-        spec = verify.random_net_spec(rng)
-        layout = RnnLayout.from_spec(spec)
-        X = rng.uniform(-1, 1, (3, spec.length, spec.input_dim))
+        layout = verify.random_net(rng)
+        X = rng.uniform(-1, 1, (3, layout.length, layout.input_dim))
         p = verify.sample_kink_free(layout, rng, X, margin=1e-2)
         for x in X:
             _, h, pre = reference.forward(layout, p, x)
-            for t in range(spec.length):
-                for i in range(1, spec.depth):
+            for t in range(layout.length):
+                for i in range(1, layout.depth):
                     sources = h[t][i - 1] + (h[t - 1][i] if t else [])
-                    dead = not spec.bias and all(v == 0.0 for v in sources)
+                    dead = not layout.bias and all(v == 0.0 for v in sources)
                     assert dead or all(abs(z) > 1e-2 for z in pre[t][i])
 
 
 def test_random_spec_bounds(rng):
     for _ in range(30):
-        spec = verify.random_spec(rng)
-        assert 1 <= spec.length <= 4
-        assert all(1 <= h <= 3 for h in spec.hidden_dims)
-        spec.check()
+        layout = verify.random_layout(rng)
+        assert 1 <= layout.length <= 4
+        assert all(1 <= h <= 3 for h in layout.hidden_dims)
