@@ -168,7 +168,14 @@ def cmd_train(args) -> int:
     return EXIT_DIVERGED if result.status == "diverged" else EXIT_OK
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed NumPy cannot take, by its flag, before any output."""
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def cmd_verify(args) -> int:
+    check_seed(args.seed)
     results = verify.run_all(level=args.level, seed=args.seed)
     for res in results:
         print(res.line())
@@ -182,6 +189,7 @@ def cmd_kappa_ratio(args) -> int:
     lengths = [int(tok) for tok in args.lengths.split(",")]
     if any(h < 1 for h in hiddens) or any(t < 1 for t in lengths) or args.seeds < 1:
         raise ConfigError("hidden sizes, lengths and seeds must be positive")
+    check_seed(args.seed)
     for flag, dim in (("--input-dim", args.input_dim), ("--output-dim", args.output_dim)):
         if dim < 1:
             raise ConfigError(f"{flag} must be at least 1, got {dim}")

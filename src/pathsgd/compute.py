@@ -6,14 +6,20 @@ rnn_forward runs one loop over blocks of time steps (layers inner): each
 layer's input drive and the block's outputs are one matmul per block, and
 only the recurrence runs step by step, against one C-contiguous copy of
 W_rec^T per layer.  Hidden states are time-major, (T, B, H_i), so each step
-reads and writes one contiguous (B, H_i) block.  The training forward keeps
-the whole sequence as one block, which is the trace rnn_backward reads;
-evaluation, which needs only the outputs, runs it trace-free
-(keep_trace=False) in chunks of rows and blocks of steps, so a held-out set
-of any size runs in one call.  rnn_backward walks time from the end in
-blocks, layers top-down inside each block, and carries dpre at each
-block's first step into the earlier block, so neither forms a (T, B, H_i)
-array of its own.  Every block size comes from BUDGET and the widest layer.
+reads and writes one contiguous (B, H_i) block.  The training forward runs
+in rnn_backward's blocks of K steps.  When the sequence fits in one block
+(K = T) the block buffer is the trace; otherwise the trace keeps only the
+input, the outputs and each layer's state carried into each block, and
+rnn_backward recomputes each block from that state with the forward's own
+block code before it walks the block (recomputation from stored boundary
+states, Chen et al., arXiv:1604.06174).  The recompute runs the forward's
+operations on the same shapes, so its states have the forward's bits.
+Evaluation, which needs only the outputs, runs trace-free (keep_trace=False)
+in chunks of rows and blocks of steps, so a held-out set of any size runs in
+one call.  rnn_backward walks time from the end in blocks, layers top-down
+inside each block, and carries dpre at each block's first step into the
+earlier block, so neither pass forms a (T, B, H_i) array when T > K.  Every
+block size comes from BUDGET and the widest layer.
 Outputs are projected only from step first_output on: a many-to-one task
 reads the last step alone, so its forward makes one (B, H) x (H, O) output
 product and its backward seeds only that step.
@@ -44,8 +50,9 @@ from .graph import RnnLayout
 ACTIVATIONS = ("relu", "identity")
 
 # Bytes of one hidden layer's dpre block in rnn_backward, small enough to
-# stay in cache while the block's gradient products read it; the
-# trace-free rnn_forward sizes its row chunks and step blocks from it too.
+# stay in cache while the block's gradient products read it; a kept trace
+# is cut at the same blocks, the trace-free rnn_forward sizes its row
+# chunks and step blocks from it, and pathnorm.kappa2 its chunks of blocks.
 BUDGET = 2 << 20
 
 
@@ -108,18 +115,68 @@ def central_diff(f, p: np.ndarray, step: float) -> np.ndarray:
 class RnnTrace:
     """Batch forward record for the vectorized route.
 
-    Hidden states are stored time-major, so one step of one layer is a
-    contiguous (B, H_i) block: h[0] is the input block (T, B, input_dim) and
-    h[i] for hidden layer i is (T, B, H_i).  y holds the outputs of steps
-    first_output .. T - 1 in the caller-facing (B, T - first_output,
-    output_dim) shape (it may be a transposed view); rnn_backward reads
-    first_output back from its length.  Pre-activations are not kept: the
-    ReLU mask is a function of the output.  A trace-free forward leaves h
-    as None.
+    y holds the outputs of steps first_output .. T - 1 in the caller-facing
+    (B, T - first_output, output_dim) shape (it may be a transposed view);
+    rnn_backward reads first_output back from its length.  A trace-free
+    forward leaves h as None.  A kept trace was cut into blocks of K steps,
+    and h[0] is the time-major input (T, B, input_dim).  For hidden layer i,
+    a one-block trace (K = T) keeps every state: h[i] is (T + 1, B, H_i),
+    h[i][t] the state carried into step t, so h[i][1:] are the states after
+    each step.  A checkpointed trace (K < T) keeps only the state carried
+    into each block: h[i] is (nb, B, H_i), h[i][j] the state carried into
+    step j K, and rnn_backward recomputes a block's states from it.  Both
+    start from h[i][0] = 0.  Pre-activations are not kept: the ReLU mask is
+    a function of the output.
     """
 
-    h: list | None
     y: np.ndarray
+    h: list | None = None
+    K: int = 0
+
+
+def _time_block(layout: RnnLayout, B: int) -> int:
+    """Steps per block of a kept trace and of rnn_backward: K = min(T,
+    BUDGET // (8 B max H_i)), at least 1, so a (K, B, H_i) block of the
+    widest layer takes about BUDGET bytes."""
+    return min(layout.length, max(1, BUDGET // (8 * B * max(layout.hidden_dims))))
+
+
+def _forward_weights(layout: RnnLayout, p: np.ndarray) -> list:
+    """Per hidden layer i, (W_in^T, W_rec^T or None, bias or None); entry 0
+    is None."""
+    weights = [None]
+    for i in range(1, layout.depth):
+        Wrec = layout.matrix(p, f"rec{i}")
+        b = layout.matrix(p, f"b{i}")
+        # The recurrence multiplies by W_rec^T once per step; a contiguous
+        # copy is the faster BLAS operand at small batch sizes.
+        weights.append((layout.view(p, f"in{i}").T,
+                        None if Wrec is None else np.ascontiguousarray(Wrec.T),
+                        None if b is None else b[:, 0]))
+    return weights
+
+
+def _forward_block(weights: list, below: np.ndarray, win: list, first: bool,
+                   tmp: list, relu: bool) -> np.ndarray:
+    """One block of k steps through the hidden layers, bottom-up, in place.
+
+    below is the block's (k, R, input_dim) input and win[i] layer i's
+    (k + 1, R, H_i) window: row 0 holds the state carried into the block,
+    and rows 1.. become the states after each step.  Each layer is one
+    matmul of its input drive (plus bias) over the block, then the
+    recurrence step by step; first marks the block that starts the
+    sequence.  Returns the top layer's (k, R, H) states.
+    """
+    k, R = below.shape[:2]
+    for i in range(1, len(win)):
+        WinT, WrecT, b = weights[i]
+        blk = win[i][1:]
+        np.matmul(below.reshape(k * R, -1), WinT, out=blk.reshape(k * R, -1))
+        if b is not None:
+            blk += b
+        _forward_steps(win[i], WrecT, first, tmp[i], relu)
+        below = blk
+    return below
 
 
 def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
@@ -128,12 +185,13 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     """Batched forward pass over the unrolled layout.
 
     X has shape (B, T, input_dim), B >= 1; the hidden state starts at 0.
-    Time runs in blocks of K steps, and each block runs the layers
-    bottom-up: one matmul writes a layer's input drive (plus bias) for the
-    whole block, the recurrence then runs step by step, and after the top
+    Time runs in blocks of K steps (see _forward_block), and after the top
     layer one matmul writes the block's outputs at steps >= first_output.
-    With keep_trace the whole batch runs with K = T, and the block buffer
-    is the trace that rnn_backward reads.  Without it the batch runs in
+    With keep_trace the whole batch runs in the backward's blocks, K =
+    min(T, BUDGET // (8 B max H_i)).  At K = T the one block's buffer is
+    the trace; at K < T only the input, the outputs and each layer's state
+    carried into each block are kept, and rnn_backward recomputes each
+    block from its carried state.  Without keep_trace the batch runs in
     chunks of R rows, each transposed on its own, and each chunk in blocks
     of K steps: R rows of state take about BUDGET / 32 bytes and a
     (K, R, H) block about BUDGET / 4 at the widest layer H, both rounded
@@ -157,60 +215,54 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     B, T = X.shape[0], layout.length
     if not 0 <= first_output < T:
         raise ComputeError(f"rnn_forward: first_output {first_output} outside [0, {T})")
-    layers = range(1, layout.depth)
-
-    weights = [None]  # per hidden layer: (W_in^T, W_rec^T or None, bias or None)
-    for i in layers:
-        Wrec = layout.matrix(p, f"rec{i}")
-        b = layout.matrix(p, f"b{i}")
-        # The recurrence multiplies by W_rec^T once per step; a contiguous
-        # copy is the faster BLAS operand at small batch sizes.
-        weights.append((layout.view(p, f"in{i}").T,
-                        None if Wrec is None else np.ascontiguousarray(Wrec.T),
-                        None if b is None else b[:, 0]))
+    dims = layout.hidden_dims
+    weights = _forward_weights(layout, p)
     WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
 
-    def run(rows: slice, K: int):
-        """Xt, the block buffers and y of `rows`, all time-major."""
+    def run(rows: slice, K: int, carried=None):
+        """Xt, the block buffers and y of `rows`, all time-major; with
+        carried, the state carried into each block goes into carried[i]."""
         Xt = np.ascontiguousarray(X[rows].transpose(1, 0, 2))
         R = Xt.shape[1]
         # buf[i][0] is the state carried into the block, buf[i][1 + s] the
-        # state after step s of the block.
-        buf = [None] + [np.empty((K + 1, R, n)) for n in layout.hidden_dims]
-        tmp = [None] + [np.empty((R, n)) for n in layout.hidden_dims]
+        # state after step s of the block; the first block starts from 0.
+        buf = [None] + [np.empty((K + 1, R, n)) for n in dims]
+        for a in buf[1:]:
+            a[0] = 0.0
+        tmp = [None] + [np.empty((R, n)) for n in dims]
         y = np.empty((T - first_output, R, layout.output_dim))
         for t0 in range(0, T, K):
             k = min(K, T - t0)
-            below = Xt[t0:t0 + k]
-            for i in layers:
-                WinT, WrecT, b = weights[i]
-                blk = buf[i][1:k + 1]
-                np.matmul(below.reshape(k * R, -1), WinT, out=blk.reshape(k * R, -1))
-                if b is not None:
-                    blk += b
-                _forward_steps(buf[i][:k + 1], WrecT, t0 == 0, tmp[i], relu)
-                buf[i][0] = blk[-1]
-                below = blk
+            top = _forward_block(weights, Xt[t0:t0 + k], [None] + [a[:k + 1] for a in buf[1:]],
+                                 t0 == 0, tmp, relu)
+            if t0 + k < T:
+                for i, a in enumerate(buf[1:], 1):
+                    a[0] = a[k]
+                    if carried is not None:
+                        carried[i][t0 // K + 1] = a[0]
             lo = max(t0, first_output)  # first step of the block that is read out
             n = t0 + k - lo
             if n <= 0:
                 continue
             yb = y[lo - first_output:lo - first_output + n]
-            np.matmul(below[lo - t0:].reshape(n * R, -1), WoutT, out=yb.reshape(n * R, -1))
+            np.matmul(top[lo - t0:].reshape(n * R, -1), WoutT, out=yb.reshape(n * R, -1))
             if bout is not None:
                 yb += bout[:, 0]
         return Xt, buf, y
 
     if keep_trace:
-        Xt, buf, y = run(slice(None), T)
-        return RnnTrace(h=[Xt] + [a[1:] for a in buf[1:]], y=y.transpose(1, 0, 2))
-    H = max(layout.hidden_dims)
+        K = _time_block(layout, B)
+        carried = None if K == T else [None] + [np.zeros((-(-T // K), B, n)) for n in dims]
+        Xt, buf, y = run(slice(None), K, carried)
+        kept = buf if carried is None else carried
+        return RnnTrace(y=y.transpose(1, 0, 2), h=[Xt] + kept[1:], K=K)
+    H = max(dims)
     R = min(B, _pow2(BUDGET // 32 // (8 * H)))
     K = min(T, _pow2(BUDGET // 4 // (8 * R * H)))
     ys = [run(slice(lo, lo + R), K)[2] for lo in range(0, B, R)]
     y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
-    return RnnTrace(h=None, y=y.transpose(1, 0, 2))
+    return RnnTrace(y=y.transpose(1, 0, 2))
 
 
 def _forward_steps(b: np.ndarray, WrecT, first: bool, t: np.ndarray,
@@ -290,55 +342,69 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     alone, while below r it is the recurrence dpre[t + 1] @ W_rec written
     straight into dpre[t].
 
-    Time is walked from the end in blocks of K = min(T, BUDGET // (8 B
-    max H_i)) steps (at least 1), and each block runs the layers top-down:
-    the recurrence dpre[t] = (dh[t] + dpre[t + 1] @ W_rec) * mask[t] steps
-    through the block, starting from the dpre carried in from the first
-    step of the later block; the block's ReLU mask, its in{i}, rec{i}
-    (with the boundary pair dpre[t0] x h[t0 - 1]) and b{i} gradient
-    products and the seed dpre @ W_in of the layer below are all formed
-    while the block is in cache.  So no (T, B, H_i) array is allocated,
-    only one (K, B, H_i) block per layer and, under ReLU, its bool mask,
-    formed only in the rows dY or the layer above seeds; the rows below r
-    take the mask as floats.  dpre itself does
-    not depend on K, and only the gradient sums are split by block: a step
-    that fits in one block (K = T) forms each as one product over the whole
-    sequence, and a longer one differs from that by rounding alone.  With
-    return_dpre the result is (dL/dp, dpre), where dpre[i] is
-    dL/d(pre-activation) of hidden layer i, time-major like tr.h[i]
-    (dpre[0] is None); the same blocks then write into the full arrays, so
-    dL/dp is bit-identical in both modes.
+    Time is walked from the end in blocks of K steps: the trace's own K
+    when it is checkpointed, and K = min(T, BUDGET // (8 B max H_i)) (at
+    least 1) for a one-block trace, which may be walked in smaller blocks
+    than it was cut at.  A checkpointed block's states are first recomputed
+    from the state the trace carried into it, by the forward's own
+    _forward_block on the same shapes, so they have the forward's bits;
+    they go into one (K + 1, B, H_i) buffer per layer that belongs to the
+    backward, and the trace is never written.  Each block then runs the
+    layers top-down: the recurrence dpre[t] = (dh[t] + dpre[t + 1] @ W_rec)
+    * mask[t] steps through the block, starting from the dpre carried in
+    from the first step of the later block; the block's ReLU mask, its
+    out, in{i}, rec{i} (with the boundary pair dpre[t0] x h[t0 - 1]) and
+    b{i} gradient products and the seed dpre @ W_in of the layer below are
+    all formed while the block is in cache.  So no (T, B, H_i) array is
+    allocated, only (K, B, H_i) blocks per layer and, under ReLU, its bool
+    mask, formed only in the rows dY or the layer above seeds; the rows
+    below r take the mask as floats.  dpre itself does not depend on K, and
+    only the gradient sums are split by block: a step that fits in one
+    block (K = T) forms each as one product over the whole sequence, and a
+    longer one differs from that by rounding alone.  With return_dpre the
+    result is (dL/dp, dpre, h), where dpre[i] is dL/d(pre-activation) of
+    hidden layer i and h[i] its states, both (T, B, H_i) and time-major,
+    and h[0] is the time-major input (dpre[0] is None); the same blocks then
+    write into the full arrays (h is the trace's own when it is one block),
+    so dL/dp is bit-identical in both modes.
     """
     _check_activation(activation)
     p = np.asarray(p, dtype=float)
     dY = np.asarray(dY, dtype=float)
+    if tr.h is None:
+        raise ComputeError("rnn_backward: the forward kept no trace")
     if dY.shape != tr.y.shape:
         raise ComputeError(f"rnn_backward: dY shape {dY.shape} != outputs shape {tr.y.shape}")
     dY = np.ascontiguousarray(dY.transpose(1, 0, 2))
     T, B = layout.length, dY.shape[1]
     r = T - dY.shape[0]  # first step with an output
-    K = min(T, max(1, BUDGET // (8 * B * max(layout.hidden_dims))))
+    whole = tr.K == T  # every state is in the trace
+    K = _time_block(layout, B) if whole else tr.K
     relu = activation == "relu"
     top = layout.depth - 1
     layers = range(top, 0, -1)
+    dims = layout.hidden_dims
     dp = np.zeros(layout.m)
-
-    Wout = layout.view(p, "out")
-    sl, _ = layout.slices["out"]
-    dp[sl] = _outer_sum(dY, tr.h[top][r:]).reshape(-1)
     if "bout" in layout.slices:
         sl, _ = layout.slices["bout"]
         dp[sl] = dY.sum(axis=(0, 1))
 
+    Wout = layout.view(p, "out")
     weights = [None] + [(layout.view(p, f"in{i}"), layout.matrix(p, f"rec{i}"))
                         for i in range(1, layout.depth)]
+    rows = T if return_dpre else K
     # dpre of the block being walked: one (K, B, H_i) buffer per layer, or
-    # blocks of the full (T, B, H_i) arrays that return_dpre hands back.
-    dpres = [None] + [np.empty((T if return_dpre else K, B, n)) for n in layout.hidden_dims]
-    mask = [None] + [np.empty((K, B, n), dtype=bool) if relu else None
-                     for n in layout.hidden_dims]
-    carry = [None] + [np.empty((B, n)) for n in layout.hidden_dims]
-    tmp = [None] + [np.empty((B, n)) for n in layout.hidden_dims]
+    # blocks of the full (T, B, H_i) arrays that return_dpre hands back;
+    # likewise the recomputed states, with the carried state in row 0.
+    dpres = [None] + [np.empty((rows, B, n)) for n in dims]
+    if whole:
+        states = tr.h
+    else:
+        fweights = _forward_weights(layout, p)
+        states = [tr.h[0]] + [np.empty((rows + 1, B, n)) for n in dims]
+    mask = [None] + [np.empty((K, B, n), dtype=bool) if relu else None for n in dims]
+    carry = [None] + [np.empty((B, n)) for n in dims]
+    tmp = [None] + [np.empty((B, n)) for n in dims]
     grads: dict = {}  # the first block walked sets each sum, later blocks add
 
     def add(name, value):
@@ -351,11 +417,20 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         k = min(K, T - t0)
         at = t0 if return_dpre else 0
         blocks = [None] + [d[at:at + k] for d in dpres[1:]]
+        # win[i][0] is layer i's state carried into the block, win[i][1 + s]
+        # its state after step s of the block.
+        s0 = t0 if whole else at
+        win = [None] + [a[s0:s0 + k + 1] for a in states[1:]]
+        if not whole:
+            for i in layers:
+                win[i][0] = tr.h[i][t0 // K]
+            _forward_block(fweights, tr.h[0][t0:t0 + k], win, t0 == 0, tmp, relu)
         # The top layer is seeded from dY in rows lo.. of the block, and each
         # layer below by the one above in every row; unseeded rows are
         # written by the recurrence before they are read.
         lo = min(max(r - t0, 0), k)
         if lo < k:
+            add("out", _outer_sum(dY[t0 + lo - r:t0 + k - r], win[top][1 + lo:]))
             np.matmul(dY[t0 + lo - r:t0 + k - r], Wout, out=blocks[top][lo:])
         for i in layers:
             Win, Wrec = weights[i]
@@ -367,16 +442,17 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
                 # mask: as floats into the unseeded rows, which the
                 # recurrence multiplies by it as it overwrites them (x * 1.0
                 # and x * 0.0 are x * True and x * False), as bools in the rest
-                h = tr.h[i][t0:t0 + k]
+                h = win[i][1:]
                 np.greater(h[:seeded], 0.0, out=blk[:seeded])
                 m = mask[i][:k]
                 np.greater(h[seeded:], 0.0, out=m[seeded:])
             _backward_steps(blk, carry[i], m, Wrec, t0 + k == T, seeded, tmp[i])
             carry[i][...] = blk[0]
-            add(f"in{i}", _outer_sum(blk, tr.h[i - 1][t0:t0 + k]))
+            below = tr.h[0][t0:t0 + k] if i == 1 else win[i - 1][1:]
+            add(f"in{i}", _outer_sum(blk, below))
             if Wrec is not None:
                 a = 1 if t0 == 0 else 0  # step 0 has no earlier state
-                add(f"rec{i}", _outer_sum(blk[a:], tr.h[i][t0 + a - 1:t0 + k - 1]))
+                add(f"rec{i}", _outer_sum(blk[a:], win[i][a:k]))
             if f"b{i}" in layout.slices:
                 add(f"b{i}", blk.sum(axis=(0, 1)))
             if i > 1:
@@ -384,4 +460,6 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     for name, value in grads.items():
         sl, _ = layout.slices[name]
         dp[sl] = value.reshape(-1)
-    return (dp, dpres) if return_dpre else dp
+    if not return_dpre:
+        return dp
+    return dp, dpres, [tr.h[0]] + [a[1:] for a in states[1:]]

@@ -105,6 +105,9 @@ class RunConfig:
                 raise ConfigError(f"{key} = {value} is not finite")
         if self.lr <= 0 or self.epsilon <= 0 or self.init_range <= 0:
             raise ConfigError("lr, epsilon and init_range must be positive")
+        if self.target_test_metric is not None and self.target_test_metric < 0:
+            raise ConfigError(f"target_test_metric = {self.target_test_metric} must be >= 0: "
+                              "mse, error_rate and bpc never go below 0")
         # A key that the task or the optimizer never reads could not take
         # effect, so it must keep its default.
         reads = TASK_KEYS[self.task]

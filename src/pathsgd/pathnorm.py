@@ -17,15 +17,18 @@ gamma, kappa1, kappa2 and the preconditioner take the RnnLayout and read one
 pass of the squared net: compute.rnn_forward / rnn_backward, the routines
 training uses, run on the squared parameters at the all-ones input with
 identity activation.  Its summed output is gamma^2; its parameter gradient
-is kappa1, and its per-step hidden values h and backward deltas are what
-kappa2 reads.  kappa2 sums the pairs of applications of a recurrent matrix
-in blocks of L = floor(sqrt(2 H)) steps: pairs inside a block are L long
-matmuls over all blocks at once, and pairs across blocks pass through one
-H x H state carried from block to block, so a layer costs O(T H^2.5) time
-and O(T H^2 / L) memory.  It copies h and delta once per layer, into
-position-major blocks (step q of every block, then step q + 1), so the
-step pairs of each lag are one contiguous slab of each copy and no lag
-copies them again.
+is kappa1, and the per-step hidden values h and backward deltas that the
+backward hands back (recomputed from the trace's block states when T is
+long) are what kappa2 reads.  kappa2 sums the pairs of applications of a
+recurrent matrix in blocks of L = floor(sqrt(2 H)) steps: pairs inside a
+block are L long matmuls over all blocks at once, and pairs across blocks
+pass through one H x H state carried from block to block, so a layer costs
+O(T H^2.5) time.  The per-block sources V and sinks M of that state are
+formed for a chunk of blocks at a time, within compute.BUDGET, so beside
+h, delta and the L + 1 powers of the matrix it takes O(BUDGET) memory.  It
+copies h and delta once per layer, into position-major blocks (step q of
+every block, then step q + 1), so the step pairs of each lag are one
+contiguous slab of each copy and no lag copies them again.
 
 The oracles these are checked against share none of that code: they walk
 the unrolled net one (layer, unit, time) coordinate at a time in plain
@@ -221,7 +224,7 @@ def _squared_pass(layout: RnnLayout, p: np.ndarray):
     Every value of the squared net is nonnegative, so ReLU would be inert
     and its summed output is gamma^2; the gradient of that sum with respect
     to the squared parameters is kappa1.  Returns (kappa1, (h, delta)),
-    where h is the forward trace's time-major h (h[i] of shape (T, 1, H_i))
+    where h holds the states the backward walked (h[i] of shape (T, 1, H_i))
     and delta[i] = d(sum of outputs)/d h^i, of the same shape, is the
     backward's dpre, which equals dh under the identity activation.
     rnn_forward rejects a non-finite parameter vector, so an overflowed p^2
@@ -232,9 +235,9 @@ def _squared_pass(layout: RnnLayout, p: np.ndarray):
         return np.full(layout.m, np.inf), None
     tr = compute.rnn_forward(layout, pt, np.ones((1, layout.length, layout.input_dim)),
                              "identity")
-    k1, delta = compute.rnn_backward(layout, pt, tr, np.ones_like(tr.y), "identity",
-                                     return_dpre=True)
-    return k1, (tr.h, delta)
+    k1, delta, h = compute.rnn_backward(layout, pt, tr, np.ones_like(tr.y), "identity",
+                                        return_dpre=True)
+    return k1, (h, delta)
 
 
 def kappa1(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
@@ -324,9 +327,10 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     contiguous slabs across all blocks, read without a copy; pairs across
     blocks go through the state Z carried from block to block,
     Z <- Z P_L + V_b, and add Z M_b, where V_b collects block b's sources
-    and M_b its sinks (one batched product each over all blocks, reading
-    hq and dq).  Cost per layer O(T H^3 / L + T L H^2) = O(T H^2.5); V
-    and M take O(T H^2 / L) memory.
+    and M_b its sinks (one batched product each over a chunk of c =
+    BUDGET // (16 H^2) blocks, at least 1, reading hq and dq).  Cost per
+    layer O(T H^3 / L + T L H^2) = O(T H^2.5); V and M take O(BUDGET)
+    memory, 2 MiB for 13 blocks at H = 100.
     h and delta come from the squared pass that also gives kappa1 (each
     (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
     (h, delta), otherwise the pass runs here.
@@ -358,15 +362,18 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
         accT = np.zeros((H, H))
         for d in range(L):
             accT += P[d] * (hq[:L - d].reshape(-1, H).T @ dq[d:].reshape(-1, H))
-        # V[k, b, j] = sum_q hq[q, b, k] P_(L-1-q)[k, j]
-        V = np.matmul(hq.transpose(2, 1, 0), P[L - 1::-1].transpose(1, 0, 2))
-        # M[j, b, m] = sum_r P_(r+1)[m, j] dq[r, b, j]
-        M = np.matmul(dq.transpose(2, 1, 0), P[1:].transpose(2, 0, 1))
-        Z = V[:, 0]
-        for b in range(1, nb):
-            accT += Z @ M[:, b].T
-            if b < nb - 1:
-                Z = Z @ P[L] + V[:, b]
+        # V and M of c blocks at a time, both within BUDGET:
+        # V[k, b, j] = sum_q hq[q, b, k] P_(L-1-q)[k, j] and
+        # M[j, b, m] = sum_r P_(r+1)[m, j] dq[r, b, j].
+        c = max(1, compute.BUDGET // (16 * H * H))
+        for c0 in range(0, nb, c):
+            V = np.matmul(hq[:, c0:c0 + c].transpose(2, 1, 0), P[L - 1::-1].transpose(1, 0, 2))
+            M = np.matmul(dq[:, c0:c0 + c].transpose(2, 1, 0), P[1:].transpose(2, 0, 1))
+            for b in range(c0, min(nb, c0 + c)):
+                if b:
+                    accT += Z @ M[:, b - c0].T
+                if b < nb - 1:
+                    Z = V[:, 0] if b == 0 else Z @ P[L] + V[:, b - c0]
         sl, _ = layout.slices[f"rec{i}"]
         out[sl] = (CHRONO_PAIR_COEFF * A * accT.T).reshape(-1)
     return out

@@ -66,8 +66,10 @@ def random_params(layout: RnnLayout, rng: np.random.Generator) -> np.ndarray:
 def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray, margin: float) -> bool:
     # pre near 0 is harmless at a unit whose sources are all 0: then pre is
     # identically 0 in a neighborhood of p and the unit is smooth.  The
-    # trace keeps only h, so pre is recomputed from it.
-    h = compute.rnn_forward(layout, p, X).h
+    # backward hands back the states h it walked, and pre is recomputed
+    # from them.
+    tr = compute.rnn_forward(layout, p, X)
+    h = compute.rnn_backward(layout, p, tr, np.zeros_like(tr.y), return_dpre=True)[2]
     for i in range(1, layout.depth):
         pre = h[i - 1] @ layout.view(p, f"in{i}").T
         live = np.any(h[i - 1] != 0.0, axis=2)  # (T, B): some source is not 0
@@ -242,11 +244,14 @@ def check_gradient(rng, n, threshold=1e-5, readout=False) -> PropertyResult:
 
 
 def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
-    """rnn_backward's gradient and the trace-free rnn_forward's outputs do
-    not depend on how time is split into blocks: compute.BUDGET forced to
-    give backward blocks of 1, 2 and 3 steps (and forward chunks of one row
-    in blocks of 1 or 2 steps) agrees up to rounding with the default
-    budget, which runs these nets in one block.  BUDGET is restored after."""
+    """rnn_backward's gradient and rnn_forward's outputs do not depend on
+    how time is split into blocks: compute.BUDGET forced to give blocks of
+    1, 2 and 3 steps agrees up to rounding with the default budget, which
+    runs these nets in one block.  Each forced budget walks the one-block
+    trace in its blocks, runs a forward and backward that keep only the
+    state carried into each block and recompute the rest, and runs the
+    trace-free forward in chunks of one row and blocks of 1 or 2 steps.
+    BUDGET is restored after."""
     worst = 0.0
     default = compute.BUDGET
     try:
@@ -254,14 +259,17 @@ def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
             layout = replace(random_layout(rng), length=int(rng.integers(4, 10)))
             p = random_params(layout, rng)
             X = rng.standard_normal((3, layout.length, layout.input_dim))
+            compute.BUDGET = default
             tr = compute.rnn_forward(layout, p, X)
             dY = rng.standard_normal(tr.y.shape)
-            compute.BUDGET = default
             g = compute.rnn_backward(layout, p, tr, dY)
             y = compute.rnn_forward(layout, p, X, keep_trace=False).y
             for k in (1, 2, 3):
                 compute.BUDGET = k * 8 * len(X) * max(layout.hidden_dims)
+                cut = compute.rnn_forward(layout, p, X)
                 worst = max(worst, _rel(compute.rnn_backward(layout, p, tr, dY), g, 1.0),
+                            _rel(compute.rnn_backward(layout, p, cut, dY), g, 1.0),
+                            _rel(cut.y, tr.y, 1.0),
                             _rel(compute.rnn_forward(layout, p, X, keep_trace=False).y,
                                  y, 1.0))
     finally:

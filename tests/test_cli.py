@@ -518,6 +518,12 @@ def test_verify_quick(capsys):
     assert "10/10 properties passed" in out
 
 
+def test_verify_rejects_negative_seed_by_name(capsys):
+    assert run_cli("verify", "--seed", "-1") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be >= 0, got -1\n" and not captured.out
+
+
 def test_verify_tamper_detected(monkeypatch, capsys):
     real = pathnorm.kappa1
     monkeypatch.setattr(pathnorm, "kappa1", lambda layout, p: 3.0 * real(layout, p))
@@ -560,11 +566,12 @@ def test_kappa_ratio_bad_sizes(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--init-range", "nan"), ("--init-range", "inf"), ("--init-range", "-inf"),
     ("--init-range", "-0.1"), ("--input-dim", "0"), ("--output-dim", "0"),
-    ("--output-dim", "-1"),
+    ("--output-dim", "-1"), ("--seed", "-1"),
 ])
 def test_kappa_ratio_rejects_bad_flag_before_output(tmp_path, capsys, flag, value):
-    """A non-finite or negative init range and a dimension below 1 exit 1,
-    name the flag, and print nothing, not even the table header."""
+    """A non-finite or negative init range, a dimension below 1 and a
+    negative seed exit 1, name the flag, and print nothing, not even the
+    table header."""
     csv = tmp_path / "ratios.csv"
     assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3", f"{flag}={value}",
                    "--csv", str(csv)) == 1

@@ -171,9 +171,9 @@ def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first,
     dY = rng.standard_normal(tr.y.shape)
     dY_full = np.zeros_like(full.y)
     dY_full[:, r:] = dY
-    g, dpre = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
-    g_full, dpre_full = compute.rnn_backward(layout, p, full, dY_full, activation,
-                                             return_dpre=True)
+    g, dpre, _ = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+    g_full, dpre_full, _ = compute.rnn_backward(layout, p, full, dY_full, activation,
+                                                return_dpre=True)
     np.testing.assert_array_equal(g, g_full)
     for got, want in zip(dpre[1:], dpre_full[1:]):
         np.testing.assert_array_equal(got, want)
@@ -219,6 +219,14 @@ def test_rnn_forward_rejects_first_output_out_of_range(first_output, rng):
         with pytest.raises(compute.ComputeError, match="first_output"):
             compute.rnn_forward(layout, np.zeros(layout.m), X, keep_trace=keep_trace,
                                 first_output=first_output)
+
+
+def test_rnn_backward_rejects_trace_free_forward(rng):
+    layout = RnnLayout(2, (3,), 1, 5)
+    p = np.zeros(layout.m)
+    lean = compute.rnn_forward(layout, p, rng.standard_normal((2, 5, 2)), keep_trace=False)
+    with pytest.raises(compute.ComputeError, match="kept no trace"):
+        compute.rnn_backward(layout, p, lean, np.ones_like(lean.y))
 
 
 @pytest.mark.parametrize("keep_trace", [True, False])
@@ -288,10 +296,10 @@ def test_rnn_backward_blocks_match_one_block(K, activation, hidden, bias, length
         tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
         dY = rng.standard_normal(tr.y.shape)
         monkeypatch.setattr(compute, "BUDGET", 8 * B * max(hidden) * length)
-        g_one, dpre_one = compute.rnn_backward(layout, p, tr, dY, activation,
-                                               return_dpre=True)
+        g_one, dpre_one, _ = compute.rnn_backward(layout, p, tr, dY, activation,
+                                                  return_dpre=True)
         monkeypatch.setattr(compute, "BUDGET", 8 * B * max(hidden) * k)
-        g, dpre = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+        g, dpre, _ = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
         np.testing.assert_allclose(g, g_one, rtol=1e-12, atol=1e-14)
         for got, want in zip(dpre[1:], dpre_one[1:]):
             np.testing.assert_array_equal(got, want)
@@ -336,9 +344,9 @@ def _matmul_backward_steps(blk, carry, m, Wrec, last, seeded, t):
 def _recurrence_outputs(layout, p, X, activation, r, dY):
     tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
     lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False, first_output=r)
-    g, dpre = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+    g, dpre, h = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
     g_lean = compute.rnn_backward(layout, p, tr, dY, activation)
-    return [tr.y, *tr.h[1:], lean.y, g, *dpre[1:], g_lean]
+    return [tr.y, *h[1:], lean.y, g, *dpre[1:], g_lean]
 
 
 @pytest.mark.parametrize("budget", ["default", 1])
@@ -370,3 +378,101 @@ def test_step_loops_bit_identical_to_matmul_form(hidden, bias, activation, budge
                 assert len(got) == len(want)
                 for a, b in zip(got, want):
                     assert a.shape == b.shape and a.tobytes() == b.tobytes(), (T, B, r)
+
+
+def _forward_backward(layout, p, X, activation, r, dY):
+    """The trace, then y, g, dpre and h of return_dpre, and g without it."""
+    tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
+    g, dpre, h = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+    return tr, [tr.y, g, *dpre[1:], *h, compute.rnn_backward(layout, p, tr, dY, activation)]
+
+
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("hidden", [(3,), (4, 1), (2, 3, 2)])
+def test_recomputed_blocks_bit_identical_to_kept_trace(hidden, bias, activation, rng,
+                                                       monkeypatch):
+    """A forward and backward both under a budget of 1-, 2- and 3-step
+    blocks keep only the state carried into each block and recompute the
+    rest.  The recomputed states have the bytes of the ones the forward
+    carried, and y, g and return_dpre's dpre and h have the bytes of the
+    one-block trace walked in the same blocks.  T = 20 ends in a partial
+    block at 3 steps.  At B = 1 and one step per block every product has
+    one row, which NumPy runs as gemv, so there the match to the one-block
+    trace, whose products have T rows, is up to rounding."""
+    T = 20
+    layout = RnnLayout(2, hidden, 2, T, bias=bias)
+    for B in (1, 3, 32):
+        p = rng.uniform(-1.2, 1.2, layout.m)
+        X = rng.standard_normal((B, T, 2))
+        for r in (0, T // 2, T - 1):
+            dY = rng.standard_normal((B, T - r, 2))
+            kept = compute.rnn_forward(layout, p, X, activation, first_output=r)
+            assert kept.K == T
+            for k in (1, 2, 3):
+                with monkeypatch.context() as mp:
+                    mp.setattr(compute, "BUDGET", k * 8 * B * max(hidden))
+                    g, dpre, h = compute.rnn_backward(layout, p, kept, dY, activation,
+                                                      return_dpre=True)
+                    want = [kept.y, g, *dpre[1:], *h,
+                            compute.rnn_backward(layout, p, kept, dY, activation)]
+                    cut, got = _forward_backward(layout, p, X, activation, r, dY)
+                assert cut.K == k and len(got) == len(want)
+                h_got = got[-len(h) - 1:-1]
+                for carried, states in zip(cut.h[1:], h_got[1:]):
+                    assert carried[1:].tobytes() == states[k - 1:T - 1:k].tobytes()
+                for a, b in zip(got, want):
+                    assert a.shape == b.shape
+                    if B == 1 and k == 1:
+                        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
+                    else:
+                        assert a.tobytes() == b.tobytes(), (B, r, k)
+
+
+@pytest.mark.parametrize("input_dim", [2, 27, 100])
+def test_checkpointed_trace_bit_identical_at_paper_scale(input_dim, rng, monkeypatch):
+    """At T = 750, B = 32, H = 100 the default budget cuts the trace into
+    81-step blocks.  Each block's input drive is one matmul over its rows,
+    and at input widths 2 (addition), 27 and 100 it has the bytes of the
+    same rows of one whole-sequence matmul: y, g, dpre and h equal those of
+    the one-block trace walked in the same blocks."""
+    T, B = 750, 32
+    layout = RnnLayout(input_dim, (100,), 1, T)
+    p = rng.uniform(-0.1, 0.1, layout.m)
+    X = rng.standard_normal((B, T, input_dim))
+    dY = rng.standard_normal((B, 1, 1))
+    cut, got = _forward_backward(layout, p, X, "relu", T - 1, dY)
+    assert cut.K == 81
+    with monkeypatch.context() as mp:
+        mp.setattr(compute, "BUDGET", 8 * B * 100 * T)
+        kept = compute.rnn_forward(layout, p, X, first_output=T - 1)
+    assert kept.K == T and compute.rnn_forward(layout, p, X[:1]).K == T
+    g, dpre, h = compute.rnn_backward(layout, p, kept, dY, return_dpre=True)
+    want = [kept.y, g, *dpre[1:], *h, compute.rnn_backward(layout, p, kept, dY)]
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("budget", ["default", 1])
+def test_backward_leaves_the_trace_as_it_was(budget, rng, monkeypatch):
+    """Two backward calls on one trace, kept whole or checkpointed into
+    one-step blocks, give the same bytes, and neither writes the trace."""
+    if budget != "default":
+        monkeypatch.setattr(compute, "BUDGET", budget)
+    layout = RnnLayout(2, (3, 2), 2, 7, bias=True)
+    p = rng.uniform(-1.2, 1.2, layout.m)
+    X = rng.standard_normal((3, 7, 2))
+    tr = compute.rnn_forward(layout, p, X, first_output=2)
+    assert (tr.K == 7) == (budget == "default")
+    kept = [a.tobytes() for a in (tr.y, *tr.h)]
+    dY = rng.standard_normal(tr.y.shape)
+    for return_dpre in (False, True):
+        first = compute.rnn_backward(layout, p, tr, dY, return_dpre=return_dpre)
+        second = compute.rnn_backward(layout, p, tr, dY, return_dpre=return_dpre)
+        if return_dpre:
+            first = [first[0], *first[1][1:], *first[2]]
+            second = [second[0], *second[1][1:], *second[2]]
+        else:
+            first, second = [first], [second]
+        assert [a.tobytes() for a in first] == [a.tobytes() for a in second]
+        assert [a.tobytes() for a in (tr.y, *tr.h)] == kept

@@ -143,6 +143,15 @@ def test_validate_rejections():
             load_config(None, {key: raw})
 
 
+@pytest.mark.parametrize("raw", ["-1", "-1e-9"])
+def test_negative_target_test_metric_is_rejected(raw):
+    """mse, error_rate and bpc are all >= 0, so a negative target could
+    never be met and the run would spend every step; 0 is reachable."""
+    with pytest.raises(ConfigError, match=f"^target_test_metric = {float(raw)} must be >= 0"):
+        load_config(None, {"target_test_metric": raw})
+    assert load_config(None, {"target_test_metric": "0"}).target_test_metric == 0.0
+
+
 @pytest.mark.parametrize("task", cfgmod.TASKS)
 def test_each_task_takes_the_data_keys_it_reads(task):
     """Defaults pass for every task, and so does a non-default value of

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -176,6 +177,49 @@ def test_kappa2_matches_step_major_reference(rng, length, hidden):
     expected = reference.kappa2(layout, p)
     assert np.max(np.abs(expected)) > 100.0
     assert rel_gap(pathnorm.kappa2(layout, p), expected, floor=1.0) < 1e-12
+
+
+@pytest.mark.parametrize("length, hidden", [(101, (6,)), (30, (8, 3)), (750, (100,))])
+def test_kappa2_chunks_of_blocks_match_one_chunk(rng, monkeypatch, length, hidden):
+    """kappa2 forms V and M for a chunk of blocks at a time.  Chunks of 1, 2
+    and 3 blocks (the last one partial) agree with one chunk of every block
+    up to rounding: BLAS may round a row of a product differently at
+    another row count, and a one-row product runs as gemv.  At T = 750,
+    H = 100 the default chunks of 13 blocks give one chunk's bytes."""
+    layout = RnnLayout(2, hidden, 1, length, bias=True)
+    p = rng.uniform(-0.1, 0.1, layout.m)
+    states = pathnorm._squared_pass(layout, p)[1]
+    got = pathnorm.kappa2(layout, p, states)
+    with monkeypatch.context() as mp:
+        mp.setattr(compute, "BUDGET", 16 * length * max(hidden) ** 2)
+        want = pathnorm.kappa2(layout, p, states)
+    if length == 750:
+        assert compute.BUDGET // (16 * 100 ** 2) == 13
+        assert got.tobytes() == want.tobytes()
+    for c in (1, 2, 3):
+        monkeypatch.setattr(compute, "BUDGET", c * 16 * max(hidden) ** 2)
+        np.testing.assert_allclose(pathnorm.kappa2(layout, p, states), want,
+                                   rtol=1e-13, atol=0)
+
+
+def test_kappa2_forms_v_and_m_within_budget(rng):
+    """At T = 750, H = 100 kappa2 sums 54 blocks of 14 steps.  V and M of
+    all of them would take 8.6 MB (kappa2 once peaked at 11.6 MB forming
+    them at once); formed 13 blocks at a time, within compute.BUDGET,
+    kappa2's peak beside the squared-pass states it is handed stays below
+    them."""
+    T, H = 750, 100
+    layout = RnnLayout(2, (H,), 1, T)
+    p = rng.uniform(-0.1, 0.1, layout.m)
+    states = pathnorm._squared_pass(layout, p)[1]
+    nb = -(-(T - 2) // 14)
+    tracemalloc.start()
+    try:
+        pathnorm.kappa2(layout, p, states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nb == 54 and peak < 2 * H * nb * H * 8
 
 
 def test_kappa_matches_fd_at_long_unroll(rng):
