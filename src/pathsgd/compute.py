@@ -2,40 +2,30 @@
 
 Training, evaluation, the squared-net pass of pathnorm and verify's
 gradient-check all run one route, vectorized over the RnnLayout matrices.
-rnn_forward runs one loop over blocks of time steps (layers inner): each
-layer's input drive and the block's outputs are one matmul per block, and
-only the recurrence runs step by step, against one C-contiguous copy of
-W_rec^T per layer.  Hidden states are time-major, (T, B, H_i), so each step
-reads and writes one contiguous (B, H_i) block.  The training forward runs
-in rnn_backward's blocks of K steps.  When the sequence fits in one block
-(K = T) the block buffer is the trace; otherwise the trace keeps only the
+rnn_forward loops over blocks of time steps (layers inner): each layer's
+input drive and the block's outputs are one matmul per block, and only the
+recurrence runs step by step, against a C-contiguous copy of W_rec^T.
+Hidden states are time-major, (T, B, H_i).  The training forward runs in
+rnn_backward's blocks of K steps; when T > K its trace keeps only the
 input, the outputs and each layer's state carried into each block, and
 rnn_backward recomputes each block from that state with the forward's own
-block code before it walks the block (recomputation from stored boundary
-states, Chen et al., arXiv:1604.06174).  The recompute runs the forward's
-operations on the same shapes, so its states have the forward's bits.
-Evaluation, which needs only the outputs, runs trace-free (keep_trace=False)
-in chunks of rows and blocks of steps, so a held-out set of any size runs in
-one call.  rnn_backward walks time from the end in blocks, layers top-down
-inside each block, and carries dpre at each block's first step into the
-earlier block, so neither pass forms a (T, B, H_i) array when T > K.  Every
-block size comes from BUDGET and the widest layer.
-Outputs are projected only from step first_output on: a many-to-one task
-reads the last step alone, so its forward makes one (B, H) x (H, O) output
-product and its backward seeds only that step.
+block code, on the same shapes and so with the same bits (recomputation
+from stored boundary states, Chen et al., arXiv:1604.06174).  Evaluation
+runs trace-free in chunks of row_chunk(layout) rows and blocks of steps,
+so a held-out set of any size runs in one call, or chunk by chunk with the
+same rows per product.  rnn_backward walks time from the end in blocks and
+carries dpre across block boundaries, so neither pass forms a (T, B, H_i)
+array when T > K.  Every block size comes from BUDGET and the widest
+layer.  Outputs are projected only from step first_output on, and the
+backward seeds only those steps.
 
-At small sizes a recurrence step costs as much in calls as in arithmetic:
-at B = H = 32 the (B, H) x (H, H) product takes about 1.6 us and each
-elementwise call around it 0.5 to 1.5 us (NumPy 2.4 with OpenBLAS on one
-thread of a Xeon vCPU).  So _forward_steps and _backward_steps split a block
-into row views once, and a step is three calls that each write in place:
-the product, the add, and the ReLU or the mask multiply.  The product is
-np.dot, which reaches BLAS with less dispatch than np.matmul (1.6 against
-2.0 us at that size); the ReLU takes the 0-d array _ZERO, which np.maximum
-uses as it is, where it would convert the float 0.0 at every call.  The
-arithmetic is that of the np.matmul / += / *= form the loops replaced, and
-every output is bit-identical to it; tests/test_compute.py keeps that form
-as the reference, and checks the route on small nets against the per-unit
+A recurrence step costs as much in calls as in arithmetic at small sizes,
+so _forward_steps and _backward_steps split a block into row views once,
+and a step is three calls that write in place: the product (np.dot, which
+reaches BLAS with less dispatch than np.matmul), the add, and the ReLU
+against the 0-d _ZERO or the mask multiply.  Every output is bit-identical
+to the np.matmul / += / *= form tests/test_compute.py keeps as the
+reference, and the route is checked on small nets against the per-unit
 scalar reference in tests/reference.py.  All arithmetic is 64-bit.
 """
 
@@ -141,6 +131,14 @@ def _time_block(layout: RnnLayout, B: int) -> int:
     return min(layout.length, max(1, BUDGET // (8 * B * max(layout.hidden_dims))))
 
 
+def row_chunk(layout: RnnLayout) -> int:
+    """Rows per chunk of a trace-free rnn_forward, at most: R rows of state
+    of the widest layer take about BUDGET / 32 bytes, rounded up to a power
+    of two.  A caller that hands the forward a set in chunks of R rows runs
+    the chunks one call over the whole set would cut it into."""
+    return _pow2(BUDGET // 32 // (8 * max(layout.hidden_dims)))
+
+
 def _forward_weights(layout: RnnLayout, p: np.ndarray) -> list:
     """Per hidden layer i, (W_in^T, W_rec^T or None, bias or None); entry 0
     is None."""
@@ -187,21 +185,18 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     X has shape (B, T, input_dim), B >= 1; the hidden state starts at 0.
     Time runs in blocks of K steps (see _forward_block), and after the top
     layer one matmul writes the block's outputs at steps >= first_output.
-    With keep_trace the whole batch runs in the backward's blocks, K =
-    min(T, BUDGET // (8 B max H_i)).  At K = T the one block's buffer is
-    the trace; at K < T only the input, the outputs and each layer's state
-    carried into each block are kept, and rnn_backward recomputes each
-    block from its carried state.  Without keep_trace the batch runs in
-    chunks of R rows, each transposed on its own, and each chunk in blocks
-    of K steps: R rows of state take about BUDGET / 32 bytes and a
-    (K, R, H) block about BUDGET / 4 at the widest layer H, both rounded
-    up to a power of two: (R, K) = (256, 8) at H = 32, (128, 8) at H = 100
-    and (64, 8) at H = 128.  y is (B, T - first_output, output_dim), the
-    outputs of steps first_output .. T - 1; 0 <= first_output < T.  y
-    agrees across modes and first_output up to rounding; its last bits can
-    depend on R and K, as BLAS may round a row of a product differently at
-    another row count (with OpenBLAS 0.3.31 the unrounded 81 rows at
-    H = 100 change them, and a one-row product runs as gemv).
+    With keep_trace the whole batch runs in the backward's blocks,
+    K = _time_block(layout, B); at K = T the one block's buffer is the
+    trace, at K < T only the input, the outputs and each layer's state
+    carried into each block are kept.  Without keep_trace the batch runs in
+    chunks of R = min(B, row_chunk(layout)) rows, each transposed on its
+    own, and each chunk in blocks of K steps, a (K, R, H) block taking
+    about BUDGET / 4 bytes, rounded up to a power of two.  y is
+    (B, T - first_output, output_dim), the outputs of steps
+    first_output .. T - 1; 0 <= first_output < T.  y agrees across modes
+    and first_output up to rounding; its last bits can depend on R and K,
+    as BLAS may round a row of a product differently at another row count
+    (a one-row product runs as gemv).
     """
     p = _check_params(p, layout.m)
     X = np.asarray(X, dtype=float)
@@ -257,9 +252,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
         Xt, buf, y = run(slice(None), K, carried)
         kept = buf if carried is None else carried
         return RnnTrace(y=y.transpose(1, 0, 2), h=[Xt] + kept[1:], K=K)
-    H = max(dims)
-    R = min(B, _pow2(BUDGET // 32 // (8 * H)))
-    K = min(T, _pow2(BUDGET // 4 // (8 * R * H)))
+    R = min(B, row_chunk(layout))
+    K = min(T, _pow2(BUDGET // 4 // (8 * R * max(dims))))
     ys = [run(slice(lo, lo + R), K)[2] for lo in range(0, B, R)]
     y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
     return RnnTrace(y=y.transpose(1, 0, 2))
@@ -336,37 +330,25 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     tr must come from rnn_forward with the trace kept.  dY, shaped like
     tr.y, must carry any batch normalization (e.g. 1/B for a batch mean);
     the result is the exact gradient of sum(dY * Y) linearized at the
-    trace.  tr.y holds the outputs of steps r .. T - 1, with r the forward's
-    first_output, so dY seeds only those steps: the output gradients sum
-    over them, and the top layer's dpre takes dY @ W_out in those rows
-    alone, while below r it is the recurrence dpre[t + 1] @ W_rec written
-    straight into dpre[t].
+    trace.  tr.y holds the outputs of steps r .. T - 1, r the forward's
+    first_output, so dY seeds only those rows of the top layer's dpre;
+    below r dpre is the recurrence dpre[t + 1] @ W_rec alone.
 
     Time is walked from the end in blocks of K steps: the trace's own K
-    when it is checkpointed, and K = min(T, BUDGET // (8 B max H_i)) (at
-    least 1) for a one-block trace, which may be walked in smaller blocks
-    than it was cut at.  A checkpointed block's states are first recomputed
-    from the state the trace carried into it, by the forward's own
-    _forward_block on the same shapes, so they have the forward's bits;
-    they go into one (K + 1, B, H_i) buffer per layer that belongs to the
-    backward, and the trace is never written.  Each block then runs the
-    layers top-down: the recurrence dpre[t] = (dh[t] + dpre[t + 1] @ W_rec)
-    * mask[t] steps through the block, starting from the dpre carried in
-    from the first step of the later block; the block's ReLU mask, its
-    out, in{i}, rec{i} (with the boundary pair dpre[t0] x h[t0 - 1]) and
-    b{i} gradient products and the seed dpre @ W_in of the layer below are
-    all formed while the block is in cache.  So no (T, B, H_i) array is
-    allocated, only (K, B, H_i) blocks per layer and, under ReLU, its bool
-    mask, formed only in the rows dY or the layer above seeds; the rows
-    below r take the mask as floats.  dpre itself does not depend on K, and
-    only the gradient sums are split by block: a step that fits in one
-    block (K = T) forms each as one product over the whole sequence, and a
-    longer one differs from that by rounding alone.  With return_dpre the
-    result is (dL/dp, dpre, h), where dpre[i] is dL/d(pre-activation) of
-    hidden layer i and h[i] its states, both (T, B, H_i) and time-major,
-    and h[0] is the time-major input (dpre[0] is None); the same blocks then
-    write into the full arrays (h is the trace's own when it is one block),
-    so dL/dp is bit-identical in both modes.
+    when it is checkpointed, else _time_block(layout, B).  A checkpointed
+    block's states are first recomputed from the state the trace carried
+    into it, by _forward_block on the forward's shapes, into buffers of
+    the backward's own.  Each block then runs the layers top-down: the
+    recurrence dpre[t] = (dh[t] + dpre[t + 1] @ W_rec) * mask[t] starts
+    from the dpre carried in from the later block, and the block's mask,
+    gradient products (rec{i} with the boundary pair dpre[t0] x h[t0 - 1])
+    and the seed of the layer below are formed while it is in cache.  So
+    only (K, B, H_i) blocks are allocated.  dpre does not depend on K; the
+    gradient sums are split by block, and differ from one product over the
+    whole sequence by rounding alone.  With return_dpre the result is
+    (dL/dp, dpre, h): dpre[i] is dL/d(pre-activation) of hidden layer i
+    and h[i] its states, both (T, B, H_i) and time-major, h[0] the input
+    and dpre[0] None; dL/dp is bit-identical in both modes.
     """
     _check_activation(activation)
     p = np.asarray(p, dtype=float)

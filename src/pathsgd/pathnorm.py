@@ -18,17 +18,10 @@ pass of the squared net: compute.rnn_forward / rnn_backward, the routines
 training uses, run on the squared parameters at the all-ones input with
 identity activation.  Its summed output is gamma^2; its parameter gradient
 is kappa1, and the per-step hidden values h and backward deltas that the
-backward hands back (recomputed from the trace's block states when T is
-long) are what kappa2 reads.  kappa2 sums the pairs of applications of a
-recurrent matrix in blocks of L = floor(sqrt(2 H)) steps: pairs inside a
-block are L long matmuls over all blocks at once, and pairs across blocks
-pass through one H x H state carried from block to block, so a layer costs
-O(T H^2.5) time.  The per-block sources V and sinks M of that state are
-formed for a chunk of blocks at a time, within compute.BUDGET, so beside
-h, delta and the L + 1 powers of the matrix it takes O(BUDGET) memory.  It
-copies h and delta once per layer, into position-major blocks (step q of
-every block, then step q + 1), so the step pairs of each lag are one
-contiguous slab of each copy and no lag copies them again.
+backward hands back are what kappa2 reads.  kappa2 sums the pairs of
+applications of a recurrent matrix in closed form, in blocks of
+L = floor(sqrt(2 H)) steps, so a layer costs O(T H^2.5) time and, beside
+h, delta and the L + 1 powers of the matrix, O(BUDGET) memory.
 
 The oracles these are checked against share none of that code: they walk
 the unrolled net one (layer, unit, time) coordinate at a time in plain
@@ -304,6 +297,25 @@ def _position_major(x: np.ndarray, L: int, nb: int) -> np.ndarray:
     return out
 
 
+def _chunk_blocks(H: int) -> int:
+    """Blocks per chunk of kappa2's V and M at width H, at least 2: V and
+    M of one block would be one-row products, which BLAS may round
+    differently."""
+    return max(2, compute.BUDGET // (64 * H * H))
+
+
+def _across_blocks(accT, Z, V, M, PL, c0: int, nb: int):
+    """Add to accT the pairs that end in the chunk of blocks from c0 and
+    start in an earlier block, through the state Z carried in (None at
+    block 0), and return the Z carried out; V and M are the chunk's."""
+    for b in range(c0, c0 + V.shape[1]):
+        if b:
+            accT += Z @ M[:, b - c0].T
+        if b < nb - 1:
+            Z = V[:, 0] if b == 0 else Z @ PL + V[:, b - c0]
+    return Z
+
+
 def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     """kappa2 for unrolled RNNs in closed matrix form.
 
@@ -321,16 +333,16 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     C = CHRONO_PAIR_COEFF.  accT is computed exactly in blocks of
     L = min(n, floor(sqrt(2 H))) steps, with the powers P_r = A^r for
     r <= L.  h and delta are copied once into zero-padded position-major
-    blocks hq[q, b] = h_(bL+q) and dq[r, b] = delta_(bL+r+2), each
-    (L, nb, H).  Pairs inside a block are L products P_d * (h^T delta)
-    over step pairs d apart, whose operands hq[:L-d] and dq[d:] are
-    contiguous slabs across all blocks, read without a copy; pairs across
-    blocks go through the state Z carried from block to block,
-    Z <- Z P_L + V_b, and add Z M_b, where V_b collects block b's sources
-    and M_b its sinks (one batched product each over a chunk of c =
-    BUDGET // (16 H^2) blocks, at least 1, reading hq and dq).  Cost per
-    layer O(T H^3 / L + T L H^2) = O(T H^2.5); V and M take O(BUDGET)
-    memory, 2 MiB for 13 blocks at H = 100.
+    blocks hq[q, b] = h_(bL+q) and dq[r, b] = delta_(bL+r+2), (L, nb, H)
+    each, so the pairs d steps apart inside every block are one product
+    P_d * (hq[:L-d]^T dq[d:]) of contiguous slabs.  Pairs across blocks go
+    through the state Z carried from block to block, Z <- Z P_L + V_b, and
+    add Z M_b, where V_b collects block b's sources and M_b its sinks.  V
+    and M are formed for a chunk of _chunk_blocks(H) blocks at a time, and
+    Z is carried from chunk to chunk; every chunk holds at least 2 blocks,
+    and the result is bit-identical to that of one chunk of all blocks.
+    Cost per layer O(T H^3 / L + T L H^2) = O(T H^2.5); V and M take
+    O(BUDGET) memory.
     h and delta come from the squared pass that also gives kappa1 (each
     (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
     (h, delta), otherwise the pass runs here.
@@ -362,18 +374,16 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
         accT = np.zeros((H, H))
         for d in range(L):
             accT += P[d] * (hq[:L - d].reshape(-1, H).T @ dq[d:].reshape(-1, H))
-        # V and M of c blocks at a time, both within BUDGET:
+        # V and M of c blocks at a time:
         # V[k, b, j] = sum_q hq[q, b, k] P_(L-1-q)[k, j] and
         # M[j, b, m] = sum_r P_(r+1)[m, j] dq[r, b, j].
-        c = max(1, compute.BUDGET // (16 * H * H))
-        for c0 in range(0, nb, c):
-            V = np.matmul(hq[:, c0:c0 + c].transpose(2, 1, 0), P[L - 1::-1].transpose(1, 0, 2))
-            M = np.matmul(dq[:, c0:c0 + c].transpose(2, 1, 0), P[1:].transpose(2, 0, 1))
-            for b in range(c0, min(nb, c0 + c)):
-                if b:
-                    accT += Z @ M[:, b - c0].T
-                if b < nb - 1:
-                    Z = V[:, 0] if b == 0 else Z @ P[L] + V[:, b - c0]
+        # A last chunk of one block joins the chunk before it.
+        c, Z = _chunk_blocks(H), None
+        for c0 in range(0, max(nb - 1, 1), c):
+            c1 = c0 + c if c0 + c < nb - 1 else nb
+            V = np.matmul(hq[:, c0:c1].transpose(2, 1, 0), P[L - 1::-1].transpose(1, 0, 2))
+            M = np.matmul(dq[:, c0:c1].transpose(2, 1, 0), P[1:].transpose(2, 0, 1))
+            Z = _across_blocks(accT, Z, V, M, P[L], c0, nb)
         sl, _ = layout.slices[f"rec{i}"]
         out[sl] = (CHRONO_PAIR_COEFF * A * accT.T).reshape(-1)
     return out

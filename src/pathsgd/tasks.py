@@ -1,17 +1,16 @@
 """Desk-scale sequence tasks: their data and one loss head each.
 
-The task route is written once, in Task.  loss_and_grad is the forward of
-``compute`` on an (X, target) batch, the task's head, and the backward from
-the head's dY (with grad=False, the forward alone and g = None).  evaluate
-is one trace-free forward over the fixed held-out set and the head's
-metric; compute alone sizes the chunks that forward runs in, from
-compute.BUDGET.  The addition task keeps no copy of its held-out set: it
-rebuilds the set from its seed, bit-identical, at each evaluation, so the
-set is resident only while evaluate runs.  head(y, target) -> (loss, dY,
-metric) is each task's one definition of its loss and metric.  The many-to-one tasks (addition,
-seqclass) read only the last step's output, so their forward projects from
-first_output = T - 1; charlm reads every step (first_output = 0).
-"""
+The task route is written once, in Task: loss_and_grad runs the forward of
+``compute`` on an (X, target) batch, the task's head and the backward from
+the head's dY (with grad=False, the forward alone and g = None); evaluate
+runs the held-out set through trace-free forwards one chunk of rows at a
+time, bit-identical to one forward over the whole set.  head(y, target) ->
+(loss, dY, metric) is each task's one definition of its loss and metric.
+The addition task keeps no copy of its held-out set: it rebuilds the set
+from its seed at each evaluation, one chunk at a time.  The many-to-one
+tasks (addition, seqclass) read only the last step's output, so their
+forward projects from first_output = T - 1; charlm reads every step
+(first_output = 0)."""
 
 from __future__ import annotations
 
@@ -24,22 +23,6 @@ import numpy as np
 from . import compute
 from .graph import GraphError, RnnLayout
 
-_WORDS = (
-    "the of and to in is was for on with as his that it at from by this had "
-    "not are but they you were her she all would there been one their when "
-    "who will more no if out so said what up its about into than them can "
-    "only other new some could time these two may then do first any my now "
-    "such like our over man me even most made after also did many before "
-    "must through back years where much your way well down should because "
-    "each just those people how too little state good very make world still "
-    "own see men work long get here between both life being under never day "
-    "same another know while last might us great old year off come since "
-    "against go came right used take three house whole again round small "
-    "found every water place thought hand light side part early morning "
-    "river stone green quiet paper letter window garden winter summer "
-    "mountain valley road bridge silver cloud evening answer question "
-    "moment silence").split()
-
 
 # ---------------------------------------------------------------------------
 # the task route
@@ -48,9 +31,9 @@ class Task:
     """The forward, head and backward every task shares.
 
     A subclass sets metric_name, input_dim, output_dim, length and
-    first_output, and defines train_batch, held_out and head.  held_out
-    returns the same (X, target) at every call, and evaluate asks for it
-    at each evaluation.
+    first_output, and defines train_batch, held_out and head.
+    held_out(rows) yields the held-out set as (X, target) chunks of at most
+    rows rows, in order, the same chunks at every call.
     """
 
     def loss_and_grad(self, layout: RnnLayout, p, batch, grad: bool = True):
@@ -63,11 +46,18 @@ class Task:
         return loss, g, metric
 
     def evaluate(self, layout: RnnLayout, p) -> float:
-        """The head's metric on the held-out set."""
-        X, target = self.held_out()
-        tr = compute.rnn_forward(layout, p, X, keep_trace=False,
-                                 first_output=self.first_output)
-        return self.head(tr.y, target)[2]
+        """The head's metric on the held-out set, bit-identical to the head
+        over one trace-free forward of the whole set: the set is taken in
+        chunks of compute.row_chunk(layout) rows, the chunks that forward
+        runs, one forward each, and the head runs once on the joined
+        outputs and targets.  (A partial last chunk picks its block of
+        steps from its own row count; the tests check that it keeps the
+        bits.)"""
+        chunks = [(compute.rnn_forward(layout, p, X, keep_trace=False,
+                                       first_output=self.first_output).y, target)
+                  for X, target in self.held_out(compute.row_chunk(layout))]
+        y, target = chunks[0] if len(chunks) == 1 else map(np.concatenate, zip(*chunks))
+        return self.head(y, target)[2]
 
 
 def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
@@ -90,32 +80,41 @@ def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
 # ---------------------------------------------------------------------------
 # addition problem
 
-def gen_addition(length: int, n: int, rng: np.random.Generator):
+def gen_addition(length: int, n: int, rng: np.random.Generator, marks=None):
     """(X, targets): X is (n, T, 2), a uniform value channel and a mask
     channel that marks two positions, one in each half of the sequence; the
     target is the sum of the values at the marked positions.  The uniform
     draws go straight into the value plane of one channel-first (2, n, T)
     array, which X views channel-last, so the set is allocated once with no
-    whole-set temporary.  rng.random gives the doubles of rng.uniform(0, 1)
-    and leaves rng in the same state."""
-    if length < 2:
-        raise GraphError("gen_addition: length must be >= 2")
+    whole-set temporary.  rng.random gives the doubles of rng.uniform(0, 1),
+    one 64-bit draw each in C order, and leaves rng in the same state.  The
+    marks are then drawn from rng, unless marks gives them."""
     planes = np.zeros((2, n, length))
-    values = rng.random(out=planes[0])
-    first = rng.integers(0, length // 2, size=n)
-    second = rng.integers(length // 2, length, size=n)
+    rng.random(out=planes[0])
+    first, second = _marks(rng, length, n) if marks is None else marks
     rows = np.arange(n)
     planes[1, rows, first] = 1.0
     planes[1, rows, second] = 1.0
-    return planes.transpose(1, 2, 0), values[rows, first] + values[rows, second]
+    return planes.transpose(1, 2, 0), planes[0, rows, first] + planes[0, rows, second]
+
+
+def _marks(rng: np.random.Generator, length: int, n: int):
+    """The marked step in the first and in the second half of n rows."""
+    if length < 2:
+        raise GraphError("gen_addition: length must be >= 2")
+    return (rng.integers(0, length // 2, size=n),
+            rng.integers(length // 2, length, size=n))
 
 
 class AdditionTask(Task):
     """Predict the sum of two marked sequence entries from the final step,
     the only output the forward projects (first_output = T - 1).  The task
-    holds no arrays: held_out rebuilds the held-out set from eval_seed at
-    each call, bit-identical every time, so it is resident only while an
-    evaluation runs."""
+    holds no arrays.  The held-out set is gen_addition's set of eval_size
+    rows from default_rng(eval_seed), and held_out rebuilds it at each call,
+    one chunk of rows at a time, with the bits of the whole set: rows lo to
+    hi of the value plane are draws lo T to hi T - 1 of that stream, read in
+    order from one generator, and the marks come from a second one advanced
+    past all the values."""
 
     input_dim = 2
     output_dim = 1
@@ -130,9 +129,15 @@ class AdditionTask(Task):
     def train_batch(self, rng: np.random.Generator, size: int):
         return gen_addition(self.length, size, rng)
 
-    def held_out(self):
-        return gen_addition(self.length, self.eval_size,
-                            np.random.default_rng(self.eval_seed))
+    def held_out(self, rows: int):
+        T, n = self.length, self.eval_size
+        rng = np.random.default_rng(self.eval_seed)
+        rng.bit_generator.advance(n * T)
+        first, second = _marks(rng, T, n)
+        rng = np.random.default_rng(self.eval_seed)
+        for lo in range(0, n, rows):
+            yield gen_addition(T, min(rows, n - lo), rng,
+                               (first[lo:lo + rows], second[lo:lo + rows]))
 
     def head(self, y: np.ndarray, target: np.ndarray):
         """Mean squared error; the metric is the loss itself."""
@@ -178,8 +183,9 @@ class SeqClassTask(Task):
         idx = rng.integers(0, len(self.train_labels), size=size)
         return self.train_X[idx], self.train_labels[idx]
 
-    def held_out(self):
-        return self.test_X, self.test_labels
+    def held_out(self, rows: int):
+        for lo in range(0, len(self.test_labels), rows):
+            yield self.test_X[lo:lo + rows], self.test_labels[lo:lo + rows]
 
     def head(self, y: np.ndarray, target: np.ndarray):
         """Mean softmax cross-entropy in nats; the metric is the error rate,
@@ -193,28 +199,6 @@ class SeqClassTask(Task):
 
 # ---------------------------------------------------------------------------
 # character-level language modelling
-
-def make_synthetic_corpus(n_chars: int, seed: int = 7) -> str:
-    """Deterministic word-salad text: lowercase words, sentences of 4 to 12
-    words, paragraphs of 5 to 9 sentences.  Small, fixed alphabet."""
-    rng = np.random.default_rng(seed)
-    out: list[str] = []
-    total = 0
-    sentences_left = int(rng.integers(5, 10))
-    while total < n_chars:
-        k = int(rng.integers(4, 13))
-        words = [_WORDS[int(rng.integers(0, len(_WORDS)))] for _ in range(k)]
-        sentence = " ".join(words) + "."
-        sentences_left -= 1
-        if sentences_left == 0:
-            sentence += "\n"
-            sentences_left = int(rng.integers(5, 10))
-        else:
-            sentence += " "
-        out.append(sentence)
-        total += len(sentence)
-    return "".join(out)[:n_chars]
-
 
 @dataclass(frozen=True)
 class CharCorpus:
@@ -246,13 +230,6 @@ def _lookup(codes: np.ndarray, symbols: np.ndarray) -> np.ndarray:
         first = codes[np.argmax(ids == n)]
         raise GraphError(f"character {chr(first)!r} not in alphabet")
     return ids
-
-
-def encode_text(text: str, alphabet: str) -> np.ndarray:
-    """The index in alphabet of each character of text, in the smallest
-    unsigned dtype that holds len(alphabet); a character missing from the
-    alphabet raises GraphError naming the first one."""
-    return _lookup(_code_points(text), _code_points(alphabet))
 
 
 def load_char_corpus(path=None, text: str | None = None,
@@ -314,8 +291,9 @@ class CharLmTask(Task):
         starts = rng.integers(0, len(self.corpus.train) - self.length, size=size)
         return self._window_batch(self.corpus.train, starts)
 
-    def held_out(self):
-        return self._window_batch(self.corpus.test, self.eval_starts)
+    def held_out(self, rows: int):
+        for lo in range(0, len(self.eval_starts), rows):
+            yield self._window_batch(self.corpus.test, self.eval_starts[lo:lo + rows])
 
     def head(self, y: np.ndarray, target: np.ndarray):
         """Mean softmax cross-entropy per character in nats; the metric is

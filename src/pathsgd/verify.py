@@ -277,11 +277,38 @@ def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
     return PropertyResult("time-blocking", worst <= threshold, worst, threshold, n)
 
 
+def check_kappa_at_scale(rng, n, threshold=1e-6, step=1e-4) -> PropertyResult:
+    """preconditioner(k1_plus_k2) matches central second differences of
+    pathnorm.gamma at training shapes: the addition benchmarks' (T, H) of
+    (750, 100) at +-0.1 and (40, 32) at +-0.3, at n coordinates of each
+    block.  The recurrent block is scaled so its squared matrix has
+    spectral radius 1, so that step pairs far apart, across kappa2's
+    blocks and chunks of blocks, weigh in kappa; kappa1 alone, or a Z not
+    carried from one chunk to the next, is off by about 1e-1."""
+    worst, count = 0.0, 0
+    for T, H, w in ((750, 100, 0.1), (40, 32, 0.3)):
+        layout = RnnLayout(2, (H,), 1, T)
+        p = rng.uniform(-w, w, layout.m)
+        sl, _ = layout.slices["rec1"]
+        p[sl] /= np.sqrt(np.max(np.abs(np.linalg.eigvals(p[sl].reshape(H, H) ** 2))))
+        kappa = pathnorm.preconditioner(layout, p, "k1_plus_k2")
+        g0 = pathnorm.gamma(layout, p)
+        for sl, _ in layout.slices.values():
+            for i in rng.choice(np.arange(layout.m)[sl], n, replace=False):
+                h, q = step * max(abs(p[i]), 1.0), p.copy()
+                q[i] = p[i] + h
+                gp = pathnorm.gamma(layout, q)
+                q[i] = p[i] - h
+                fd = 0.5 * (gp - 2.0 * g0 + pathnorm.gamma(layout, q)) / (h * h)
+                worst, count = max(worst, _rel(kappa[i], fd, 1.0)), count + 1
+    return PropertyResult("kappa-at-scale", worst <= threshold, worst, threshold, count)
+
+
 LEVELS = {
     "quick": dict(gamma=8, decomp=5, closed=5, ffzero=5, rescale=20,
-                  inv=5, control=5, grad=10, blocking=5),
+                  inv=5, control=5, grad=10, blocking=5, scale=4),
     "full": dict(gamma=50, decomp=20, closed=20, ffzero=20, rescale=100,
-                 inv=50, control=10, grad=50, blocking=20),
+                 inv=50, control=10, grad=50, blocking=20, scale=10),
 }
 
 
@@ -300,6 +327,7 @@ def run_all(level: str = "quick", seed: int = 0) -> list[PropertyResult]:
         check_sgd_not_invariant(rng, sizes["control"]),
         check_gradient(rng, sizes["grad"]),
         check_time_blocking(rng, sizes["blocking"]),
-        # last, so the properties above draw what they drew without it
+        # last, so the properties above draw what they drew without them
         check_gradient(rng, sizes["grad"], readout=True),
+        check_kappa_at_scale(rng, sizes["scale"]),
     ]

@@ -15,13 +15,17 @@ blocks: the steps are zero-padded into (nb, L, H) arrays, from which each
 lag's step pairs are copied out.  pathnorm.kappa2 reads position-major
 blocks and sums the same pairs in another order, so it must agree with
 this form up to rounding.
+
+make_synthetic_corpus wrote the bundled char-LM corpus, which must stay
+its output byte for byte; encode_text maps a text to its ids over an
+alphabet through the lookup of tasks.load_char_corpus.
 """
 
 import math
 
 import numpy as np
 
-from pathsgd import pathnorm
+from pathsgd import pathnorm, tasks
 
 
 def forward(layout, p, x, activation="relu"):
@@ -158,3 +162,49 @@ def kappa2(layout, p, states=None):
         sl, _ = layout.slices[f"rec{i}"]
         out[sl] = (pathnorm.CHRONO_PAIR_COEFF * A * accT.T).reshape(-1)
     return out
+
+
+_WORDS = (
+    "the of and to in is was for on with as his that it at from by this had "
+    "not are but they you were her she all would there been one their when "
+    "who will more no if out so said what up its about into than them can "
+    "only other new some could time these two may then do first any my now "
+    "such like our over man me even most made after also did many before "
+    "must through back years where much your way well down should because "
+    "each just those people how too little state good very make world still "
+    "own see men work long get here between both life being under never day "
+    "same another know while last might us great old year off come since "
+    "against go came right used take three house whole again round small "
+    "found every water place thought hand light side part early morning "
+    "river stone green quiet paper letter window garden winter summer "
+    "mountain valley road bridge silver cloud evening answer question "
+    "moment silence").split()
+
+
+def make_synthetic_corpus(n_chars, seed=7):
+    """Deterministic word-salad text: lowercase words, sentences of 4 to 12
+    words, paragraphs of 5 to 9 sentences.  Small, fixed alphabet."""
+    rng = np.random.default_rng(seed)
+    out = []
+    total = 0
+    sentences_left = int(rng.integers(5, 10))
+    while total < n_chars:
+        k = int(rng.integers(4, 13))
+        words = [_WORDS[int(rng.integers(0, len(_WORDS)))] for _ in range(k)]
+        sentence = " ".join(words) + "."
+        sentences_left -= 1
+        if sentences_left == 0:
+            sentence += "\n"
+            sentences_left = int(rng.integers(5, 10))
+        else:
+            sentence += " "
+        out.append(sentence)
+        total += len(sentence)
+    return "".join(out)[:n_chars]
+
+
+def encode_text(text, alphabet):
+    """The index in alphabet of each character of text, in the smallest
+    unsigned dtype that holds len(alphabet); a character missing from the
+    alphabet raises GraphError naming the first one."""
+    return tasks._lookup(tasks._code_points(text), tasks._code_points(alphabet))

@@ -515,7 +515,7 @@ def test_env_out_dir(tmp_path, monkeypatch, capsys):
 def test_verify_quick(capsys):
     assert run_cli("verify", "--level", "quick") == 0
     out = capsys.readouterr().out
-    assert "10/10 properties passed" in out
+    assert "11/11 properties passed" in out
 
 
 def test_verify_rejects_negative_seed_by_name(capsys):

@@ -1,7 +1,14 @@
 """Every name a module imports at module level is read somewhere in it, and
-every file the package opens, reads or writes names its encoding."""
+every file the package opens, reads or writes names its encoding.
+
+Run as a script, it prints the package's lines by kind (see line_kinds):
+
+    python tests/test_imports.py
+"""
 
 import ast
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,3 +75,50 @@ def test_package_text_io_names_its_encoding():
     found = {p.relative_to(ROOT).as_posix(): calls_without_encoding(
         p.read_text(encoding="utf-8")) for p in PACKAGE}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+KINDS = ("code", "docstring", "comment", "blank")
+
+
+def line_kinds(source: str) -> dict[str, int]:
+    """The lines of source counted by kind: blank (whitespace only, also
+    inside a docstring), docstring (the other lines of a module, class or
+    function docstring), comment (a comment with no code before it) and
+    code (the rest), so that neither code nor prose can hide the other."""
+    lines = source.splitlines()
+    kinds = ["blank" if not line.strip() else "code" for line in lines]
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        row, col = tok.start
+        if tok.type == tokenize.COMMENT and not lines[row - 1][:col].strip():
+            kinds[row - 1] = "comment"
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)) and ast.get_docstring(node) is not None:
+            doc = node.body[0]
+            for row in range(doc.lineno - 1, doc.end_lineno):
+                if kinds[row] != "blank":
+                    kinds[row] = "docstring"
+    return {kind: kinds.count(kind) for kind in KINDS}
+
+
+def test_line_kinds_counts_planted_source():
+    src = ('"""Module\n\ndocstring."""\n'
+           "\n"
+           "# a comment\n"
+           "x = 1  # code with a comment\n"
+           "\n"
+           "def f():\n"
+           '    """One line."""\n'
+           "    s = \"\"\"not a\n"
+           "    docstring\"\"\"\n"
+           "    return s\n")
+    assert line_kinds(src) == {"code": 5, "docstring": 3, "comment": 1, "blank": 3}
+
+
+if __name__ == "__main__":
+    total = dict.fromkeys(KINDS, 0)
+    for path in PACKAGE:
+        counts = line_kinds(path.read_text(encoding="utf-8"))
+        total = {kind: total[kind] + counts[kind] for kind in KINDS}
+        print(path.relative_to(ROOT).as_posix(), counts)
+    print("total", sum(total.values()), total)

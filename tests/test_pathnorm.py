@@ -179,47 +179,51 @@ def test_kappa2_matches_step_major_reference(rng, length, hidden):
     assert rel_gap(pathnorm.kappa2(layout, p), expected, floor=1.0) < 1e-12
 
 
-@pytest.mark.parametrize("length, hidden", [(101, (6,)), (30, (8, 3)), (750, (100,))])
+@pytest.mark.parametrize("length, hidden", [
+    (101, (6,)), (30, (8, 3)), (750, (100,)), (400, (100,)), (784, (128,))])
 def test_kappa2_chunks_of_blocks_match_one_chunk(rng, monkeypatch, length, hidden):
-    """kappa2 forms V and M for a chunk of blocks at a time.  Chunks of 1, 2
-    and 3 blocks (the last one partial) agree with one chunk of every block
-    up to rounding: BLAS may round a row of a product differently at
-    another row count, and a one-row product runs as gemv.  At T = 750,
-    H = 100 the default chunks of 13 blocks give one chunk's bytes."""
+    """kappa2 forms V and M for a chunk of blocks at a time.  Every chunk
+    size of 2 or more blocks, the default's too, gives the bytes of one
+    chunk of all blocks; a last chunk of one block joins the one before it
+    (T = 400, H = 100 has 29 blocks, T = 784, H = 128 has 49).  Chunks of
+    one block agree only up to rounding: a one-row product may round
+    differently."""
+    assert pathnorm._chunk_blocks(100) == 3 and pathnorm._chunk_blocks(128) == 2
     layout = RnnLayout(2, hidden, 1, length, bias=True)
     p = rng.uniform(-0.1, 0.1, layout.m)
     states = pathnorm._squared_pass(layout, p)[1]
     got = pathnorm.kappa2(layout, p, states)
     with monkeypatch.context() as mp:
-        mp.setattr(compute, "BUDGET", 16 * length * max(hidden) ** 2)
+        mp.setattr(pathnorm, "_chunk_blocks", lambda H: length)
         want = pathnorm.kappa2(layout, p, states)
-    if length == 750:
-        assert compute.BUDGET // (16 * 100 ** 2) == 13
-        assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == want.tobytes()
     for c in (1, 2, 3):
-        monkeypatch.setattr(compute, "BUDGET", c * 16 * max(hidden) ** 2)
-        np.testing.assert_allclose(pathnorm.kappa2(layout, p, states), want,
-                                   rtol=1e-13, atol=0)
+        monkeypatch.setattr(pathnorm, "_chunk_blocks", lambda H, c=c: c)
+        got = pathnorm.kappa2(layout, p, states)
+        if c == 1:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 def test_kappa2_forms_v_and_m_within_budget(rng):
     """At T = 750, H = 100 kappa2 sums 54 blocks of 14 steps.  V and M of
-    all of them would take 8.6 MB (kappa2 once peaked at 11.6 MB forming
-    them at once); formed 13 blocks at a time, within compute.BUDGET,
+    all of them would take 8.6 MB; formed a chunk of blocks at a time,
     kappa2's peak beside the squared-pass states it is handed stays below
-    them."""
-    T, H = 750, 100
+    its position-major copies of h and delta, the 15 powers of the matrix
+    and one compute.BUDGET for the rest."""
+    T, H, L = 750, 100, 14
     layout = RnnLayout(2, (H,), 1, T)
     p = rng.uniform(-0.1, 0.1, layout.m)
     states = pathnorm._squared_pass(layout, p)[1]
-    nb = -(-(T - 2) // 14)
+    nb = -(-(T - 2) // L)
     tracemalloc.start()
     try:
         pathnorm.kappa2(layout, p, states)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert nb == 54 and peak < 2 * H * nb * H * 8
+    assert nb == 54 and peak < 2 * L * nb * H * 8 + (L + 1) * H * H * 8 + compute.BUDGET
 
 
 def test_kappa_matches_fd_at_long_unroll(rng):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pathsgd import compute, tasks
+from pathsgd import compute, pathnorm, tasks
 from pathsgd.graph import GraphError, RnnLayout
 
 import reference
@@ -111,7 +111,7 @@ def test_addition_grad_matches_fd(rng):
 def test_addition_eval_fixed_set():
     a = tasks.AdditionTask(length=6, eval_size=32, eval_seed=9)
     b = tasks.AdditionTask(length=6, eval_size=32, eval_seed=9)
-    assert np.array_equal(a.held_out()[1], b.held_out()[1])
+    assert np.array_equal(next(a.held_out(32))[1], next(b.held_out(32))[1])
 
 
 @pytest.mark.parametrize("length, n, value_sum, target_sum, mark_sum", [
@@ -123,7 +123,7 @@ def test_held_out_is_the_same_at_every_call(length, n, value_sum, target_sum,
     bit for bit, and with the pinned exact sums of the set's values, its
     targets and its marked steps."""
     task = tasks.AdditionTask(length, eval_size=n, eval_seed=1)
-    (X, target), (X2, target2) = task.held_out(), task.held_out()
+    (X, target), (X2, target2) = next(task.held_out(n)), next(task.held_out(n))
     assert X.tobytes() == X2.tobytes() and target.tobytes() == target2.tobytes()
     assert math.fsum(X[:, :, 0].ravel()) == value_sum
     assert math.fsum(target) == target_sum
@@ -151,15 +151,15 @@ def test_addition_task_keeps_no_held_out_set():
 
 def test_addition_eval_holds_no_trace():
     """Evaluation runs the forward trace-free, one chunk of rows at a time:
-    with the held-out set built beforehand, its peak allocation stays below
-    one compute.BUDGET, so it holds no hidden-state trace (13 MB for one
-    128-row chunk here) and no second, transposed copy of the whole set
+    with the held-out chunks built beforehand, its peak allocation stays
+    below one compute.BUDGET, so it holds no hidden-state trace (13 MB for
+    one 128-row chunk here) and no second, transposed copy of the whole set
     (1.6 MB)."""
     T, H = 200, 64
     task = tasks.AdditionTask(T, eval_size=512)
-    held = task.held_out()
-    task.held_out = lambda: held
     layout = RnnLayout(2, (H,), 1, T)
+    held = list(task.held_out(compute.row_chunk(layout)))
+    task.held_out = lambda rows: iter(held)
     p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
     tracemalloc.start()
     try:
@@ -168,6 +168,48 @@ def test_addition_eval_holds_no_trace():
     finally:
         tracemalloc.stop()
     assert peak < compute.BUDGET
+
+
+@pytest.mark.parametrize("length, hidden, n", [
+    (750, 100, 512), (40, 32, 1024),
+    (41, 32, 300), (750, 100, 300)])  # a partial last chunk
+def test_chunked_evaluate_is_bit_identical_to_the_whole_set(length, hidden, n):
+    """evaluate, which builds and runs the held-out set one chunk of rows
+    at a time, returns the bits of the head over one trace-free forward of
+    gen_addition's whole set, and the chunks join into that set."""
+    task = tasks.AdditionTask(length, eval_size=n, eval_seed=1)
+    layout = RnnLayout(2, (hidden,), 1, length)
+    p = np.random.default_rng(3).uniform(-0.1, 0.1, layout.m)
+    X, target = tasks.gen_addition(length, n, np.random.default_rng(1))
+    chunks = list(task.held_out(compute.row_chunk(layout)))
+    assert len(chunks) == -(-n // compute.row_chunk(layout)) > 1
+    assert np.concatenate([c[0] for c in chunks]).tobytes() == X.tobytes()
+    assert np.concatenate([c[1] for c in chunks]).tobytes() == target.tobytes()
+    y = compute.rnn_forward(layout, p, X, keep_trace=False, first_output=length - 1).y
+    assert task.evaluate(layout, p) == task.head(y, target)[2]
+
+
+def test_the_step_sets_the_traced_peak_at_paper_scale():
+    """At add-T750-k12's shape (T = 750, H = 100, 512 held-out rows, a batch
+    of 32) the evaluation and the k1_plus_k2 preconditioner each peak below
+    a training loss_and_grad, so neither sets the run's memory peak."""
+    T, H = 750, 100
+    task = tasks.AdditionTask(T, eval_size=512)
+    layout = RnnLayout(2, (H,), 1, T)
+    p = np.random.default_rng(0).uniform(-0.1, 0.1, layout.m)
+    batch = task.train_batch(np.random.default_rng(1), 32)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    step = peak(lambda: task.loss_and_grad(layout, p, batch))
+    assert peak(lambda: task.evaluate(layout, p)) < step
+    assert peak(lambda: pathnorm.preconditioner(layout, p, "k1_plus_k2")) < step
 
 
 def test_addition_backward_holds_no_full_gradient():
@@ -234,7 +276,7 @@ def test_seq_class_uniform_logit_metric(rng):
 def test_corpus_is_regenerable():
     """The bundled corpus must equal the generator's output byte for byte."""
     bundled = tasks.bundled_corpus_path().read_text()
-    assert bundled == tasks.make_synthetic_corpus(110_000, seed=7)
+    assert bundled == reference.make_synthetic_corpus(110_000, seed=7)
     assert len(bundled) == 110_000
 
 
@@ -264,21 +306,21 @@ TEXTS = {
 @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
 def test_encode_text_matches_per_character_reference(text):
     alphabet = "".join(sorted(set(text)))
-    ids = tasks.encode_text(text, alphabet)
+    ids = reference.encode_text(text, alphabet)
     assert ids.tolist() == [alphabet.index(c) for c in text]
     assert ids.dtype == np.uint8
     corpus = tasks.load_char_corpus(text=text * 10)
     assert corpus.alphabet == alphabet
-    whole = tasks.encode_text(text * 10, alphabet)
+    whole = reference.encode_text(text * 10, alphabet)
     assert np.array_equal(corpus.train, whole[:len(corpus.train)])
     assert np.array_equal(corpus.test, whole[len(whole) - len(corpus.test):])
 
 
 def test_encode_text():
-    ids = tasks.encode_text("abba", "ba")
+    ids = reference.encode_text("abba", "ba")
     assert np.array_equal(ids, [1, 0, 0, 1])
     with pytest.raises(GraphError, match="character 'é' not in alphabet"):
-        tasks.encode_text("abéc", "ab")
+        reference.encode_text("abéc", "ab")
 
 
 @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16),
@@ -286,7 +328,7 @@ def test_encode_text():
 def test_ids_take_the_smallest_dtype_that_holds_the_alphabet(size, dtype):
     alphabet = "".join(map(chr, range(size)))
     text = alphabet[::-1] + alphabet[:3]
-    ids = tasks.encode_text(text, alphabet)
+    ids = reference.encode_text(text, alphabet)
     assert ids.dtype == dtype
     assert ids.tolist() == [*range(size - 1, -1, -1), 0, 1, 2]
     assert tasks.load_char_corpus(text=text).train.dtype == dtype
@@ -309,7 +351,7 @@ def test_charlm_windows_shift_by_one(rng):
 
 
 def test_charlm_uniform_predictor_bpc():
-    corpus = tasks.load_char_corpus(text=tasks.make_synthetic_corpus(4000))
+    corpus = tasks.load_char_corpus(text=reference.make_synthetic_corpus(4000))
     task = tasks.CharLmTask(corpus, unroll=10, eval_windows=8)
     layout = RnnLayout(task.input_dim, (4,), task.output_dim, 10)
     bpc = task.evaluate(layout, np.zeros(layout.m))

@@ -8,7 +8,7 @@ import reference
 
 def test_run_all_quick_passes():
     results = verify.run_all("quick", seed=0)
-    assert len(results) == 10
+    assert len(results) == 11
     for res in results:
         assert res.passed, res.line()
         assert res.worst <= res.threshold or res.name == "sgd-not-invariant"
@@ -66,6 +66,17 @@ def test_unmasked_readout_rows_are_caught(monkeypatch):
     monkeypatch.setattr(compute, "_backward_steps", unmasked)
     results = {r.name: r for r in verify.run_all("quick", seed=0)}
     assert [name for name, r in results.items() if not r.passed] == ["gradient-check-readout"]
+
+
+def test_uncarried_kappa2_state_is_caught(monkeypatch):
+    """A kappa2 that drops the state Z carried from one chunk of blocks
+    into the next is right whenever all blocks fit in one chunk, as in
+    every small net: only the kappa-at-scale property sees it."""
+    real = pathnorm._across_blocks
+    monkeypatch.setattr(pathnorm, "_across_blocks", lambda accT, Z, *rest:
+                        real(accT, None if Z is None else np.zeros_like(Z), *rest))
+    results = {r.name: r for r in verify.run_all("quick", seed=0)}
+    assert [name for name, r in results.items() if not r.passed] == ["kappa-at-scale"]
 
 
 def test_sample_kink_free_respects_margin(rng):
