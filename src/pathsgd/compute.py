@@ -6,18 +6,22 @@ rnn_forward loops over blocks of time steps (layers inner): each layer's
 input drive and the block's outputs are one matmul per block, and only the
 recurrence runs step by step, against a C-contiguous copy of W_rec^T.
 Hidden states are time-major, (T, B, H_i).  The training forward runs in
-rnn_backward's blocks of K steps; when T > K its trace keeps only the
-input, the outputs and each layer's state carried into each block, and
-rnn_backward recomputes each block from that state with the forward's own
-block code, on the same shapes and so with the same bits (recomputation
-from stored boundary states, Chen et al., arXiv:1604.06174).  Evaluation
-runs trace-free in chunks of row_chunk(layout) rows and blocks of steps,
-so a held-out set of any size runs in one call, or chunk by chunk with the
-same rows per product.  rnn_backward walks time from the end in blocks and
-carries dpre across block boundaries, so neither pass forms a (T, B, H_i)
-array when T > K.  Every block size comes from BUDGET and the widest
-layer.  Outputs are projected only from step first_output on, and the
-backward seeds only those steps.
+rnn_backward's blocks of K steps: one block when the whole trace fits the
+cache cap BUDGET // (8 B max H_i), else K = min(cap, isqrt(2 T)).  When
+T > K the trace keeps only the input, the outputs and each layer's state
+carried into each block, and rnn_backward recomputes each block from that
+state with the forward's own block code, on the same shapes and so with
+the same bits (recomputation from stored boundary states, Chen et al.,
+arXiv:1604.06174, whose interval of order sqrt(T) keeps the carried states
+and the block buffers near their least sum).  Evaluation runs trace-free
+in chunks of row_chunk(layout) rows and blocks of steps, copying each
+block's input time-major into one reused buffer, so a held-out set of any
+size runs in one call, or chunk by chunk with the same rows per product.
+rnn_backward walks time from the end in blocks and carries dpre across
+block boundaries, so neither pass forms a (T, B, H_i) array when T > K.
+Every block size comes from BUDGET and the widest layer.  Outputs are
+projected only from step first_output on, and the backward seeds only
+those steps.
 
 A recurrence step costs as much in calls as in arithmetic at small sizes,
 so _forward_steps and _backward_steps split a block into row views once,
@@ -31,6 +35,7 @@ scalar reference in tests/reference.py.  All arithmetic is 64-bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,10 +130,19 @@ class RnnTrace:
 
 
 def _time_block(layout: RnnLayout, B: int) -> int:
-    """Steps per block of a kept trace and of rnn_backward: K = min(T,
-    BUDGET // (8 B max H_i)), at least 1, so a (K, B, H_i) block of the
-    widest layer takes about BUDGET bytes."""
-    return min(layout.length, max(1, BUDGET // (8 * B * max(layout.hidden_dims))))
+    """Steps per block of a kept trace and of rnn_backward.
+
+    The cache cap Kb = BUDGET // (8 B max H_i), at least 1, is the most
+    steps whose (Kb, B, H_i) block of the widest layer takes about BUDGET
+    bytes.  A trace of T <= Kb steps is one block, K = T.  A longer one is
+    checkpointed every K = min(Kb, isqrt(2 T)) steps: it keeps T / K
+    carried states beside the backward's few K-step buffers, and K of
+    order sqrt(T) keeps that sum near its least, for the one recompute the
+    backward pays at any K (Chen et al., arXiv:1604.06174).
+    """
+    T = layout.length
+    cap = max(1, BUDGET // (8 * B * max(layout.hidden_dims)))
+    return T if T <= cap else min(cap, math.isqrt(2 * T))
 
 
 def row_chunk(layout: RnnLayout) -> int:
@@ -186,12 +200,14 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     Time runs in blocks of K steps (see _forward_block), and after the top
     layer one matmul writes the block's outputs at steps >= first_output.
     With keep_trace the whole batch runs in the backward's blocks,
-    K = _time_block(layout, B); at K = T the one block's buffer is the
-    trace, at K < T only the input, the outputs and each layer's state
-    carried into each block are kept.  Without keep_trace the batch runs in
-    chunks of R = min(B, row_chunk(layout)) rows, each transposed on its
-    own, and each chunk in blocks of K steps, a (K, R, H) block taking
-    about BUDGET / 4 bytes, rounded up to a power of two.  y is
+    K = _time_block(layout, B): T within the cache cap, else min(cap,
+    isqrt(2 T)).  At K = T the one block's buffer is the trace, at K < T
+    only the time-major input, the outputs and each layer's state carried
+    into each block are kept.  Without keep_trace the batch runs in chunks
+    of R = min(B, row_chunk(layout)) rows, and each chunk in blocks of K
+    steps, a (K, R, H) block taking about BUDGET / 4 bytes, rounded up to a
+    power of two; each block's input is copied time-major into one reused
+    (K, R, input_dim) buffer, so no copy of the whole input is made.  y is
     (B, T - first_output, output_dim), the outputs of steps
     first_output .. T - 1; 0 <= first_output < T.  y agrees across modes
     and first_output up to rounding; its last bits can depend on R and K,
@@ -215,11 +231,14 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
 
-    def run(rows: slice, K: int, carried=None):
-        """Xt, the block buffers and y of `rows`, all time-major; with
-        carried, the state carried into each block goes into carried[i]."""
-        Xt = np.ascontiguousarray(X[rows].transpose(1, 0, 2))
-        R = Xt.shape[1]
+    def run(rows: slice, K: int, Xt=None, carried=None):
+        """The block buffers and y of `rows`, both time-major.  The input
+        is read from Xt, its whole time-major copy, or else copied one
+        block at a time into one (K, R, input_dim) buffer; with carried,
+        the state carried into each block goes into carried[i]."""
+        Xr = X[rows]
+        R = Xr.shape[0]
+        xb = np.empty((K, R, layout.input_dim)) if Xt is None else None
         # buf[i][0] is the state carried into the block, buf[i][1 + s] the
         # state after step s of the block; the first block starts from 0.
         buf = [None] + [np.empty((K + 1, R, n)) for n in dims]
@@ -229,7 +248,12 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
         y = np.empty((T - first_output, R, layout.output_dim))
         for t0 in range(0, T, K):
             k = min(K, T - t0)
-            top = _forward_block(weights, Xt[t0:t0 + k], [None] + [a[:k + 1] for a in buf[1:]],
+            if Xt is None:
+                below = xb[:k]
+                np.copyto(below, Xr[:, t0:t0 + k].transpose(1, 0, 2))
+            else:
+                below = Xt[t0:t0 + k]
+            top = _forward_block(weights, below, [None] + [a[:k + 1] for a in buf[1:]],
                                  t0 == 0, tmp, relu)
             if t0 + k < T:
                 for i, a in enumerate(buf[1:], 1):
@@ -244,17 +268,18 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
             np.matmul(top[lo - t0:].reshape(n * R, -1), WoutT, out=yb.reshape(n * R, -1))
             if bout is not None:
                 yb += bout[:, 0]
-        return Xt, buf, y
+        return buf, y
 
     if keep_trace:
         K = _time_block(layout, B)
         carried = None if K == T else [None] + [np.zeros((-(-T // K), B, n)) for n in dims]
-        Xt, buf, y = run(slice(None), K, carried)
+        Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
+        buf, y = run(slice(None), K, Xt, carried)
         kept = buf if carried is None else carried
         return RnnTrace(y=y.transpose(1, 0, 2), h=[Xt] + kept[1:], K=K)
     R = min(B, row_chunk(layout))
     K = min(T, _pow2(BUDGET // 4 // (8 * R * max(dims))))
-    ys = [run(slice(lo, lo + R), K)[2] for lo in range(0, B, R)]
+    ys = [run(slice(lo, lo + R), K)[1] for lo in range(0, B, R)]
     y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
     return RnnTrace(y=y.transpose(1, 0, 2))
 

@@ -21,7 +21,8 @@ is kappa1, and the per-step hidden values h and backward deltas that the
 backward hands back are what kappa2 reads.  kappa2 sums the pairs of
 applications of a recurrent matrix in closed form, in blocks of
 L = floor(sqrt(2 H)) steps, so a layer costs O(T H^2.5) time and, beside
-h, delta and the L + 1 powers of the matrix, O(BUDGET) memory.
+position-major copies of h and delta and the L + 1 powers of the matrix,
+O(BUDGET) memory; it drops h and delta themselves once they are copied.
 
 The oracles these are checked against share none of that code: they walk
 the unrolled net one (layer, unit, time) coordinate at a time in plain
@@ -345,7 +346,10 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     O(BUDGET) memory.
     h and delta come from the squared pass that also gives kappa1 (each
     (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
-    (h, delta), otherwise the pass runs here.
+    (h, delta), otherwise the pass runs here.  kappa2 takes over the states
+    it is handed: it sets h[i] and delta[i] to None once they are copied,
+    so the copies do not sit beside them, and a caller that needs them
+    again hands kappa2 its own lists.
     """
     n = layout.length - 2
     out = np.zeros(layout.m)
@@ -367,6 +371,7 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
         # block are the contiguous slabs hq[:L-d] and dq[d:].
         hq = _position_major(h[i][:n, 0], L, nb)
         dq = _position_major(delta[i][2:, 0], L, nb)
+        h[i] = delta[i] = None  # the copies are all that is read from here on
         P = np.empty((L + 1, H, H))
         P[0] = np.eye(H)
         for r in range(L):
@@ -392,9 +397,11 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
 def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.ndarray:
     """The kappa vector used by path-normalized updates.
 
-    Overflow in the squared net shows up as a non-finite kappa, which the
-    caller checks; numpy is kept from warning about it, and kappa2 is
-    skipped once kappa1 has already overflowed.
+    kappa1 and kappa2 share one squared pass, whose states kappa2 takes
+    over and frees layer by layer.  Overflow in the squared net shows up
+    as a non-finite kappa, which the caller checks; numpy is kept from
+    warning about it, and kappa2 is skipped once kappa1 has already
+    overflowed.
     """
     if mode not in KAPPA_MODES:
         raise ValueError(f"unknown kappa mode {mode!r}")

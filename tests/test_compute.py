@@ -429,10 +429,24 @@ def test_recomputed_blocks_bit_identical_to_kept_trace(hidden, bias, activation,
                         assert a.tobytes() == b.tobytes(), (B, r, k)
 
 
+@pytest.mark.parametrize("hidden, length, batch, K", [
+    (100, 750, 32, 38),     # add-T750-k12: checkpointed every isqrt(1500) steps
+    (128, 50, 32, 50),      # charlm-H128-adam: within the cap of 64, one block
+    (32, 40, 32, 40),       # add-T40-k1 and criterion 8: one block
+    (100, 81, 32, 81),      # at the cap of 81 steps, one block
+    (100, 82, 32, 12),      # one step past the cap: isqrt(164)
+    (100, 100, 1024, 2)])   # a cap of 2 steps below isqrt(200)
+def test_time_block_is_one_block_or_isqrt_2t(hidden, length, batch, K):
+    """A trace within the cache cap BUDGET // (8 B max H) is one block; a
+    longer one is checkpointed every min(cap, isqrt(2 T)) steps."""
+    layout = RnnLayout(2, (hidden,), 1, length)
+    assert compute._time_block(layout, batch) == K
+
+
 @pytest.mark.parametrize("input_dim", [2, 27, 100])
 def test_checkpointed_trace_bit_identical_at_paper_scale(input_dim, rng, monkeypatch):
-    """At T = 750, B = 32, H = 100 the default budget cuts the trace into
-    81-step blocks.  Each block's input drive is one matmul over its rows,
+    """At T = 750, B = 32, H = 100 the trace is checkpointed every
+    isqrt(2 T) = 38 steps.  Each block's input drive is one matmul over its rows,
     and at input widths 2 (addition), 27 and 100 it has the bytes of the
     same rows of one whole-sequence matmul: y, g, dpre and h equal those of
     the one-block trace walked in the same blocks."""
@@ -442,7 +456,7 @@ def test_checkpointed_trace_bit_identical_at_paper_scale(input_dim, rng, monkeyp
     X = rng.standard_normal((B, T, input_dim))
     dY = rng.standard_normal((B, 1, 1))
     cut, got = _forward_backward(layout, p, X, "relu", T - 1, dY)
-    assert cut.K == 81
+    assert cut.K == 38
     with monkeypatch.context() as mp:
         mp.setattr(compute, "BUDGET", 8 * B * 100 * T)
         kept = compute.rnn_forward(layout, p, X, first_output=T - 1)

@@ -187,23 +187,40 @@ def test_kappa2_chunks_of_blocks_match_one_chunk(rng, monkeypatch, length, hidde
     chunk of all blocks; a last chunk of one block joins the one before it
     (T = 400, H = 100 has 29 blocks, T = 784, H = 128 has 49).  Chunks of
     one block agree only up to rounding: a one-row product may round
-    differently."""
+    differently.  kappa2 takes over the states it is handed, so each call
+    gets its own lists of the one pass's arrays."""
     assert pathnorm._chunk_blocks(100) == 3 and pathnorm._chunk_blocks(128) == 2
     layout = RnnLayout(2, hidden, 1, length, bias=True)
     p = rng.uniform(-0.1, 0.1, layout.m)
-    states = pathnorm._squared_pass(layout, p)[1]
-    got = pathnorm.kappa2(layout, p, states)
+    h, delta = pathnorm._squared_pass(layout, p)[1]
+
+    def states():
+        return list(h), list(delta)
+
+    got = pathnorm.kappa2(layout, p, states())
     with monkeypatch.context() as mp:
         mp.setattr(pathnorm, "_chunk_blocks", lambda H: length)
-        want = pathnorm.kappa2(layout, p, states)
+        want = pathnorm.kappa2(layout, p, states())
     assert got.tobytes() == want.tobytes()
     for c in (1, 2, 3):
         monkeypatch.setattr(pathnorm, "_chunk_blocks", lambda H, c=c: c)
-        got = pathnorm.kappa2(layout, p, states)
+        got = pathnorm.kappa2(layout, p, states())
         if c == 1:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         else:
             assert got.tobytes() == want.tobytes()
+
+
+def test_kappa2_takes_over_the_states_it_is_handed(rng):
+    """kappa2 drops each layer's h and delta from the lists it is handed
+    once it has copied them, and returns the bytes of a kappa2 that runs
+    its own squared pass."""
+    layout = RnnLayout(2, (6, 4), 1, 30, bias=True)
+    p = rng.uniform(-0.5, 0.5, layout.m)
+    h, delta = pathnorm._squared_pass(layout, p)[1]
+    got = pathnorm.kappa2(layout, p, (h, delta))
+    assert got.tobytes() == pathnorm.kappa2(layout, p).tobytes()
+    assert h[1:] == [None, None] and delta[1:] == [None, None]
 
 
 def test_kappa2_forms_v_and_m_within_budget(rng):

@@ -189,10 +189,14 @@ def test_chunked_evaluate_is_bit_identical_to_the_whole_set(length, hidden, n):
     assert task.evaluate(layout, p) == task.head(y, target)[2]
 
 
-def test_the_step_sets_the_traced_peak_at_paper_scale():
+def test_traced_peaks_at_paper_scale():
     """At add-T750-k12's shape (T = 750, H = 100, 512 held-out rows, a batch
-    of 32) the evaluation and the k1_plus_k2 preconditioner each peak below
-    a training loss_and_grad, so neither sets the run's memory peak."""
+    of 32) a training loss_and_grad, the k1_plus_k2 preconditioner and the
+    evaluation each peak at 3.6 MiB or less: the step's trace is
+    checkpointed every 38 steps, kappa2 frees the squared-net states it
+    has copied, and the evaluation copies its input one block at a time.
+    With an 81-step interval, states kept beside kappa2's copies and whole
+    input copies they peaked at 5.20, 4.60 and 4.01 MiB."""
     T, H = 750, 100
     task = tasks.AdditionTask(T, eval_size=512)
     layout = RnnLayout(2, (H,), 1, T)
@@ -207,9 +211,10 @@ def test_the_step_sets_the_traced_peak_at_paper_scale():
         finally:
             tracemalloc.stop()
 
-    step = peak(lambda: task.loss_and_grad(layout, p, batch))
-    assert peak(lambda: task.evaluate(layout, p)) < step
-    assert peak(lambda: pathnorm.preconditioner(layout, p, "k1_plus_k2")) < step
+    bound = 3.6 * 2**20
+    assert peak(lambda: task.loss_and_grad(layout, p, batch)) <= bound
+    assert peak(lambda: pathnorm.preconditioner(layout, p, "k1_plus_k2")) <= bound
+    assert peak(lambda: task.evaluate(layout, p)) <= bound
 
 
 def test_addition_backward_holds_no_full_gradient():
