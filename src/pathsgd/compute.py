@@ -2,26 +2,26 @@
 
 Training, evaluation, the squared-net pass of pathnorm and verify's
 gradient-check all run one route, vectorized over the RnnLayout matrices.
-rnn_forward loops over blocks of time steps (layers inner): each layer's
-input drive and the block's outputs are one matmul per block, and only the
-recurrence runs step by step, against a C-contiguous copy of W_rec^T.
-Hidden states are time-major, (T, B, H_i).  The training forward runs in
-rnn_backward's blocks of K steps: one block when the whole trace fits the
-cache cap BUDGET // (8 B max H_i), else K = min(cap, isqrt(2 T)).  When
-T > K the trace keeps only the input, the outputs and each layer's state
-carried into each block, and rnn_backward recomputes each block from that
-state with the forward's own block code, on the same shapes and so with
-the same bits (recomputation from stored boundary states, Chen et al.,
-arXiv:1604.06174, whose interval of order sqrt(T) keeps the carried states
-and the block buffers near their least sum).  Evaluation runs trace-free
-in chunks of row_chunk(layout) rows and blocks of steps, copying each
-block's input time-major into one reused buffer, so a held-out set of any
-size runs in one call, or chunk by chunk with the same rows per product.
-rnn_backward walks time from the end in blocks and carries dpre across
-block boundaries, so neither pass forms a (T, B, H_i) array when T > K.
-Every block size comes from BUDGET and the widest layer.  Outputs are
-projected only from step first_output on, and the backward seeds only
-those steps.
+rnn_forward is one loop over blocks of K time steps, on the rows it is
+given, with the layers inner: each block's input is copied time-major into
+one reused buffer, each layer's input drive and the block's outputs are
+one matmul per block, and only the recurrence runs step by step, against
+a C-contiguous copy of W_rec^T.  Hidden states are time-major,
+(T, B, H_i).  A kept trace runs in rnn_backward's blocks: one block when
+the whole trace fits the cache cap BUDGET // (8 B max H_i), else
+K = min(cap, isqrt(2 T)).  When T > K the trace keeps only the input, the
+outputs and each layer's state carried into each block, and rnn_backward
+recomputes each block from that state with the forward's own block code,
+on the same shapes and so with the same bits (recomputation from stored
+boundary states, Chen et al., arXiv:1604.06174, whose interval of order
+sqrt(T) keeps the carried states and the block buffers near their least
+sum).  A trace-free forward sizes its blocks from BUDGET and its row
+count; a caller with a large set hands it over in chunks of
+row_chunk(layout) rows.  rnn_backward walks time from the end in blocks,
+copying each block's input the same way, and carries dpre across block
+boundaries, so neither pass forms a (T, B, H_i) array when T > K.
+Outputs are projected only from step first_output on, and the backward
+seeds only those steps.
 
 A recurrence step costs as much in calls as in arithmetic at small sizes,
 so _forward_steps and _backward_steps split a block into row views once,
@@ -46,8 +46,9 @@ ACTIVATIONS = ("relu", "identity")
 
 # Bytes of one hidden layer's dpre block in rnn_backward, small enough to
 # stay in cache while the block's gradient products read it; a kept trace
-# is cut at the same blocks, the trace-free rnn_forward sizes its row
-# chunks and step blocks from it, and pathnorm.kappa2 its chunks of blocks.
+# is cut at the same blocks, the trace-free rnn_forward sizes its step
+# blocks from it, row_chunk the rows a caller hands that forward, and
+# pathnorm.kappa2 its chunks of blocks.
 BUDGET = 2 << 20
 
 
@@ -114,8 +115,9 @@ class RnnTrace:
     (B, T - first_output, output_dim) shape (it may be a transposed view);
     rnn_backward reads first_output back from its length.  A trace-free
     forward leaves h as None.  A kept trace was cut into blocks of K steps,
-    and h[0] is the time-major input (T, B, input_dim).  For hidden layer i,
-    a one-block trace (K = T) keeps every state: h[i] is (T + 1, B, H_i),
+    and h[0] is the caller's X itself, (B, T, input_dim), not a copy, so X
+    must not be written before the backward.  For hidden layer i, a
+    one-block trace (K = T) keeps every state: h[i] is (T + 1, B, H_i),
     h[i][t] the state carried into step t, so h[i][1:] are the states after
     each step.  A checkpointed trace (K < T) keeps only the state carried
     into each block: h[i] is (nb, B, H_i), h[i][j] the state carried into
@@ -146,10 +148,10 @@ def _time_block(layout: RnnLayout, B: int) -> int:
 
 
 def row_chunk(layout: RnnLayout) -> int:
-    """Rows per chunk of a trace-free rnn_forward, at most: R rows of state
+    """Rows per trace-free rnn_forward over a large set: R rows of state
     of the widest layer take about BUDGET / 32 bytes, rounded up to a power
-    of two.  A caller that hands the forward a set in chunks of R rows runs
-    the chunks one call over the whole set would cut it into."""
+    of two.  Task.evaluate hands the held-out set to the forward in chunks
+    of R rows, so each call's blocks stay near BUDGET / 4 bytes."""
     return _pow2(BUDGET // 32 // (8 * max(layout.hidden_dims)))
 
 
@@ -197,22 +199,21 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     """Batched forward pass over the unrolled layout.
 
     X has shape (B, T, input_dim), B >= 1; the hidden state starts at 0.
-    Time runs in blocks of K steps (see _forward_block), and after the top
-    layer one matmul writes the block's outputs at steps >= first_output.
-    With keep_trace the whole batch runs in the backward's blocks,
-    K = _time_block(layout, B): T within the cache cap, else min(cap,
-    isqrt(2 T)).  At K = T the one block's buffer is the trace, at K < T
-    only the time-major input, the outputs and each layer's state carried
-    into each block are kept.  Without keep_trace the batch runs in chunks
-    of R = min(B, row_chunk(layout)) rows, and each chunk in blocks of K
-    steps, a (K, R, H) block taking about BUDGET / 4 bytes, rounded up to a
-    power of two; each block's input is copied time-major into one reused
-    (K, R, input_dim) buffer, so no copy of the whole input is made.  y is
-    (B, T - first_output, output_dim), the outputs of steps
-    first_output .. T - 1; 0 <= first_output < T.  y agrees across modes
-    and first_output up to rounding; its last bits can depend on R and K,
-    as BLAS may round a row of a product differently at another row count
-    (a one-row product runs as gemv).
+    Time runs in blocks of K steps: each block's input is copied
+    time-major into one reused (K, B, input_dim) buffer, runs through the
+    hidden layers (_forward_block), and after the top layer one matmul
+    writes the block's outputs at steps >= first_output.  With keep_trace,
+    K = _time_block(layout, B), the backward's blocks: at K = T the one
+    block's buffers are the trace, at K < T only each layer's state
+    carried into each block is kept, and either way h[0] is X itself.
+    Without keep_trace a (K, B, H) block takes about BUDGET / 4 bytes,
+    rounded up to a power of two; a caller with a large set hands it over
+    in chunks of row_chunk(layout) rows.  y is (B, T - first_output,
+    output_dim), the outputs of steps first_output .. T - 1;
+    0 <= first_output < T.  y agrees across modes and first_output up to
+    rounding; its last bits can depend on B and K, as BLAS may round a row
+    of a product differently at another row count (a one-row product runs
+    as gemv).
     """
     p = _check_params(p, layout.m)
     X = np.asarray(X, dtype=float)
@@ -230,58 +231,41 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     weights = _forward_weights(layout, p)
     WoutT = layout.view(p, "out").T
     bout = layout.matrix(p, "bout")
-
-    def run(rows: slice, K: int, Xt=None, carried=None):
-        """The block buffers and y of `rows`, both time-major.  The input
-        is read from Xt, its whole time-major copy, or else copied one
-        block at a time into one (K, R, input_dim) buffer; with carried,
-        the state carried into each block goes into carried[i]."""
-        Xr = X[rows]
-        R = Xr.shape[0]
-        xb = np.empty((K, R, layout.input_dim)) if Xt is None else None
-        # buf[i][0] is the state carried into the block, buf[i][1 + s] the
-        # state after step s of the block; the first block starts from 0.
-        buf = [None] + [np.empty((K + 1, R, n)) for n in dims]
-        for a in buf[1:]:
-            a[0] = 0.0
-        tmp = [None] + [np.empty((R, n)) for n in dims]
-        y = np.empty((T - first_output, R, layout.output_dim))
-        for t0 in range(0, T, K):
-            k = min(K, T - t0)
-            if Xt is None:
-                below = xb[:k]
-                np.copyto(below, Xr[:, t0:t0 + k].transpose(1, 0, 2))
-            else:
-                below = Xt[t0:t0 + k]
-            top = _forward_block(weights, below, [None] + [a[:k + 1] for a in buf[1:]],
-                                 t0 == 0, tmp, relu)
-            if t0 + k < T:
-                for i, a in enumerate(buf[1:], 1):
-                    a[0] = a[k]
-                    if carried is not None:
-                        carried[i][t0 // K + 1] = a[0]
-            lo = max(t0, first_output)  # first step of the block that is read out
-            n = t0 + k - lo
-            if n <= 0:
-                continue
-            yb = y[lo - first_output:lo - first_output + n]
-            np.matmul(top[lo - t0:].reshape(n * R, -1), WoutT, out=yb.reshape(n * R, -1))
-            if bout is not None:
-                yb += bout[:, 0]
-        return buf, y
-
     if keep_trace:
         K = _time_block(layout, B)
-        carried = None if K == T else [None] + [np.zeros((-(-T // K), B, n)) for n in dims]
-        Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
-        buf, y = run(slice(None), K, Xt, carried)
-        kept = buf if carried is None else carried
-        return RnnTrace(y=y.transpose(1, 0, 2), h=[Xt] + kept[1:], K=K)
-    R = min(B, row_chunk(layout))
-    K = min(T, _pow2(BUDGET // 4 // (8 * R * max(dims))))
-    ys = [run(slice(lo, lo + R), K)[1] for lo in range(0, B, R)]
-    y = ys[0] if len(ys) == 1 else np.concatenate(ys, axis=1)
-    return RnnTrace(y=y.transpose(1, 0, 2))
+    else:
+        K = min(T, _pow2(BUDGET // 4 // (8 * B * max(dims))))
+    carried = None if K == T or not keep_trace else [None] + [
+        np.zeros((-(-T // K), B, n)) for n in dims]
+    xb = np.empty((K, B, layout.input_dim))
+    # buf[i][0] is the state carried into the block, buf[i][1 + s] the state
+    # after step s of the block; the first block starts from 0.
+    buf = [None] + [np.empty((K + 1, B, n)) for n in dims]
+    for a in buf[1:]:
+        a[0] = 0.0
+    tmp = [None] + [np.empty((B, n)) for n in dims]
+    y = np.empty((T - first_output, B, layout.output_dim))
+    for t0 in range(0, T, K):
+        k = min(K, T - t0)
+        np.copyto(xb[:k], X[:, t0:t0 + k].transpose(1, 0, 2))
+        top = _forward_block(weights, xb[:k], [None] + [a[:k + 1] for a in buf[1:]],
+                             t0 == 0, tmp, relu)
+        if t0 + k < T:
+            for i, a in enumerate(buf[1:], 1):
+                a[0] = a[k]
+                if carried is not None:
+                    carried[i][t0 // K + 1] = a[0]
+        lo = max(t0, first_output)  # first step of the block that is read out
+        n = t0 + k - lo
+        if n > 0:
+            yb = y[lo - first_output:lo - first_output + n]
+            np.matmul(top[lo - t0:].reshape(n * B, -1), WoutT, out=yb.reshape(n * B, -1))
+            if bout is not None:
+                yb += bout[:, 0]
+    if not keep_trace:
+        return RnnTrace(y=y.transpose(1, 0, 2))
+    kept = buf if carried is None else carried
+    return RnnTrace(y=y.transpose(1, 0, 2), h=[X] + kept[1:], K=K)
 
 
 def _forward_steps(b: np.ndarray, WrecT, first: bool, t: np.ndarray,
@@ -363,17 +347,20 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     when it is checkpointed, else _time_block(layout, B).  A checkpointed
     block's states are first recomputed from the state the trace carried
     into it, by _forward_block on the forward's shapes, into buffers of
-    the backward's own.  Each block then runs the layers top-down: the
-    recurrence dpre[t] = (dh[t] + dpre[t + 1] @ W_rec) * mask[t] starts
-    from the dpre carried in from the later block, and the block's mask,
+    the backward's own.  Each block's input is copied time-major into one
+    reused (K, B, input_dim) buffer, which the recompute and the in1
+    gradient read.  Each block runs the layers top-down: the recurrence
+    dpre[t] = (dh[t] + dpre[t + 1] @ W_rec) * mask[t] starts from the dpre
+    carried in from the later block, and the block's mask,
     gradient products (rec{i} with the boundary pair dpre[t0] x h[t0 - 1])
     and the seed of the layer below are formed while it is in cache.  So
     only (K, B, H_i) blocks are allocated.  dpre does not depend on K; the
     gradient sums are split by block, and differ from one product over the
     whole sequence by rounding alone.  With return_dpre the result is
     (dL/dp, dpre, h): dpre[i] is dL/d(pre-activation) of hidden layer i
-    and h[i] its states, both (T, B, H_i) and time-major, h[0] the input
-    and dpre[0] None; dL/dp is bit-identical in both modes.
+    and h[i] its states, both (T, B, H_i) and time-major, h[0] a
+    time-major view of the input and dpre[0] None; dL/dp is bit-identical
+    in both modes.
     """
     _check_activation(activation)
     p = np.asarray(p, dtype=float)
@@ -408,7 +395,8 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         states = tr.h
     else:
         fweights = _forward_weights(layout, p)
-        states = [tr.h[0]] + [np.empty((rows + 1, B, n)) for n in dims]
+        states = [None] + [np.empty((rows + 1, B, n)) for n in dims]
+    xb = np.empty((K, B, layout.input_dim))
     mask = [None] + [np.empty((K, B, n), dtype=bool) if relu else None for n in dims]
     carry = [None] + [np.empty((B, n)) for n in dims]
     tmp = [None] + [np.empty((B, n)) for n in dims]
@@ -422,6 +410,8 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
 
     for t0 in reversed(range(0, T, K)):
         k = min(K, T - t0)
+        xin = xb[:k]
+        np.copyto(xin, tr.h[0][:, t0:t0 + k].transpose(1, 0, 2))
         at = t0 if return_dpre else 0
         blocks = [None] + [d[at:at + k] for d in dpres[1:]]
         # win[i][0] is layer i's state carried into the block, win[i][1 + s]
@@ -431,7 +421,7 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         if not whole:
             for i in layers:
                 win[i][0] = tr.h[i][t0 // K]
-            _forward_block(fweights, tr.h[0][t0:t0 + k], win, t0 == 0, tmp, relu)
+            _forward_block(fweights, xin, win, t0 == 0, tmp, relu)
         # The top layer is seeded from dY in rows lo.. of the block, and each
         # layer below by the one above in every row; unseeded rows are
         # written by the recurrence before they are read.
@@ -455,8 +445,7 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
                 np.greater(h[seeded:], 0.0, out=m[seeded:])
             _backward_steps(blk, carry[i], m, Wrec, t0 + k == T, seeded, tmp[i])
             carry[i][...] = blk[0]
-            below = tr.h[0][t0:t0 + k] if i == 1 else win[i - 1][1:]
-            add(f"in{i}", _outer_sum(blk, below))
+            add(f"in{i}", _outer_sum(blk, xin if i == 1 else win[i - 1][1:]))
             if Wrec is not None:
                 a = 1 if t0 == 0 else 0  # step 0 has no earlier state
                 add(f"rec{i}", _outer_sum(blk[a:], win[i][a:k]))
@@ -469,4 +458,4 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         dp[sl] = value.reshape(-1)
     if not return_dpre:
         return dp
-    return dp, dpres, [tr.h[0]] + [a[1:] for a in states[1:]]
+    return dp, dpres, [tr.h[0].transpose(1, 0, 2)] + [a[1:] for a in states[1:]]

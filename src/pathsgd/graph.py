@@ -14,6 +14,7 @@ through the cli module.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,15 +66,14 @@ class RnnLayout:
     m: int = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         if not self.hidden_dims:
             raise GraphError("RnnLayout: depth must be >= 2 (at least one hidden layer)")
-        for name, dim in [("length", self.length), ("input_dim", self.input_dim),
-                          ("output_dim", self.output_dim)]:
-            if dim < 1:
-                raise GraphError(f"RnnLayout: {name} must be >= 1")
-        if any(h < 1 for h in self.hidden_dims):
-            raise GraphError("RnnLayout: hidden dims must be >= 1")
+        for name in ("length", "input_dim", "output_dim", "hidden_dims"):
+            value = getattr(self, name)
+            for dim in value if name == "hidden_dims" else (value,):
+                if isinstance(dim, bool) or not isinstance(dim, numbers.Integral) or dim < 1:
+                    raise GraphError(f"RnnLayout: {name} takes integers >= 1, got {value!r}")
+        object.__setattr__(self, "hidden_dims", tuple(int(h) for h in self.hidden_dims))
         dims = self.dims
         slices: dict[str, tuple[slice, tuple[int, int]]] = {}
         off = 0

@@ -4,13 +4,12 @@ The task route is written once, in Task: loss_and_grad runs the forward of
 ``compute`` on an (X, target) batch, the task's head and the backward from
 the head's dY (with grad=False, the forward alone and g = None); evaluate
 runs the held-out set through trace-free forwards one chunk of rows at a
-time, bit-identical to one forward over the whole set.  head(y, target) ->
-(loss, dY, metric) is each task's one definition of its loss and metric.
-The addition task keeps no copy of its held-out set: it rebuilds the set
-from its seed at each evaluation, one chunk at a time.  The many-to-one
-tasks (addition, seqclass) read only the last step's output, so their
-forward projects from first_output = T - 1; charlm reads every step
-(first_output = 0)."""
+time.  head(y, target) -> (loss, dY, metric) is each task's one
+definition of its loss and metric.  The addition task keeps no copy of its
+held-out set: it rebuilds the set from its seed at each evaluation, one
+chunk at a time.  The many-to-one tasks (addition, seqclass) read only the
+last step's output, so their forward projects from first_output = T - 1;
+charlm reads every step (first_output = 0)."""
 
 from __future__ import annotations
 
@@ -46,13 +45,14 @@ class Task:
         return loss, g, metric
 
     def evaluate(self, layout: RnnLayout, p) -> float:
-        """The head's metric on the held-out set, bit-identical to the head
-        over one trace-free forward of the whole set: the set is taken in
-        chunks of compute.row_chunk(layout) rows, the chunks that forward
-        runs, one forward each, and the head runs once on the joined
-        outputs and targets.  (A partial last chunk picks its block of
-        steps from its own row count; the tests check that it keeps the
-        bits.)"""
+        """The head's metric on the held-out set.  This is the one place
+        rows are chunked: the set is taken in chunks of
+        compute.row_chunk(layout) rows, one trace-free forward each, so
+        the forward's blocks stay within compute.BUDGET whatever the set's
+        size, and the head runs once on the joined outputs and targets.
+        The result agrees with the head over one forward of the whole set
+        up to rounding; the tests check that it keeps the bits at the
+        benchmark shapes."""
         chunks = [(compute.rnn_forward(layout, p, X, keep_trace=False,
                                        first_output=self.first_output).y, target)
                   for X, target in self.held_out(compute.row_chunk(layout))]

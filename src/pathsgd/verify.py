@@ -87,13 +87,17 @@ def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray, margin: float) -
 
 def sample_kink_free(layout: RnnLayout, rng: np.random.Generator,
                      X: np.ndarray, margin: float = 1e-2, tries: int = 200):
-    """Parameters whose ReLU pre-activations on the batch X stay at least
-    ``margin`` from zero, so finite differences see a smooth function."""
-    for _ in range(tries):
-        p = random_params(layout, rng)
-        if _kink_free(layout, p, X, margin):
-            return p
-    raise RuntimeError("could not sample kink-free parameters")
+    """(p, X): parameters whose ReLU pre-activations on the batch X stay
+    at least ``margin`` from zero, so finite differences see a smooth
+    function, and that batch.  A small input entry can keep every draw of
+    p near a kink (|w x| < margin for all |w| <= 1.5), so after each
+    ``tries`` failed draws X is redrawn from the standard normal."""
+    while True:
+        for _ in range(tries):
+            p = random_params(layout, rng)
+            if _kink_free(layout, p, X, margin):
+                return p, X
+        X = rng.standard_normal(X.shape)
 
 
 def _rel(a: np.ndarray, b: np.ndarray, floor: float) -> float:
@@ -186,18 +190,27 @@ def _trajectory_gap(layout, p, q, stepper, steps, rng):
 
 
 def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3) -> PropertyResult:
-    """Path-SGD trajectories commute with rescaling, in both kappa modes."""
-    worst = 0.0
+    """Path-SGD trajectories commute with rescaling, in both kappa modes.
+    Invariance is not claimed where the epsilon floor on kappa binds, so an
+    instance whose kappa at p or q comes within 10 epsilon of it is skipped
+    and counted in the detail."""
+    worst, skipped = 0.0, 0
     for _ in range(n):
         layout = random_layout(rng)
         p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(layout, rng, 1.0)
         q = invariance.apply_rescaling(layout, p, alpha)
+        if any(np.min(pathnorm.preconditioner(layout, pp, mode)) <= 10 * optim.DEFAULT_EPS
+               for pp in (p, q) for mode in pathnorm.KAPPA_MODES):
+            skipped += 1
+            continue
         for mode in pathnorm.KAPPA_MODES:
             def stepper(pp, gg, mode=mode):
                 return optim.path_sgd_step(layout, pp, gg, 0.05, mode)
             worst = max(worst, _trajectory_gap(layout, p, q, stepper, steps, rng))
-    return PropertyResult("path-sgd-invariance", worst <= threshold, worst, threshold, n)
+    detail = f"({skipped} skipped: kappa near the epsilon floor)" if skipped else ""
+    return PropertyResult("path-sgd-invariance", worst <= threshold, worst, threshold, n,
+                          detail)
 
 
 def check_sgd_not_invariant(rng, n, threshold=1e-3, steps=3) -> PropertyResult:
@@ -230,7 +243,7 @@ def check_gradient(rng, n, threshold=1e-5, readout=False) -> PropertyResult:
         for b in range(2):  # each example's input, then its target
             X[b] = rng.standard_normal(X.shape[1:])
             Y[b] = rng.standard_normal(Y.shape[1:])
-        p = sample_kink_free(layout, rng, X)
+        p, X = sample_kink_free(layout, rng, X)
         tr = compute.rnn_forward(layout, p, X, first_output=first)
         g = compute.rnn_backward(layout, p, tr, 2.0 * (tr.y - Y) / Y.size)
         g_fd = compute.central_diff(
@@ -250,8 +263,8 @@ def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
     runs these nets in one block.  Each forced budget walks the one-block
     trace in its blocks, runs a forward and backward that keep only the
     state carried into each block and recompute the rest, and runs the
-    trace-free forward in chunks of one row and blocks of 1 or 2 steps.
-    BUDGET is restored after."""
+    trace-free forward over all rows in blocks of one step.  BUDGET is
+    restored after."""
     worst = 0.0
     default = compute.BUDGET
     try:

@@ -116,9 +116,8 @@ BLOCK = 8
 
 
 def _set_block_budget(monkeypatch, rows, hidden):
-    """Set compute.BUDGET so that a trace-free rnn_forward of at least
-    `rows` rows (a power of two) runs chunks of `rows` rows and blocks of
-    BLOCK steps."""
+    """Set compute.BUDGET so that a trace-free rnn_forward of `rows` rows
+    runs blocks of BLOCK steps."""
     monkeypatch.setattr(compute, "BUDGET", 32 * 8 * rows * max(hidden))
 
 
@@ -184,31 +183,30 @@ def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first,
 @pytest.mark.parametrize("hidden", [(3,), (3, 2), (2, 3, 2)])
 @pytest.mark.parametrize("bias", [False, True])
 def test_rnn_forward_trace_free_chunks(activation, hidden, bias, rng, monkeypatch):
-    """A trace-free forward forced into chunks of 1 and 2 rows (B = 5 ends
-    in a partial chunk) and blocks of 1 and BLOCK steps matches the traced
-    forward for every first_output, and each whole chunk's rows have the
-    bytes of the same forward over those rows alone.  Against the traced
-    forward the match is up to rounding: BLAS may round a row of a product
-    differently at another row count, and a one-row product runs as gemv."""
+    """A trace-free forward forced into blocks of 1 and BLOCK steps (T = 11
+    ends in a partial block) matches the traced forward for every
+    first_output, up to rounding: BLAS may round a row of a product
+    differently at another row count, and a one-row product runs as gemv.
+    Each first_output gives the bytes of the same blocks read out from
+    step 0."""
     T, B = 11, 5
     layout = RnnLayout(2, hidden, 2, T, bias=bias)
     p = rng.uniform(-1.2, 1.2, layout.m)
     X = rng.standard_normal((B, T, 2))
-    for r in range(T):
-        want = compute.rnn_forward(layout, p, X, activation, first_output=r).y
-        for rows, steps in ((1, 1), (1, BLOCK), (2, BLOCK)):
-            if steps == 1:
-                monkeypatch.setattr(compute, "BUDGET", 1)
-            else:
-                _set_block_budget(monkeypatch, rows, hidden)
+    want = [compute.rnn_forward(layout, p, X, activation, first_output=r).y
+            for r in range(T)]
+    for steps in (1, BLOCK):
+        if steps == 1:
+            monkeypatch.setattr(compute, "BUDGET", 1)
+        else:
+            _set_block_budget(monkeypatch, B, hidden)
+        full = compute.rnn_forward(layout, p, X, activation, keep_trace=False).y
+        for r in range(T):
             got = compute.rnn_forward(layout, p, X, activation, keep_trace=False,
                                       first_output=r).y
-            assert got.shape == want.shape
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
-            for lo in range(0, B - rows + 1, rows):
-                alone = compute.rnn_forward(layout, p, X[lo:lo + rows], activation,
-                                            keep_trace=False, first_output=r).y
-                assert got[lo:lo + rows].tobytes() == alone.tobytes()
+            assert got.shape == want[r].shape
+            np.testing.assert_allclose(got, want[r], rtol=1e-12, atol=1e-14)
+            assert got.tobytes() == full[:, r:].tobytes()
 
 
 @pytest.mark.parametrize("first_output", [-1, 5, 6])
@@ -465,6 +463,27 @@ def test_checkpointed_trace_bit_identical_at_paper_scale(input_dim, rng, monkeyp
     want = [kept.y, g, *dpre[1:], *h, compute.rnn_backward(layout, p, kept, dY)]
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("budget", ["default", 1])
+def test_kept_trace_holds_the_callers_input(budget, rng, monkeypatch):
+    """A kept trace's h[0] is the caller's X itself, whether the trace is
+    one block (K = T) or checkpointed (K < T), and y and g have the bytes
+    of a forward and backward on a copy of X."""
+    if budget != "default":
+        monkeypatch.setattr(compute, "BUDGET", budget)
+    layout = RnnLayout(2, (3, 2), 2, 7, bias=True)
+    p = rng.uniform(-1.2, 1.2, layout.m)
+    X = rng.standard_normal((3, 7, 2))
+    tr = compute.rnn_forward(layout, p, X, first_output=2)
+    assert (tr.K == 7) == (budget == "default")
+    assert tr.h[0] is X
+    dY = rng.standard_normal(tr.y.shape)
+    g = compute.rnn_backward(layout, p, tr, dY)
+    copy = compute.rnn_forward(layout, p, X.tolist(), first_output=2)
+    assert not np.shares_memory(copy.h[0], X)
+    assert copy.y.tobytes() == tr.y.tobytes()
+    assert compute.rnn_backward(layout, p, copy, dY).tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("budget", ["default", 1])

@@ -58,6 +58,19 @@ def test_invalid_specs_rejected():
             RnnLayout(*args)
 
 
+@pytest.mark.parametrize("field, args", [
+    ("hidden_dims", (1, (2.5,), 1, 2)), ("hidden_dims", (1, (2, False), 1, 2)),
+    ("length", (1, (2,), 1, 2.5)), ("input_dim", (True, (2,), 1, 2)),
+    ("output_dim", (1, (2,), 1.0, 2))])
+def test_non_integer_sizes_rejected(field, args):
+    """A fractional or bool size is rejected, naming its field, not
+    truncated or stored as given; NumPy integers are taken."""
+    with pytest.raises(graph.GraphError, match=field):
+        RnnLayout(*args)
+    layout = RnnLayout(np.int64(2), (np.int64(3),), 1, np.int64(4))
+    assert layout.hidden_dims == (3,) and type(layout.hidden_dims[0]) is int
+
+
 def test_replace_recomputes_slices():
     """dataclasses.replace re-runs the shape check and the slice layout: at
     length 1 the rec{i} blocks go and m shrinks by their size."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, pathnorm, verify
+from pathsgd.graph import RnnLayout
 
 import reference
 
@@ -86,7 +87,7 @@ def test_sample_kink_free_respects_margin(rng):
     for _ in range(5):
         layout = verify.random_net(rng)
         X = rng.uniform(-1, 1, (3, layout.length, layout.input_dim))
-        p = verify.sample_kink_free(layout, rng, X, margin=1e-2)
+        p, X = verify.sample_kink_free(layout, rng, X, margin=1e-2)
         for x in X:
             _, h, pre = reference.forward(layout, p, x)
             for t in range(layout.length):
@@ -94,6 +95,30 @@ def test_sample_kink_free_respects_margin(rng):
                     sources = h[t][i - 1] + (h[t - 1][i] if t else [])
                     dead = not layout.bias and all(v == 0.0 for v in sources)
                     assert dead or all(abs(z) > 1e-2 for z in pre[t][i])
+
+
+def test_sample_kink_free_redraws_a_batch_no_parameters_pass(rng):
+    """An input of 0.0035 at step 0 of a one-input net keeps |w x| under
+    the margin 1e-2 for every weight |w| <= 1.5, so no draw of p passes on
+    that batch: the sampler redraws X and returns parameters kink-free on
+    the X it returns."""
+    layout = RnnLayout(1, (2,), 2, 3)
+    X = rng.standard_normal((2, 3, 1))
+    X[0, 0, 0] = 0.0035
+    p, drawn = verify.sample_kink_free(layout, rng, X)
+    assert drawn.shape == X.shape and X[0, 0, 0] == 0.0035
+    assert verify._kink_free(layout, p, drawn, 1e-2)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 6, 22, 34])
+def test_run_all_quick_passes_at_more_seeds(seed):
+    """Seeds 3, 4, 6 and 34 draw a gradient-check batch on which no
+    parameters are kink-free, and seed 22 a path-SGD instance whose kappa
+    is under the epsilon floor, which the property skips and counts."""
+    results = verify.run_all("quick", seed)
+    assert [r.line() for r in results if not r.passed] == []
+    inv = next(r for r in results if r.name == "path-sgd-invariance")
+    assert (inv.detail == "(1 skipped: kappa near the epsilon floor)") == (seed == 22)
 
 
 def test_random_spec_bounds(rng):
