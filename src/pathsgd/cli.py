@@ -193,9 +193,10 @@ def cmd_kappa_ratio(args) -> int:
     for flag, dim in (("--input-dim", args.input_dim), ("--output-dim", args.output_dim)):
         if dim < 1:
             raise ConfigError(f"{flag} must be at least 1, got {dim}")
-    if not (math.isfinite(args.init_range) and args.init_range > 0.0):
-        raise ConfigError(f"--init-range must be finite and > 0 (at 0 kappa1 is "
-                          f"identically zero), got {args.init_range}")
+    r = args.init_range
+    if not (math.isfinite(r) and r > 0.0 and r * r > 0.0):
+        raise ConfigError(f"--init-range must be finite and > 0, with a square above 0 "
+                          f"(where p^2 is 0, kappa1 is identically zero), got {r}")
     lines = [KAPPA_RATIO_HEADER]
     print(lines[0])
     for h in hiddens:

@@ -90,6 +90,9 @@ class RunConfig:
             raise ConfigError("hidden must list positive layer widths")
         if self.seq_len < 1 or self.batch_size < 1 or self.eval_interval < 1:
             raise ConfigError("seq_len, batch_size and eval_interval must be >= 1")
+        if self.task == "addition" and self.seq_len < 2:
+            raise ConfigError(f"seq_len = {self.seq_len} must be >= 2 with task = addition: "
+                              "it marks one step in each half of the sequence")
         if min(self.eval_size, self.data_size, self.image_size, self.num_classes) < 1:
             raise ConfigError("eval_size, data_size, image_size and num_classes must be >= 1")
         if not 0 < self.test_frac < 1:

@@ -82,36 +82,23 @@ class OptimizerState:
         return self.kind in ("path_sgd", "path_adam")
 
 
-def sgd_step(p: np.ndarray, g: np.ndarray, eta: float) -> np.ndarray:
-    return p - eta * g
-
-
-def path_sgd_step(layout: RnnLayout, p: np.ndarray, g: np.ndarray, eta: float,
-                  kappa_mode: str = "k1", eps: float = DEFAULT_EPS,
-                  kappa: np.ndarray | None = None) -> np.ndarray:
-    """p - eta * g / max(kappa, eps), with kappa evaluated at the current p
-    unless the caller passes it."""
-    if kappa is None:
-        kappa = pathnorm.preconditioner(layout, p, kappa_mode)
-    return p - eta * g / np.maximum(kappa, eps)
-
-
-def apply_update(layout: RnnLayout, p: np.ndarray, g: np.ndarray,
-                 state: OptimizerState,
+def apply_update(p: np.ndarray, g: np.ndarray, state: OptimizerState,
                  kappa: np.ndarray | None = None) -> tuple[np.ndarray, OptimizerState]:
-    """One update of the configured kind; the only place the Adam rule is
-    written.  path_adam is Adam run on the preconditioned gradient
-    g / max(kappa, eps); path kinds take kappa at the current p unless the
-    caller passes it."""
-    if state.kind == "sgd":
-        return sgd_step(p, g, state.eta), state
-    if state.kind == "path_sgd":
-        return path_sgd_step(layout, p, g, state.eta, state.kappa_mode,
-                             state.eps, kappa=kappa), state
-    if state.kind == "path_adam":
+    """One update of the configured kind; the only place an update rule is
+    written.  sgd steps along g and adam runs Adam on it.  The path kinds
+    divide g by max(kappa, eps), where kappa is the caller's
+    pathnorm.preconditioner at the current p: path_sgd steps along the
+    quotient and path_adam runs Adam on it.  A path kind handed no kappa
+    raises GraphError."""
+    if state.uses_kappa:
         if kappa is None:
-            kappa = pathnorm.preconditioner(layout, p, state.kappa_mode)
+            raise GraphError(f"{state.kind} needs kappa: pass "
+                             "pathnorm.preconditioner(layout, p, kappa_mode)")
+        if state.kind == "path_sgd":
+            return p - state.eta * g / np.maximum(kappa, state.eps), state
         g = g / np.maximum(kappa, state.eps)
+    elif state.kind == "sgd":
+        return p - state.eta * g, state
     if state.m1 is None:
         state = dataclasses.replace(state, m1=np.zeros_like(g), m2=np.zeros_like(g))
     t = state.t + 1
@@ -214,7 +201,7 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
             if not np.all(np.isfinite(kappa)):
                 reason = "non-finite kappa"
                 break
-        p_new, opt_new = apply_update(layout, p, g, opt, kappa=kappa)
+        p_new, opt_new = apply_update(p, g, opt, kappa=kappa)
         if not np.all(np.isfinite(p_new)):
             reason = "non-finite parameters"
             break

@@ -394,37 +394,38 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
     return out
 
 
-def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.ndarray:
-    """The kappa vector used by path-normalized updates.
+# Overflow in the squared net shows up as a non-finite kappa, which the
+# caller checks, and a kappa1 that is identically zero as a NaN
+# kappa_ratio; numpy is kept from warning about either.
+_quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
-    kappa1 and kappa2 share one squared pass, whose states kappa2 takes
-    over and frees layer by layer.  Overflow in the squared net shows up
-    as a non-finite kappa, which the caller checks; numpy is kept from
-    warning about it, and kappa2 is skipped once kappa1 has already
-    overflowed.
-    """
+
+def _kappa1_and_2(layout: RnnLayout, p: np.ndarray):
+    """kappa1 and kappa2 from one squared pass, whose states kappa2 takes
+    over and frees layer by layer.  kappa2 is not run, and comes back as
+    None, once kappa1 has overflowed."""
+    k1, states = _squared_pass(layout, p)
+    if not np.all(np.isfinite(k1)):
+        return k1, None
+    return k1, kappa2(layout, p, states)
+
+
+@_quiet
+def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.ndarray:
+    """The kappa vector that path-normalized updates divide by: kappa1, or
+    kappa1 + kappa2 in mode k1_plus_k2."""
     if mode not in KAPPA_MODES:
         raise ValueError(f"unknown kappa mode {mode!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        if mode == "k1":
-            return kappa1(layout, p)
-        k1, states = _squared_pass(layout, p)
-        if not np.all(np.isfinite(k1)):
-            return k1
-        return k1 + kappa2(layout, p, states)
+    if mode == "k1":
+        return kappa1(layout, p)
+    k1, k2 = _kappa1_and_2(layout, p)
+    return k1 if k2 is None else k1 + k2
 
 
+@_quiet
 def kappa_ratio(layout: RnnLayout, p: np.ndarray) -> float:
-    """||kappa2|| / ||kappa1||, the relative weight of the interaction term.
-
-    Like preconditioner, it keeps numpy from warning about overflow in the
-    squared net: an overflowed kappa1 gives NaN without running kappa2.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k1, states = _squared_pass(layout, p)
-        if not np.all(np.isfinite(k1)):
-            return float("nan")
-        n1 = float(np.linalg.norm(k1))
-        if n1 == 0.0:
-            raise ZeroDivisionError("kappa_ratio: kappa1 is identically zero")
-        return float(np.linalg.norm(kappa2(layout, p, states))) / n1
+    """||kappa2|| / ||kappa1||, the relative weight of the interaction term;
+    NaN when kappa1 has overflowed or is identically zero (0 / 0: kappa2 is
+    then zero too)."""
+    k1, k2 = _kappa1_and_2(layout, p)
+    return float("nan") if k2 is None else float(np.linalg.norm(k2) / np.linalg.norm(k1))

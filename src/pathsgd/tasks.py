@@ -50,9 +50,10 @@ class Task:
         compute.row_chunk(layout) rows, one trace-free forward each, so
         the forward's blocks stay within compute.BUDGET whatever the set's
         size, and the head runs once on the joined outputs and targets.
-        The result agrees with the head over one forward of the whole set
-        up to rounding; the tests check that it keeps the bits at the
-        benchmark shapes."""
+        The result has the bits of the head over forwards of the whole
+        set's rows in the same chunks.  One forward of the whole set runs
+        products of other shapes, which BLAS may round differently, so it
+        agrees with that only up to rounding."""
         chunks = [(compute.rnn_forward(layout, p, X, keep_trace=False,
                                        first_output=self.first_output).y, target)
                   for X, target in self.held_out(compute.row_chunk(layout))]

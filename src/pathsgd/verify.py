@@ -172,9 +172,16 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
     return PropertyResult("rescaling-invariance", worst <= threshold, worst, threshold, n)
 
 
-def _trajectory_gap(layout, p, q, stepper, steps, rng):
-    """Max output gap between trainings started from equivalent parameters."""
+def _trajectory_gap(layout, p, q, opt, steps, rng):
+    """Max output gap between trainings started from equivalent parameters,
+    by updates of opt's kind with kappa taken at the current point."""
     X = rng.standard_normal((4, layout.length, layout.input_dim))
+
+    def stepper(pp, gg):
+        kappa = (pathnorm.preconditioner(layout, pp, opt.kappa_mode)
+                 if opt.uses_kappa else None)
+        return optim.apply_update(pp, gg, opt, kappa)[0]
+
     pa, qa = p.copy(), q.copy()
     for _ in range(steps):
         tra = compute.rnn_forward(layout, pa, X)
@@ -205,9 +212,8 @@ def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3) -> PropertyResult
             skipped += 1
             continue
         for mode in pathnorm.KAPPA_MODES:
-            def stepper(pp, gg, mode=mode):
-                return optim.path_sgd_step(layout, pp, gg, 0.05, mode)
-            worst = max(worst, _trajectory_gap(layout, p, q, stepper, steps, rng))
+            opt = optim.OptimizerState(kind="path_sgd", eta=0.05, kappa_mode=mode)
+            worst = max(worst, _trajectory_gap(layout, p, q, opt, steps, rng))
     detail = f"({skipped} skipped: kappa near the epsilon floor)" if skipped else ""
     return PropertyResult("path-sgd-invariance", worst <= threshold, worst, threshold, n,
                           detail)
@@ -221,8 +227,8 @@ def check_sgd_not_invariant(rng, n, threshold=1e-3, steps=3) -> PropertyResult:
         p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(layout, rng, 1.5)
         q = invariance.apply_rescaling(layout, p, alpha)
-        gap = _trajectory_gap(layout, p, q,
-                              lambda pp, gg: optim.sgd_step(pp, gg, 0.05), steps, rng)
+        gap = _trajectory_gap(layout, p, q, optim.OptimizerState(kind="sgd", eta=0.05),
+                              steps, rng)
         worst = max(worst, gap)
     return PropertyResult("sgd-not-invariant", worst > threshold, worst, threshold, n,
                           detail="(passes when the gap exceeds the threshold)")

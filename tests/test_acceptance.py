@@ -93,14 +93,15 @@ def test_criterion_05_update_invariance(capsys):
             continue
         X = rng.standard_normal((4, layout.length, layout.input_dim))
         for mode in pathnorm.KAPPA_MODES:
+            opt = optim.OptimizerState(kind="path_sgd", eta=0.05, kappa_mode=mode)
             pa, qa = p.copy(), q.copy()
             for _ in range(3):
                 tra = compute.rnn_forward(layout, pa, X)
                 trb = compute.rnn_forward(layout, qa, X)
                 ga = compute.rnn_backward(layout, pa, tra, tra.y)
                 gb = compute.rnn_backward(layout, qa, trb, trb.y)
-                pa = optim.path_sgd_step(layout, pa, ga, 0.05, kappa_mode=mode)
-                qa = optim.path_sgd_step(layout, qa, gb, 0.05, kappa_mode=mode)
+                pa, _ = optim.apply_update(pa, ga, opt, pathnorm.preconditioner(layout, pa, mode))
+                qa, _ = optim.apply_update(qa, gb, opt, pathnorm.preconditioner(layout, qa, mode))
             ya = compute.rnn_forward(layout, pa, X).y
             yb = compute.rnn_forward(layout, qa, X).y
             scale = max(1.0, float(np.max(np.abs(ya))))
@@ -113,12 +114,13 @@ def test_criterion_05_update_invariance(capsys):
     alpha = invariance.random_rescaling(layout, np.random.default_rng(55), 1.5)
     q = invariance.apply_rescaling(layout, p, alpha)
     X = np.random.default_rng(56).standard_normal((4, layout.length, layout.input_dim))
+    sgd = optim.OptimizerState(kind="sgd", eta=0.05)
     pa, qa = p.copy(), q.copy()
     for _ in range(3):
         tra = compute.rnn_forward(layout, pa, X)
         trb = compute.rnn_forward(layout, qa, X)
-        pa = optim.sgd_step(pa, compute.rnn_backward(layout, pa, tra, tra.y), 0.05)
-        qa = optim.sgd_step(qa, compute.rnn_backward(layout, qa, trb, trb.y), 0.05)
+        pa, _ = optim.apply_update(pa, compute.rnn_backward(layout, pa, tra, tra.y), sgd)
+        qa, _ = optim.apply_update(qa, compute.rnn_backward(layout, qa, trb, trb.y), sgd)
     ya = compute.rnn_forward(layout, pa, X).y
     yb = compute.rnn_forward(layout, qa, X).y
     control = float(np.max(np.abs(ya - yb))) / max(1.0, float(np.max(np.abs(ya))))
@@ -171,6 +173,7 @@ def test_criterion_08_addition_training(capsys):
     layout = RnnLayout(2, (32,), 1, 40, bias=False)
 
     def best_test_mse(kind, eta, seed):
+        opt = optim.OptimizerState(kind=kind, eta=eta)
         p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.30)
         best = np.inf
         for step in range(20001):
@@ -182,8 +185,8 @@ def test_criterion_08_addition_training(capsys):
                 best = min(best, task.evaluate(layout, p))
                 if best < 0.0095:
                     return best
-            p = (optim.path_sgd_step(layout, p, g, eta) if kind == "path_sgd"
-                 else optim.sgd_step(p, g, eta))
+            kappa = pathnorm.preconditioner(layout, p) if opt.uses_kappa else None
+            p, _ = optim.apply_update(p, g, opt, kappa)
         return best
 
     # seeds fixed by an offline search over 28 seeds and three init families;

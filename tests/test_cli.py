@@ -68,6 +68,17 @@ def test_train_rejects_empty_split_before_writing(tmp_path, capsys, data):
     assert not out.exists()
 
 
+def test_train_rejects_addition_seq_len_1_before_writing(tmp_path, capsys):
+    """Addition marks one step in each half of the sequence, so seq_len = 1
+    exits 1, names the key, prints nothing and writes nothing."""
+    out = tmp_path / "run"
+    assert run_cli("train", "--set", "task=addition", "--set", "seq_len=1",
+                   "--set", f"out_dir={out}") == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: seq_len = 1") and not captured.out
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", [
     ["--set", "task=addition", "--set", "seq_len=5", "--set", "eval_size=16"],
     ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=64"],
@@ -284,6 +295,18 @@ def test_train_records_kappa_ratio(tmp_path):
     assert step0["step"] == "0"
     assert float(step0["kappa_ratio"]) == pathnorm.kappa_ratio(layout,
                                                                cli.init_params(cfg, layout))
+
+
+def test_train_records_nan_kappa_ratio_when_kappa1_is_zero(tmp_path):
+    """At init_range = 1e-200 every p^2 underflows to 0, so kappa1 is
+    identically zero: the run completes and its kappa_ratio reads nan."""
+    out = tmp_path / "run"
+    assert run_cli("train", *TINY, "--set", "steps=2", "--set", "eval_interval=1",
+                   "--set", "record_kappa_ratio=true", "--set", "init_range=1e-200",
+                   "--set", f"out_dir={out}") == 0
+    header, *rows = (out / "metrics.csv").read_text().splitlines()
+    col = header.split(",").index("kappa_ratio")
+    assert [row.split(",")[col] for row in rows] == ["nan"] * 3
 
 
 def test_train_crash_keeps_rows_before_the_checkpoint(tmp_path, monkeypatch):
@@ -582,8 +605,11 @@ def test_kappa_ratio_rejects_bad_flag_before_output(tmp_path, capsys, flag, valu
 
 
 def test_kappa_ratio_zero_init(capsys):
-    assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3",
-                   "--init-range", "0") == 1
-    captured = capsys.readouterr()
-    assert "kappa1 is identically zero" in captured.err
-    assert captured.out == ""
+    """An init range of 0, or one whose square underflows to 0, would make
+    kappa1 identically zero."""
+    for init_range in ("0", "1e-200"):
+        assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3",
+                       "--init-range", init_range) == 1
+        captured = capsys.readouterr()
+        assert "kappa1 is identically zero" in captured.err
+        assert captured.out == ""

@@ -114,6 +114,8 @@ def test_path_sgd_invariance_holds_over_500_steps():
     layout = RnnLayout(2, (32,), 1, T)
     held = [X for X, _ in task.held_out(compute.row_chunk(layout))]
 
+    opt = optim.OptimizerState(kind="path_sgd", eta=1e-2)
+
     def run(p):
         predictions = []
         for step in range(501):
@@ -124,7 +126,7 @@ def test_path_sgd_invariance_holds_over_500_steps():
             if step < 500:
                 batch = task.train_batch(optim.rng_for(seed, optim.STREAM_DATA, step), 32)
                 _, g, _ = task.loss_and_grad(layout, p, batch)
-                p = optim.path_sgd_step(layout, p, g, 1e-2)
+                p, _ = optim.apply_update(p, g, opt, pathnorm.preconditioner(layout, p))
         return predictions
 
     p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.3)

@@ -53,68 +53,66 @@ def test_init_identity(rng):
 
 def test_sgd_step():
     p = np.array([1.0, 2.0])
-    out = optim.sgd_step(p, np.array([0.5, -1.0]), 0.1)
-    assert np.array_equal(out, [0.95, 2.1])
-    assert np.array_equal(optim.sgd_step(p, np.zeros(2), 0.1), p)
+    sgd = OptimizerState(kind="sgd", eta=0.1)
+    out, state = optim.apply_update(p, np.array([0.5, -1.0]), sgd)
+    assert np.array_equal(out, [0.95, 2.1]) and state is sgd
+    assert np.array_equal(optim.apply_update(p, np.zeros(2), sgd)[0], p)
 
 
-def test_path_sgd_step_hand_value(single_unit_t2):
+def test_path_sgd_step_hand_value():
     p = np.full(3, 0.9)
     g = np.array([0.3, 0.1, 0.3])
-    out = optim.path_sgd_step(single_unit_t2, p, g, 1.0,
-                              kappa=np.array([3.0, 1.0, 3.0]))
+    out, _ = optim.apply_update(p, g, OptimizerState(kind="path_sgd", eta=1.0),
+                                kappa=np.array([3.0, 1.0, 3.0]))
     assert np.allclose(out, [0.8, 0.8, 0.8], rtol=1e-15)
 
 
-def test_path_sgd_with_unit_kappa_is_sgd(single_unit_t2, rng):
+def test_path_sgd_with_unit_kappa_is_sgd(rng):
     p = rng.uniform(-1, 1, 3)
     g = rng.uniform(-1, 1, 3)
-    a = optim.path_sgd_step(single_unit_t2, p, g, 0.05, kappa=np.ones(3))
-    assert np.array_equal(a, optim.sgd_step(p, g, 0.05))
+    a, _ = optim.apply_update(p, g, OptimizerState(kind="path_sgd", eta=0.05),
+                              kappa=np.ones(3))
+    assert np.array_equal(a, optim.apply_update(p, g, OptimizerState(kind="sgd", eta=0.05))[0])
 
 
 def test_path_sgd_floors_kappa(single_unit_t2):
     p = np.zeros(3)
     g = np.array([1.0, 0.0, 0.0])
-    out = optim.path_sgd_step(single_unit_t2, p, g, 1e-8)
+    kappa = pathnorm.preconditioner(single_unit_t2, p)
+    out, _ = optim.apply_update(p, g, OptimizerState(kind="path_sgd", eta=1e-8), kappa)
     # kappa is 0 at p=0, so the floor eps=1e-8 caps the effective step at eta/eps
+    assert np.array_equal(kappa, np.zeros(3))
     assert np.allclose(out, [-1.0, 0.0, 0.0], rtol=1e-12)
 
 
-def test_path_sgd_computes_kappa_at_current_point(single_unit_t2, monkeypatch):
-    seen = []
-    real = pathnorm.preconditioner
-
-    def spy(layout, p, mode):
-        seen.append(p.copy())
-        return real(layout, p, mode)
-
-    monkeypatch.setattr(pathnorm, "preconditioner", spy)
-    p0 = np.ones(3)
-    g = np.full(3, 0.1)
-    p1 = optim.path_sgd_step(single_unit_t2, p0, g, 0.5)
-    optim.path_sgd_step(single_unit_t2, p1, g, 0.5)
-    assert np.array_equal(seen[0], p0)
-    assert np.array_equal(seen[1], p1)
+@pytest.mark.parametrize("kind", ["path_sgd", "path_adam"])
+def test_path_kinds_need_kappa(kind, monkeypatch):
+    """apply_update runs no squared-net pass: a path kind handed no kappa
+    raises, and the state is left as it was."""
+    monkeypatch.setattr(pathnorm, "preconditioner", None)
+    state = OptimizerState(kind=kind, eta=0.1)
+    with pytest.raises(GraphError, match=f"{kind} needs kappa"):
+        optim.apply_update(np.ones(3), np.ones(3), state)
+    assert state.t == 0 and state.m1 is None
 
 
-def test_adam_first_step_is_signlike(single_unit_t2):
+def test_adam_first_step_is_signlike():
     p = np.array([1.0, -1.0, 0.5])
     g = np.array([10.0, -0.01, 0.0])
     state = OptimizerState(kind="adam", eta=0.1)
-    out, state = optim.apply_update(single_unit_t2, p, g, state)
+    out, state = optim.apply_update(p, g, state)
     assert state.t == 1
     assert np.allclose(out[:2], p[:2] - 0.1 * np.sign(g[:2]), atol=1e-4)
     assert out[2] == p[2]
 
 
-def test_adam_two_steps_match_hand_recurrence(single_unit_t2):
+def test_adam_two_steps_match_hand_recurrence():
     p = np.array([2.0])
     state = OptimizerState(kind="adam", eta=0.1)
     g1, g2 = np.array([0.4]), np.array([-0.2])
 
-    p1, state = optim.apply_update(single_unit_t2, p, g1, state)
-    p2, state = optim.apply_update(single_unit_t2, p1, g2, state)
+    p1, state = optim.apply_update(p, g1, state)
+    p2, state = optim.apply_update(p1, g2, state)
 
     m = 0.1 * g1
     v = 0.001 * g1 * g1
@@ -126,15 +124,15 @@ def test_adam_two_steps_match_hand_recurrence(single_unit_t2):
     assert np.allclose(p2, e2, rtol=1e-12)
 
 
-def test_path_adam_with_unit_kappa_is_adam(single_unit_t2, rng):
+def test_path_adam_with_unit_kappa_is_adam(rng):
     p = rng.uniform(-1, 1, 3)
     sa = OptimizerState(kind="adam", eta=0.02)
     sp = OptimizerState(kind="path_adam", eta=0.02)
     qa, qp = p.copy(), p.copy()
     for _ in range(5):
         g = rng.uniform(-1, 1, 3)
-        qa, sa = optim.apply_update(single_unit_t2, qa, g, sa)
-        qp, sp = optim.apply_update(single_unit_t2, qp, g, sp, kappa=np.ones(3))
+        qa, sa = optim.apply_update(qa, g, sa)
+        qp, sp = optim.apply_update(qp, g, sp, kappa=np.ones(3))
     assert np.array_equal(qa, qp)
     assert np.array_equal(sa.m1, sp.m1)
     assert np.array_equal(sa.m2, sp.m2)
@@ -155,9 +153,10 @@ def test_optimizer_state_validation():
 def test_apply_update_dispatch(single_unit_t2, rng):
     p = rng.uniform(0.5, 1.0, 3)
     g = rng.uniform(-0.1, 0.1, 3)
+    kappa = pathnorm.preconditioner(single_unit_t2, p)
     for kind in optim.OPTIMIZERS:
         state = OptimizerState(kind=kind, eta=0.01)
-        out, state2 = optim.apply_update(single_unit_t2, p, g, state)
+        out, state2 = optim.apply_update(p, g, state, kappa)
         assert out.shape == p.shape
         assert np.all(np.isfinite(out))
 
@@ -225,8 +224,8 @@ def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
 def test_train_loop_non_finite_params_end_run(monkeypatch):
     real = optim.apply_update
 
-    def blow_up(layout, p, g, state, kappa=None):
-        p, state = real(layout, p, g, state, kappa)
+    def blow_up(p, g, state, kappa=None):
+        p, state = real(p, g, state, kappa)
         return (p * np.inf if state.t >= 3 else p), state
 
     monkeypatch.setattr(optim, "apply_update", blow_up)
@@ -256,8 +255,9 @@ def test_train_loop_kappa_at_every_step(monkeypatch):
                                  cfg.batch_size)
         assert np.array_equal(seen, p)
         _, g, _ = task.loss_and_grad(TINY, p, batch)
-        # pass kappa so the replay does not call the spy
-        p = optim.path_sgd_step(TINY, p, g, 0.01, kappa=real(TINY, p, "k1"))
+        # the real preconditioner, so the replay does not call the spy
+        p, _ = optim.apply_update(p, g, OptimizerState(kind="path_sgd", eta=0.01),
+                                  real(TINY, p, "k1"))
     assert np.array_equal(res.params, p)
 
 
