@@ -426,6 +426,11 @@ def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.nda
 def kappa_ratio(layout: RnnLayout, p: np.ndarray) -> float:
     """||kappa2|| / ||kappa1||, the relative weight of the interaction term;
     NaN when kappa1 has overflowed or is identically zero (0 / 0: kappa2 is
-    then zero too)."""
+    then zero too).  Both vectors are first scaled, exactly, by the power
+    of two that brings the larger entry into [0.5, 1), so no square the
+    norms sum overflows; only entries below 1e-154 of it square to 0."""
     k1, k2 = _kappa1_and_2(layout, p)
-    return float("nan") if k2 is None else float(np.linalg.norm(k2) / np.linalg.norm(k1))
+    if k2 is None:
+        return float("nan")
+    e = -np.frexp(max(np.max(np.abs(k1)), np.max(np.abs(k2))))[1]
+    return float(np.linalg.norm(np.ldexp(k2, e)) / np.linalg.norm(np.ldexp(k1, e)))

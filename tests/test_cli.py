@@ -79,24 +79,6 @@ def test_train_rejects_addition_seq_len_1_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("task", [
-    ["--set", "task=addition", "--set", "seq_len=5", "--set", "eval_size=16"],
-    ["--set", "task=seqclass", "--set", "image_size=3", "--set", "data_size=64"],
-    ["--set", "task=charlm", "--set", "seq_len=5"],
-])
-def test_train_builds_no_dag(tmp_path, monkeypatch, task):
-    def refuse(spec):
-        raise AssertionError("training must not unroll the DAG")
-
-    monkeypatch.setattr(graph, "build_rnn", refuse)
-    monkeypatch.setattr(cli, "build_rnn", refuse)
-    out = tmp_path / "run"
-    assert run_cli("train", *task, "--set", "hidden=3", "--set", "steps=4",
-                   "--set", "eval_interval=2",
-                   "--set", "kappa_mode=k1_plus_k2", "--set", f"out_dir={out}") == 0
-    assert (out / "status.txt").read_text() == "budget_exhausted\n"
-
-
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
 @pytest.mark.parametrize("key, value", [("kappa_mode", "k1_plus_k2"), ("epsilon", "0.5")])
 def test_train_rejects_kappa_keys_for_plain_optimizers(tmp_path, capsys, optimizer,
@@ -613,3 +595,16 @@ def test_kappa_ratio_zero_init(capsys):
         captured = capsys.readouterr()
         assert "kappa1 is identically zero" in captured.err
         assert captured.out == ""
+
+
+def test_kappa_ratio_rejects_a_non_finite_ratio(capsys):
+    """At init range 1e100 kappa1 overflows: the command exits 1 naming the
+    flag and the cell.  At 1e30 kappa1 is finite but past the range where
+    squaring its entries would overflow, and the ratio prints."""
+    cell = ["--hidden", "2", "--lengths", "3", "--input-dim", "2", "--output-dim", "2",
+            "--seeds", "1"]
+    assert run_cli("kappa-ratio", *cell, "--init-range", "1e100") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --init-range") and "hidden 2, length 3" in err
+    assert run_cli("kappa-ratio", *cell, "--init-range", "1e30") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "2,3,0.765101,0"

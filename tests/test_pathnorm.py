@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from pathsgd import compute, invariance, pathnorm, verify
+from pathsgd import compute, invariance, optim, pathnorm, verify
 from pathsgd.graph import RnnLayout
 
 import reference
@@ -368,3 +368,18 @@ def test_kappa_ratio(single_unit_t3, rng):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.isnan(pathnorm.kappa_ratio(single_unit_t3, p))
+
+
+def test_kappa_ratio_scales_before_the_norms(rng):
+    """At init range 1e30 kappa1 peaks near 2.5e180, so its squares overflow
+    an unscaled norm, yet the ratio is finite.  The power-of-two scaling is
+    exact: at a normal range the ratio keeps the unscaled norms' bits."""
+    layout = RnnLayout(2, (2,), 2, 3)
+    p = optim.rng_for(0, optim.STREAM_INIT, 0).uniform(-1e30, 1e30, layout.m)
+    with np.errstate(over="ignore"):
+        assert np.linalg.norm(pathnorm.kappa1(layout, p)) == np.inf
+    assert np.isclose(pathnorm.kappa_ratio(layout, p), 0.7651007350707342, rtol=1e-14)
+    p = rng.uniform(-0.5, 0.5, layout.m)
+    unscaled = np.linalg.norm(pathnorm.kappa2(layout, p)) / np.linalg.norm(
+        pathnorm.kappa1(layout, p))
+    assert pathnorm.kappa_ratio(layout, p) == unscaled
