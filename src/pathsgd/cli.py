@@ -206,10 +206,13 @@ def cmd_kappa_ratio(args) -> int:
             for s in range(args.seeds):
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)
                 p = rng.uniform(-args.init_range, args.init_range, layout.m)
-                ratios.append(pathnorm.kappa_ratio(layout, p))
-                if not math.isfinite(ratios[-1]):
-                    raise ConfigError(f"--init-range {r} gives a non-finite kappa "
-                                      f"ratio at hidden {h}, length {t}")
+                ratio = pathnorm.kappa_ratio(layout, p)
+                # From length 3 on every recurrent entry of kappa2 is > 0
+                # when no weight is 0, so a ratio of 0 is an underflow.
+                if not math.isfinite(ratio) or (ratio == 0.0 and t >= 3):
+                    raise ConfigError(f"--init-range {r} gives a kappa ratio of {ratio} at "
+                                      f"hidden {h}, length {t}: kappa leaves the float range")
+                ratios.append(ratio)
             lines.append(f"{h},{t},{np.mean(ratios):.6g},{np.std(ratios):.6g}")
             print(lines[-1])
             sys.stdout.flush()

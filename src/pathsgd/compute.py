@@ -1,36 +1,12 @@
 """Forward evaluation and exact reverse-mode gradients of unrolled RNNs.
 
 Training, evaluation, the squared-net pass of pathnorm and verify's
-gradient-check all run one route, vectorized over the RnnLayout matrices.
-rnn_forward is one loop over blocks of K time steps, on the rows it is
-given, with the layers inner: each block's input is copied time-major into
-one reused buffer, each layer's input drive and the block's outputs are
-one matmul per block, and only the recurrence runs step by step, against
-a C-contiguous copy of W_rec^T.  Hidden states are time-major,
-(T, B, H_i).  A kept trace runs in rnn_backward's blocks: one block when
-the whole trace fits the cache cap BUDGET // (8 B max H_i), else
-K = min(cap, isqrt(2 T)).  When T > K the trace keeps only the input, the
-outputs and each layer's state carried into each block, and rnn_backward
-recomputes each block from that state with the forward's own block code,
-on the same shapes and so with the same bits (recomputation from stored
-boundary states, Chen et al., arXiv:1604.06174, whose interval of order
-sqrt(T) keeps the carried states and the block buffers near their least
-sum).  A trace-free forward sizes its blocks from BUDGET and its row
-count; a caller with a large set hands it over in chunks of
-row_chunk(layout) rows.  rnn_backward walks time from the end in blocks,
-copying each block's input the same way, and carries dpre across block
-boundaries, so neither pass forms a (T, B, H_i) array when T > K.
-Outputs are projected only from step first_output on, and the backward
-seeds only those steps.
-
-A recurrence step costs as much in calls as in arithmetic at small sizes,
-so _forward_steps and _backward_steps split a block into row views once,
-and a step is three calls that write in place: the product (np.dot, which
-reaches BLAS with less dispatch than np.matmul), the add, and the ReLU
-against the 0-d _ZERO or the mask multiply.  Every output is bit-identical
-to the np.matmul / += / *= form tests/test_compute.py keeps as the
-reference, and the route is checked on small nets against the per-unit
-scalar reference in tests/reference.py.  All arithmetic is 64-bit.
+gradient-check all run rnn_forward and rnn_backward, vectorized over the
+RnnLayout matrices on time-major (T, B, H_i) states, in blocks of steps.
+Their outputs are bit-identical to the np.matmul / += / *= form that
+tests/test_compute.py keeps as the reference, and are checked on small
+nets against the per-unit scalar reference in tests/reference.py.  All
+arithmetic is 64-bit.
 """
 
 from __future__ import annotations
@@ -45,10 +21,8 @@ from .graph import RnnLayout
 ACTIVATIONS = ("relu", "identity")
 
 # Bytes of one hidden layer's dpre block in rnn_backward, small enough to
-# stay in cache while the block's gradient products read it; a kept trace
-# is cut at the same blocks, the trace-free rnn_forward sizes its step
-# blocks from it, row_chunk the rows a caller hands that forward, and
-# pathnorm.kappa2 its chunks of blocks.
+# stay in cache while the block's gradient products read it; every other
+# block and chunk size is derived from it.
 BUDGET = 2 << 20
 
 
@@ -109,22 +83,15 @@ def central_diff(f, p: np.ndarray, step: float) -> np.ndarray:
 
 @dataclass
 class RnnTrace:
-    """Batch forward record for the vectorized route.
-
-    y holds the outputs of steps first_output .. T - 1 in the caller-facing
-    (B, T - first_output, output_dim) shape (it may be a transposed view);
-    rnn_backward reads first_output back from its length.  A trace-free
-    forward leaves h as None.  A kept trace was cut into blocks of K steps,
-    and h[0] is the caller's X itself, (B, T, input_dim), not a copy, so X
-    must not be written before the backward.  For hidden layer i, a
-    one-block trace (K = T) keeps every state: h[i] is (T + 1, B, H_i),
-    h[i][t] the state carried into step t, so h[i][1:] are the states after
-    each step.  A checkpointed trace (K < T) keeps only the state carried
-    into each block: h[i] is (nb, B, H_i), h[i][j] the state carried into
-    step j K, and rnn_backward recomputes a block's states from it.  Both
-    start from h[i][0] = 0.  Pre-activations are not kept: the ReLU mask is
-    a function of the output.
-    """
+    """A forward's record.  y holds the outputs of steps first_output ..
+    T - 1 as (B, T - first_output, output_dim), possibly a transposed view.
+    A trace-free forward leaves h as None.  A kept trace ran in blocks of K
+    steps, and h[0] is the caller's X itself, so X must not be written
+    before the backward.  For hidden layer i, h[i] is (T + 1, B, H_i) at
+    K = T, row t the state carried into step t, and (nb, B, H_i) at K < T,
+    row j the state carried into step j K, from which rnn_backward
+    recomputes the rest; h[i][0] = 0.  Pre-activations are not kept: the
+    ReLU mask is a function of the output."""
 
     y: np.ndarray
     h: list | None = None
@@ -132,26 +99,21 @@ class RnnTrace:
 
 
 def _time_block(layout: RnnLayout, B: int) -> int:
-    """Steps per block of a kept trace and of rnn_backward.
-
-    The cache cap Kb = BUDGET // (8 B max H_i), at least 1, is the most
-    steps whose (Kb, B, H_i) block of the widest layer takes about BUDGET
-    bytes.  A trace of T <= Kb steps is one block, K = T.  A longer one is
-    checkpointed every K = min(Kb, isqrt(2 T)) steps: it keeps T / K
-    carried states beside the backward's few K-step buffers, and K of
-    order sqrt(T) keeps that sum near its least, for the one recompute the
-    backward pays at any K (Chen et al., arXiv:1604.06174).
-    """
+    """Steps per block of a kept trace and of rnn_backward.  A trace of at
+    most Kb = BUDGET // (8 B max H_i) steps (the cache cap, at least 1) is
+    one block; a longer one is checkpointed every K = min(Kb, isqrt(2 T))
+    steps, since K of order sqrt(T) keeps the T / K carried states plus the
+    K-step buffers near their least sum, for the one recompute the backward
+    pays at any K (Chen et al., arXiv:1604.06174)."""
     T = layout.length
     cap = max(1, BUDGET // (8 * B * max(layout.hidden_dims)))
     return T if T <= cap else min(cap, math.isqrt(2 * T))
 
 
 def row_chunk(layout: RnnLayout) -> int:
-    """Rows per trace-free rnn_forward over a large set: R rows of state
-    of the widest layer take about BUDGET / 32 bytes, rounded up to a power
-    of two.  Task.evaluate hands the held-out set to the forward in chunks
-    of R rows, so each call's blocks stay near BUDGET / 4 bytes."""
+    """Rows per trace-free rnn_forward over a large set: R rows of the
+    widest layer's state take about BUDGET / 32 bytes, rounded up to a
+    power of two, so each call's blocks stay near BUDGET / 4 bytes."""
     return _pow2(BUDGET // 32 // (8 * max(layout.hidden_dims)))
 
 
@@ -172,15 +134,11 @@ def _forward_weights(layout: RnnLayout, p: np.ndarray) -> list:
 
 def _forward_block(weights: list, below: np.ndarray, win: list, first: bool,
                    tmp: list, relu: bool) -> np.ndarray:
-    """One block of k steps through the hidden layers, bottom-up, in place.
-
+    """One block of k steps through the hidden layers, bottom-up, in place:
     below is the block's (k, R, input_dim) input and win[i] layer i's
-    (k + 1, R, H_i) window: row 0 holds the state carried into the block,
-    and rows 1.. become the states after each step.  Each layer is one
-    matmul of its input drive (plus bias) over the block, then the
-    recurrence step by step; first marks the block that starts the
-    sequence.  Returns the top layer's (k, R, H) states.
-    """
+    (k + 1, R, H_i) window, row 0 the state carried into the block and
+    rows 1.. the states after each step; first marks the sequence's first
+    block.  Returns the top layer's (k, R, H) states."""
     k, R = below.shape[:2]
     for i in range(1, len(win)):
         WinT, WrecT, b = weights[i]
@@ -196,25 +154,14 @@ def _forward_block(weights: list, below: np.ndarray, win: list, first: bool,
 def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
                 activation: str = "relu", keep_trace: bool = True,
                 first_output: int = 0) -> RnnTrace:
-    """Batched forward pass over the unrolled layout.
-
-    X has shape (B, T, input_dim), B >= 1; the hidden state starts at 0.
-    Time runs in blocks of K steps: each block's input is copied
-    time-major into one reused (K, B, input_dim) buffer, runs through the
-    hidden layers (_forward_block), and after the top layer one matmul
-    writes the block's outputs at steps >= first_output.  With keep_trace,
-    K = _time_block(layout, B), the backward's blocks: at K = T the one
-    block's buffers are the trace, at K < T only each layer's state
-    carried into each block is kept, and either way h[0] is X itself.
-    Without keep_trace a (K, B, H) block takes about BUDGET / 4 bytes,
-    rounded up to a power of two; a caller with a large set hands it over
-    in chunks of row_chunk(layout) rows.  y is (B, T - first_output,
-    output_dim), the outputs of steps first_output .. T - 1;
-    0 <= first_output < T.  y agrees across modes and first_output up to
-    rounding; its last bits can depend on B and K, as BLAS may round a row
-    of a product differently at another row count (a one-row product runs
-    as gemv).
-    """
+    """The RnnTrace of X, (B, T, input_dim) with B >= 1, from a zero state,
+    with outputs from step first_output on, 0 <= first_output < T.  Time
+    runs in blocks of K steps, each block's input copied time-major into
+    one reused buffer: _time_block's K with keep_trace, else a (K, B, H)
+    block of about BUDGET / 4 bytes, rounded up to a power of two.  y
+    agrees across modes and first_output up to rounding; its last bits can
+    depend on B and K, as BLAS may round a row of a product differently at
+    another row count (a one-row product runs as gemv)."""
     p = _check_params(p, layout.m)
     X = np.asarray(X, dtype=float)
     if X.ndim != 3 or X.shape[1] != layout.length or X.shape[2] != layout.input_dim:
@@ -238,8 +185,6 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
     carried = None if K == T or not keep_trace else [None] + [
         np.zeros((-(-T // K), B, n)) for n in dims]
     xb = np.empty((K, B, layout.input_dim))
-    # buf[i][0] is the state carried into the block, buf[i][1 + s] the state
-    # after step s of the block; the first block starts from 0.
     buf = [None] + [np.empty((K + 1, B, n)) for n in dims]
     for a in buf[1:]:
         a[0] = 0.0
@@ -270,16 +215,13 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
 
 def _forward_steps(b: np.ndarray, WrecT, first: bool, t: np.ndarray,
                    relu: bool) -> None:
-    """The recurrence of one layer through one block, in place.
-
-    b is the layer's (k + 1, B, H) block buffer: b[0] holds the state
-    carried into the block, and b[1 + s] holds the input drive of step s and
-    becomes the state after it.  first marks the block that starts the
-    sequence, whose step 0 has no earlier state; WrecT is None for a layer
-    without recurrence.  t is a (B, H) scratch row.  The rows are split
-    into views once, and each step is three NumPy calls that write in
-    place: the product into t, the add, the ReLU.
-    """
+    """The recurrence of one layer through one block, in place: b is
+    _forward_block's window, rows 1.. holding the input drive until they
+    become states; WrecT is None for a layer without recurrence, and t is
+    a (B, H) scratch row.  At small sizes a step costs as much in calls as
+    in arithmetic, so the rows are split into views once and a step is
+    three NumPy calls that write in place: the product into t, the add and
+    the ReLU against the 0-d _ZERO."""
     start = len(b) - 1 if WrecT is None else int(first)  # steps without recurrence
     if relu and start:
         np.maximum(b[1:start + 1], _ZERO, out=b[1:start + 1])
@@ -295,18 +237,13 @@ def _forward_steps(b: np.ndarray, WrecT, first: bool, t: np.ndarray,
 def _backward_steps(blk: np.ndarray, carry: np.ndarray, m, Wrec, last: bool,
                     seeded: int, t: np.ndarray) -> None:
     """The reverse recurrence of one layer through one block, in place:
-    dpre[s] = (blk[s] + dpre[s + 1] @ W_rec) * m[s].
-
-    blk[s] holds the gradient reaching step s from dY or from the layer
-    above and becomes dpre[s].  Rows below seeded have no such gradient, so
-    the recurrence writes them: under ReLU they hold the step's mask as
-    0.0 / 1.0 and the product into t is multiplied by it, under identity
-    the product is written straight into them.  carry is dpre at the first
-    step of the later block, and last marks the block that ends the
-    sequence, whose last step has no later state.  m is the block's bool
-    ReLU mask, read only in rows from seeded on, or None under identity;
-    Wrec is None for a layer without recurrence.
-    """
+    dpre[s] = (blk[s] + dpre[s + 1] @ W_rec) * m[s], where blk[s] holds the
+    gradient reaching step s and becomes dpre[s].  Rows below seeded get
+    none, so the recurrence writes them: under ReLU they hold the step's
+    mask as 0.0 / 1.0, which the product is multiplied by.  carry is dpre
+    at the later block's first step, and last marks the sequence's last
+    block.  m is the bool mask, read from row seeded on, or None under
+    identity; Wrec is None for a layer without recurrence."""
     k, relu = len(blk), m is not None
     end = 0 if Wrec is None else k - last  # steps from end on take no recurrence
     if relu and end < k:
@@ -334,33 +271,20 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
                  activation: str = "relu", return_dpre: bool = False):
-    """Reverse pass of rnn_forward: dL/dp from dL/dY.
+    """dL/dp, the exact gradient of sum(dY * Y) at a kept trace tr; dY,
+    shaped like tr.y, carries any batch normalization.
 
-    tr must come from rnn_forward with the trace kept.  dY, shaped like
-    tr.y, must carry any batch normalization (e.g. 1/B for a batch mean);
-    the result is the exact gradient of sum(dY * Y) linearized at the
-    trace.  tr.y holds the outputs of steps r .. T - 1, r the forward's
-    first_output, so dY seeds only those rows of the top layer's dpre;
-    below r dpre is the recurrence dpre[t + 1] @ W_rec alone.
-
-    Time is walked from the end in blocks of K steps: the trace's own K
-    when it is checkpointed, else _time_block(layout, B).  A checkpointed
-    block's states are first recomputed from the state the trace carried
-    into it, by _forward_block on the forward's shapes, into buffers of
-    the backward's own.  Each block's input is copied time-major into one
-    reused (K, B, input_dim) buffer, which the recompute and the in1
-    gradient read.  Each block runs the layers top-down: the recurrence
-    dpre[t] = (dh[t] + dpre[t + 1] @ W_rec) * mask[t] starts from the dpre
-    carried in from the later block, and the block's mask,
-    gradient products (rec{i} with the boundary pair dpre[t0] x h[t0 - 1])
-    and the seed of the layer below are formed while it is in cache.  So
-    only (K, B, H_i) blocks are allocated.  dpre does not depend on K; the
-    gradient sums are split by block, and differ from one product over the
-    whole sequence by rounding alone.  With return_dpre the result is
-    (dL/dp, dpre, h): dpre[i] is dL/d(pre-activation) of hidden layer i
-    and h[i] its states, both (T, B, H_i) and time-major, h[0] a
-    time-major view of the input and dpre[0] None; dL/dp is bit-identical
-    in both modes.
+    Time is walked from the end in blocks of K steps, the checkpointed
+    trace's K or else _time_block's; a checkpointed block's states are
+    first recomputed by _forward_block on the forward's shapes, so with
+    its bits.  Each block runs the layers top-down and forms its mask,
+    gradient products and the seed of the layer below while it is in
+    cache, so only (K, B, H_i) blocks are allocated.  dpre does not depend
+    on K; the gradient sums are split by block, and differ from one
+    product over the whole sequence by rounding alone.  With return_dpre
+    the result is (dL/dp, dpre, h), dpre[i] and h[i] hidden layer i's
+    (T, B, H_i) pre-activation gradient and states (dpre[0] None, h[0] a
+    time-major view of the input), and dL/dp keeps its bits.
     """
     _check_activation(activation)
     p = np.asarray(p, dtype=float)
@@ -414,8 +338,6 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         np.copyto(xin, tr.h[0][:, t0:t0 + k].transpose(1, 0, 2))
         at = t0 if return_dpre else 0
         blocks = [None] + [d[at:at + k] for d in dpres[1:]]
-        # win[i][0] is layer i's state carried into the block, win[i][1 + s]
-        # its state after step s of the block.
         s0 = t0 if whole else at
         win = [None] + [a[s0:s0 + k + 1] for a in states[1:]]
         if not whole:

@@ -1,11 +1,9 @@
 """Run configuration, checkpoint files, and metrics output.
 
-Configs are flat ``key = value`` text.  Precedence, lowest to highest:
-built-in defaults, config file, the PATHSGD_OUT_DIR environment variable
-(for out_dir only), then command-line overrides.  Checkpoints are plain text
-with 17-significant-digit floats, which round-trip doubles exactly, so a
-resumed run continues bit-for-bit.  Every output file is written through
-write_lines, which replaces the old file only once the new one is whole.
+Configs are flat ``key = value`` text.  Checkpoints are plain text with
+17-significant-digit floats, which round-trip doubles exactly, so a resumed
+run continues bit-for-bit.  Every output file is written through
+write_lines.
 """
 
 from __future__ import annotations
@@ -194,7 +192,8 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Defaults, then the file, then PATHSGD_OUT_DIR, then overrides."""
+    """Defaults, then the file, then PATHSGD_OUT_DIR (out_dir only), then
+    overrides, each later one winning."""
     cfg = RunConfig()
     if path is not None:
         for key, raw in parse_kv_text(Path(path).read_text(encoding="utf-8")).items():
@@ -236,10 +235,8 @@ FMT_BLOCK = 4096
 
 
 def _fmt_array(a: np.ndarray):
-    """_fmt over every entry, one line each, in strings of at most FMT_BLOCK
-    lines (without the last newline, which write_lines adds).  Each is one
-    "%.17g" formatting of the plain floats of its slice's tolist(): the
-    same text as _fmt, without a numpy scalar per entry."""
+    """_fmt's text of every entry, one per line, in strings of at most
+    FMT_BLOCK lines without the last newline, which write_lines adds."""
     a = np.asarray(a, dtype=float).reshape(-1)
     for lo in range(0, len(a), FMT_BLOCK):
         vals = a[lo:lo + FMT_BLOCK].tolist()

@@ -1,11 +1,4 @@
-"""Stacked ReLU RNNs: the model, RnnLayout (an MLP is the case T = 1).
-
-RnnLayout holds the shape of an RNN unrolled through time and maps each
-weight matrix to a slice of one flat parameter vector p, so the T
-applications of a matrix entry all read the same parameter.  Training,
-kappa and the oracles all run on it; the oracles address one unit at one
-step by (layer, unit, time) and read its weights through param_index.
-"""
+"""Stacked ReLU RNNs: the model, RnnLayout (an MLP is the case T = 1)."""
 
 from __future__ import annotations
 
@@ -21,18 +14,16 @@ class GraphError(ValueError):
 @dataclass(frozen=True)
 class RnnLayout:
     """A stacked ReLU RNN unrolled for ``length`` steps, and the layout of
-    its flat parameter vector.
+    its flat parameter vector p, in which the T applications of a matrix
+    entry share one parameter.
 
-    depth = number of weight layers = len(hidden_dims) + 1; a single-layer
-    RNN (one hidden layer) has depth 2.  slices maps each weight matrix
-    (and bias vector) to a contiguous slice of the parameter vector, in
-    row-major [target_unit, source_unit] order, and m is the parameter
-    count; both are computed from the shape, so dataclasses.replace
-    recomputes them.  Block order per hidden layer i: W_in^i, W_rec^i
-    (absent when length == 1), b^i (when bias is on); then W_out and
-    b_out.  param_index gives the index of one matrix entry: the oracles
-    read single weights through it, so matrix views of p and per-entry
-    reads always agree.
+    depth = len(hidden_dims) + 1 weight layers.  slices maps each weight
+    matrix and bias vector to a contiguous slice of p, row-major
+    [target_unit, source_unit], and m is the parameter count; both are
+    computed from the shape, so dataclasses.replace recomputes them.  Block
+    order per hidden layer i: in{i}, rec{i} (absent when length == 1) and
+    b{i} (when bias is on); then out and bout.  The oracles read single
+    weights through param_index, so matrix views and per-entry reads agree.
     """
 
     input_dim: int

@@ -43,7 +43,7 @@ def init_uniform(layout: RnnLayout, rng: np.random.Generator,
 
 
 def init_identity(layout: RnnLayout, rng: np.random.Generator,
-                  half_width: float = 0.01) -> np.ndarray:
+                  half_width: float) -> np.ndarray:
     """Identity recurrent matrices, everything else uniform on
     [-half_width, half_width]."""
     p = rng.uniform(-half_width, half_width, size=layout.m)
@@ -133,29 +133,19 @@ def _loss_divergence(loss: float) -> str:
 def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
                opt: OptimizerState, start_step: int = 0,
                on_eval=None) -> TrainResult:
-    """Minibatch training with periodic evaluation.
+    """Minibatch training from (p, opt) at start_step to config.steps, with
+    an eval row every eval_interval steps and at the last, each handed to
+    on_eval(row, p, opt).
 
-    One body runs for every step up to and including the budget.  It draws
-    the batch from an RNG keyed by (seed, step), evaluates the loss and
-    gradient at the pre-update parameters, records a history row when the
-    step index is a multiple of eval_interval, then applies the update.
-    Path kinds divide by kappa taken at those same parameters.  The last
-    pass, at step == steps, runs loss_and_grad with grad=False, since no
-    update follows it, and always records a row.  An eval row that meets
-    target_test_metric stops the run as converged; the final row ends the
-    run as budget_exhausted whatever it meets.  Nothing but (p, opt)
-    carries from one step to the next, so resuming from (p, opt,
-    start_step) at any step reproduces the uninterrupted run exactly.
-
-    config is the run's RunConfig, validated again here.  The loop reads
-    steps, batch_size, eval_interval, seed, target_test_metric,
-    record_kappa_ratio and timing from it; the optimizer settings come from
-    opt.
-
-    A diverged run stops with a named reason: a non-finite or huge loss, a
-    non-finite kappa (checked before the update) or non-finite parameters
-    (checked after it).  The returned params and steps_done are then those
-    of the last finite state, so the final checkpoint stays loadable.
+    Step s draws its batch from rng_for(seed, STREAM_DATA, s) and takes the
+    gradient, and a path kind's kappa, at the pre-update parameters.
+    Nothing but (p, opt) carries from one step to the next, so resuming
+    from (p, opt, start_step) reproduces the uninterrupted run exactly.
+    The run ends converged at an earlier row that meets target_test_metric,
+    budget_exhausted at the row of step == steps, or diverged, with a
+    reason, at a non-finite or huge loss, a non-finite kappa or non-finite
+    parameters; a diverged run returns its last finite state, so the final
+    checkpoint stays loadable.
     """
     config.validate()
     p = np.asarray(p, dtype=float).copy()

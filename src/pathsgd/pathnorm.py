@@ -1,35 +1,15 @@
-"""Path-regularizer and the per-parameter curvature terms that precondition
-path-normalized updates.
+"""Path-regularizer gamma^2 and the kappa that preconditions path-normalized
+updates.
 
-The path-regularizer gamma^2 of a net is the sum, over all directed paths
-from input (or bias) nodes to output nodes, of the product of squared edge
-weights along the path.  The preconditioner kappa_i is half the second
-derivative of gamma^2 with respect to parameter p_i.  It splits as
-kappa = kappa1 + kappa2:
+gamma^2 sums, over all paths from an input (or bias) to an output of the
+unrolled net, the product of the squared weights along the path, and
+kappa_i is half its second derivative in p_i.  It splits as kappa =
+kappa1 + kappa2: kappa1 over single edges that carry p_i, kappa2 over pairs
+of them on one path, so kappa2 is zero when no path reuses a parameter.
 
-* kappa1_i sums, over every edge e carrying parameter i and every path
-  through e, the squared-weight product of the path excluding e;
-* kappa2_i collects the interaction of two distinct edges carrying the same
-  parameter on one path, and is therefore exactly zero when no path reuses
-  a parameter (any net with a one-to-one parameter map).
-
-gamma, kappa1, kappa2 and the preconditioner take the RnnLayout and read one
-pass of the squared net: compute.rnn_forward / rnn_backward, the routines
-training uses, run on the squared parameters at the all-ones input with
-identity activation.  Its summed output is gamma^2; its parameter gradient
-is kappa1, and the per-step hidden values h and backward deltas that the
-backward hands back are what kappa2 reads.  kappa2 sums the pairs of
-applications of a recurrent matrix in closed form, in blocks of
-L = floor(sqrt(2 H)) steps, so a layer costs O(T H^2.5) time and, beside
-position-major copies of h and delta and the L + 1 powers of the matrix,
-O(BUDGET) memory; it drops h and delta themselves once they are copied.
-
-The oracles these are checked against share none of that code: they walk
-the unrolled net one (layer, unit, time) coordinate at a time in plain
-Python, reading each weight through RnnLayout.param_index.  They are the
-gamma recursion, the finite-difference kappa_fd built on it (the ground
-truth for every closed form) and the path enumerators, which iter_paths
-feeds and PATH_GUARD bounds.
+gamma, kappa1 and kappa2 read one pass of the squared net (_squared_pass).
+The oracles share none of that code: they walk the unrolled net one
+(layer, unit, time) coordinate at a time through RnnLayout.param_index.
 """
 
 from __future__ import annotations
@@ -64,14 +44,11 @@ class EnumerationError(RuntimeError):
 
 
 def gamma_recursive(layout: RnnLayout, p: np.ndarray) -> float:
-    """gamma^2 of an unrolled RNN by the per-unit recursion, in scalar loops
-    over (layer, unit, time) coordinates.
-
-    gamma^2 is 1 at each input and at the bias and, at every hidden unit
-    and output, accumulates over its sources the source's gamma^2 times the
-    squared weight: the in{i} sources first, then rec{i} from the previous
-    step, then the bias.  The net value sums the outputs of every step.
-    """
+    """gamma^2 by the per-unit recursion: 1 at each input and at the bias,
+    and at every hidden unit and output the sum over its sources (in{i},
+    then rec{i} from the previous step, then the bias) of the source's
+    value times the squared weight.  The net value sums every step's
+    outputs."""
     pi = layout.param_index
     p = np.asarray(p, dtype=float).tolist()
     dims, top = layout.dims, layout.depth - 1
@@ -186,19 +163,16 @@ def gamma_bruteforce(layout: RnnLayout, p: np.ndarray) -> float:
     return total
 
 
-def kappa_fd(layout: RnnLayout, p: np.ndarray, step: float = 1e-4) -> np.ndarray:
+def kappa_fd(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
     """Half the second derivative of gamma^2 per parameter, by central second
-    differences of the recursion.  The authoritative kappa oracle.
-
-    The step is relative: h_i = step * max(|p_i|, 1); gamma^2 is a
-    polynomial, so second differences at this scale are well conditioned in
-    64-bit.
-    """
+    differences of the recursion: the authoritative kappa oracle.  The step
+    is h_i = 1e-4 max(|p_i|, 1); gamma^2 is a polynomial, so second
+    differences at this scale are well conditioned in 64-bit."""
     p = np.asarray(p, dtype=float)
     out = np.zeros_like(p)
     g0 = gamma_recursive(layout, p)
     for i in range(p.shape[0]):
-        h = step * max(abs(p[i]), 1.0)
+        h = 1e-4 * max(abs(p[i]), 1.0)
         pp = p.copy()
         pp[i] = p[i] + h
         gp = gamma_recursive(layout, pp)
@@ -211,19 +185,13 @@ def kappa_fd(layout: RnnLayout, p: np.ndarray, step: float = 1e-4) -> np.ndarray
 # --- kappa1 ------------------------------------------------------------------
 
 def _squared_pass(layout: RnnLayout, p: np.ndarray):
-    """kappa1 and the squared-net states from one compute.rnn_forward /
-    rnn_backward of the squared net: parameters p^2, the all-ones input,
-    identity activation and a unit seed at every output.
-
-    Every value of the squared net is nonnegative, so ReLU would be inert
-    and its summed output is gamma^2; the gradient of that sum with respect
-    to the squared parameters is kappa1.  Returns (kappa1, (h, delta)),
-    where h holds the states the backward walked (h[i] of shape (T, 1, H_i))
-    and delta[i] = d(sum of outputs)/d h^i, of the same shape, is the
-    backward's dpre, which equals dh under the identity activation.
-    rnn_forward rejects a non-finite parameter vector, so an overflowed p^2
-    gives an all-inf kappa1 and no states instead.
-    """
+    """One compute.rnn_forward / rnn_backward of the squared net: parameters
+    p^2, the all-ones input, identity activation (ReLU would be inert on
+    its nonnegative values) and a unit seed at every output.  Its summed
+    output is gamma^2 and its parameter gradient kappa1.  Returns (kappa1,
+    (h, delta)): h[i] the layer-i states and delta[i] = d(sum of outputs)
+    / d h[i], each (T, 1, H_i).  An overflowed p^2 gives an all-inf kappa1
+    and no states."""
     pt = np.square(np.asarray(p, dtype=float))
     if not np.all(np.isfinite(pt)):
         return np.full(layout.m, np.inf), None
@@ -235,8 +203,7 @@ def _squared_pass(layout: RnnLayout, p: np.ndarray):
 
 
 def kappa1(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
-    """kappa1 for unrolled RNNs: one forward/backward of the squared net
-    (see _squared_pass)."""
+    """kappa1, the gradient of the squared-net pass (_squared_pass)."""
     return _squared_pass(layout, p)[0]
 
 
@@ -318,38 +285,27 @@ def _across_blocks(accT, Z, V, M, PL, c0: int, nb: int):
 
 
 def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
-    """kappa2 for unrolled RNNs in closed matrix form.
+    """kappa2 in closed matrix form.
 
-    Only recurrent parameters can repeat along an input-output path (inputs,
-    biases and outputs touch a path at most once), so all other entries are
-    zero.  For recurrent entry [j, k] of layer i, two applications at steps
-    s < s' connect through (A^(s'-1-s))[k, j] where A is the squared
-    recurrent matrix; summing the time-ordered pairs gives, with h_s the
-    squared net's layer-i values and delta_s = d(sum of outputs)/d h_s,
+    Only recurrent parameters can repeat on a path, so all other entries
+    are zero.  With A the squared recurrent matrix of layer i and (h,
+    delta) the squared pass's states, the time-ordered pairs sum to
 
-        kappa2[j, k] = C * A[j, k] * accT[k, j],
+        kappa2[j, k] = CHRONO_PAIR_COEFF * A[j, k] * accT[k, j],
         accT = sum_(s<=u) diag(h_s) A^(u-s) diag(delta_(u+2)),
 
-    with s, u from 0 to n-1, n = T-2 (0-based steps), and
-    C = CHRONO_PAIR_COEFF.  accT is computed exactly in blocks of
-    L = min(n, floor(sqrt(2 H))) steps, with the powers P_r = A^r for
-    r <= L.  h and delta are copied once into zero-padded position-major
-    blocks hq[q, b] = h_(bL+q) and dq[r, b] = delta_(bL+r+2), (L, nb, H)
-    each, so the pairs d steps apart inside every block are one product
-    P_d * (hq[:L-d]^T dq[d:]) of contiguous slabs.  Pairs across blocks go
-    through the state Z carried from block to block, Z <- Z P_L + V_b, and
-    add Z M_b, where V_b collects block b's sources and M_b its sinks.  V
-    and M are formed for a chunk of _chunk_blocks(H) blocks at a time, and
-    Z is carried from chunk to chunk; every chunk holds at least 2 blocks,
-    and the result is bit-identical to that of one chunk of all blocks.
-    Cost per layer O(T H^3 / L + T L H^2) = O(T H^2.5); V and M take
-    O(BUDGET) memory.
-    h and delta come from the squared pass that also gives kappa1 (each
-    (T, 1, H_i), read as (T, H_i)); ``states`` may carry that pass's
-    (h, delta), otherwise the pass runs here.  kappa2 takes over the states
-    it is handed: it sets h[i] and delta[i] to None once they are copied,
-    so the copies do not sit beside them, and a caller that needs them
-    again hands kappa2 its own lists.
+    s, u from 0 to n - 1, n = T - 2.  accT is summed exactly in blocks of
+    L = min(n, isqrt(2 H)) steps with the powers P_r = A^r, r <= L: the
+    pairs d steps apart inside every block are one product of the
+    position-major slabs hq[:L-d] and dq[d:], and pairs across blocks go
+    through the state Z <- Z P_L + V_b, which adds Z M_b (_across_blocks).
+    V and M are formed for _chunk_blocks(H) blocks at a time, with the bits
+    of one chunk of all blocks.  A layer costs O(T H^2.5) time and,
+    beside hq, dq and P, O(BUDGET) memory.
+
+    states may carry _squared_pass's (h, delta), else the pass runs here.
+    kappa2 takes them over and sets h[i] and delta[i] to None once copied,
+    so a caller that needs them again hands kappa2 its own lists.
     """
     n = layout.length - 2
     out = np.zeros(layout.m)
@@ -366,9 +322,6 @@ def kappa2(layout: RnnLayout, p: np.ndarray, states=None) -> np.ndarray:
         H = A.shape[0]
         L = min(n, math.isqrt(2 * H))
         nb = -(-n // L)
-        # Position-major blocks, zero-padded: hq[q, b] = h_(bL+q) and
-        # dq[r, b] = delta_(bL+r+2), so the pairs d steps apart in every
-        # block are the contiguous slabs hq[:L-d] and dq[d:].
         hq = _position_major(h[i][:n, 0], L, nb)
         dq = _position_major(delta[i][2:, 0], L, nb)
         h[i] = delta[i] = None  # the copies are all that is read from here on
@@ -401,9 +354,8 @@ _quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
 
 
 def _kappa1_and_2(layout: RnnLayout, p: np.ndarray):
-    """kappa1 and kappa2 from one squared pass, whose states kappa2 takes
-    over and frees layer by layer.  kappa2 is not run, and comes back as
-    None, once kappa1 has overflowed."""
+    """kappa1 and kappa2 from one squared pass; kappa2 is None, and not
+    run, once kappa1 has overflowed."""
     k1, states = _squared_pass(layout, p)
     if not np.all(np.isfinite(k1)):
         return k1, None
@@ -425,12 +377,13 @@ def preconditioner(layout: RnnLayout, p: np.ndarray, mode: str = "k1") -> np.nda
 @_quiet
 def kappa_ratio(layout: RnnLayout, p: np.ndarray) -> float:
     """||kappa2|| / ||kappa1||, the relative weight of the interaction term;
-    NaN when kappa1 has overflowed or is identically zero (0 / 0: kappa2 is
-    then zero too).  Both vectors are first scaled, exactly, by the power
-    of two that brings the larger entry into [0.5, 1), so no square the
-    norms sum overflows; only entries below 1e-154 of it square to 0."""
+    NaN when kappa1 has overflowed or is identically zero.  Each vector is
+    scaled, exactly, by the power of two that brings its largest entry into
+    [0.5, 1), so its norm neither overflows nor loses digits to underflow,
+    and the quotient is scaled back."""
     k1, k2 = _kappa1_and_2(layout, p)
     if k2 is None:
         return float("nan")
-    e = -np.frexp(max(np.max(np.abs(k1)), np.max(np.abs(k2))))[1]
-    return float(np.linalg.norm(np.ldexp(k2, e)) / np.linalg.norm(np.ldexp(k1, e)))
+    e1, e2 = (-np.frexp(np.max(np.abs(k)))[1] for k in (k1, k2))
+    q = np.linalg.norm(np.ldexp(k2, e2)) / np.linalg.norm(np.ldexp(k1, e1))
+    return float(np.ldexp(q, e1 - e2))

@@ -1,15 +1,5 @@
-"""Desk-scale sequence tasks: their data and one loss head each.
-
-The task route is written once, in Task: loss_and_grad runs the forward of
-``compute`` on an (X, target) batch, the task's head and the backward from
-the head's dY (with grad=False, the forward alone and g = None); evaluate
-runs the held-out set through trace-free forwards one chunk of rows at a
-time.  head(y, target) -> (loss, dY, metric) is each task's one
-definition of its loss and metric.  The addition task keeps no copy of its
-held-out set: it rebuilds the set from its seed at each evaluation, one
-chunk at a time.  The many-to-one tasks (addition, seqclass) read only the
-last step's output, so their forward projects from first_output = T - 1;
-charlm reads every step (first_output = 0)."""
+"""Desk-scale sequence tasks: their data and one loss head each, on the
+forward / backward route that Task writes once."""
 
 from __future__ import annotations
 
@@ -30,9 +20,11 @@ class Task:
     """The forward, head and backward every task shares.
 
     A subclass sets metric_name, input_dim, output_dim, length and
-    first_output, and defines train_batch, held_out and head.
-    held_out(rows) yields the held-out set as (X, target) chunks of at most
-    rows rows, in order, the same chunks at every call.
+    first_output, the first step whose output the head reads, and defines
+    train_batch, held_out and head.  held_out(rows) yields the held-out set
+    as (X, target) chunks of at most rows rows, the same at every call.
+    head(y, target) -> (loss, dY, metric) is the task's one definition of
+    its loss and metric.
     """
 
     def loss_and_grad(self, layout: RnnLayout, p, batch, grad: bool = True):
@@ -45,15 +37,12 @@ class Task:
         return loss, g, metric
 
     def evaluate(self, layout: RnnLayout, p) -> float:
-        """The head's metric on the held-out set.  This is the one place
-        rows are chunked: the set is taken in chunks of
-        compute.row_chunk(layout) rows, one trace-free forward each, so
-        the forward's blocks stay within compute.BUDGET whatever the set's
-        size, and the head runs once on the joined outputs and targets.
-        The result has the bits of the head over forwards of the whole
-        set's rows in the same chunks.  One forward of the whole set runs
-        products of other shapes, which BLAS may round differently, so it
-        agrees with that only up to rounding."""
+        """The head's metric on the held-out set, run in chunks of
+        compute.row_chunk(layout) rows, one trace-free forward each, so the
+        forward's blocks stay within compute.BUDGET whatever the set's
+        size.  One forward of the whole set runs products of other shapes,
+        which BLAS may round differently, so it agrees only up to
+        rounding."""
         chunks = [(compute.rnn_forward(layout, p, X, keep_trace=False,
                                        first_output=self.first_output).y, target)
                   for X, target in self.held_out(compute.row_chunk(layout))]
@@ -83,13 +72,11 @@ def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray):
 
 def gen_addition(length: int, n: int, rng: np.random.Generator, marks=None):
     """(X, targets): X is (n, T, 2), a uniform value channel and a mask
-    channel that marks two positions, one in each half of the sequence; the
-    target is the sum of the values at the marked positions.  The uniform
-    draws go straight into the value plane of one channel-first (2, n, T)
-    array, which X views channel-last, so the set is allocated once with no
-    whole-set temporary.  rng.random gives the doubles of rng.uniform(0, 1),
-    one 64-bit draw each in C order, and leaves rng in the same state.  The
-    marks are then drawn from rng, unless marks gives them."""
+    channel that marks one position in each half of the sequence, and the
+    target is the sum of the two marked values.  The values are drawn
+    straight into one channel-first (2, n, T) array that X views, with the
+    doubles and generator state of rng.uniform(0, 1); the marks come next
+    from rng, unless marks gives them."""
     planes = np.zeros((2, n, length))
     rng.random(out=planes[0])
     first, second = _marks(rng, length, n) if marks is None else marks
@@ -108,14 +95,12 @@ def _marks(rng: np.random.Generator, length: int, n: int):
 
 
 class AdditionTask(Task):
-    """Predict the sum of two marked sequence entries from the final step,
-    the only output the forward projects (first_output = T - 1).  The task
-    holds no arrays.  The held-out set is gen_addition's set of eval_size
-    rows from default_rng(eval_seed), and held_out rebuilds it at each call,
-    one chunk of rows at a time, with the bits of the whole set: rows lo to
-    hi of the value plane are draws lo T to hi T - 1 of that stream, read in
-    order from one generator, and the marks come from a second one advanced
-    past all the values."""
+    """Predict the sum of two marked sequence entries from the final step.
+    The task holds no arrays: held_out rebuilds gen_addition's set of
+    eval_size rows from default_rng(eval_seed) at each call, one chunk at a
+    time, with the bits of the whole set (rows lo to hi of the values are
+    draws lo T to hi T - 1 of that stream, and the marks come from a second
+    generator advanced past all the values)."""
 
     input_dim = 2
     output_dim = 1
@@ -151,11 +136,10 @@ class AdditionTask(Task):
 # sequential classification of tiny glyph images
 
 class SeqClassTask(Task):
-    """Classify a pixel-sequence image from the final step's logits, the
-    only output the forward projects (first_output = T - 1).  The images
-    are noisy copies of per-class binary templates, flattened row-major so
-    an image is consumed one pixel per time step, and split per class so
-    both sides see every class."""
+    """Classify a pixel-sequence image from the final step's logits.  The
+    images are noisy copies of per-class binary templates, read one pixel
+    per step in row-major order, and split per class so both sides see
+    every class."""
 
     input_dim = 1
     metric_name = "error_rate"
@@ -233,28 +217,24 @@ def _lookup(codes: np.ndarray, symbols: np.ndarray) -> np.ndarray:
     return ids
 
 
-def load_char_corpus(path=None, text: str | None = None,
-                     fractions=(0.8, 0.1, 0.1)) -> CharCorpus:
+def load_char_corpus(path=None, text: str | None = None) -> CharCorpus:
     """Split a text corpus, read from path as UTF-8 or given as text, into
-    contiguous train and test id arrays over its alphabet, the characters
-    it holds sorted by code point (as sorted(set(text)) sorts them).  The
-    middle fraction is cut out and not kept.  The text is decoded to code
-    points once and mapped in NumPy, with no Python step per character;
-    ids take the smallest unsigned dtype that holds the alphabet's size."""
+    train ids (the first 80%) and test ids (the last 10%) over its
+    alphabet, sorted(set(text)).  The text is mapped in NumPy with no
+    Python step per character, to ids of the smallest unsigned dtype that
+    holds the alphabet."""
     if text is None:
         if path is None:
             raise GraphError("load_char_corpus: need a path or a text")
         text = Path(path).read_text(encoding="utf-8")
-    if abs(sum(fractions) - 1.0) > 1e-9 or any(f <= 0 for f in fractions):
-        raise GraphError("load_char_corpus: fractions must be positive and sum to 1")
     codes = _code_points(text)
     present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
     present[codes] = True  # unlike np.bincount, no intp copy of codes
     symbols = np.flatnonzero(present)
     ids = _lookup(codes, symbols)
     n = len(ids)
-    a = int(n * fractions[0])
-    b = a + int(n * fractions[1])
+    a = int(n * 0.8)
+    b = a + int(n * 0.1)
     return CharCorpus("".join(map(chr, symbols.tolist())), ids[:a], ids[b:])
 
 
@@ -263,8 +243,8 @@ def bundled_corpus_path() -> Path:
 
 
 class CharLmTask(Task):
-    """Next-character prediction with one-hot inputs and a per-step readout,
-    so the forward projects every step (first_output = 0)."""
+    """Next-character prediction with one-hot inputs and a per-step
+    readout."""
 
     metric_name = "bpc"
     first_output = 0

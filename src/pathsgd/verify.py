@@ -1,11 +1,8 @@
 """Executable correctness properties, surfaced by the ``verify`` subcommand.
 
 Each property draws randomized desk-scale instances, compares the code
-training runs (rnn_forward / rnn_backward and the squared-net pass) against
-an independent oracle, such as the per-unit path enumerators and gamma
-recursion of pathnorm, or an exact mathematical identity, and reports its
-worst residual.  The quick level runs in a few seconds; the
-full level uses the larger sample counts.
+training runs against an independent oracle or an exact identity, and
+reports its worst residual against a fixed threshold.
 """
 
 from __future__ import annotations
@@ -17,6 +14,9 @@ import numpy as np
 from . import compute, invariance, optim, pathnorm
 from .graph import RnnLayout
 
+# The |pre-activation| every live ReLU unit must exceed in the gradient
+# check, so that finite differences cross no kink.
+KINK_MARGIN = 1e-2
 
 @dataclass
 class PropertyResult:
@@ -34,14 +34,18 @@ class PropertyResult:
                 f"threshold={self.threshold:.0e} n={self.n}{extra}")
 
 
-def random_layout(rng: np.random.Generator, max_hidden: int = 3,
-                  max_len: int = 4, max_depth: int = 2) -> RnnLayout:
-    depth = int(rng.integers(1, max_depth + 1))
+def _within(name: str, worst: float, threshold: float, n: int, detail: str = ""):
+    return PropertyResult(name, worst <= threshold, worst, threshold, n, detail)
+
+
+def random_layout(rng: np.random.Generator) -> RnnLayout:
+    """1 or 2 hidden layers of 1 to 3 units, unrolled for 1 to 4 steps."""
+    depth = int(rng.integers(1, 3))
     return RnnLayout(
         input_dim=int(rng.integers(1, 3)),
-        hidden_dims=tuple(int(rng.integers(1, max_hidden + 1)) for _ in range(depth)),
+        hidden_dims=tuple(int(rng.integers(1, 4)) for _ in range(depth)),
         output_dim=int(rng.integers(1, 3)),
-        length=int(rng.integers(1, max_len + 1)),
+        length=int(rng.integers(1, 5)),
         bias=bool(rng.integers(0, 2)))
 
 
@@ -63,11 +67,9 @@ def random_params(layout: RnnLayout, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.5, 1.5, layout.m)
 
 
-def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray, margin: float) -> bool:
+def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray) -> bool:
     # pre near 0 is harmless at a unit whose sources are all 0: then pre is
-    # identically 0 in a neighborhood of p and the unit is smooth.  The
-    # backward hands back the states h it walked, and pre is recomputed
-    # from them.
+    # identically 0 in a neighborhood of p and the unit is smooth.
     tr = compute.rnn_forward(layout, p, X)
     h = compute.rnn_backward(layout, p, tr, np.zeros_like(tr.y), return_dpre=True)[2]
     for i in range(1, layout.depth):
@@ -80,22 +82,20 @@ def _kink_free(layout: RnnLayout, p: np.ndarray, X: np.ndarray, margin: float) -
         if f"b{i}" in layout.slices:  # the bias source is 1
             pre += layout.view(p, f"b{i}")[:, 0]
             live[...] = True
-        if np.any((np.abs(pre) <= margin) & live[..., None]):
+        if np.any((np.abs(pre) <= KINK_MARGIN) & live[..., None]):
             return False
     return True
 
 
-def sample_kink_free(layout: RnnLayout, rng: np.random.Generator,
-                     X: np.ndarray, margin: float = 1e-2, tries: int = 200):
+def sample_kink_free(layout: RnnLayout, rng: np.random.Generator, X: np.ndarray):
     """(p, X): parameters whose ReLU pre-activations on the batch X stay
-    at least ``margin`` from zero, so finite differences see a smooth
+    more than KINK_MARGIN from zero, so finite differences see a smooth
     function, and that batch.  A small input entry can keep every draw of
-    p near a kink (|w x| < margin for all |w| <= 1.5), so after each
-    ``tries`` failed draws X is redrawn from the standard normal."""
+    p near a kink, so after each 200 failed draws X is redrawn."""
     while True:
-        for _ in range(tries):
+        for _ in range(200):
             p = random_params(layout, rng)
-            if _kink_free(layout, p, X, margin):
+            if _kink_free(layout, p, X):
                 return p, X
         X = rng.standard_normal(X.shape)
 
@@ -106,7 +106,7 @@ def _rel(a: np.ndarray, b: np.ndarray, floor: float) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
 
 
-def check_gamma_oracle(rng, n, threshold=1e-10) -> PropertyResult:
+def check_gamma_oracle(rng, n) -> PropertyResult:
     """gamma^2 from the layout forward equals brute-force path enumeration."""
     worst = 0.0
     for _ in range(n):
@@ -115,10 +115,10 @@ def check_gamma_oracle(rng, n, threshold=1e-10) -> PropertyResult:
         g_fast = pathnorm.gamma(layout, p)
         g_slow = pathnorm.gamma_bruteforce(layout, p)
         worst = max(worst, abs(g_fast - g_slow) / max(abs(g_slow), 1e-12))
-    return PropertyResult("gamma-oracle", worst <= threshold, worst, threshold, n)
+    return _within("gamma-oracle", worst, 1e-10, n)
 
 
-def check_kappa_decomposition(rng, n, threshold=1e-4) -> PropertyResult:
+def check_kappa_decomposition(rng, n) -> PropertyResult:
     """kappa1 + kappa2 matches the finite-difference second derivative."""
     worst = 0.0
     for _ in range(n):
@@ -127,10 +127,10 @@ def check_kappa_decomposition(rng, n, threshold=1e-4) -> PropertyResult:
         total = pathnorm.kappa1(layout, p) + pathnorm.kappa2(layout, p)
         fd = pathnorm.kappa_fd(layout, p)
         worst = max(worst, _rel(total, fd, 1.0))
-    return PropertyResult("kappa-decomposition", worst <= threshold, worst, threshold, n)
+    return _within("kappa-decomposition", worst, 1e-4, n)
 
 
-def check_kappa2_closed_form(rng, n, threshold=1e-10) -> PropertyResult:
+def check_kappa2_closed_form(rng, n) -> PropertyResult:
     """The recurrent matrix form of kappa2 equals pair enumeration."""
     worst = 0.0
     for _ in range(n):
@@ -139,7 +139,7 @@ def check_kappa2_closed_form(rng, n, threshold=1e-10) -> PropertyResult:
         k2_fast = pathnorm.kappa2(layout, p)
         k2_slow = pathnorm.kappa2_bruteforce(layout, p)
         worst = max(worst, _rel(k2_fast, k2_slow, 1.0))
-    return PropertyResult("kappa2-closed-form", worst <= threshold, worst, threshold, n)
+    return _within("kappa2-closed-form", worst, 1e-10, n)
 
 
 def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
@@ -153,7 +153,7 @@ def check_feedforward_kappa2_zero(rng, n) -> PropertyResult:
                           detail="(exact)")
 
 
-def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
+def check_rescaling_invariance(rng, n) -> PropertyResult:
     """Feasible node-wise rescalings preserve the function and gamma^2."""
     worst = 0.0
     for _ in range(n):
@@ -169,12 +169,12 @@ def check_rescaling_invariance(rng, n, threshold=1e-10) -> PropertyResult:
         ga = pathnorm.gamma(layout, p)
         gb = pathnorm.gamma(layout, q)
         worst = max(worst, abs(ga - gb) / max(abs(ga), 1e-12))
-    return PropertyResult("rescaling-invariance", worst <= threshold, worst, threshold, n)
+    return _within("rescaling-invariance", worst, 1e-10, n)
 
 
-def _trajectory_gap(layout, p, q, opt, steps, rng):
-    """Max output gap between trainings started from equivalent parameters,
-    by updates of opt's kind with kappa taken at the current point."""
+def _trajectory_gap(layout, p, q, opt, rng):
+    """Max output gap after 3 updates of opt's kind, with kappa taken at the
+    current point, from equivalent parameters p and q."""
     X = rng.standard_normal((4, layout.length, layout.input_dim))
 
     def stepper(pp, gg):
@@ -183,7 +183,7 @@ def _trajectory_gap(layout, p, q, opt, steps, rng):
         return optim.apply_update(pp, gg, opt, kappa)[0]
 
     pa, qa = p.copy(), q.copy()
-    for _ in range(steps):
+    for _ in range(3):
         tra = compute.rnn_forward(layout, pa, X)
         trb = compute.rnn_forward(layout, qa, X)
         ga = compute.rnn_backward(layout, pa, tra, tra.y)
@@ -196,11 +196,10 @@ def _trajectory_gap(layout, p, q, opt, steps, rng):
     return float(np.max(np.abs(ya - yb))) / scale
 
 
-def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3) -> PropertyResult:
-    """Path-SGD trajectories commute with rescaling, in both kappa modes.
-    Invariance is not claimed where the epsilon floor on kappa binds, so an
-    instance whose kappa at p or q comes within 10 epsilon of it is skipped
-    and counted in the detail."""
+def check_path_sgd_invariance(rng, n) -> PropertyResult:
+    """Path-SGD trajectories commute with rescaling, in both kappa modes,
+    except where the epsilon floor binds: an instance whose kappa at p or q
+    is within 10 epsilon of it is skipped and counted in the detail."""
     worst, skipped = 0.0, 0
     for _ in range(n):
         layout = random_layout(rng)
@@ -213,33 +212,29 @@ def check_path_sgd_invariance(rng, n, threshold=1e-8, steps=3) -> PropertyResult
             continue
         for mode in pathnorm.KAPPA_MODES:
             opt = optim.OptimizerState(kind="path_sgd", eta=0.05, kappa_mode=mode)
-            worst = max(worst, _trajectory_gap(layout, p, q, opt, steps, rng))
+            worst = max(worst, _trajectory_gap(layout, p, q, opt, rng))
     detail = f"({skipped} skipped: kappa near the epsilon floor)" if skipped else ""
-    return PropertyResult("path-sgd-invariance", worst <= threshold, worst, threshold, n,
-                          detail)
+    return _within("path-sgd-invariance", worst, 1e-8, n, detail)
 
 
-def check_sgd_not_invariant(rng, n, threshold=1e-3, steps=3) -> PropertyResult:
+def check_sgd_not_invariant(rng, n) -> PropertyResult:
     """Negative control: plain SGD must break under the same rescalings."""
-    worst = 0.0
+    worst, threshold = 0.0, 1e-3
     for _ in range(n):
-        layout = random_layout(rng, max_len=4)
+        layout = random_layout(rng)
         p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(layout, rng, 1.5)
         q = invariance.apply_rescaling(layout, p, alpha)
-        gap = _trajectory_gap(layout, p, q, optim.OptimizerState(kind="sgd", eta=0.05),
-                              steps, rng)
+        gap = _trajectory_gap(layout, p, q, optim.OptimizerState(kind="sgd", eta=0.05), rng)
         worst = max(worst, gap)
     return PropertyResult("sgd-not-invariant", worst > threshold, worst, threshold, n,
                           detail="(passes when the gap exceeds the threshold)")
 
 
-def check_gradient(rng, n, threshold=1e-5, readout=False) -> PropertyResult:
+def check_gradient(rng, n, readout=False) -> PropertyResult:
     """rnn_backward of the mean squared error matches central differences of
-    rnn_forward away from ReLU kinks.  With readout the nets read out the
-    last step alone (first_output = T - 1), as addition and seqclass train,
-    so the backward runs the recurrence through the steps dY does not
-    seed."""
+    rnn_forward away from ReLU kinks.  With readout only the last step is
+    read out (first_output = T - 1), as addition and seqclass train."""
     worst = 0.0
     for _ in range(n):
         layout = random_net(rng)
@@ -259,18 +254,14 @@ def check_gradient(rng, n, threshold=1e-5, readout=False) -> PropertyResult:
         worst = max(worst, float(np.max(np.abs(g - g_fd) /
                                         np.maximum(np.abs(g_fd), 1e-3))))
     name = "gradient-check-readout" if readout else "gradient-check"
-    return PropertyResult(name, worst <= threshold, worst, threshold, n)
+    return _within(name, worst, 1e-5, n)
 
 
-def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
-    """rnn_backward's gradient and rnn_forward's outputs do not depend on
-    how time is split into blocks: compute.BUDGET forced to give blocks of
-    1, 2 and 3 steps agrees up to rounding with the default budget, which
-    runs these nets in one block.  Each forced budget walks the one-block
-    trace in its blocks, runs a forward and backward that keep only the
-    state carried into each block and recompute the rest, and runs the
-    trace-free forward over all rows in blocks of one step.  BUDGET is
-    restored after."""
+def check_time_blocking(rng, n) -> PropertyResult:
+    """rnn_forward's outputs and rnn_backward's gradient agree, up to
+    rounding, between one time block and blocks of 1, 2 and 3 steps forced
+    by a smaller compute.BUDGET (restored after): the one-block trace walked
+    in blocks, a checkpointed trace and the trace-free forward."""
     worst = 0.0
     default = compute.BUDGET
     try:
@@ -293,17 +284,15 @@ def check_time_blocking(rng, n, threshold=1e-10) -> PropertyResult:
                                  y, 1.0))
     finally:
         compute.BUDGET = default
-    return PropertyResult("time-blocking", worst <= threshold, worst, threshold, n)
+    return _within("time-blocking", worst, 1e-10, n)
 
 
-def check_kappa_at_scale(rng, n, threshold=1e-6, step=1e-4) -> PropertyResult:
+def check_kappa_at_scale(rng, n) -> PropertyResult:
     """preconditioner(k1_plus_k2) matches central second differences of
-    pathnorm.gamma at training shapes: the addition benchmarks' (T, H) of
-    (750, 100) at +-0.1 and (40, 32) at +-0.3, at n coordinates of each
-    block.  The recurrent block is scaled so its squared matrix has
-    spectral radius 1, so that step pairs far apart, across kappa2's
-    blocks and chunks of blocks, weigh in kappa; kappa1 alone, or a Z not
-    carried from one chunk to the next, is off by about 1e-1."""
+    pathnorm.gamma at n coordinates of each block, at the addition
+    benchmarks' (T, H) and init ranges.  The squared recurrent matrix is
+    scaled to spectral radius 1, so that step pairs far apart, across
+    kappa2's chunks of blocks, weigh in kappa."""
     worst, count = 0.0, 0
     for T, H, w in ((750, 100, 0.1), (40, 32, 0.3)):
         layout = RnnLayout(2, (H,), 1, T)
@@ -314,13 +303,13 @@ def check_kappa_at_scale(rng, n, threshold=1e-6, step=1e-4) -> PropertyResult:
         g0 = pathnorm.gamma(layout, p)
         for sl, _ in layout.slices.values():
             for i in rng.choice(np.arange(layout.m)[sl], n, replace=False):
-                h, q = step * max(abs(p[i]), 1.0), p.copy()
+                h, q = 1e-4 * max(abs(p[i]), 1.0), p.copy()
                 q[i] = p[i] + h
                 gp = pathnorm.gamma(layout, q)
                 q[i] = p[i] - h
                 fd = 0.5 * (gp - 2.0 * g0 + pathnorm.gamma(layout, q)) / (h * h)
                 worst, count = max(worst, _rel(kappa[i], fd, 1.0)), count + 1
-    return PropertyResult("kappa-at-scale", worst <= threshold, worst, threshold, count)
+    return _within("kappa-at-scale", worst, 1e-6, count)
 
 
 LEVELS = {

@@ -41,7 +41,7 @@ def test_criterion_02_kappa_decomposition(capsys):
     t0 = time.time()
     worst_fd, worst_closed = 0.0, 0.0
     for _ in range(24):
-        layout = verify.random_layout(rng, max_hidden=3, max_len=4)
+        layout = verify.random_layout(rng)
         p = rng.uniform(-0.5, 0.5, layout.m)
         total = pathnorm.kappa1(layout, p) + pathnorm.kappa2_bruteforce(layout, p)
         worst_fd = max(worst_fd, _rel(total, pathnorm.kappa_fd(layout, p), 1.0))

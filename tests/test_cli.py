@@ -608,3 +608,17 @@ def test_kappa_ratio_rejects_a_non_finite_ratio(capsys):
     assert err.startswith("error: --init-range") and "hidden 2, length 3" in err
     assert run_cli("kappa-ratio", *cell, "--init-range", "1e30") == 0
     assert capsys.readouterr().out.splitlines()[1] == "2,3,0.765101,0"
+
+
+def test_kappa_ratio_rejects_an_underflowed_ratio(capsys):
+    """At init range 1e-100 kappa2 underflows to 0 at length 3, where it
+    cannot be 0: the command exits 1 naming the flag and the cell.  At
+    1e-40 the ratio, near 2.4e-161, prints."""
+    cell = ["--hidden", "2", "--lengths", "3", "--input-dim", "2", "--output-dim", "2",
+            "--seeds", "1"]
+    assert run_cli("kappa-ratio", *cell, "--init-range", "1e-100") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --init-range") and "hidden 2, length 3" in err
+    assert run_cli("kappa-ratio", *cell, "--init-range", "1e-40") == 0
+    ratio = float(capsys.readouterr().out.splitlines()[1].split(",")[2])
+    assert np.isfinite(ratio) and ratio > 0.0

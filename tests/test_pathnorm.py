@@ -1,5 +1,7 @@
+import decimal
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -383,3 +385,34 @@ def test_kappa_ratio_scales_before_the_norms(rng):
     unscaled = np.linalg.norm(pathnorm.kappa2(layout, p)) / np.linalg.norm(
         pathnorm.kappa1(layout, p))
     assert pathnorm.kappa_ratio(layout, p) == unscaled
+
+
+@pytest.mark.parametrize("r", [1e-40, 1e-45])
+def test_kappa_ratio_keeps_its_digits_below_1e_154(r):
+    """Far below 1e-154 of kappa1's largest entry, kappa2's squares
+    would underflow under a scale shared by both vectors (at 1e-45 the
+    ratio read 0).  The ratio of the same float vectors, summed exactly as
+    fractions with a 60-digit square root, is the reference."""
+    layout = RnnLayout(2, (2,), 2, 3)
+    p = optim.rng_for(0, optim.STREAM_INIT, 0).uniform(-r, r, layout.m)
+    k1, k2 = pathnorm.kappa1(layout, p), pathnorm.kappa2(layout, p)
+    exact = sum(Fraction(x) ** 2 for x in k2) / sum(Fraction(x) ** 2 for x in k1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        ref = float((decimal.Decimal(exact.numerator) / exact.denominator).sqrt())
+    assert 0.0 < ref < 1e-150
+    assert abs(pathnorm.kappa_ratio(layout, p) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("hidden", [20, 100])
+@pytest.mark.parametrize("length", [10, 20])
+def test_kappa_ratio_keeps_the_readme_table_bits(hidden, length):
+    """The README's table, `--hidden 20,100 --lengths 10,20 --seeds 5`: at
+    these ranges every scaling is exact, so each of its 20 ratios has the
+    bits of the unscaled norms' quotient."""
+    layout = RnnLayout(10, (hidden,), 10, length)
+    for s in range(5):
+        p = optim.rng_for(0, optim.STREAM_INIT, s).uniform(-0.1, 0.1, layout.m)
+        unscaled = np.linalg.norm(pathnorm.kappa2(layout, p)) / np.linalg.norm(
+            pathnorm.kappa1(layout, p))
+        assert pathnorm.kappa_ratio(layout, p) == unscaled

@@ -87,14 +87,14 @@ def test_sample_kink_free_respects_margin(rng):
     for _ in range(5):
         layout = verify.random_net(rng)
         X = rng.uniform(-1, 1, (3, layout.length, layout.input_dim))
-        p, X = verify.sample_kink_free(layout, rng, X, margin=1e-2)
+        p, X = verify.sample_kink_free(layout, rng, X)
         for x in X:
             _, h, pre = reference.forward(layout, p, x)
             for t in range(layout.length):
                 for i in range(1, layout.depth):
                     sources = h[t][i - 1] + (h[t - 1][i] if t else [])
                     dead = not layout.bias and all(v == 0.0 for v in sources)
-                    assert dead or all(abs(z) > 1e-2 for z in pre[t][i])
+                    assert dead or all(abs(z) > verify.KINK_MARGIN for z in pre[t][i])
 
 
 def test_sample_kink_free_redraws_a_batch_no_parameters_pass(rng):
@@ -107,7 +107,7 @@ def test_sample_kink_free_redraws_a_batch_no_parameters_pass(rng):
     X[0, 0, 0] = 0.0035
     p, drawn = verify.sample_kink_free(layout, rng, X)
     assert drawn.shape == X.shape and X[0, 0, 0] == 0.0035
-    assert verify._kink_free(layout, p, drawn, 1e-2)
+    assert verify._kink_free(layout, p, drawn)
 
 
 @pytest.mark.parametrize("seed", [3, 4, 6, 22, 34])
