@@ -185,9 +185,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kappa_ratio(args) -> int:
-    hiddens = [int(tok) for tok in args.hidden.split(",")]
-    lengths = [int(tok) for tok in args.lengths.split(",")]
-    if any(h < 1 for h in hiddens) or any(t < 1 for t in lengths) or args.seeds < 1:
+    if min(args.hidden) < 1 or min(args.lengths) < 1 or args.seeds < 1:
         raise ConfigError("hidden sizes, lengths and seeds must be positive")
     check_seed(args.seed)
     for flag, dim in (("--input-dim", args.input_dim), ("--output-dim", args.output_dim)):
@@ -199,8 +197,8 @@ def cmd_kappa_ratio(args) -> int:
                           f"(where p^2 is 0, kappa1 is identically zero), got {r}")
     lines = [KAPPA_RATIO_HEADER]
     print(lines[0])
-    for h in hiddens:
-        for t in lengths:
+    for h in args.hidden:
+        for t in args.lengths:
             layout = RnnLayout(args.input_dim, (h,), args.output_dim, t)
             ratios = []
             for s in range(args.seeds):
@@ -219,6 +217,10 @@ def cmd_kappa_ratio(args) -> int:
     if args.csv:
         write_lines(args.csv, lines)
     return EXIT_OK
+
+
+def comma_ints(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,8 +242,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     kp = sub.add_parser("kappa-ratio",
                         help="relative size of the kappa2 interaction term")
-    kp.add_argument("--hidden", default="20,100", help="comma list of widths")
-    kp.add_argument("--lengths", default="10,20", help="comma list of unroll lengths")
+    kp.add_argument("--hidden", type=comma_ints, default="20,100",
+                    help="comma list of widths")
+    kp.add_argument("--lengths", type=comma_ints, default="10,20",
+                    help="comma list of unroll lengths")
     kp.add_argument("--input-dim", type=int, default=10)
     kp.add_argument("--output-dim", type=int, default=10)
     kp.add_argument("--init-range", type=float, default=0.1)

@@ -79,6 +79,16 @@ def central_diff(f, p: np.ndarray, step: float) -> np.ndarray:
     return g
 
 
+def half_second_diff(f, p: np.ndarray, i: int, f0: float) -> float:
+    """Half the central second difference of a scalar function at p along
+    coordinate i, with step h = 1e-4 max(|p_i|, 1); f0 is f(p)."""
+    h, q = 1e-4 * max(abs(p[i]), 1.0), p.copy()
+    q[i] = p[i] + h
+    fp = f(q)
+    q[i] = p[i] - h
+    return 0.5 * (fp - 2.0 * f0 + f(q)) / (h * h)
+
+
 # --- vectorized route over RnnLayout ----------------------------------------
 
 @dataclass

@@ -36,6 +36,11 @@ TASKS = tuple(TASK_KEYS)
 # Adam's fixed settings, written to every checkpoint header; a checkpoint
 # that holds other values cannot continue here.
 ADAM_HEADER = (("beta1", ADAM_BETA1), ("beta2", ADAM_BETA2), ("eps_adam", ADAM_EPS))
+BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+# The metrics.csv columns; kappa_ratio only with record_kappa_ratio.
+METRICS_COLUMNS = ("step", "train_loss", "train_metric", "test_metric", "kappa_ratio",
+                   "wall_ms")
 
 
 class ConfigError(ValueError):
@@ -128,47 +133,24 @@ class RunConfig:
             raise ConfigError("checkpoint_interval must be a multiple of eval_interval")
 
 
-def _parse_bool(s: str) -> bool:
-    low = s.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {s!r}")
-
-
-def _parse_hidden(s: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in s.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"bad hidden spec {s!r}") from exc
-
-
-def _parse_opt_float(s: str) -> float | None:
-    if s.strip().lower() in ("", "none"):
-        return None
-    return float(s)
-
-
-def _field_value(cfg: RunConfig, key: str, raw: str):
+def _field_value(key: str, raw: str):
     kind = {f.name: f.type for f in dataclasses.fields(RunConfig)}.get(key)
     if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
+    low = raw.strip().lower()
     try:
         if key == "hidden":
-            return _parse_hidden(raw)
+            return tuple(int(tok) for tok in raw.replace(",", " ").split())
         if kind == "bool":
-            return _parse_bool(raw)
+            return BOOL_WORDS[low]
         if kind == "int":
             return int(raw)
         if kind == "float":
             return float(raw)
         if kind == "float | None":
-            return _parse_opt_float(raw)
+            return None if low in ("", "none") else float(raw)
         return raw
-    except ConfigError:
-        raise
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
 
@@ -197,12 +179,12 @@ def load_config(path=None, overrides: dict[str, str] | None = None) -> RunConfig
     cfg = RunConfig()
     if path is not None:
         for key, raw in parse_kv_text(Path(path).read_text(encoding="utf-8")).items():
-            setattr(cfg, key, _field_value(cfg, key, raw))
+            setattr(cfg, key, _field_value(key, raw))
     env_out = os.environ.get(OUT_DIR_ENV)
     if env_out:
         cfg.out_dir = env_out
     for key, raw in (overrides or {}).items():
-        setattr(cfg, key, _field_value(cfg, key, raw))
+        setattr(cfg, key, _field_value(key, raw))
     cfg.validate()
     return cfg
 
@@ -299,7 +281,7 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
         raise ConfigError(f"{path}: not a checkpoint file")
     head: dict[str, str] = {}
     i = 1
-    while i < len(lines) and " " in lines[i] and not lines[i].startswith("moments"):
+    while i < len(lines) and " " in lines[i]:
         key, val = lines[i].split(" ", 1)
         head[key] = val
         i += 1
@@ -309,23 +291,31 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
         raise ConfigError(
             f"{path}: checkpoint is for net [{head.get('net')}], "
             f"current net is [{describe_net(layout)}]")
-    try:
-        m = int(head["m"])
-        step = int(head["step"])
-    except KeyError as exc:
-        raise ConfigError(f"{path}: missing header field {exc.args[0]!r}") from exc
-    p = np.array([float(x) for x in lines[i:i + m]])
-    if len(p) != m:
-        raise ConfigError(f"{path}: truncated parameter block")
+
+    def header_int(key):
+        if key not in head:
+            raise ConfigError(f"{path}: missing header field {key!r}")
+        if not head[key].isdecimal():
+            raise ConfigError(f"{path}: bad header field {key} {head[key]!r}, "
+                              "not an integer >= 0")
+        return int(head[key])
+
+    def block(name, lo):
+        try:
+            values = np.array([float(x) for x in lines[lo:lo + m]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}: bad {name} block ({exc})") from exc
+        if len(values) != m:
+            raise ConfigError(f"{path}: truncated {name} block")
+        return values
+
+    m, step = header_int("m"), header_int("step")
+    p = block("parameter", i)
     i += m
     m1 = m2 = None
     if i < len(lines) and lines[i] == "moments":
-        i += 1
-        m1 = np.array([float(x) for x in lines[i:i + m]])
-        m2 = np.array([float(x) for x in lines[i + m:i + 2 * m]])
-        if len(m1) != m or len(m2) != m:
-            raise ConfigError(f"{path}: truncated moment block")
-        i += 2 * m
+        m1, m2 = block("moment", i + 1), block("moment", i + 1 + m)
+        i += 1 + 2 * m
     if i >= len(lines) or lines[i] != "end":
         raise ConfigError(f"{path}: missing end marker")
     try:
@@ -351,20 +341,12 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
 # metrics
 
 def metrics_header(record_kappa_ratio: bool) -> str:
-    cols = ["step", "train_loss", "train_metric", "test_metric"]
-    if record_kappa_ratio:
-        cols.append("kappa_ratio")
-    cols.append("wall_ms")
-    return ",".join(cols)
+    return ",".join(c for c in METRICS_COLUMNS if record_kappa_ratio or c != "kappa_ratio")
 
 
 def metrics_row(row: dict, record_kappa_ratio: bool) -> str:
-    cols = [str(row["step"]), repr(float(row["train_loss"])),
-            repr(float(row["train_metric"])), repr(float(row["test_metric"]))]
-    if record_kappa_ratio:
-        cols.append(repr(float(row["kappa_ratio"])))
-    cols.append(repr(float(row["wall_ms"])))
-    return ",".join(cols)
+    floats = metrics_header(record_kappa_ratio).split(",")[1:]
+    return ",".join([str(row["step"]), *(repr(float(row[c])) for c in floats)])
 
 
 def write_metrics(path, history: list[dict], record_kappa_ratio: bool,

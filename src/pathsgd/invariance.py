@@ -18,11 +18,8 @@ from .graph import GraphError, RnnLayout
 
 @dataclass(frozen=True)
 class NodeScaling:
-    """Positive per-unit scales for each hidden layer.
-
-    layers[i] holds the scales of hidden layer i+1 (layers are 1-based to
-    match the weight-matrix numbering).
-    """
+    """Positive per-unit scales for each hidden layer: layers[i - 1] holds
+    the scales of hidden layer i, numbered as the weight matrices are."""
 
     layers: tuple[np.ndarray, ...]
 
@@ -32,10 +29,6 @@ class NodeScaling:
         for a in self.layers:
             if a.ndim != 1 or not np.all(a > 0.0):
                 raise GraphError("NodeScaling: scales must be positive 1-D arrays")
-
-    def layer(self, i: int) -> np.ndarray:
-        """Scales of hidden layer i (1-based)."""
-        return self.layers[i - 1]
 
 
 def random_rescaling(layout: RnnLayout, rng: np.random.Generator,
@@ -50,12 +43,11 @@ def random_rescaling(layout: RnnLayout, rng: np.random.Generator,
 def apply_rescaling(layout: RnnLayout, p: np.ndarray, alpha: NodeScaling) -> np.ndarray:
     """Transform RNN parameters by a node-wise rescaling.
 
-    Per hidden layer i with scales a^i: the first input matrix scales rows by
-    a^1; deeper input matrices scale entries by a^i_j / a^(i-1)_k; recurrent
-    matrices by a^i_j / a^i_k; the output matrix scales columns by
-    1 / a^(d-1)_k.  Hidden biases scale with their unit's incoming weights;
-    output biases are untouched.  The transformed net computes the same
-    function for any input.
+    Per hidden layer i with scales a^i, and a^0 = 1 at the inputs: input
+    matrix i scales entry (j, k) by a^i_j / a^(i-1)_k, recurrent matrix i
+    by a^i_j / a^i_k and hidden bias i by a^i_j; the output matrix scales
+    column k by 1 / a^(d-1)_k and output biases are untouched.  The
+    transformed net computes the same function for any input.
     """
     p = np.asarray(p, dtype=float)
     if p.shape != (layout.m,):
@@ -65,25 +57,14 @@ def apply_rescaling(layout: RnnLayout, p: np.ndarray, alpha: NodeScaling) -> np.
         raise GraphError("apply_rescaling: scaling shape does not match the hidden dims")
 
     out = p.copy()
-    d = layout.depth
-    for i in range(1, d):
-        a_i = alpha.layer(i)
-        sl, shape = layout.slices[f"in{i}"]
-        W = out[sl].reshape(shape)
-        if i == 1:
-            W = a_i[:, None] * W
-        else:
-            W = (a_i[:, None] / alpha.layer(i - 1)[None, :]) * W
-        out[sl] = W.reshape(-1)
-        if f"rec{i}" in layout.slices:
-            sl, shape = layout.slices[f"rec{i}"]
-            W = out[sl].reshape(shape)
-            out[sl] = ((a_i[:, None] / a_i[None, :]) * W).reshape(-1)
-        if f"b{i}" in layout.slices:
-            sl, shape = layout.slices[f"b{i}"]
-            out[sl] = (a_i[:, None] * out[sl].reshape(shape)).reshape(-1)
-    sl, shape = layout.slices["out"]
-    W = out[sl].reshape(shape)
-    out[sl] = (W / alpha.layer(d - 1)[None, :]).reshape(-1)
+    prev = np.ones(layout.input_dim)
+    for i, a in enumerate(alpha.layers, 1):
+        for name, scale in ((f"in{i}", a[:, None] / prev), (f"rec{i}", a[:, None] / a),
+                            (f"b{i}", a[:, None])):
+            block = layout.matrix(out, name)
+            if block is not None:
+                block *= scale
+        prev = a
+    top = layout.view(out, "out")
+    top /= prev
     return out
-

@@ -164,22 +164,14 @@ def gamma_bruteforce(layout: RnnLayout, p: np.ndarray) -> float:
 
 
 def kappa_fd(layout: RnnLayout, p: np.ndarray) -> np.ndarray:
-    """Half the second derivative of gamma^2 per parameter, by central second
-    differences of the recursion: the authoritative kappa oracle.  The step
-    is h_i = 1e-4 max(|p_i|, 1); gamma^2 is a polynomial, so second
-    differences at this scale are well conditioned in 64-bit."""
+    """Half the second derivative of gamma^2 per parameter, by
+    compute.half_second_diff of the recursion: the authoritative kappa
+    oracle.  gamma^2 is a polynomial, so second differences at that step
+    are well conditioned in 64-bit."""
     p = np.asarray(p, dtype=float)
-    out = np.zeros_like(p)
     g0 = gamma_recursive(layout, p)
-    for i in range(p.shape[0]):
-        h = 1e-4 * max(abs(p[i]), 1.0)
-        pp = p.copy()
-        pp[i] = p[i] + h
-        gp = gamma_recursive(layout, pp)
-        pp[i] = p[i] - h
-        gm = gamma_recursive(layout, pp)
-        out[i] = 0.5 * (gp - 2.0 * g0 + gm) / (h * h)
-    return out
+    return np.array([compute.half_second_diff(lambda q: gamma_recursive(layout, q), p, i, g0)
+                     for i in range(len(p))])
 
 
 # --- kappa1 ------------------------------------------------------------------

@@ -198,25 +198,6 @@ class CharCorpus:
         return len(self.alphabet)
 
 
-def _code_points(text: str) -> np.ndarray:
-    """One uint32 code point per character of text, lone surrogates too."""
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
-
-
-def _lookup(codes: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """The index in symbols of each code point, read from one table indexed
-    by code point, in the smallest unsigned dtype that holds len(symbols)."""
-    n = len(symbols)
-    size = int(max(codes.max(initial=0), symbols.max(initial=0))) + 1
-    table = np.full(size, n, dtype=np.min_scalar_type(n))
-    table[symbols] = np.arange(n)
-    ids = table[codes]
-    if ids.size and ids.max() == n:
-        first = codes[np.argmax(ids == n)]
-        raise GraphError(f"character {chr(first)!r} not in alphabet")
-    return ids
-
-
 def load_char_corpus(path=None, text: str | None = None) -> CharCorpus:
     """Split a text corpus, read from path as UTF-8 or given as text, into
     train ids (the first 80%) and test ids (the last 10%) over its
@@ -227,11 +208,14 @@ def load_char_corpus(path=None, text: str | None = None) -> CharCorpus:
         if path is None:
             raise GraphError("load_char_corpus: need a path or a text")
         text = Path(path).read_text(encoding="utf-8")
-    codes = _code_points(text)
+    # one uint32 code point per character, lone surrogates too
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
     present = np.zeros(int(codes.max(initial=0)) + 1, dtype=bool)
     present[codes] = True  # unlike np.bincount, no intp copy of codes
     symbols = np.flatnonzero(present)
-    ids = _lookup(codes, symbols)
+    table = np.zeros(len(present), dtype=np.min_scalar_type(len(symbols)))
+    table[symbols] = np.arange(len(symbols))
+    ids = table[codes]
     n = len(ids)
     a = int(n * 0.8)
     b = a + int(n * 0.1)

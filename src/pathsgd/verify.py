@@ -106,6 +106,14 @@ def _rel(a: np.ndarray, b: np.ndarray, floor: float) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
 
 
+def _output_gap(layout: RnnLayout, p: np.ndarray, q: np.ndarray, X: np.ndarray) -> float:
+    """The largest gap between the outputs of p and q on X, over the larger
+    of 1 and p's largest |output|."""
+    ya = compute.rnn_forward(layout, p, X).y
+    yb = compute.rnn_forward(layout, q, X).y
+    return float(np.max(np.abs(ya - yb))) / max(1.0, float(np.max(np.abs(ya))))
+
+
 def check_gamma_oracle(rng, n) -> PropertyResult:
     """gamma^2 from the layout forward equals brute-force path enumeration."""
     worst = 0.0
@@ -162,10 +170,7 @@ def check_rescaling_invariance(rng, n) -> PropertyResult:
         alpha = invariance.random_rescaling(layout, rng, 1.5)
         q = invariance.apply_rescaling(layout, p, alpha)
         X = rng.standard_normal((3, layout.length, layout.input_dim))
-        ya = compute.rnn_forward(layout, p, X).y
-        yb = compute.rnn_forward(layout, q, X).y
-        scale = max(1.0, float(np.max(np.abs(ya))))
-        worst = max(worst, float(np.max(np.abs(ya - yb))) / scale)
+        worst = max(worst, _output_gap(layout, p, q, X))
         ga = pathnorm.gamma(layout, p)
         gb = pathnorm.gamma(layout, q)
         worst = max(worst, abs(ga - gb) / max(abs(ga), 1e-12))
@@ -190,10 +195,7 @@ def _trajectory_gap(layout, p, q, opt, rng):
         gb = compute.rnn_backward(layout, qa, trb, trb.y)
         pa = stepper(pa, ga)
         qa = stepper(qa, gb)
-    ya = compute.rnn_forward(layout, pa, X).y
-    yb = compute.rnn_forward(layout, qa, X).y
-    scale = max(1.0, float(np.max(np.abs(ya))))
-    return float(np.max(np.abs(ya - yb))) / scale
+    return _output_gap(layout, pa, qa, X)
 
 
 def check_path_sgd_invariance(rng, n) -> PropertyResult:
@@ -301,14 +303,11 @@ def check_kappa_at_scale(rng, n) -> PropertyResult:
         p[sl] /= np.sqrt(np.max(np.abs(np.linalg.eigvals(p[sl].reshape(H, H) ** 2))))
         kappa = pathnorm.preconditioner(layout, p, "k1_plus_k2")
         g0 = pathnorm.gamma(layout, p)
-        for sl, _ in layout.slices.values():
-            for i in rng.choice(np.arange(layout.m)[sl], n, replace=False):
-                h, q = 1e-4 * max(abs(p[i]), 1.0), p.copy()
-                q[i] = p[i] + h
-                gp = pathnorm.gamma(layout, q)
-                q[i] = p[i] - h
-                fd = 0.5 * (gp - 2.0 * g0 + pathnorm.gamma(layout, q)) / (h * h)
-                worst, count = max(worst, _rel(kappa[i], fd, 1.0)), count + 1
+        idx = [i for sl, _ in layout.slices.values()
+               for i in rng.choice(np.arange(layout.m)[sl], n, replace=False)]
+        fd = [compute.half_second_diff(lambda q: pathnorm.gamma(layout, q), p, i, g0)
+              for i in idx]
+        worst, count = max(worst, _rel(kappa[idx], fd, 1.0)), count + len(idx)
     return _within("kappa-at-scale", worst, 1e-6, count)
 
 

@@ -18,14 +18,15 @@ this form up to rounding.
 
 make_synthetic_corpus wrote the bundled char-LM corpus, which must stay
 its output byte for byte; encode_text maps a text to its ids over an
-alphabet through the lookup of tasks.load_char_corpus.
+alphabet by a dict per character, sharing no code with the NumPy lookup
+of tasks.load_char_corpus that it checks.
 """
 
 import math
 
 import numpy as np
 
-from pathsgd import pathnorm, tasks
+from pathsgd import pathnorm
 
 
 def forward(layout, p, x, activation="relu"):
@@ -204,7 +205,7 @@ def make_synthetic_corpus(n_chars, seed=7):
 
 
 def encode_text(text, alphabet):
-    """The index in alphabet of each character of text, in the smallest
-    unsigned dtype that holds len(alphabet); a character missing from the
-    alphabet raises GraphError naming the first one."""
-    return tasks._lookup(tasks._code_points(text), tasks._code_points(alphabet))
+    """The index in alphabet of each character of text, one dict lookup per
+    character, in the smallest unsigned dtype that holds len(alphabet)."""
+    index = {c: i for i, c in enumerate(alphabet)}
+    return np.array([index[c] for c in text], dtype=np.min_scalar_type(len(alphabet)))

@@ -389,6 +389,24 @@ def test_train_resume_rejects_adam_checkpoint_without_moments(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
 
+def test_train_resume_names_a_malformed_checkpoint(tmp_path, capsys):
+    """A checkpoint with a parameter line dropped exits 1 with an error that
+    names the file and the block, and prints nothing on stdout."""
+    run = tmp_path / "run"
+    four_step_run(run, "path_sgd")
+    lines = (run / "checkpoint_2.txt").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("m ")) + 1
+    short = tmp_path / "short.txt"
+    short.write_text("\n".join(lines[:at] + lines[at + 1:]) + "\n")
+    capsys.readouterr()
+    other = tmp_path / "other"
+    assert run_cli("train", "--config", str(run / "config.txt"),
+                   "--set", f"out_dir={other}", "--resume", str(short)) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {short}: bad parameter block")
+    assert not captured.out and not other.exists()
+
+
 def test_train_resume_in_place_rejects_other_columns(tmp_path, capsys):
     """Resuming into the run's own out_dir with other metrics columns would
     drop the earlier rows; it exits 1, names both headers and leaves every
@@ -566,6 +584,18 @@ def test_kappa_ratio_bad_sizes(capsys):
     assert run_cli("kappa-ratio", "--hidden", "2", "--lengths", "3", "--seeds", "0") == 1
     captured = capsys.readouterr()
     assert "seeds must be positive" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--hidden", "20,,100"), ("--hidden", "x"), ("--lengths", "10,"),
+])
+def test_kappa_ratio_names_a_bad_comma_list(capsys, flag, value):
+    """An entry of a comma list that is no integer exits 1, names the flag
+    and prints nothing on stdout."""
+    assert run_cli("kappa-ratio", f"{flag}={value}") == 1
+    captured = capsys.readouterr()
+    assert f"argument {flag}: invalid" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag, value", [

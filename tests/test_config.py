@@ -254,6 +254,30 @@ def test_checkpoint_error_cases(tmp_path):
         load_checkpoint(trunc)
 
 
+@pytest.mark.parametrize("old, new, error", [
+    ("0.5", None, "bad parameter block (could not convert string to float: 'end')"),
+    ("m 8", "m 9", "bad parameter block (could not convert string to float: 'end')"),
+    ("0.5", "0.5x", "bad parameter block (could not convert string to float: '0.5x')"),
+    ("step 5", "step five", "bad header field step 'five', not an integer >= 0"),
+    ("step 5", "step -6", "bad header field step '-6', not an integer >= 0"),
+], ids=["dropped-parameter-line", "m-past-the-entries", "garbled-number", "step-five",
+        "negative-step"])
+def test_malformed_checkpoint_names_the_file_and_field(tmp_path, old, new, error):
+    """A dropped parameter line, an m past the entries, a garbled number and
+    a step that is not an integer >= 0 each raise ConfigError naming the
+    file and the block or header key."""
+    layout = RnnLayout(1, (2,), 1, 2)
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, 5, layout, np.full(layout.m, 0.5), OptimizerState())
+    lines = path.read_text().splitlines()
+    assert layout.m == 8 and lines.count("0.5") == 8
+    at = lines.index(old)
+    lines[at:at + 1] = [] if new is None else [new]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}")):
+        load_checkpoint(path, layout)
+
+
 @pytest.mark.parametrize("kind, t, moments, error", [
     ("path_adam", 2, False, "kind path_adam at t 2 lacks its moment block"),
     ("adam", 1, False, "kind adam at t 1 lacks its moment block"),

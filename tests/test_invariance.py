@@ -72,7 +72,7 @@ def _multipliers(layout, alpha):
     hidden = range(1, layout.depth)
 
     def scale(layer, unit):
-        return alpha.layer(layer)[unit] if layer in hidden else 1.0
+        return alpha.layers[layer - 1][unit] if layer in hidden else 1.0
 
     # (layer of the target unit, layer of the source unit) per block; the
     # outputs sit at layer depth, and the bias at None

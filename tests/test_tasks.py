@@ -321,24 +321,31 @@ TEXTS = {
 }
 
 
+def _assert_corpus_matches_reference(text, alphabet):
+    """load_char_corpus's train and test ids, and their dtype, are the
+    reference encoding's first 80% and last 10%."""
+    corpus = tasks.load_char_corpus(text=text)
+    assert corpus.alphabet == alphabet
+    whole = reference.encode_text(text, alphabet)
+    for ids, want in ((corpus.train, whole[:len(corpus.train)]),
+                      (corpus.test, whole[len(whole) - len(corpus.test):])):
+        assert ids.dtype == want.dtype
+        assert np.array_equal(ids, want)
+
+
 @pytest.mark.parametrize("text", TEXTS.values(), ids=TEXTS.keys())
 def test_encode_text_matches_per_character_reference(text):
     alphabet = "".join(sorted(set(text)))
     ids = reference.encode_text(text, alphabet)
     assert ids.tolist() == [alphabet.index(c) for c in text]
     assert ids.dtype == np.uint8
-    corpus = tasks.load_char_corpus(text=text * 10)
-    assert corpus.alphabet == alphabet
-    whole = reference.encode_text(text * 10, alphabet)
-    assert np.array_equal(corpus.train, whole[:len(corpus.train)])
-    assert np.array_equal(corpus.test, whole[len(whole) - len(corpus.test):])
+    _assert_corpus_matches_reference(text * 10, alphabet)
 
 
 def test_encode_text():
     ids = reference.encode_text("abba", "ba")
     assert np.array_equal(ids, [1, 0, 0, 1])
-    with pytest.raises(GraphError, match="character 'é' not in alphabet"):
-        reference.encode_text("abéc", "ab")
+    assert ids.dtype == np.uint8
 
 
 @pytest.mark.parametrize("size, dtype", [(255, np.uint8), (256, np.uint16),
@@ -349,7 +356,7 @@ def test_ids_take_the_smallest_dtype_that_holds_the_alphabet(size, dtype):
     ids = reference.encode_text(text, alphabet)
     assert ids.dtype == dtype
     assert ids.tolist() == [*range(size - 1, -1, -1), 0, 1, 2]
-    assert tasks.load_char_corpus(text=text).train.dtype == dtype
+    _assert_corpus_matches_reference(text, alphabet)
 
 
 def test_load_char_corpus_validation():
