@@ -148,6 +148,8 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
     checkpoint stays loadable.
     """
     config.validate()
+    if not 0 <= start_step <= config.steps:
+        raise GraphError(f"start_step = {start_step} lies outside [0, steps = {config.steps}]")
     p = np.asarray(p, dtype=float).copy()
     status = "budget_exhausted"
     reason = ""

@@ -177,11 +177,9 @@ def check_rescaling_invariance(rng, n) -> PropertyResult:
     return _within("rescaling-invariance", worst, 1e-10, n)
 
 
-def _trajectory_gap(layout, p, q, opt, rng):
-    """Max output gap after 3 updates of opt's kind, with kappa taken at the
-    current point, from equivalent parameters p and q."""
-    X = rng.standard_normal((4, layout.length, layout.input_dim))
-
+def _trajectory_gap(layout, p, q, opt, X):
+    """Max output gap on X after 3 updates of opt's kind on X, with kappa
+    taken at the current point, from equivalent parameters p and q."""
     def stepper(pp, gg):
         kappa = (pathnorm.preconditioner(layout, pp, opt.kappa_mode)
                  if opt.uses_kappa else None)
@@ -214,7 +212,8 @@ def check_path_sgd_invariance(rng, n) -> PropertyResult:
             continue
         for mode in pathnorm.KAPPA_MODES:
             opt = optim.OptimizerState(kind="path_sgd", eta=0.05, kappa_mode=mode)
-            worst = max(worst, _trajectory_gap(layout, p, q, opt, rng))
+            X = rng.standard_normal((4, layout.length, layout.input_dim))
+            worst = max(worst, _trajectory_gap(layout, p, q, opt, X))
     detail = f"({skipped} skipped: kappa near the epsilon floor)" if skipped else ""
     return _within("path-sgd-invariance", worst, 1e-8, n, detail)
 
@@ -227,7 +226,8 @@ def check_sgd_not_invariant(rng, n) -> PropertyResult:
         p = rng.uniform(-0.9, 0.9, layout.m)
         alpha = invariance.random_rescaling(layout, rng, 1.5)
         q = invariance.apply_rescaling(layout, p, alpha)
-        gap = _trajectory_gap(layout, p, q, optim.OptimizerState(kind="sgd", eta=0.05), rng)
+        X = rng.standard_normal((4, layout.length, layout.input_dim))
+        gap = _trajectory_gap(layout, p, q, optim.OptimizerState(kind="sgd", eta=0.05), X)
         worst = max(worst, gap)
     return PropertyResult("sgd-not-invariant", worst > threshold, worst, threshold, n,
                           detail="(passes when the gap exceeds the threshold)")

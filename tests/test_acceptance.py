@@ -5,12 +5,16 @@ numbers at the stated tolerances, then asserts.  Criterion 8 trains real
 models and dominates the suite runtime; everything else runs in seconds.
 """
 
+import dataclasses
+import json
 import time
 
 import numpy as np
 import pytest
+import test_golden
 
-from pathsgd import cli, compute, invariance, optim, pathnorm, tasks, verify
+from pathsgd import cli, invariance, optim, pathnorm, verify
+from pathsgd.config import RunConfig
 from pathsgd.graph import RnnLayout
 
 
@@ -19,12 +23,6 @@ def _report(capsys, num, title, ok, detail):
     with capsys.disabled():
         print(line)
     assert ok, line
-
-
-def _rel(a, b, floor):
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), floor)))
 
 
 def test_criterion_01_gamma_oracle(capsys):
@@ -44,9 +42,9 @@ def test_criterion_02_kappa_decomposition(capsys):
         layout = verify.random_layout(rng)
         p = rng.uniform(-0.5, 0.5, layout.m)
         total = pathnorm.kappa1(layout, p) + pathnorm.kappa2_bruteforce(layout, p)
-        worst_fd = max(worst_fd, _rel(total, pathnorm.kappa_fd(layout, p), 1.0))
-        worst_closed = max(worst_closed, _rel(pathnorm.kappa2(layout, p),
-                                              pathnorm.kappa2_bruteforce(layout, p), 1.0))
+        worst_fd = max(worst_fd, verify._rel(total, pathnorm.kappa_fd(layout, p), 1.0))
+        worst_closed = max(worst_closed, verify._rel(pathnorm.kappa2(layout, p),
+                                                     pathnorm.kappa2_bruteforce(layout, p), 1.0))
     unit2 = RnnLayout(1, (1,), 1, 2, bias=False)
     unit3 = RnnLayout(1, (1,), 1, 3, bias=False)
     ones = np.ones(3)
@@ -94,18 +92,7 @@ def test_criterion_05_update_invariance(capsys):
         X = rng.standard_normal((4, layout.length, layout.input_dim))
         for mode in pathnorm.KAPPA_MODES:
             opt = optim.OptimizerState(kind="path_sgd", eta=0.05, kappa_mode=mode)
-            pa, qa = p.copy(), q.copy()
-            for _ in range(3):
-                tra = compute.rnn_forward(layout, pa, X)
-                trb = compute.rnn_forward(layout, qa, X)
-                ga = compute.rnn_backward(layout, pa, tra, tra.y)
-                gb = compute.rnn_backward(layout, qa, trb, trb.y)
-                pa, _ = optim.apply_update(pa, ga, opt, pathnorm.preconditioner(layout, pa, mode))
-                qa, _ = optim.apply_update(qa, gb, opt, pathnorm.preconditioner(layout, qa, mode))
-            ya = compute.rnn_forward(layout, pa, X).y
-            yb = compute.rnn_forward(layout, qa, X).y
-            scale = max(1.0, float(np.max(np.abs(ya))))
-            worst = max(worst, float(np.max(np.abs(ya - yb))) / scale)
+            worst = max(worst, verify._trajectory_gap(layout, p, q, opt, X))
         n += 1
 
     # pinned negative control: plain SGD must drift apart under the same rescaling
@@ -114,16 +101,7 @@ def test_criterion_05_update_invariance(capsys):
     alpha = invariance.random_rescaling(layout, np.random.default_rng(55), 1.5)
     q = invariance.apply_rescaling(layout, p, alpha)
     X = np.random.default_rng(56).standard_normal((4, layout.length, layout.input_dim))
-    sgd = optim.OptimizerState(kind="sgd", eta=0.05)
-    pa, qa = p.copy(), q.copy()
-    for _ in range(3):
-        tra = compute.rnn_forward(layout, pa, X)
-        trb = compute.rnn_forward(layout, qa, X)
-        pa, _ = optim.apply_update(pa, compute.rnn_backward(layout, pa, tra, tra.y), sgd)
-        qa, _ = optim.apply_update(qa, compute.rnn_backward(layout, qa, trb, trb.y), sgd)
-    ya = compute.rnn_forward(layout, pa, X).y
-    yb = compute.rnn_forward(layout, qa, X).y
-    control = float(np.max(np.abs(ya - yb))) / max(1.0, float(np.max(np.abs(ya))))
+    control = verify._trajectory_gap(layout, p, q, optim.OptimizerState(kind="sgd", eta=0.05), X)
 
     ok = worst < 1e-8 and control > 1e-3
     _report(capsys, 5, "path-SGD updates commute with rescaling", ok,
@@ -166,29 +144,35 @@ def test_criterion_07_kappa_ratio_trend(capsys):
             f"(budget 300s)")
 
 
+def best_test_mse(kind, eta, seed):
+    """Criterion 8's protocol for one cell: addition at T = 40 with 32
+    hidden units and no bias, +-0.3 uniform init, batches of 32, 1,024
+    held-out sequences.  An eval every 250 steps to step 10,000, then
+    every 25 to step 20,000, as two train_loop calls, the second resuming
+    the first; either stops early at a test MSE below 0.0095.  The best
+    test MSE over both, or inf when a call diverged."""
+    # train_loop stops at <= its target, the protocol below 0.0095
+    cfg = RunConfig(optimizer=kind, lr=eta, init_range=0.3, eval_size=1024, seed=seed,
+                    target_test_metric=float(np.nextafter(0.0095, 0)))
+    task = cli.make_task(cfg)
+    layout = cli.make_net(cfg, task)
+    p, opt, start = cli.init_params(cfg, layout), optim.OptimizerState(kind=kind, eta=eta), 0
+    best = np.inf
+    for steps, interval in ((10000, 250), (20000, 25)):
+        res = optim.train_loop(layout, task, dataclasses.replace(
+            cfg, steps=steps, eval_interval=interval), p, opt, start_step=start)
+        if res.status == "diverged":
+            return np.inf   # a diverged run cannot be the best run
+        best = min([best] + [row["test_metric"] for row in res.history])
+        if res.status == "converged":
+            break
+        p, opt, start = res.params, res.opt, res.steps_done
+    return best
+
+
 @pytest.mark.slow
 def test_criterion_08_addition_training(capsys):
     t0 = time.time()
-    task = tasks.AdditionTask(length=40, eval_size=1024, eval_seed=1)
-    layout = RnnLayout(2, (32,), 1, 40, bias=False)
-
-    def best_test_mse(kind, eta, seed):
-        opt = optim.OptimizerState(kind=kind, eta=eta)
-        p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.30)
-        best = np.inf
-        for step in range(20001):
-            batch = task.train_batch(optim.rng_for(seed, optim.STREAM_DATA, step), 32)
-            loss, g, _ = task.loss_and_grad(layout, p, batch)
-            if not np.isfinite(loss) or loss > optim.DIVERGE_LOSS:
-                return np.inf   # a diverged run cannot be the best run
-            if step % 250 == 0 or (step >= 10000 and step % 25 == 0):
-                best = min(best, task.evaluate(layout, p))
-                if best < 0.0095:
-                    return best
-            kappa = pathnorm.preconditioner(layout, p) if opt.uses_kappa else None
-            p, _ = optim.apply_update(p, g, opt, kappa)
-        return best
-
     # seeds fixed by an offline search over 28 seeds and three init families;
     # the eta grid itself is the protocol
     grid = (1e-2, 1e-3, 1e-4)
@@ -200,6 +184,21 @@ def test_criterion_08_addition_training(capsys):
             f"path-SGD(k1) best test MSE {path_best:.4f} over eta grid {grid} "
             f"within 20k steps (bar 0.01); plain SGD best alongside "
             f"{sgd_best:.4f}; {dt/60:.1f} min (budget 30)")
+
+
+@pytest.mark.slow
+def test_criterion_08_cells_keep_their_bits():
+    """Two of criterion 8's cells keep their best test MSE to the last bit:
+    path-SGD at 1e-2 runs the whole budget, and SGD at 1e-3 stops early in
+    the second train_loop call.  The golden runs cover 200 steps; this
+    keeps a change to the training path's bits visible over 20k.  Checked
+    only in the environment whose fingerprint the golden files record."""
+    recorded = json.loads((test_golden.GOLDEN / "add-T40-k1.json").read_text())["fingerprint"]
+    here = test_golden.fingerprint()
+    if here != recorded:
+        pytest.skip(f"bits recorded under fingerprint {recorded}, not {here}")
+    assert best_test_mse("path_sgd", 1e-2, seed=15) == 0.011479977302482623
+    assert best_test_mse("sgd", 1e-3, seed=1) == 0.00947748260269057
 
 
 def test_criterion_10_reproducibility(capsys, tmp_path):

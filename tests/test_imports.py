@@ -1,7 +1,8 @@
 """Every name a module imports at module level is read somewhere in it, and
 every file the package opens, reads or writes names its encoding.
 
-Run as a script, it prints the package's lines by kind (see line_kinds):
+Run as a script, it prints the lines of each package file by kind (see
+line_kinds), then the totals of tests/ and, last, of src/:
 
     python tests/test_imports.py
 """
@@ -13,7 +14,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "pathsgd").glob("*.py"))
-SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+SOURCES = PACKAGE + TESTS
 # The file calls that take the locale's encoding unless told otherwise.
 TEXT_IO = ("open", "read_text", "write_text")
 
@@ -116,9 +118,9 @@ def test_line_kinds_counts_planted_source():
 
 
 if __name__ == "__main__":
-    total = dict.fromkeys(KINDS, 0)
     for path in PACKAGE:
-        counts = line_kinds(path.read_text(encoding="utf-8"))
-        total = {kind: total[kind] + counts[kind] for kind in KINDS}
-        print(path.relative_to(ROOT).as_posix(), counts)
-    print("total", sum(total.values()), total)
+        print(path.relative_to(ROOT).as_posix(), line_kinds(path.read_text(encoding="utf-8")))
+    for name, paths in (("tests", TESTS), ("total", PACKAGE)):
+        counts = [line_kinds(path.read_text(encoding="utf-8")) for path in paths]
+        kinds = {kind: sum(c[kind] for c in counts) for kind in KINDS}
+        print(name, sum(kinds.values()), kinds)

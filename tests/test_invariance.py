@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathsgd import compute, invariance, optim, pathnorm, tasks, verify
+from pathsgd.config import RunConfig
 from pathsgd.graph import GraphError, RnnLayout
 from pathsgd.invariance import NodeScaling, apply_rescaling
 
@@ -114,19 +115,16 @@ def test_path_sgd_invariance_holds_over_500_steps():
     layout = RnnLayout(2, (32,), 1, T)
     held = [X for X, _ in task.held_out(compute.row_chunk(layout))]
 
-    opt = optim.OptimizerState(kind="path_sgd", eta=1e-2)
-
-    def run(p):
+    def run(p0):
         predictions = []
-        for step in range(501):
-            if step % 25 == 0:
-                predictions.append(np.concatenate([
-                    compute.rnn_forward(layout, p, X, keep_trace=False, first_output=T - 1).y
-                    for X in held]))
-            if step < 500:
-                batch = task.train_batch(optim.rng_for(seed, optim.STREAM_DATA, step), 32)
-                _, g, _ = task.loss_and_grad(layout, p, batch)
-                p, _ = optim.apply_update(p, g, opt, pathnorm.preconditioner(layout, p))
+
+        def on_eval(row, p, opt):
+            predictions.append(np.concatenate([
+                compute.rnn_forward(layout, p, X, keep_trace=False, first_output=T - 1).y
+                for X in held]))
+
+        optim.train_loop(layout, task, RunConfig(steps=500, eval_interval=25, seed=seed), p0,
+                         optim.OptimizerState(kind="path_sgd", eta=1e-2), on_eval=on_eval)
         return predictions
 
     p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.3)

@@ -298,16 +298,30 @@ def test_train_loop_target_test_metric_on_final_row_is_budget_exhausted():
 
 
 def test_train_loop_resume_matches_uninterrupted():
+    """Also when the resumed run evals at another interval, as acceptance
+    criterion 8's second train_loop call does."""
     task = tiny_task()
-    full = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=10),
-                            TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
-
     half = optim.train_loop(TINY, task, RunConfig(steps=20, eval_interval=10),
                             TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
-    resumed = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=10),
-                               half.params, half.opt, start_step=20)
-    assert np.array_equal(resumed.params, full.params)
-    assert resumed.history == full.history[2:]
+    for interval in (10, 5):
+        full = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=interval),
+                                TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
+        resumed = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=interval),
+                                   half.params, half.opt, start_step=20)
+        assert np.array_equal(resumed.params, full.params)
+        assert resumed.history == [row for row in full.history if row["step"] >= 20]
+
+
+def test_train_loop_rejects_start_step_outside_budget():
+    task = tiny_task()
+    for start in (6, -1):
+        with pytest.raises(GraphError, match=f"start_step = {start} .*steps = 5"):
+            optim.train_loop(TINY, task, RunConfig(steps=5), TINY_P0, OptimizerState(),
+                             start_step=start)
+    res = optim.train_loop(TINY, task, RunConfig(steps=5), TINY_P0, OptimizerState(),
+                           start_step=5)
+    assert (res.status, res.steps_done, [row["step"] for row in res.history]) == (
+        "budget_exhausted", 5, [5])
 
 
 def test_train_loop_resume_adam_state():
