@@ -49,9 +49,6 @@ M_TRIM_THRESHOLD = -1
 M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 4 << 20
 TRIM_THRESHOLD_BYTES = 64 << 20
-# Resuming keeps the checkpoint's optimizer; these config keys must agree.
-RESUME_KEYS = (("optimizer", "kind"), ("lr", "eta"),
-               ("kappa_mode", "kappa_mode"), ("epsilon", "eps"))
 # The columns of the kappa-ratio table, on stdout and in --csv.
 KAPPA_RATIO_HEADER = "hidden,length,mean_ratio,sd_ratio"
 
@@ -114,14 +111,14 @@ def cmd_train(args) -> int:
     layout = make_net(cfg, task)
     out = Path(cfg.out_dir)
 
-    earlier: list[str] = []
     if args.resume:
         start_step, p, opt = load_checkpoint(args.resume, layout)
         if start_step > cfg.steps:
             raise ConfigError(
                 f"steps = {cfg.steps} cannot take effect on resume: the "
                 f"checkpoint is already at step {start_step}")
-        for key, field in RESUME_KEYS:
+        # The checkpoint's optimizer settings continue; the config must agree.
+        for key, field in optim.CONFIG_KEYS:
             if getattr(cfg, key) != getattr(opt, field):
                 raise ConfigError(
                     f"{key} = {getattr(cfg, key)} cannot take effect on resume: "
@@ -129,10 +126,7 @@ def cmd_train(args) -> int:
         earlier = metrics_rows_before(out / "metrics.csv", start_step,
                                       cfg.record_kappa_ratio)
     else:
-        start_step = 0
-        p = init_params(cfg, layout)
-        opt = optim.OptimizerState(kind=cfg.optimizer, eta=cfg.lr,
-                                   kappa_mode=cfg.kappa_mode, eps=cfg.epsilon)
+        start_step, p, opt, earlier = 0, init_params(cfg, layout), None, []
 
     out.mkdir(parents=True, exist_ok=True)
     write_lines(out / "config.txt", config_text(cfg).splitlines())

@@ -359,12 +359,20 @@ def write_metrics(path, history: list[dict], record_kappa_ratio: bool,
 def metrics_rows_before(path, step: int, record_kappa_ratio: bool) -> list[str]:
     """The rows of an existing metrics file at steps below ``step``, so a run
     resumed into its own out_dir keeps them; none if the file is missing or
-    empty.  A file with other columns is rejected, since rewriting it would
-    drop its rows."""
+    empty.  A file with other columns, or a row whose step is not an
+    integer, is rejected, since rewriting it would drop its rows."""
     path = Path(path)
     header = metrics_header(record_kappa_ratio)
     lines = path.read_text(encoding="utf-8").splitlines() if path.is_file() else []
     if lines and lines[0] != header:
         raise ConfigError(f"{path} has columns [{lines[0]}]; this run writes "
                           f"[{header}] and would drop its rows")
-    return [line for line in lines[1:] if int(line.split(",", 1)[0]) < step]
+    kept = []
+    for lineno, line in enumerate(lines[1:], 2):
+        head = line.split(",", 1)[0]
+        try:
+            if int(head) < step:
+                kept.append(line)
+        except ValueError:
+            raise ConfigError(f"{path}: line {lineno}: step {head!r} is not an integer") from None
+    return kept

@@ -24,6 +24,9 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 OPTIMIZERS = ("sgd", "adam", "path_sgd", "path_adam")
+# The RunConfig key that sets each OptimizerState field of train_loop's update.
+CONFIG_KEYS = (("optimizer", "kind"), ("lr", "eta"), ("kappa_mode", "kappa_mode"),
+               ("epsilon", "eps"))
 
 # Independent RNG streams derived from the run seed.
 STREAM_INIT = 0
@@ -121,21 +124,14 @@ class TrainResult:
     reason: str = ""                # why a diverged run stopped
 
 
-def _loss_divergence(loss: float) -> str:
-    """The reason a loss ends the run, or "" when it does not."""
-    if not np.isfinite(loss):
-        return "non-finite loss"
-    if loss > DIVERGE_LOSS:
-        return f"loss above {DIVERGE_LOSS:g}"
-    return ""
-
-
 def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
-               opt: OptimizerState, start_step: int = 0,
+               opt: OptimizerState | None, start_step: int = 0,
                on_eval=None) -> TrainResult:
     """Minibatch training from (p, opt) at start_step to config.steps, with
     an eval row every eval_interval steps and at the last, each handed to
-    on_eval(row, p, opt).
+    on_eval(row, p, opt).  The update's settings are the config's
+    (CONFIG_KEYS); opt, None for a fresh run, supplies only what a run
+    accumulates: Adam's t, m1 and m2.
 
     Step s draws its batch from rng_for(seed, STREAM_DATA, s) and takes the
     gradient, and a path kind's kappa, at the pre-update parameters.
@@ -151,6 +147,11 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
     if not 0 <= start_step <= config.steps:
         raise GraphError(f"start_step = {start_step} lies outside [0, steps = {config.steps}]")
     p = np.asarray(p, dtype=float).copy()
+    opt = dataclasses.replace(opt or OptimizerState(),
+                              **{f: getattr(config, key) for key, f in CONFIG_KEYS})
+    if opt.t and opt.kind not in ("adam", "path_adam"):
+        raise GraphError(f"opt holds Adam moments at t = {opt.t}; optimizer = {opt.kind} "
+                         "reads none")
     status = "budget_exhausted"
     reason = ""
     history: list[dict] = []
@@ -176,8 +177,8 @@ def train_loop(layout: RnnLayout, task, config: RunConfig, p: np.ndarray,
         last = step >= config.steps
         batch = task.train_batch(rng_for(config.seed, STREAM_DATA, step), config.batch_size)
         loss, g, metric = task.loss_and_grad(layout, p, batch, grad=not last)
-        reason = _loss_divergence(loss)
-        if reason:
+        if not np.isfinite(loss) or loss > DIVERGE_LOSS:
+            reason = f"loss above {DIVERGE_LOSS:g}" if np.isfinite(loss) else "non-finite loss"
             break
         if last or step % config.eval_interval == 0:
             row = eval_row(step, loss, metric)

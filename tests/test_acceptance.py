@@ -156,7 +156,7 @@ def best_test_mse(kind, eta, seed):
                     target_test_metric=float(np.nextafter(0.0095, 0)))
     task = cli.make_task(cfg)
     layout = cli.make_net(cfg, task)
-    p, opt, start = cli.init_params(cfg, layout), optim.OptimizerState(kind=kind, eta=eta), 0
+    p, opt, start = cli.init_params(cfg, layout), None, 0
     best = np.inf
     for steps, interval in ((10000, 250), (20000, 25)):
         res = optim.train_loop(layout, task, dataclasses.replace(

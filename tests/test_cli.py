@@ -425,6 +425,25 @@ def test_train_resume_in_place_rejects_other_columns(tmp_path, capsys):
     assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
 
+def test_train_resume_in_place_names_a_bad_metrics_row(tmp_path, capsys):
+    """A metrics.csv row whose step is not an integer exits 1 with an error
+    that names the file and the line, and leaves out_dir as it was."""
+    run = tmp_path / "run"
+    four_step_run(run, "path_sgd")
+    metrics = run / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    lines[2] = "x" + lines[2][1:]
+    metrics.write_text("\n".join(lines) + "\n")
+    before = {f.name: f.read_bytes() for f in run.iterdir()}
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(run / "config.txt"),
+                   "--resume", str(run / "checkpoint_2.txt")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {metrics}: line 3: step 'x' is not an integer\n"
+    assert not captured.out
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
+
+
 def test_train_periodic_checkpoints(tmp_path):
     out = tmp_path / "run"
     assert run_cli("train", *TINY, "--set", "steps=40",

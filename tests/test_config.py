@@ -372,6 +372,14 @@ def test_metrics_rows_before(tmp_path):
     assert cfgmod.metrics_rows_before(path, 20, True) == []
 
 
+def test_metrics_rows_before_rejects_non_integer_step(tmp_path):
+    path = tmp_path / "metrics.csv"
+    header = metrics_header(False)
+    path.write_text(f"{header}\n0,1.0,1.0,1.0,0.0\nx,1.0,1.0,1.0,0.0\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: line 3: step 'x' is not an integer")):
+        cfgmod.metrics_rows_before(path, 20, False)
+
+
 def test_metrics_format(tmp_path):
     assert metrics_header(False) == "step,train_loss,train_metric,test_metric,wall_ms"
     assert metrics_header(True) == ("step,train_loss,train_metric,test_metric,"

@@ -123,8 +123,8 @@ def test_path_sgd_invariance_holds_over_500_steps():
                 compute.rnn_forward(layout, p, X, keep_trace=False, first_output=T - 1).y
                 for X in held]))
 
-        optim.train_loop(layout, task, RunConfig(steps=500, eval_interval=25, seed=seed), p0,
-                         optim.OptimizerState(kind="path_sgd", eta=1e-2), on_eval=on_eval)
+        cfg = RunConfig(optimizer="path_sgd", lr=1e-2, steps=500, eval_interval=25, seed=seed)
+        optim.train_loop(layout, task, cfg, p0, None, on_eval=on_eval)
         return predictions
 
     p = optim.init_uniform(layout, optim.rng_for(seed, optim.STREAM_INIT), 0.3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -164,13 +166,13 @@ def test_apply_update_dispatch(single_unit_t2, rng):
 def test_train_loop_validates_config():
     for bad in ({"steps": -1}, {"batch_size": 0}, {"eval_interval": 0}):
         with pytest.raises(ConfigError):
-            optim.train_loop(TINY, tiny_task(), RunConfig(**bad), TINY_P0,
-                             OptimizerState(kind="sgd", eta=0.1))
+            optim.train_loop(TINY, tiny_task(), RunConfig(optimizer="sgd", lr=0.1, **bad),
+                             TINY_P0, None)
 
 
 def test_train_loop_zero_steps_records_initial_row():
-    res = optim.train_loop(TINY, tiny_task(), RunConfig(steps=0), TINY_P0,
-                           OptimizerState(kind="sgd", eta=0.1))
+    res = optim.train_loop(TINY, tiny_task(), RunConfig(optimizer="sgd", lr=0.1, steps=0),
+                           TINY_P0, None)
     assert res.status == "budget_exhausted"
     assert res.steps_done == 0
     assert len(res.history) == 1
@@ -178,19 +180,17 @@ def test_train_loop_zero_steps_records_initial_row():
 
 
 def test_train_loop_path_sgd_converges():
-    cfg = RunConfig(steps=1000, batch_size=8, eval_interval=50,
-                    target_test_metric=1e-8)
-    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
-                           OptimizerState(kind="path_sgd", eta=0.2))
+    cfg = RunConfig(optimizer="path_sgd", lr=0.2, steps=1000, batch_size=8,
+                    eval_interval=50, target_test_metric=1e-8)
+    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, None)
     assert res.status == "converged"
     assert res.steps_done < 1000
     assert res.history[-1]["test_metric"] < 1e-6
 
 
 def test_train_loop_history_agrees_with_metric_stream():
-    cfg = RunConfig(steps=20, eval_interval=5, batch_size=4)
-    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0,
-                           OptimizerState(kind="sgd", eta=0.05))
+    cfg = RunConfig(optimizer="sgd", lr=0.05, steps=20, eval_interval=5, batch_size=4)
+    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, None)
     assert [r["step"] for r in res.history] == [0, 5, 10, 15, 20]
     for row in res.history:
         assert set(row) == {"step", "train_loss", "train_metric",
@@ -199,10 +199,9 @@ def test_train_loop_history_agrees_with_metric_stream():
 
 
 def test_train_loop_divergence_has_no_nan_rows():
-    cfg = RunConfig(steps=200, eval_interval=10, batch_size=4)
-    res = optim.train_loop(TINY, tiny_task(), cfg, np.full(4, 0.3),
-                           OptimizerState(kind="sgd", eta=30.0))
-    assert res.status == "diverged"
+    cfg = RunConfig(optimizer="sgd", lr=30.0, steps=200, eval_interval=10, batch_size=4)
+    res = optim.train_loop(TINY, tiny_task(), cfg, np.full(4, 0.3), None)
+    assert (res.status, res.reason) == ("diverged", "loss above 1e+06")
     assert res.history
     for row in res.history:
         assert np.isfinite(row["train_loss"])
@@ -214,8 +213,8 @@ def test_train_loop_non_finite_kappa_ends_run(monkeypatch):
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
     monkeypatch.setattr(pathnorm, "preconditioner",
                         lambda layout, p, mode: np.full(layout.m, np.inf))
-    res = optim.train_loop(layout, task, RunConfig(steps=5, eval_interval=1),
-                           p0, OptimizerState(kind="path_sgd", eta=0.01))
+    res = optim.train_loop(layout, task, RunConfig(optimizer="path_sgd", lr=0.01, steps=5,
+                                                   eval_interval=1), p0, None)
     assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite kappa", 0)
     assert [r["step"] for r in res.history] == [0]
     assert np.array_equal(res.params, p0)
@@ -229,8 +228,8 @@ def test_train_loop_non_finite_params_end_run(monkeypatch):
         return (p * np.inf if state.t >= 3 else p), state
 
     monkeypatch.setattr(optim, "apply_update", blow_up)
-    res = optim.train_loop(TINY, tiny_task(), RunConfig(steps=10, eval_interval=100),
-                           TINY_P0, OptimizerState(kind="adam", eta=0.01))
+    res = optim.train_loop(TINY, tiny_task(), RunConfig(optimizer="adam", lr=0.01, steps=10,
+                                                        eval_interval=100), TINY_P0, None)
     assert (res.status, res.reason, res.steps_done) == ("diverged", "non-finite parameters", 2)
     assert np.all(np.isfinite(res.params)) and res.opt.t == 2
 
@@ -245,9 +244,9 @@ def test_train_loop_kappa_at_every_step(monkeypatch):
 
     task = tiny_task()
     monkeypatch.setattr(pathnorm, "preconditioner", spy)
-    cfg = RunConfig(steps=6, eval_interval=100, batch_size=2)
+    cfg = RunConfig(optimizer="path_sgd", lr=0.01, steps=6, eval_interval=100, batch_size=2)
     p = TINY_P0
-    res = optim.train_loop(TINY, task, cfg, p, OptimizerState(kind="path_sgd", eta=0.01))
+    res = optim.train_loop(TINY, task, cfg, p, None)
     assert len(calls) == 6
     # each call sees the pre-update parameters of its step
     for step, seen in enumerate(calls):
@@ -272,8 +271,8 @@ def test_train_loop_final_row_runs_no_backward(monkeypatch):
     task = tasks.AdditionTask(length=4, eval_size=8)
     layout = RnnLayout(2, (3,), 1, 4)
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
-    cfg = RunConfig(steps=5, eval_interval=3, batch_size=4)
-    res = optim.train_loop(layout, task, cfg, p0, OptimizerState(kind="path_sgd", eta=0.01))
+    cfg = RunConfig(optimizer="path_sgd", lr=0.01, steps=5, eval_interval=3, batch_size=4)
+    res = optim.train_loop(layout, task, cfg, p0, None)
     assert res.steps_done == 5 and len(calls) == 2 * 5
     assert [r["step"] for r in res.history] == [0, 3, 5]
     batch = task.train_batch(optim.rng_for(cfg.seed, optim.STREAM_DATA, 5), cfg.batch_size)
@@ -285,14 +284,13 @@ def test_train_loop_final_row_runs_no_backward(monkeypatch):
 def test_train_loop_target_test_metric_on_final_row_is_budget_exhausted():
     """target_test_metric is checked on eval rows only: met first by the
     row at the step budget, it leaves the run budget_exhausted."""
-    cfg = RunConfig(steps=15, eval_interval=10, batch_size=4)
-    opt0 = OptimizerState(kind="path_sgd", eta=0.1)
-    free = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, opt0)
+    cfg = RunConfig(optimizer="path_sgd", lr=0.1, steps=15, eval_interval=10, batch_size=4)
+    free = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, None)
     metrics = [r["test_metric"] for r in free.history]
     assert [r["step"] for r in free.history] == [0, 10, 15]
     assert metrics[-1] < min(metrics[:-1])
     cfg.target_test_metric = metrics[-1]
-    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, opt0)
+    res = optim.train_loop(TINY, tiny_task(), cfg, TINY_P0, None)
     assert (res.status, res.steps_done) == ("budget_exhausted", 15)
     assert res.history == free.history
 
@@ -301,13 +299,12 @@ def test_train_loop_resume_matches_uninterrupted():
     """Also when the resumed run evals at another interval, as acceptance
     criterion 8's second train_loop call does."""
     task = tiny_task()
-    half = optim.train_loop(TINY, task, RunConfig(steps=20, eval_interval=10),
-                            TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
+    cfg = RunConfig(optimizer="path_sgd", lr=0.05, steps=20, eval_interval=10)
+    half = optim.train_loop(TINY, task, cfg, TINY_P0, None)
     for interval in (10, 5):
-        full = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=interval),
-                                TINY_P0, OptimizerState(kind="path_sgd", eta=0.05))
-        resumed = optim.train_loop(TINY, task, RunConfig(steps=40, eval_interval=interval),
-                                   half.params, half.opt, start_step=20)
+        cfg = dataclasses.replace(cfg, steps=40, eval_interval=interval)
+        full = optim.train_loop(TINY, task, cfg, TINY_P0, None)
+        resumed = optim.train_loop(TINY, task, cfg, half.params, half.opt, start_step=20)
         assert np.array_equal(resumed.params, full.params)
         assert resumed.history == [row for row in full.history if row["step"] >= 20]
 
@@ -316,22 +313,18 @@ def test_train_loop_rejects_start_step_outside_budget():
     task = tiny_task()
     for start in (6, -1):
         with pytest.raises(GraphError, match=f"start_step = {start} .*steps = 5"):
-            optim.train_loop(TINY, task, RunConfig(steps=5), TINY_P0, OptimizerState(),
-                             start_step=start)
-    res = optim.train_loop(TINY, task, RunConfig(steps=5), TINY_P0, OptimizerState(),
-                           start_step=5)
+            optim.train_loop(TINY, task, RunConfig(steps=5), TINY_P0, None, start_step=start)
+    res = optim.train_loop(TINY, task, RunConfig(steps=5), TINY_P0, None, start_step=5)
     assert (res.status, res.steps_done, [row["step"] for row in res.history]) == (
         "budget_exhausted", 5, [5])
 
 
 def test_train_loop_resume_adam_state():
     task = tiny_task()
-    full = optim.train_loop(TINY, task, RunConfig(steps=30, eval_interval=15),
-                            TINY_P0, OptimizerState(kind="adam", eta=0.05))
-    half = optim.train_loop(TINY, task, RunConfig(steps=15, eval_interval=15),
-                            TINY_P0, OptimizerState(kind="adam", eta=0.05))
-    resumed = optim.train_loop(TINY, task, RunConfig(steps=30, eval_interval=15),
-                               half.params, half.opt, start_step=15)
+    cfg = RunConfig(optimizer="adam", lr=0.05, steps=30, eval_interval=15)
+    full = optim.train_loop(TINY, task, cfg, TINY_P0, None)
+    half = optim.train_loop(TINY, task, dataclasses.replace(cfg, steps=15), TINY_P0, None)
+    resumed = optim.train_loop(TINY, task, cfg, half.params, half.opt, start_step=15)
     assert np.array_equal(resumed.params, full.params)
     assert np.array_equal(resumed.opt.m1, full.opt.m1)
     assert np.array_equal(resumed.opt.m2, full.opt.m2)
@@ -342,19 +335,20 @@ def test_train_loop_resume_adam_state():
 RESUME_LAYOUT = RnnLayout(2, (3,), 1, 4)
 
 
-@pytest.mark.parametrize("kappa_mode", pathnorm.KAPPA_MODES)
-@pytest.mark.parametrize("kind", optim.OPTIMIZERS)
+# sgd and adam read no kappa mode, so RunConfig admits only the default.
+@pytest.mark.parametrize("kind, kappa_mode", [
+    (kind, mode) for kind in optim.OPTIMIZERS for mode in pathnorm.KAPPA_MODES
+    if OptimizerState(kind=kind).uses_kappa or mode == "k1"])
 def test_train_loop_resume_at_every_step(tmp_path, kind, kappa_mode):
     task = tasks.AdditionTask(length=4, eval_size=8)
     p0 = optim.init_uniform(RESUME_LAYOUT, optim.rng_for(0, optim.STREAM_INIT), 0.3)
-    opt0 = OptimizerState(kind=kind, eta=0.01, kappa_mode=kappa_mode)
-    cfg = RunConfig(steps=10, eval_interval=3, batch_size=4)
-    full = optim.train_loop(RESUME_LAYOUT, task, cfg, p0, opt0)
+    cfg = RunConfig(optimizer=kind, lr=0.01, kappa_mode=kappa_mode, steps=10,
+                    eval_interval=3, batch_size=4)
+    full = optim.train_loop(RESUME_LAYOUT, task, cfg, p0, None)
     assert full.status == "budget_exhausted"
     save_checkpoint(tmp_path / "full.txt", 10, RESUME_LAYOUT, full.params, full.opt)
     for s in range(1, 10):
-        half_cfg = RunConfig(steps=s, eval_interval=3, batch_size=4)
-        half = optim.train_loop(RESUME_LAYOUT, task, half_cfg, p0, opt0)
+        half = optim.train_loop(RESUME_LAYOUT, task, dataclasses.replace(cfg, steps=s), p0, None)
         save_checkpoint(tmp_path / "half.txt", s, RESUME_LAYOUT, half.params, half.opt)
         start, p, opt = load_checkpoint(tmp_path / "half.txt", RESUME_LAYOUT)
         resumed = optim.train_loop(RESUME_LAYOUT, task, cfg, p, opt, start_step=start)
@@ -383,17 +377,16 @@ def test_train_loop_resume_off_eval_step(tmp_path, name, kind):
         task = tasks.SeqClassTask(size=3, num_classes=3, n=64, data_seed=2)
     layout = RnnLayout(task.input_dim, (3,), task.output_dim, task.length)
     p0 = optim.init_uniform(layout, optim.rng_for(0, optim.STREAM_INIT), 0.3)
-    opt0 = OptimizerState(kind=kind, eta=0.01, kappa_mode="k1_plus_k2")
-    full = optim.train_loop(layout, task, RunConfig(steps=10, eval_interval=3,
-                                                    batch_size=4), p0, opt0)
-    half = optim.train_loop(layout, task, RunConfig(steps=5, eval_interval=3,
-                                                    batch_size=4), p0, opt0)
+    # adam reads no kappa mode, so its config keeps the default
+    mode = "k1_plus_k2" if kind == "path_adam" else "k1"
+    cfg = RunConfig(optimizer=kind, lr=0.01, kappa_mode=mode, steps=10, eval_interval=3,
+                    batch_size=4)
+    full = optim.train_loop(layout, task, cfg, p0, None)
+    half = optim.train_loop(layout, task, dataclasses.replace(cfg, steps=5), p0, None)
     save_checkpoint(tmp_path / "half.txt", 5, layout, half.params, half.opt)
     start, p, opt = load_checkpoint(tmp_path / "half.txt", layout)
     assert start == 5 and opt.m1 is not None
-    resumed = optim.train_loop(layout, task, RunConfig(steps=10, eval_interval=3,
-                                                       batch_size=4),
-                               p, opt, start_step=start)
+    resumed = optim.train_loop(layout, task, cfg, p, opt, start_step=start)
     kept = [r for r in half.history if r["step"] < start]
     assert [r["step"] for r in kept + resumed.history] == [0, 3, 6, 9, 10]
     assert kept + resumed.history == full.history
@@ -402,3 +395,39 @@ def test_train_loop_resume_off_eval_step(tmp_path, name, kind):
                         res.params, res.opt)
     assert ((tmp_path / "resumed.txt").read_bytes()
             == (tmp_path / "full.txt").read_bytes())
+
+
+@pytest.mark.parametrize("field, value", [
+    ("kind", "adam"), ("eta", 0.5), ("kappa_mode", "k1_plus_k2"), ("eps", 1e3)])
+def test_train_loop_steps_with_config_settings(field, value):
+    """The update's settings come from the RunConfig: fresh, train_loop ends
+    on a hand loop's parameters at the config's eta, and a handed state
+    that differs from the config in one setting steps with the config's."""
+    task = tasks.AdditionTask(length=4, eval_size=8)
+    p0 = optim.init_uniform(RESUME_LAYOUT, optim.rng_for(0, optim.STREAM_INIT), 0.3)
+    cfg = RunConfig(optimizer="path_sgd", lr=0.05, steps=5, eval_interval=100, batch_size=4)
+    p, state = p0, OptimizerState(kind="path_sgd", eta=0.05)
+    for step in range(cfg.steps):
+        batch = task.train_batch(optim.rng_for(cfg.seed, optim.STREAM_DATA, step),
+                                 cfg.batch_size)
+        _, g, _ = task.loss_and_grad(RESUME_LAYOUT, p, batch)
+        p, state = optim.apply_update(p, g, state, pathnorm.preconditioner(RESUME_LAYOUT, p))
+    fresh = optim.train_loop(RESUME_LAYOUT, task, cfg, p0, None)
+    handed = optim.train_loop(RESUME_LAYOUT, task, cfg, p0,
+                              dataclasses.replace(state, **{field: value}))
+    assert np.array_equal(fresh.params, p) and fresh.opt == state
+    assert np.array_equal(handed.params, p) and handed.opt == state
+
+
+def test_train_loop_rejects_adam_moments_under_another_optimizer():
+    """Adam moments handed to a run whose config names sgd or path_sgd could
+    not take effect, and the state they end in would not load."""
+    adam = optim.train_loop(TINY, tiny_task(), RunConfig(optimizer="adam", lr=0.01, steps=3),
+                            TINY_P0, None)
+    for kind in ("sgd", "path_sgd"):
+        with pytest.raises(GraphError, match=f"moments at t = 3; optimizer = {kind}"):
+            optim.train_loop(TINY, tiny_task(), RunConfig(optimizer=kind, lr=0.01, steps=6),
+                             adam.params, adam.opt, start_step=3)
+    res = optim.train_loop(TINY, tiny_task(), RunConfig(optimizer="adam", lr=0.01, steps=6),
+                           adam.params, adam.opt, start_step=3)
+    assert res.opt.t == 6
