@@ -197,7 +197,7 @@ def cmd_kappa_ratio(args) -> int:
             ratios = []
             for s in range(args.seeds):
                 rng = optim.rng_for(args.seed, optim.STREAM_INIT, s)
-                p = rng.uniform(-args.init_range, args.init_range, layout.m)
+                p = optim.init_uniform(layout, rng, args.init_range)
                 ratio = pathnorm.kappa_ratio(layout, p)
                 # From length 3 on every recurrent entry of kappa2 is > 0
                 # when no weight is 0, so a ratio of 0 is an underflow.

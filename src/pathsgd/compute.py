@@ -50,11 +50,6 @@ def _pow2(n: int) -> int:
     return 1 << (max(n, 1) - 1).bit_length()
 
 
-def _check_activation(activation: str) -> None:
-    if activation not in ACTIVATIONS:
-        raise ComputeError(f"unknown activation {activation!r}")
-
-
 def _check_params(p: np.ndarray, m: int) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.shape != (m,):
@@ -93,16 +88,21 @@ def half_second_diff(f, p: np.ndarray, i: int, f0: float) -> float:
 
 @dataclass
 class RnnTrace:
-    """A forward's record.  y holds the outputs of steps first_output ..
+    """A forward's record: its layout, its parameter vector p, whether it
+    ran ReLU (else identity), and y, the outputs of steps first_output ..
     T - 1 as (B, T - first_output, output_dim), possibly a transposed view.
     A trace-free forward leaves h as None.  A kept trace ran in blocks of K
-    steps, and h[0] is the caller's X itself, so X must not be written
-    before the backward.  For hidden layer i, h[i] is (T + 1, B, H_i) at
-    K = T, row t the state carried into step t, and (nb, B, H_i) at K < T,
-    row j the state carried into step j K, from which rnn_backward
-    recomputes the rest; h[i][0] = 0.  Pre-activations are not kept: the
-    ReLU mask is a function of the output."""
+    steps, and h[0] is the caller's X itself; p, like X, is held by
+    reference, so neither may be written before the backward.  For hidden
+    layer i, h[i] is (T + 1, B, H_i) at K = T, row t the state carried into
+    step t, and (nb, B, H_i) at K < T, row j the state carried into step
+    j K, from which rnn_backward recomputes the rest; h[i][0] = 0.
+    Pre-activations are not kept: the ReLU mask is a function of the
+    output."""
 
+    layout: RnnLayout
+    p: np.ndarray
+    relu: bool
     y: np.ndarray
     h: list | None = None
     K: int = 0
@@ -179,7 +179,8 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
             f"rnn_forward: expected X of shape (B, {layout.length}, {layout.input_dim}), got {X.shape}")
     if X.shape[0] == 0:
         raise ComputeError(f"rnn_forward: empty batch, X of shape {X.shape}")
-    _check_activation(activation)
+    if activation not in ACTIVATIONS:
+        raise ComputeError(f"unknown activation {activation!r}")
     relu = activation == "relu"
     B, T = X.shape[0], layout.length
     if not 0 <= first_output < T:
@@ -217,10 +218,10 @@ def rnn_forward(layout: RnnLayout, p: np.ndarray, X: np.ndarray,
             np.matmul(top[lo - t0:].reshape(n * B, -1), WoutT, out=yb.reshape(n * B, -1))
             if bout is not None:
                 yb += bout[:, 0]
-    if not keep_trace:
-        return RnnTrace(y=y.transpose(1, 0, 2))
-    kept = buf if carried is None else carried
-    return RnnTrace(y=y.transpose(1, 0, 2), h=[X] + kept[1:], K=K)
+    tr = RnnTrace(layout, p, relu, y.transpose(1, 0, 2))
+    if keep_trace:
+        tr.h, tr.K = [X] + (buf if carried is None else carried)[1:], K
+    return tr
 
 
 def _forward_steps(b: np.ndarray, WrecT, first: bool, t: np.ndarray,
@@ -279,10 +280,10 @@ def _outer_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1]).T @ b.reshape(-1, b.shape[-1])
 
 
-def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
-                 activation: str = "relu", return_dpre: bool = False):
-    """dL/dp, the exact gradient of sum(dY * Y) at a kept trace tr; dY,
-    shaped like tr.y, carries any batch normalization.
+def rnn_backward(tr: RnnTrace, dY: np.ndarray, return_dpre: bool = False):
+    """dL/dp, the exact gradient of sum(dY * Y) at a kept trace tr, with the
+    layout, parameters and activation its forward ran; dY, shaped like
+    tr.y, carries any batch normalization.
 
     Time is walked from the end in blocks of K steps, the checkpointed
     trace's K or else _time_block's; a checkpointed block's states are
@@ -290,14 +291,13 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     its bits.  Each block runs the layers top-down and forms its mask,
     gradient products and the seed of the layer below while it is in
     cache, so only (K, B, H_i) blocks are allocated.  dpre does not depend
-    on K; the gradient sums are split by block, and differ from one
-    product over the whole sequence by rounding alone.  With return_dpre
+    on K; each block's gradient sums are added into dL/dp, and differ from
+    one product over the whole sequence by rounding alone.  With return_dpre
     the result is (dL/dp, dpre, h), dpre[i] and h[i] hidden layer i's
     (T, B, H_i) pre-activation gradient and states (dpre[0] None, h[0] a
     time-major view of the input), and dL/dp keeps its bits.
     """
-    _check_activation(activation)
-    p = np.asarray(p, dtype=float)
+    layout, p, relu = tr.layout, tr.p, tr.relu
     dY = np.asarray(dY, dtype=float)
     if tr.h is None:
         raise ComputeError("rnn_backward: the forward kept no trace")
@@ -308,14 +308,13 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     r = T - dY.shape[0]  # first step with an output
     whole = tr.K == T  # every state is in the trace
     K = _time_block(layout, B) if whole else tr.K
-    relu = activation == "relu"
     top = layout.depth - 1
     layers = range(top, 0, -1)
     dims = layout.hidden_dims
     dp = np.zeros(layout.m)
-    if "bout" in layout.slices:
-        sl, _ = layout.slices["bout"]
-        dp[sl] = dY.sum(axis=(0, 1))
+    grad = {name: layout.view(dp, name) for name in layout.slices}
+    if "bout" in grad:
+        grad["bout"][:, 0] = dY.sum(axis=(0, 1))
 
     Wout = layout.view(p, "out")
     weights = [None] + [(layout.view(p, f"in{i}"), layout.matrix(p, f"rec{i}"))
@@ -334,14 +333,6 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
     mask = [None] + [np.empty((K, B, n), dtype=bool) if relu else None for n in dims]
     carry = [None] + [np.empty((B, n)) for n in dims]
     tmp = [None] + [np.empty((B, n)) for n in dims]
-    grads: dict = {}  # the first block walked sets each sum, later blocks add
-
-    def add(name, value):
-        if name in grads:
-            grads[name] += value
-        else:
-            grads[name] = value
-
     for t0 in reversed(range(0, T, K)):
         k = min(K, T - t0)
         xin = xb[:k]
@@ -359,7 +350,7 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
         # written by the recurrence before they are read.
         lo = min(max(r - t0, 0), k)
         if lo < k:
-            add("out", _outer_sum(dY[t0 + lo - r:t0 + k - r], win[top][1 + lo:]))
+            grad["out"] += _outer_sum(dY[t0 + lo - r:t0 + k - r], win[top][1 + lo:])
             np.matmul(dY[t0 + lo - r:t0 + k - r], Wout, out=blocks[top][lo:])
         for i in layers:
             Win, Wrec = weights[i]
@@ -377,17 +368,14 @@ def rnn_backward(layout: RnnLayout, p: np.ndarray, tr: RnnTrace, dY: np.ndarray,
                 np.greater(h[seeded:], 0.0, out=m[seeded:])
             _backward_steps(blk, carry[i], m, Wrec, t0 + k == T, seeded, tmp[i])
             carry[i][...] = blk[0]
-            add(f"in{i}", _outer_sum(blk, xin if i == 1 else win[i - 1][1:]))
+            grad[f"in{i}"] += _outer_sum(blk, xin if i == 1 else win[i - 1][1:])
             if Wrec is not None:
                 a = 1 if t0 == 0 else 0  # step 0 has no earlier state
-                add(f"rec{i}", _outer_sum(blk[a:], win[i][a:k]))
-            if f"b{i}" in layout.slices:
-                add(f"b{i}", blk.sum(axis=(0, 1)))
+                grad[f"rec{i}"] += _outer_sum(blk[a:], win[i][a:k])
+            if f"b{i}" in grad:
+                grad[f"b{i}"][:, 0] += blk.sum(axis=(0, 1))
             if i > 1:
                 np.matmul(blk, Win, out=blocks[i - 1])
-    for name, value in grads.items():
-        sl, _ = layout.slices[name]
-        dp[sl] = value.reshape(-1)
     if not return_dpre:
         return dp
     return dp, dpres, [tr.h[0].transpose(1, 0, 2)] + [a[1:] for a in states[1:]]

@@ -273,9 +273,9 @@ def save_checkpoint(path, step: int, layout: RnnLayout, p: np.ndarray,
 
 def load_checkpoint(path, layout: RnnLayout | None = None):
     """Returns (step, p, OptimizerState).  If a layout is given, its
-    description must match the one stored at save time.  Adam kinds carry
-    moments exactly when t >= 1; sgd and path_sgd are at t = 0 with none,
-    as save_checkpoint writes them."""
+    description must match the one stored at save time and m its parameter
+    count.  Adam kinds carry moments exactly when t >= 1; sgd and path_sgd
+    are at t = 0 with none, as save_checkpoint writes them."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file")
@@ -311,6 +311,8 @@ def load_checkpoint(path, layout: RnnLayout | None = None):
 
     m, step = header_int("m"), header_int("step")
     p = block("parameter", i)
+    if layout is not None and m != layout.m:
+        raise ConfigError(f"{path}: header field m {m}, but the net has {layout.m} parameters")
     i += m
     m1 = m2 = None
     if i < len(lines) and lines[i] == "moments":

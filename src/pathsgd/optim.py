@@ -77,8 +77,8 @@ class OptimizerState:
             raise GraphError(f"unknown optimizer {self.kind!r}")
         if self.kappa_mode not in pathnorm.KAPPA_MODES:
             raise GraphError(f"unknown kappa mode {self.kappa_mode!r}")
-        if self.eta <= 0 or self.eps <= 0:
-            raise GraphError("eta and eps must be positive")
+        if not all(0 < v < np.inf for v in (self.eta, self.eps)):  # NaN fails both
+            raise GraphError(f"eta {self.eta} and eps {self.eps} must be finite and positive")
 
     @property
     def uses_kappa(self) -> bool:

@@ -189,8 +189,7 @@ def _squared_pass(layout: RnnLayout, p: np.ndarray):
         return np.full(layout.m, np.inf), None
     tr = compute.rnn_forward(layout, pt, np.ones((1, layout.length, layout.input_dim)),
                              "identity")
-    k1, delta, h = compute.rnn_backward(layout, pt, tr, np.ones_like(tr.y), "identity",
-                                        return_dpre=True)
+    k1, delta, h = compute.rnn_backward(tr, np.ones_like(tr.y), return_dpre=True)
     return k1, (h, delta)
 
 

@@ -33,7 +33,7 @@ class Task:
         tr = compute.rnn_forward(layout, p, X, keep_trace=grad,
                                  first_output=self.first_output)
         loss, dY, metric = self.head(tr.y, target)
-        g = compute.rnn_backward(layout, p, tr, dY) if grad else None
+        g = compute.rnn_backward(tr, dY) if grad else None
         return loss, g, metric
 
     def evaluate(self, layout: RnnLayout, p) -> float:

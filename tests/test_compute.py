@@ -47,7 +47,7 @@ def test_forward_deterministic(single_unit_t3, rng):
 def _mse_grad(layout, p, X, Y):
     """rnn_backward of the mean squared error over (B, T, O)."""
     tr = compute.rnn_forward(layout, p, X)
-    return compute.rnn_backward(layout, p, tr, 2.0 * (tr.y - Y) / Y.size)
+    return compute.rnn_backward(tr, 2.0 * (tr.y - Y) / Y.size)
 
 
 def test_grad_zero_at_optimum(single_unit_t2):
@@ -71,17 +71,30 @@ def test_grad_matches_finite_differences(rng):
 
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])
 def test_unknown_activation_rejected(activation, single_unit_t2, rng):
-    """The forward and the backward raise instead of running some other
-    activation."""
+    """The forward raises instead of running some other activation; the
+    backward runs the activation its trace records."""
     p = np.ones(3)
     layout = single_unit_t2
     X = rng.standard_normal((2, 2, 1))
     for keep_trace in (True, False):
         with pytest.raises(compute.ComputeError, match="unknown activation"):
             compute.rnn_forward(layout, p, X, activation, keep_trace=keep_trace)
-    tr = compute.rnn_forward(layout, p, X)
-    with pytest.raises(compute.ComputeError, match="unknown activation"):
-        compute.rnn_backward(layout, p, tr, np.ones_like(tr.y), activation)
+
+
+@pytest.mark.parametrize("activation", compute.ACTIVATIONS)
+def test_backward_reads_layout_params_and_activation_from_trace(activation, rng):
+    """The trace records the forward's layout, its parameter vector itself
+    and its activation, and the backward takes all three from it: its
+    gradient is the scalar reference backward of that activation."""
+    layout = RnnLayout(2, (3, 2), 2, 5, bias=True)
+    p = rng.uniform(-1.2, 1.2, layout.m)
+    X = rng.standard_normal((3, 5, 2))
+    tr = compute.rnn_forward(layout, p, X, activation)
+    assert tr.layout is layout and tr.p is p and tr.relu == (activation == "relu")
+    dY = rng.standard_normal(tr.y.shape)
+    g_ref = np.sum([reference.backward(layout, p, X[b], dY[b], activation)
+                    for b in range(3)], axis=0)
+    np.testing.assert_allclose(compute.rnn_backward(tr, dY), g_ref, rtol=1e-10, atol=1e-12)
 
 
 def test_relu_subgradient_zero_at_kink():
@@ -93,7 +106,7 @@ def test_relu_subgradient_zero_at_kink():
     X = np.zeros((1, 1, 1))
     assert reference.forward(layout, p, X[0])[2][0][1] == [0.0]
     tr = compute.rnn_forward(layout, p, X)
-    g = compute.rnn_backward(layout, p, tr, np.ones_like(tr.y))
+    g = compute.rnn_backward(tr, np.ones_like(tr.y))
     b = layout.param_index("b1", 0, 0)
     assert g[b] == 0.0 and reference.backward(layout, p, X[0], [[1.0]])[b] == 0.0
 
@@ -170,13 +183,12 @@ def test_rnn_output_suffix_matches_full(activation, hidden, bias, length, first,
     dY = rng.standard_normal(tr.y.shape)
     dY_full = np.zeros_like(full.y)
     dY_full[:, r:] = dY
-    g, dpre, _ = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
-    g_full, dpre_full, _ = compute.rnn_backward(layout, p, full, dY_full, activation,
-                                                return_dpre=True)
+    g, dpre, _ = compute.rnn_backward(tr, dY, return_dpre=True)
+    g_full, dpre_full, _ = compute.rnn_backward(full, dY_full, return_dpre=True)
     np.testing.assert_array_equal(g, g_full)
     for got, want in zip(dpre[1:], dpre_full[1:]):
         np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(compute.rnn_backward(layout, p, tr, dY, activation), g)
+    np.testing.assert_array_equal(compute.rnn_backward(tr, dY), g)
 
 
 @pytest.mark.parametrize("activation", compute.ACTIVATIONS)
@@ -224,7 +236,7 @@ def test_rnn_backward_rejects_trace_free_forward(rng):
     p = np.zeros(layout.m)
     lean = compute.rnn_forward(layout, p, rng.standard_normal((2, 5, 2)), keep_trace=False)
     with pytest.raises(compute.ComputeError, match="kept no trace"):
-        compute.rnn_backward(layout, p, lean, np.ones_like(lean.y))
+        compute.rnn_backward(lean, np.ones_like(lean.y))
 
 
 @pytest.mark.parametrize("keep_trace", [True, False])
@@ -244,7 +256,7 @@ def _assert_matches_generic_grad(layout, p, X, dY, monkeypatch):
     tr = compute.rnn_forward(layout, p, X)
     for budget in (compute.BUDGET, 1):
         monkeypatch.setattr(compute, "BUDGET", budget)
-        g_vec = compute.rnn_backward(layout, p, tr, dY)
+        g_vec = compute.rnn_backward(tr, dY)
         assert np.allclose(g_vec, g_ref, rtol=1e-10, atol=1e-12)
 
 
@@ -294,14 +306,13 @@ def test_rnn_backward_blocks_match_one_block(K, activation, hidden, bias, length
         tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
         dY = rng.standard_normal(tr.y.shape)
         monkeypatch.setattr(compute, "BUDGET", 8 * B * max(hidden) * length)
-        g_one, dpre_one, _ = compute.rnn_backward(layout, p, tr, dY, activation,
-                                                  return_dpre=True)
+        g_one, dpre_one, _ = compute.rnn_backward(tr, dY, return_dpre=True)
         monkeypatch.setattr(compute, "BUDGET", 8 * B * max(hidden) * k)
-        g, dpre, _ = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
+        g, dpre, _ = compute.rnn_backward(tr, dY, return_dpre=True)
         np.testing.assert_allclose(g, g_one, rtol=1e-12, atol=1e-14)
         for got, want in zip(dpre[1:], dpre_one[1:]):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(compute.rnn_backward(layout, p, tr, dY, activation), g)
+        np.testing.assert_array_equal(compute.rnn_backward(tr, dY), g)
 
 
 def test_rnn_forward_shape_check(rng):
@@ -342,8 +353,8 @@ def _matmul_backward_steps(blk, carry, m, Wrec, last, seeded, t):
 def _recurrence_outputs(layout, p, X, activation, r, dY):
     tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
     lean = compute.rnn_forward(layout, p, X, activation, keep_trace=False, first_output=r)
-    g, dpre, h = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
-    g_lean = compute.rnn_backward(layout, p, tr, dY, activation)
+    g, dpre, h = compute.rnn_backward(tr, dY, return_dpre=True)
+    g_lean = compute.rnn_backward(tr, dY)
     return [tr.y, *h[1:], lean.y, g, *dpre[1:], g_lean]
 
 
@@ -381,8 +392,8 @@ def test_step_loops_bit_identical_to_matmul_form(hidden, bias, activation, budge
 def _forward_backward(layout, p, X, activation, r, dY):
     """The trace, then y, g, dpre and h of return_dpre, and g without it."""
     tr = compute.rnn_forward(layout, p, X, activation, first_output=r)
-    g, dpre, h = compute.rnn_backward(layout, p, tr, dY, activation, return_dpre=True)
-    return tr, [tr.y, g, *dpre[1:], *h, compute.rnn_backward(layout, p, tr, dY, activation)]
+    g, dpre, h = compute.rnn_backward(tr, dY, return_dpre=True)
+    return tr, [tr.y, g, *dpre[1:], *h, compute.rnn_backward(tr, dY)]
 
 
 @pytest.mark.parametrize("activation", compute.ACTIVATIONS)
@@ -410,10 +421,8 @@ def test_recomputed_blocks_bit_identical_to_kept_trace(hidden, bias, activation,
             for k in (1, 2, 3):
                 with monkeypatch.context() as mp:
                     mp.setattr(compute, "BUDGET", k * 8 * B * max(hidden))
-                    g, dpre, h = compute.rnn_backward(layout, p, kept, dY, activation,
-                                                      return_dpre=True)
-                    want = [kept.y, g, *dpre[1:], *h,
-                            compute.rnn_backward(layout, p, kept, dY, activation)]
+                    g, dpre, h = compute.rnn_backward(kept, dY, return_dpre=True)
+                    want = [kept.y, g, *dpre[1:], *h, compute.rnn_backward(kept, dY)]
                     cut, got = _forward_backward(layout, p, X, activation, r, dY)
                 assert cut.K == k and len(got) == len(want)
                 h_got = got[-len(h) - 1:-1]
@@ -459,8 +468,8 @@ def test_checkpointed_trace_bit_identical_at_paper_scale(input_dim, rng, monkeyp
         mp.setattr(compute, "BUDGET", 8 * B * 100 * T)
         kept = compute.rnn_forward(layout, p, X, first_output=T - 1)
     assert kept.K == T and compute.rnn_forward(layout, p, X[:1]).K == T
-    g, dpre, h = compute.rnn_backward(layout, p, kept, dY, return_dpre=True)
-    want = [kept.y, g, *dpre[1:], *h, compute.rnn_backward(layout, p, kept, dY)]
+    g, dpre, h = compute.rnn_backward(kept, dY, return_dpre=True)
+    want = [kept.y, g, *dpre[1:], *h, compute.rnn_backward(kept, dY)]
     for a, b in zip(got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -479,11 +488,11 @@ def test_kept_trace_holds_the_callers_input(budget, rng, monkeypatch):
     assert (tr.K == 7) == (budget == "default")
     assert tr.h[0] is X
     dY = rng.standard_normal(tr.y.shape)
-    g = compute.rnn_backward(layout, p, tr, dY)
+    g = compute.rnn_backward(tr, dY)
     copy = compute.rnn_forward(layout, p, X.tolist(), first_output=2)
     assert not np.shares_memory(copy.h[0], X)
     assert copy.y.tobytes() == tr.y.tobytes()
-    assert compute.rnn_backward(layout, p, copy, dY).tobytes() == g.tobytes()
+    assert compute.rnn_backward(copy, dY).tobytes() == g.tobytes()
 
 
 @pytest.mark.parametrize("budget", ["default", 1])
@@ -500,8 +509,8 @@ def test_backward_leaves_the_trace_as_it_was(budget, rng, monkeypatch):
     kept = [a.tobytes() for a in (tr.y, *tr.h)]
     dY = rng.standard_normal(tr.y.shape)
     for return_dpre in (False, True):
-        first = compute.rnn_backward(layout, p, tr, dY, return_dpre=return_dpre)
-        second = compute.rnn_backward(layout, p, tr, dY, return_dpre=return_dpre)
+        first = compute.rnn_backward(tr, dY, return_dpre=return_dpre)
+        second = compute.rnn_backward(tr, dY, return_dpre=return_dpre)
         if return_dpre:
             first = [first[0], *first[1][1:], *first[2]]
             second = [second[0], *second[1][1:], *second[2]]

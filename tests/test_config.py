@@ -194,7 +194,7 @@ def test_checkpoint_roundtrip_exact(tmp_path, rng):
 def test_checkpoint_number_text(tmp_path):
     """Parameters and moments are written as %.17g text, pinned byte for
     byte on values whose shortest repr differs, on -0 and on subnormals."""
-    layout = RnnLayout(1, (1,), 1, 2)  # m = 4
+    layout = RnnLayout(2, (1,), 1, 2)  # m = 4
     awkward = [0.1, 1 / 3, 1e-300, -0.0, 5e-324]
     text = ["0.10000000000000001", "0.33333333333333331", "1e-300", "-0",
             "4.9406564584124654e-324"]
@@ -260,12 +260,16 @@ def test_checkpoint_error_cases(tmp_path):
     ("0.5", "0.5x", "bad parameter block (could not convert string to float: '0.5x')"),
     ("step 5", "step five", "bad header field step 'five', not an integer >= 0"),
     ("step 5", "step -6", "bad header field step '-6', not an integer >= 0"),
+    ("eta 0.01", "eta nan", "bad optimizer header (eta nan and eps 1e-08 must be finite"),
+    ("eta 0.01", "eta inf", "bad optimizer header (eta inf and eps 1e-08 must be finite"),
+    ("eps 1e-08", "eps nan", "bad optimizer header (eta 0.01 and eps nan must be finite"),
+    ("eps 1e-08", "eps inf", "bad optimizer header (eta 0.01 and eps inf must be finite"),
 ], ids=["dropped-parameter-line", "m-past-the-entries", "garbled-number", "step-five",
-        "negative-step"])
+        "negative-step", "eta-nan", "eta-inf", "eps-nan", "eps-inf"])
 def test_malformed_checkpoint_names_the_file_and_field(tmp_path, old, new, error):
-    """A dropped parameter line, an m past the entries, a garbled number and
-    a step that is not an integer >= 0 each raise ConfigError naming the
-    file and the block or header key."""
+    """A dropped parameter line, an m past the entries, a garbled number, a
+    step that is not an integer >= 0 and an eta or eps that is not finite
+    each raise ConfigError naming the file and the block or header key."""
     layout = RnnLayout(1, (2,), 1, 2)
     path = tmp_path / "ck.txt"
     save_checkpoint(path, 5, layout, np.full(layout.m, 0.5), OptimizerState())
@@ -275,6 +279,23 @@ def test_malformed_checkpoint_names_the_file_and_field(tmp_path, old, new, error
     lines[at:at + 1] = [] if new is None else [new]
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}: {error}")):
+        load_checkpoint(path, layout)
+
+
+@pytest.mark.parametrize("m", [7, 9])
+def test_checkpoint_m_must_be_the_nets_parameter_count(tmp_path, m):
+    """A parameter block one line short or long, its m header changed to
+    match, is rejected by file and field instead of loading a parameter
+    vector of the wrong length."""
+    layout = RnnLayout(1, (2,), 1, 2)
+    path = tmp_path / "ck.txt"
+    save_checkpoint(path, 5, layout, np.full(layout.m, 0.5), OptimizerState())
+    lines = path.read_text().splitlines()
+    at = lines.index("m 8")
+    lines[at:at + 2] = [f"m {m}"] + ["0.5"] * (m - 7)
+    path.write_text("\n".join(lines) + "\n")
+    error = f"{path}: header field m {m}, but the net has 8 parameters"
+    with pytest.raises(ConfigError, match=re.escape(error)):
         load_checkpoint(path, layout)
 
 

@@ -1,5 +1,6 @@
-"""Every name a module imports at module level is read somewhere in it, and
-every file the package opens, reads or writes names its encoding.
+"""Every name a module imports at module level is read somewhere in it,
+every file the package opens, reads or writes names its encoding, and src/
+stays within its line ceiling.
 
 Run as a script, it prints the lines of each package file by kind (see
 line_kinds), then the totals of tests/ and, last, of src/:
@@ -80,6 +81,9 @@ def test_package_text_io_names_its_encoding():
 
 
 KINDS = ("code", "docstring", "comment", "blank")
+# The most lines, and code lines, src/ may hold.  Raising either ceiling is
+# a change to a check, which CHANGES.md must state.
+SRC_MAX_LINES, SRC_MAX_CODE = 2400, 1600
 
 
 def line_kinds(source: str) -> dict[str, int]:
@@ -117,10 +121,19 @@ def test_line_kinds_counts_planted_source():
     assert line_kinds(src) == {"code": 5, "docstring": 3, "comment": 1, "blank": 3}
 
 
+def total_kinds(paths) -> dict[str, int]:
+    counts = [line_kinds(path.read_text(encoding="utf-8")) for path in paths]
+    return {kind: sum(c[kind] for c in counts) for kind in KINDS}
+
+
+def test_src_within_line_ceiling():
+    kinds = total_kinds(PACKAGE)
+    assert sum(kinds.values()) <= SRC_MAX_LINES and kinds["code"] <= SRC_MAX_CODE, kinds
+
+
 if __name__ == "__main__":
     for path in PACKAGE:
         print(path.relative_to(ROOT).as_posix(), line_kinds(path.read_text(encoding="utf-8")))
     for name, paths in (("tests", TESTS), ("total", PACKAGE)):
-        counts = [line_kinds(path.read_text(encoding="utf-8")) for path in paths]
-        kinds = {kind: sum(c[kind] for c in counts) for kind in KINDS}
+        kinds = total_kinds(paths)
         print(name, sum(kinds.values()), kinds)

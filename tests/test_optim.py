@@ -145,8 +145,11 @@ def test_optimizer_state_validation():
         OptimizerState(kind="rmsprop")
     with pytest.raises(GraphError):
         OptimizerState(kappa_mode="k3")
-    with pytest.raises(GraphError):
-        OptimizerState(eta=0.0)
+    # A NaN passes both sides of a sign check, so it is named too.
+    for bad in ({"eta": 0.0}, {"eta": np.nan}, {"eta": np.inf}, {"eps": np.nan},
+                {"eps": np.inf}):
+        with pytest.raises(GraphError, match="must be finite and positive"):
+            OptimizerState(kind="path_sgd", **bad)
     st = OptimizerState(kind="path_adam")
     assert st.uses_kappa
     assert not OptimizerState(kind="sgd").uses_kappa
